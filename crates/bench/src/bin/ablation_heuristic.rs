@@ -11,7 +11,7 @@ use fase_core::detector::DetectorConfig;
 use fase_core::{CampaignConfig, Fase, FaseConfig, FaseReport, HeuristicConfig};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 struct Variant {
@@ -49,9 +49,14 @@ fn main() {
         .build()
         .expect("config");
     // One shared campaign: the ablations differ only in analysis.
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 810);
-    let spectra = runner.run(&config).expect("campaign");
+    let spectra = run_campaign_with_options(
+        &config,
+        ActivityPair::LdmLdl1,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        810,
+        CampaignOptions::default(),
+    )
+    .expect("campaign");
 
     let variants = [
         Variant {

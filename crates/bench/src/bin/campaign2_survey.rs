@@ -13,11 +13,12 @@ use fase_sysmodel::ActivityPair;
 fn main() {
     let config = CampaignConfig::paper_0_120mhz();
     println!("running {config} (pooled capture tasks; this is the big one)…");
-    let spectra = fase_specan::run_campaign_parallel(
+    let spectra = fase_specan::run_campaign_with_options(
         &config,
         ActivityPair::LdmLdl1,
         |_| SimulatedSystem::intel_i7_desktop(42),
         900,
+        fase_specan::CampaignOptions::default(),
     )
     .expect("campaign");
     let report = Fase::default().analyze(&spectra).expect("analysis");

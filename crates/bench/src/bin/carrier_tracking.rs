@@ -6,18 +6,25 @@ use fase_bench::{ascii_plot, write_csv};
 use fase_dsp::demod::ridge_track_in_band;
 use fase_dsp::{stats, Hertz, Window};
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::capture_iq;
 use fase_sysmodel::ActivityPair;
 
 fn main() {
     // Alternate memory activity at 2 kHz and watch the 332.7-333.0 MHz
     // spread clock.
     let f_alt = Hertz::from_khz(2.0);
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 700);
+    let mut system = SimulatedSystem::intel_i7_desktop(42);
     let span = 1.0e6;
     let samples = 1 << 16; // 65.5 ms
-    let capture = runner.capture_iq(Hertz::from_mhz(332.85), span, samples, f_alt);
+    let capture = capture_iq(
+        &mut system,
+        ActivityPair::LdmLdl1,
+        700,
+        Hertz::from_mhz(332.85),
+        span,
+        samples,
+        f_alt,
+    );
 
     // Track the sweeping carrier: 64-sample frames (64 µs, 15.6 kHz bins).
     // The receiver knows the clock's nominal sweep band (±170 kHz around

@@ -8,7 +8,7 @@ use fase_core::{CampaignConfig, Fase};
 use fase_dsp::Hertz;
 use fase_emsim::channel::Channel;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 /// Extra path loss at `r` meters relative to the 30 cm baseline for
@@ -39,9 +39,14 @@ fn main() {
     let mut baseline_ok = false;
     for (i, &r) in distances.iter().enumerate() {
         let loss = extra_loss_db(r);
-        let mut runner =
-            CampaignRunner::new(system_at(loss), ActivityPair::LdmLdl1, 1100 + i as u64);
-        let spectra = runner.run(&config).expect("campaign");
+        let spectra = run_campaign_with_options(
+            &config,
+            ActivityPair::LdmLdl1,
+            |_| system_at(loss),
+            1100 + i as u64,
+            CampaignOptions::default(),
+        )
+        .expect("campaign");
         let report = Fase::default().analyze(&spectra).expect("analysis");
         let near = |f: f64| report.carrier_near(Hertz(f), Hertz(2_000.0)).is_some();
         let (reg, memif, refresh) = (

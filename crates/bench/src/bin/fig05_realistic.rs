@@ -6,23 +6,30 @@ use fase_bench::{plot_spectrum, write_spectra_csv};
 use fase_core::CampaignConfig;
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn main() {
     // One spectrum of the full i7 scene: the 315 kHz regulator's side-bands
     // are in there, along with everything else.
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 7);
-    let spectrum = runner
-        .single_spectrum(
-            Hertz::from_khz(43.3),
-            Hertz::from_khz(150.0),
-            Hertz::from_khz(700.0),
-            Hertz(100.0),
-            CampaignConfig::paper_0_4mhz().averages(),
-        )
-        .expect("capture");
+    // The first alternation (f_alt = 43.3 kHz) of a paper-style campaign.
+    let campaign = CampaignConfig::builder()
+        .band(Hertz::from_khz(150.0), Hertz::from_khz(700.0))
+        .resolution(Hertz(100.0))
+        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
+        .averages(CampaignConfig::paper_0_4mhz().averages())
+        .build()
+        .expect("config");
+    let spectrum = measure_alternation(
+        &campaign,
+        0,
+        ActivityPair::LdmLdl1,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        7,
+        CampaignOptions::default(),
+    )
+    .expect("capture")
+    .spectrum;
     plot_spectrum(
         "Figure 5: realistic spectrum — carrier + side-bands + noise + spurs + stations (dBm)",
         &spectrum,

@@ -7,33 +7,44 @@
 //! memory-modulated carrier is the 315 kHz DRAM regulator.
 
 use fase_bench::{ascii_plot, fmt_freq, print_table, write_spectra_csv};
+use fase_core::CampaignConfig;
 use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-fn capture(pair: ActivityPair, f_alt: Hertz, seed: u64) -> Spectrum {
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, pair, seed);
-    runner
-        .single_spectrum(
-            f_alt,
-            Hertz::from_khz(260.0),
-            Hertz::from_khz(370.0),
-            Hertz(50.0),
-            4,
-        )
-        .expect("capture")
+/// Five alternation frequencies 0.5 kHz apart around the DRAM regulator.
+fn campaign() -> CampaignConfig {
+    CampaignConfig::builder()
+        .band(Hertz::from_khz(260.0), Hertz::from_khz(370.0))
+        .resolution(Hertz(50.0))
+        .alternation(Hertz(43_300.0), Hertz(500.0), 5)
+        .averages(4)
+        .build()
+        .expect("config")
+}
+
+fn capture(pair: ActivityPair, i_alt: usize, seed: u64) -> Spectrum {
+    measure_alternation(
+        &campaign(),
+        i_alt,
+        pair,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        seed,
+        CampaignOptions::default(),
+    )
+    .expect("capture")
+    .spectrum
 }
 
 fn main() {
     let fc = Hertz::from_khz(315.66); // the DRAM regulator's actual (off-nominal) frequency
-    let f_alts: Vec<Hertz> = (0..5).map(|i| Hertz(43_300.0 + 500.0 * i as f64)).collect();
+    let f_alts = campaign().alternation_frequencies();
     let mut spectra = Vec::new();
-    for (i, &f_alt) in f_alts.iter().enumerate() {
-        spectra.push(capture(ActivityPair::LdmLdl1, f_alt, 70 + i as u64));
+    for i in 0..f_alts.len() {
+        spectra.push(capture(ActivityPair::LdmLdl1, i, 70 + i as u64));
     }
-    let control = capture(ActivityPair::Ldl1Ldl1, f_alts[0], 99);
+    let control = capture(ActivityPair::Ldl1Ldl1, 0, 99);
 
     // Where is the upper side-band peak in each measurement?
     let mut rows = Vec::new();

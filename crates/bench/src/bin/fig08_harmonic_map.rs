@@ -7,11 +7,10 @@ use fase_bench::{fmt_freq, print_table, write_csv};
 use fase_core::{CampaignConfig, Fase};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn main() {
-    let system = SimulatedSystem::intel_i7_desktop(42);
     let campaign = CampaignConfig::builder()
         .band(Hertz::from_khz(60.0), Hertz::from_mhz(1.8))
         .resolution(Hertz(100.0))
@@ -19,8 +18,14 @@ fn main() {
         .averages(3)
         .build()
         .expect("config");
-    let mut runner = CampaignRunner::new(system, ActivityPair::Ldl2Ldl1, 80);
-    let spectra = runner.run(&campaign).expect("campaign");
+    let spectra = run_campaign_with_options(
+        &campaign,
+        ActivityPair::Ldl2Ldl1,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        80,
+        CampaignOptions::default(),
+    )
+    .expect("campaign");
     let report = Fase::default().analyze(&spectra).expect("analysis");
 
     let f_alt = spectra.spectra()[0].f_alt;

@@ -7,11 +7,10 @@ use fase_bench::{ascii_plot, write_csv};
 use fase_core::{CampaignConfig, Fase};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn trace_around(pair: ActivityPair, fc: Hertz, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let system = SimulatedSystem::intel_i7_desktop(42);
     let campaign = CampaignConfig::builder()
         .band(Hertz(fc.hz() - 60_000.0), Hertz(fc.hz() + 60_000.0))
         .resolution(Hertz(50.0))
@@ -19,8 +18,14 @@ fn trace_around(pair: ActivityPair, fc: Hertz, seed: u64) -> (Vec<f64>, Vec<f64>
         .averages(4)
         .build()
         .expect("config");
-    let mut runner = CampaignRunner::new(system, pair, seed);
-    let spectra = runner.run(&campaign).expect("campaign");
+    let spectra = run_campaign_with_options(
+        &campaign,
+        pair,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        seed,
+        CampaignOptions::default(),
+    )
+    .expect("campaign");
     let report = Fase::default().analyze(&spectra).expect("analysis");
     let plus = report.score_trace(1).expect("h=+1");
     let minus = report.score_trace(-1).expect("h=-1");

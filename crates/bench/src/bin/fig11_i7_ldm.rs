@@ -24,11 +24,12 @@ fn main() {
         .collect();
     let config = CampaignConfig::paper_0_4mhz();
     println!("running {config} (pooled capture tasks)…");
-    let spectra = fase_specan::run_campaign_parallel(
+    let spectra = fase_specan::run_campaign_with_options(
         &config,
         ActivityPair::LdmLdl1,
         |_| SimulatedSystem::intel_i7_desktop(42),
         110,
+        fase_specan::CampaignOptions::default(),
     )
     .expect("campaign");
     let report = Fase::default().analyze(&spectra).expect("analysis");

@@ -4,34 +4,43 @@
 //! characteristic Gaussian-looking shape.
 
 use fase_bench::{ascii_plot, print_table, write_spectra_csv};
+use fase_core::CampaignConfig;
 use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-fn capture(pair: ActivityPair, f_alt: Hertz, seed: u64) -> Spectrum {
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, pair, seed);
-    runner
-        .single_spectrum(
-            f_alt,
-            Hertz::from_khz(280.0),
-            Hertz::from_khz(385.0),
-            Hertz(50.0),
-            4,
-        )
-        .expect("capture")
+/// Five alternation frequencies 0.5 kHz apart around the core regulator.
+fn campaign() -> CampaignConfig {
+    CampaignConfig::builder()
+        .band(Hertz::from_khz(280.0), Hertz::from_khz(385.0))
+        .resolution(Hertz(50.0))
+        .alternation(Hertz(43_300.0), Hertz(500.0), 5)
+        .averages(4)
+        .build()
+        .expect("config")
+}
+
+fn capture(pair: ActivityPair, i_alt: usize, seed: u64) -> Spectrum {
+    measure_alternation(
+        &campaign(),
+        i_alt,
+        pair,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        seed,
+        CampaignOptions::default(),
+    )
+    .expect("capture")
+    .spectrum
 }
 
 fn main() {
     let fc = 332_530.0; // the core regulator's actual (off-nominal) frequency
-    let f_alts: Vec<Hertz> = (0..5).map(|i| Hertz(43_300.0 + 500.0 * i as f64)).collect();
-    let spectra: Vec<Spectrum> = f_alts
-        .iter()
-        .enumerate()
-        .map(|(i, &f)| capture(ActivityPair::Ldl2Ldl1, f, 120 + i as u64))
+    let f_alts = campaign().alternation_frequencies();
+    let spectra: Vec<Spectrum> = (0..f_alts.len())
+        .map(|i| capture(ActivityPair::Ldl2Ldl1, i, 120 + i as u64))
         .collect();
-    let control = capture(ActivityPair::Ldl1Ldl1, f_alts[0], 129);
+    let control = capture(ActivityPair::Ldl1Ldl1, 0, 129);
 
     // Carrier shape (Gaussian-ish from the RC oscillator).
     let around = spectra[0]

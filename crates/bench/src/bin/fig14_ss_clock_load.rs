@@ -3,23 +3,32 @@
 //! spectrum rises bodily with DRAM activity.
 
 use fase_bench::{plot_spectrum, write_spectra_csv};
+use fase_core::CampaignConfig;
 use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
+/// One spectrum of the DRAM clock band with the benchmark alternating at
+/// 180 kHz (the first alternation of the Figure 15 family).
 fn capture(pair: ActivityPair, seed: u64) -> Spectrum {
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, pair, seed);
-    runner
-        .single_spectrum(
-            Hertz::from_khz(180.0),
-            Hertz::from_mhz(329.0),
-            Hertz::from_mhz(336.0),
-            Hertz(2_000.0),
-            4,
-        )
-        .expect("capture")
+    let campaign = CampaignConfig::builder()
+        .band(Hertz::from_mhz(329.0), Hertz::from_mhz(336.0))
+        .resolution(Hertz(2_000.0))
+        .alternation(Hertz::from_khz(180.0), Hertz(10_000.0), 5)
+        .averages(4)
+        .build()
+        .expect("config");
+    measure_alternation(
+        &campaign,
+        0,
+        pair,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        seed,
+        CampaignOptions::default(),
+    )
+    .expect("capture")
+    .spectrum
 }
 
 fn main() {

@@ -3,31 +3,35 @@
 //! side-band images outside the 1 MHz-wide carrier spread.
 
 use fase_bench::{plot_spectrum, write_spectra_csv};
+use fase_core::CampaignConfig;
 use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn main() {
-    let f_alts: Vec<Hertz> = (0..5)
-        .map(|i| Hertz(180_000.0 + 10_000.0 * i as f64))
+    let campaign = CampaignConfig::builder()
+        .band(Hertz::from_mhz(329.0), Hertz::from_mhz(336.0))
+        .resolution(Hertz(2_000.0))
+        .alternation(Hertz(180_000.0), Hertz(10_000.0), 5)
+        .averages(4)
+        .build()
+        .expect("config");
+    let f_alts = campaign.alternation_frequencies();
+    let spectra: Vec<Spectrum> = (0..f_alts.len())
+        .map(|i| {
+            measure_alternation(
+                &campaign,
+                i,
+                ActivityPair::LdmLdl1,
+                |_| SimulatedSystem::intel_i7_desktop(42),
+                150 + i as u64,
+                CampaignOptions::default(),
+            )
+            .expect("capture")
+            .spectrum
+        })
         .collect();
-    let mut spectra: Vec<Spectrum> = Vec::new();
-    for (i, &f_alt) in f_alts.iter().enumerate() {
-        let system = SimulatedSystem::intel_i7_desktop(42);
-        let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 150 + i as u64);
-        spectra.push(
-            runner
-                .single_spectrum(
-                    f_alt,
-                    Hertz::from_mhz(329.0),
-                    Hertz::from_mhz(336.0),
-                    Hertz(2_000.0),
-                    4,
-                )
-                .expect("capture"),
-        );
-    }
     plot_spectrum(
         "Figure 15: DRAM clock, 50% memory activity, f_alt = 180 kHz (dBm)",
         &spectra[0],

@@ -6,11 +6,10 @@ use fase_bench::{ascii_plot, write_csv};
 use fase_core::{CampaignConfig, Fase, FaseConfig};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn main() {
-    let system = SimulatedSystem::intel_i7_desktop(42);
     let config = CampaignConfig::builder()
         .band(Hertz::from_mhz(329.0), Hertz::from_mhz(336.0))
         .resolution(Hertz(2_000.0))
@@ -18,8 +17,14 @@ fn main() {
         .averages(4)
         .build()
         .expect("config");
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 160);
-    let spectra = runner.run(&config).expect("campaign");
+    let spectra = run_campaign_with_options(
+        &config,
+        ActivityPair::LdmLdl1,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        160,
+        CampaignOptions::default(),
+    )
+    .expect("campaign");
     // A spread carrier is only "uncovered" at a sweep edge by the largest
     // one or two alternation frequencies, and each edge appears in a
     // single harmonic sign (+1 at the upper edge, -1 at the lower). The

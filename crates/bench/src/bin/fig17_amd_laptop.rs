@@ -6,11 +6,10 @@ use fase_bench::{fmt_freq, print_table, write_csv};
 use fase_core::{CampaignConfig, Fase};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn main() {
-    let system = SimulatedSystem::amd_turion_laptop(2007);
     let config = CampaignConfig::builder()
         .band(Hertz::from_khz(60.0), Hertz::from_mhz(1.1))
         .resolution(Hertz(50.0))
@@ -19,8 +18,14 @@ fn main() {
         .build()
         .expect("config");
     println!("running {config}…");
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 170);
-    let spectra = runner.run(&config).expect("campaign");
+    let spectra = run_campaign_with_options(
+        &config,
+        ActivityPair::LdmLdl1,
+        |_| SimulatedSystem::amd_turion_laptop(2007),
+        170,
+        CampaignOptions::default(),
+    )
+    .expect("campaign");
     let report = Fase::default().analyze(&spectra).expect("analysis");
 
     let rows: Vec<Vec<String>> = report

@@ -15,7 +15,7 @@ use fase_emsim::channel::Channel;
 use fase_emsim::regulator::SwitchingRegulator;
 use fase_emsim::scene::RefreshPolicy;
 use fase_emsim::{Scene, SimulatedSystem};
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::controller::RefreshConfig;
 use fase_sysmodel::{ActivityPair, Domain, Machine};
 
@@ -54,8 +54,14 @@ fn main() {
         .averages(4)
         .build()
         .expect("config");
-    let mut runner = CampaignRunner::new(fivr_system(1000), ActivityPair::Ldl2Ldl1, 1001);
-    let spectra = runner.run(&config).expect("campaign");
+    let spectra = run_campaign_with_options(
+        &config,
+        ActivityPair::Ldl2Ldl1,
+        |_| fivr_system(1000),
+        1001,
+        CampaignOptions::default(),
+    )
+    .expect("campaign");
     let report = Fase::default().analyze(&spectra).expect("analysis");
 
     let carrier = report

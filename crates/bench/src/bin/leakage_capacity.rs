@@ -5,11 +5,10 @@ use fase_bench::{fmt_freq, print_table, write_csv};
 use fase_core::{estimate_all, CampaignConfig, Fase};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn main() {
-    let system = SimulatedSystem::intel_i7_desktop(42);
     let campaign = CampaignConfig::builder()
         .band(Hertz::from_khz(60.0), Hertz::from_mhz(2.0))
         .resolution(Hertz(100.0))
@@ -17,8 +16,14 @@ fn main() {
         .averages(4)
         .build()
         .expect("config");
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 500);
-    let spectra = runner.run(&campaign).expect("campaign");
+    let spectra = run_campaign_with_options(
+        &campaign,
+        ActivityPair::LdmLdl1,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        500,
+        CampaignOptions::default(),
+    )
+    .expect("campaign");
     let report = Fase::default().analyze(&spectra).expect("analysis");
     let estimates = estimate_all(&spectra, &report, Hertz::from_khz(5.0));
 

@@ -7,11 +7,10 @@ use fase_bench::{print_table, write_csv};
 use fase_core::{evaluate_mitigation, CampaignConfig, Fase, FaseReport};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-fn measure(system: SimulatedSystem, seed: u64) -> (f64, usize, FaseReport) {
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, seed);
+fn measure(make: impl Fn() -> SimulatedSystem + Sync, seed: u64) -> (f64, usize, FaseReport) {
     let config = CampaignConfig::builder()
         .band(Hertz::from_khz(100.0), Hertz::from_mhz(2.0))
         .resolution(Hertz(100.0))
@@ -19,7 +18,14 @@ fn measure(system: SimulatedSystem, seed: u64) -> (f64, usize, FaseReport) {
         .averages(4)
         .build()
         .expect("config");
-    let spectra = runner.run(&config).expect("campaign");
+    let spectra = run_campaign_with_options(
+        &config,
+        ActivityPair::LdmLdl1,
+        |_| make(),
+        seed,
+        CampaignOptions::default(),
+    )
+    .expect("campaign");
     // Idle-side refresh comb strength: strongest refresh harmonic.
     let mean = spectra.mean_spectrum();
     let comb_dbm = (1..=15)
@@ -40,9 +46,10 @@ fn measure(system: SimulatedSystem, seed: u64) -> (f64, usize, FaseReport) {
 }
 
 fn main() {
-    let (base_dbm, base_found, base_report) = measure(SimulatedSystem::intel_i7_desktop(42), 230);
+    let (base_dbm, base_found, base_report) =
+        measure(|| SimulatedSystem::intel_i7_desktop(42), 230);
     let (mit_dbm, mit_found, mit_report) =
-        measure(SimulatedSystem::intel_i7_mitigated(42, 0.45), 231);
+        measure(|| SimulatedSystem::intel_i7_mitigated(42, 0.45), 231);
 
     print_table(
         "refresh-randomization mitigation (LDM/LDL1 campaign)",

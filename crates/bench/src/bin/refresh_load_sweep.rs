@@ -4,23 +4,31 @@
 //! Sweep memory activity 0% → 50% → 100% and read the 128 kHz fundamental.
 
 use fase_bench::{print_table, write_csv};
+use fase_core::CampaignConfig;
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn refresh_level(pair: ActivityPair, seed: u64) -> f64 {
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, pair, seed);
-    let s = runner
-        .single_spectrum(
-            Hertz::from_khz(43.3),
-            Hertz::from_khz(120.0),
-            Hertz::from_khz(136.0),
-            Hertz(100.0),
-            4,
-        )
-        .expect("capture");
+    // f_alt = 43.3 kHz, the first alternation of the paper's campaign family.
+    let campaign = CampaignConfig::builder()
+        .band(Hertz::from_khz(120.0), Hertz::from_khz(136.0))
+        .resolution(Hertz(100.0))
+        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
+        .averages(4)
+        .build()
+        .expect("config");
+    let s = measure_alternation(
+        &campaign,
+        0,
+        pair,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        seed,
+        CampaignOptions::default(),
+    )
+    .expect("capture")
+    .spectrum;
     10.0 * s.sample(Hertz(128_000.0)).expect("in band").log10()
 }
 

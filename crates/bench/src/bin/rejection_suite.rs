@@ -7,7 +7,7 @@ use fase_bench::print_table;
 use fase_core::{CampaignConfig, Fase};
 use fase_dsp::Hertz;
 use fase_emsim::{SimulatedSystem, SourceKind};
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn main() {
@@ -20,8 +20,14 @@ fn main() {
         .averages(4)
         .build()
         .expect("config");
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 200);
-    let spectra = runner.run(&config).expect("campaign");
+    let spectra = run_campaign_with_options(
+        &config,
+        ActivityPair::LdmLdl1,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        200,
+        CampaignOptions::default(),
+    )
+    .expect("campaign");
     let report = Fase::default().analyze(&spectra).expect("analysis");
 
     // Spur frequencies are not in SourceInfo; regenerate the forest

@@ -8,11 +8,11 @@ use fase_bench::print_table;
 use fase_core::{CampaignConfig, Fase};
 use fase_dsp::Hertz;
 use fase_emsim::{SimulatedSystem, SourceKind};
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-fn survey(name: &str, system: SimulatedSystem, seed: u64) -> Vec<String> {
-    let truth = system.scene.ground_truth();
+fn survey(name: &str, make: impl Fn() -> SimulatedSystem + Sync, seed: u64) -> Vec<String> {
+    let truth = make().scene.ground_truth();
     let campaign = CampaignConfig::builder()
         .band(Hertz::from_khz(60.0), Hertz::from_mhz(1.2))
         .resolution(Hertz(100.0))
@@ -20,8 +20,14 @@ fn survey(name: &str, system: SimulatedSystem, seed: u64) -> Vec<String> {
         .averages(4)
         .build()
         .expect("config");
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, seed);
-    let spectra = runner.run(&campaign).expect("campaign");
+    let spectra = run_campaign_with_options(
+        &campaign,
+        ActivityPair::LdmLdl1,
+        |_| make(),
+        seed,
+        CampaignOptions::default(),
+    )
+    .expect("campaign");
     let report = Fase::default().analyze(&spectra).expect("analysis");
 
     // Does any detected carrier belong to a ground-truth source family of
@@ -56,22 +62,22 @@ fn main() {
     let rows = vec![
         survey(
             "Intel Core i7 desktop",
-            SimulatedSystem::intel_i7_desktop(42),
+            || SimulatedSystem::intel_i7_desktop(42),
             400,
         ),
         survey(
             "Intel Core i3 laptop",
-            SimulatedSystem::intel_i3_laptop(2010),
+            || SimulatedSystem::intel_i3_laptop(2010),
             401,
         ),
         survey(
             "AMD Turion X2 laptop",
-            SimulatedSystem::amd_turion_laptop(2007),
+            || SimulatedSystem::amd_turion_laptop(2007),
             402,
         ),
         survey(
             "Pentium 3M laptop",
-            SimulatedSystem::pentium3m_laptop(2002),
+            || SimulatedSystem::pentium3m_laptop(2002),
             403,
         ),
     ];

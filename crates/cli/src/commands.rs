@@ -1,10 +1,15 @@
 //! Subcommand implementations.
 
 use crate::args::{ArgError, ParsedArgs};
-use fase_core::{classify_by_pairs, estimate_all, CampaignConfig, Fase, FaseError, FaseReport};
+use fase_core::{
+    classify_by_pairs, estimate_all, CampaignConfig, CampaignSpectra, Fase, FaseError, FaseReport,
+};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::{CampaignRunner, FaultPlan, FaultRates, ProbeConfig};
+use fase_specan::{
+    probe_modulation, run_campaign_with_options, CampaignOptions, FaultPlan, FaultRates,
+    ProbeConfig,
+};
 use fase_sysmodel::ActivityPair;
 use std::fmt;
 use std::fmt::Write as _;
@@ -228,19 +233,6 @@ fn list_systems() -> String {
         .to_owned()
 }
 
-fn system_by_name(name: &str, seed: u64) -> Result<SimulatedSystem, CliError> {
-    match name {
-        "i7" => Ok(SimulatedSystem::intel_i7_desktop(seed)),
-        "i3" => Ok(SimulatedSystem::intel_i3_laptop(seed)),
-        "turion" => Ok(SimulatedSystem::amd_turion_laptop(seed)),
-        "p3m" => Ok(SimulatedSystem::pentium3m_laptop(seed)),
-        "i7-mitigated" => Ok(SimulatedSystem::intel_i7_mitigated(seed, 0.45)),
-        other => Err(CliError::Invalid(format!(
-            "unknown system '{other}' (try: fase-cli list-systems)"
-        ))),
-    }
-}
-
 /// Maps a system name to its zero-capture constructor, so sweep workers
 /// can rebuild the scene without re-validating the name.
 fn system_factory(name: &str) -> Result<fn(u64) -> SimulatedSystem, CliError> {
@@ -307,26 +299,42 @@ fn fault_plan_from(parsed: &ParsedArgs, seed: u64) -> Result<Option<FaultPlan>, 
     Ok(Some(plan))
 }
 
-/// Builds the campaign runner for `pair`, honoring the seed, fault and
-/// retry options.
-fn runner_from(parsed: &ParsedArgs, pair: ActivityPair) -> Result<CampaignRunner, CliError> {
-    let seed = parsed.integer_or("seed", 42)?;
-    let system = system_by_name(parsed.required("system")?, seed)?;
+/// The capture options the command line asks for: the retry budget and
+/// any fault-injection schedule.
+fn campaign_options_from(parsed: &ParsedArgs, seed: u64) -> Result<CampaignOptions, CliError> {
     let retries = parsed
         .integer_or("retries", 2)?
         .min(u64::from(u32::MAX) - 1) as u32;
-    let mut runner =
-        CampaignRunner::new(system, pair, seed.wrapping_add(1)).with_max_attempts(retries + 1);
-    if let Some(plan) = fault_plan_from(parsed, seed)? {
-        runner = runner.with_fault_plan(plan);
-    }
-    Ok(runner)
+    Ok(CampaignOptions {
+        max_attempts: retries + 1,
+        fault_plan: fault_plan_from(parsed, seed)?,
+        ..CampaignOptions::default()
+    })
+}
+
+/// Runs `config` with `pair` on the named system, honoring the seed,
+/// fault and retry options. The scene seed builds the system; the
+/// campaign itself runs under a distinct seed stream.
+fn campaign_spectra(
+    parsed: &ParsedArgs,
+    pair: ActivityPair,
+    config: &CampaignConfig,
+) -> Result<CampaignSpectra, CliError> {
+    let seed = parsed.integer_or("seed", 42)?;
+    let make = system_factory(parsed.required("system")?)?;
+    let options = campaign_options_from(parsed, seed)?;
+    Ok(run_campaign_with_options(
+        config,
+        pair,
+        |_| make(seed),
+        seed.wrapping_add(1),
+        options,
+    )?)
 }
 
 fn run_campaign(parsed: &ParsedArgs, pair: ActivityPair) -> Result<FaseReport, CliError> {
     let config = campaign_from(parsed)?;
-    let mut runner = runner_from(parsed, pair)?;
-    let spectra = runner.run(&config)?;
+    let spectra = campaign_spectra(parsed, pair, &config)?;
     Ok(Fase::default().analyze(&spectra)?)
 }
 
@@ -366,7 +374,7 @@ fn classify(parsed: &ParsedArgs) -> Result<String, CliError> {
 
 fn probe(parsed: &ParsedArgs) -> Result<String, CliError> {
     let seed = parsed.integer_or("seed", 42)?;
-    let system = system_by_name(parsed.required("system")?, seed)?;
+    let mut system = system_factory(parsed.required("system")?)?(seed);
     let carrier = Hertz(parsed.frequency("carrier")?);
     let falt = Hertz(parsed.frequency_or("falt", 5_000.0)?);
     let span = parsed.frequency_or("span", 24_000.0)?;
@@ -374,8 +382,14 @@ fn probe(parsed: &ParsedArgs) -> Result<String, CliError> {
         span,
         ..ProbeConfig::default()
     };
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, seed.wrapping_add(1));
-    let (stats, kind) = runner.probe_modulation(carrier, falt, &config);
+    let (stats, kind) = probe_modulation(
+        &mut system,
+        ActivityPair::LdmLdl1,
+        seed.wrapping_add(1),
+        carrier,
+        falt,
+        &config,
+    );
     Ok(format!(
         "carrier {carrier}: {kind:?} (AM depth {:.3}, FM deviation {:.0} Hz)\n",
         stats.am_depth, stats.fm_deviation_hz
@@ -385,8 +399,7 @@ fn probe(parsed: &ParsedArgs) -> Result<String, CliError> {
 fn leakage(parsed: &ParsedArgs) -> Result<String, CliError> {
     let pair = pair_by_name(parsed.get("pair").unwrap_or("ldm-ldl1"))?;
     let config = campaign_from(parsed)?;
-    let mut runner = runner_from(parsed, pair)?;
-    let spectra = runner.run(&config)?;
+    let spectra = campaign_spectra(parsed, pair, &config)?;
     let report = Fase::default().analyze(&spectra)?;
     let mut out = String::from("per-carrier leakage upper bounds:\n");
     for e in estimate_all(&spectra, &report, Hertz(5_000.0)) {
@@ -400,8 +413,7 @@ fn attribute(parsed: &ParsedArgs) -> Result<String, CliError> {
     let pair = pair_by_name(parsed.get("pair").unwrap_or("ldm-ldl1"))?;
     let peak = Hertz(parsed.frequency("peak")?);
     let config = campaign_from(parsed)?;
-    let mut runner = runner_from(parsed, pair)?;
-    let spectra = runner.run(&config)?;
+    let spectra = campaign_spectra(parsed, pair, &config)?;
     let ranked = attribute_peak(&spectra, peak, &AttributionConfig::default());
     let mut out = format!(
         "attributions of the peak at {peak}:
@@ -460,19 +472,17 @@ fn sweep(parsed: &ParsedArgs) -> Result<String, CliError> {
         alternations: parsed.integer_or("alts", 5)? as usize,
         averages: parsed.integer_or("avg", 4)? as usize,
     };
-    let retries = parsed
-        .integer_or("retries", 2)?
-        .min(u64::from(u32::MAX) - 1) as u32;
-    let mut options = SweepOptions::default();
-    options.campaign.max_attempts = retries + 1;
-    options.campaign.fault_plan = fault_plan_from(parsed, seed)?;
+    let mut options = SweepOptions {
+        campaign: campaign_options_from(parsed, seed)?,
+        ..SweepOptions::default()
+    };
     options.campaign.threads = parsed.integer_opt("threads")?.map(|n| n as usize);
     options.cache_dir = parsed.get("cache-dir").map(std::path::PathBuf::from);
     options.resume = parsed.flag("resume");
     options.shard = shard_from(parsed)?;
     // The scene seed is part of the system's cache identity; the campaign
     // itself runs under a distinct seed stream (same convention as
-    // `runner_from`).
+    // `campaign_spectra`).
     let system_id = format!("{name}#{seed:016x}");
     let outcome = run_sweep(
         &config,

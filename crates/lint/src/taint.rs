@@ -28,9 +28,9 @@
 //!    panic). Merged/fused orderings must use `total_cmp`.
 //!
 //! Capture roots are recognized by name (`run_campaign*`, `run_sweep*`,
-//! `capture*`, `execute_capture*`, `measure_at*`, `merge_*`, `fuse_*`);
-//! everything they transitively call through the resolved call graph is
-//! capture-reachable.
+//! `capture*`, `execute_capture*`, `measure_alternation*`, `merge_*`,
+//! `fuse_*`); everything they transitively call through the resolved
+//! call graph is capture-reachable.
 
 use crate::graph::Graphs;
 use crate::lexer::TokKind;
@@ -56,7 +56,7 @@ const ROOT_PREFIXES: &[&str] = &[
     "run_sweep",
     "capture",
     "execute_capture",
-    "measure_at",
+    "measure_alternation",
     "merge_",
     "fuse_",
 ];

@@ -71,7 +71,8 @@ impl LoadSpec {
             f_delta: 2_000.0,
             alternations: 3,
             averages: 1,
-            seed: mix_seed(self.seed, ((tenant as u64) << 32) | index as u64),
+            // 53 bits: the server refuses integers it cannot parse exactly.
+            seed: mix_seed(self.seed, ((tenant as u64) << 32) | index as u64) >> 11,
             fault_rate: self.fault_rate,
             fault_seed: None,
             retries: 2,
@@ -323,6 +324,9 @@ mod tests {
         assert_ne!(a.seed, spec.request_for(2, 1).seed);
         assert_eq!(a.tenant, "tenant-1");
         assert!(a.to_json().contains("\"max_fft\":4096"), "{}", a.to_json());
+        // The server parses the request back to the same seed.
+        let served = crate::SweepRequest::from_json(&a.to_json()).unwrap();
+        assert_eq!(served.seed, a.seed);
     }
 
     #[test]

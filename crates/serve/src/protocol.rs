@@ -78,11 +78,18 @@ fn num_or(obj: &Value, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
-/// Reads `key` as a non-negative integer, or `default` when absent.
+/// Integers at or above 2^53 cannot be told apart from their neighbours
+/// once parsed as `f64`, so integer fields must stay below it.
+const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
+
+/// Reads `key` as a non-negative integer below 2^53, or `default` when
+/// absent. Larger values are refused rather than silently rounded.
 fn uint_or(obj: &Value, key: &str, default: u64) -> Result<u64, String> {
     let n = num_or(obj, key, default as f64)?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err(format!("field '{key}' must be a non-negative integer"));
+    if n < 0.0 || n.fract() != 0.0 || n >= MAX_EXACT_INTEGER {
+        return Err(format!(
+            "field '{key}' must be a non-negative integer below 2^53"
+        ));
     }
     Ok(n as u64)
 }
@@ -415,6 +422,16 @@ mod tests {
                 "unknown pair",
             ),
             (r#"{"tenant":"a","lo":1,"hi":2,"seed":-4}"#, "seed"),
+            // 2^53 + 1 parses to the f64 2^53: it would be served as
+            // another seed, so it is refused.
+            (
+                r#"{"tenant":"a","lo":1,"hi":2,"seed":9007199254740993}"#,
+                "seed",
+            ),
+            (
+                r#"{"tenant":"a","lo":1,"hi":2,"max_captures":18446744073709551616}"#,
+                "max_captures",
+            ),
         ];
         for (body, needle) in cases {
             let err = SweepRequest::from_json(body).unwrap_err();

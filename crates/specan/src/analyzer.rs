@@ -1,7 +1,6 @@
 //! The spectrum analyzer: windowed FFT of complex-baseband captures with
 //! dBm-calibrated bin powers (our Agilent MXA N9020A stand-in).
 
-use crate::antenna::AntennaResponse;
 use fase_dsp::fft::{cached_plan, fft_shift};
 use fase_dsp::{Complex64, Hertz, Spectrum, SpectrumError, Window};
 use fase_emsim::CaptureWindow;
@@ -45,32 +44,17 @@ thread_local! {
 #[derive(Debug, Clone)]
 pub struct SpectrumAnalyzer {
     window: Window,
-    antenna: AntennaResponse,
 }
 
 impl SpectrumAnalyzer {
     /// Creates an analyzer using the given FFT window.
     pub fn new(window: Window) -> SpectrumAnalyzer {
-        SpectrumAnalyzer {
-            window,
-            antenna: AntennaResponse::Flat,
-        }
-    }
-
-    /// Attaches an antenna response; measured spectra are shaped by it.
-    pub fn with_antenna(mut self, antenna: AntennaResponse) -> SpectrumAnalyzer {
-        self.antenna = antenna;
-        self
+        SpectrumAnalyzer { window }
     }
 
     /// The FFT window in use.
     pub fn window(&self) -> Window {
         self.window
-    }
-
-    /// The attached antenna response.
-    pub fn antenna(&self) -> AntennaResponse {
-        self.antenna
     }
 
     /// Computes the calibrated power spectrum of one capture.
@@ -110,8 +94,7 @@ impl SpectrumAnalyzer {
         });
         let resolution = Hertz(window.sample_rate() / n as f64);
         let start = Spectrum::centered_start(window.center(), resolution, n);
-        let raw = Spectrum::new(start, resolution, power)?;
-        Ok(self.antenna.shape_spectrum(&raw))
+        Spectrum::new(start, resolution, power)
     }
 }
 
@@ -236,10 +219,7 @@ mod tests {
         let cw = CaptureWindow::new(Hertz::from_mhz(2.0), fs, n, 0.0);
         let iq = vec![Complex64::new(1e-6, 0.0); n];
         let flat = SpectrumAnalyzer::default().spectrum(&cw, &iq).unwrap();
-        let shaped = SpectrumAnalyzer::default()
-            .with_antenna(AntennaResponse::aor_la400())
-            .spectrum(&cw, &iq)
-            .unwrap();
+        let shaped = crate::AntennaResponse::aor_la400().shape_spectrum(&flat);
         assert!(flat.same_grid(&shaped));
         // At the loop's resonance (2 MHz = capture center) the gain is
         // unity; away from it the shaped spectrum is attenuated.

@@ -6,9 +6,10 @@
 //! around the loop's resonance, and rolls off beyond it. The response
 //! multiplies every received signal and the *shape* survives into the
 //! spectra the analyst sees, so modeling it matters for realistic wideband
-//! figures. The default remains [`AntennaResponse::Flat`]; FASE itself is
-//! insensitive to any smooth response because Eq. (2) compares the same
-//! frequency across measurements.
+//! figures. Campaign spectra are captured flat;
+//! [`AntennaResponse::shape_spectrum`] applies a response to them. FASE
+//! itself is insensitive to any smooth response because Eq. (2) compares
+//! the same frequency across measurements.
 
 use fase_dsp::{Hertz, Spectrum};
 

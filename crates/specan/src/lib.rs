@@ -1,4 +1,4 @@
-//! # fase-specan — the spectrum-analyzer model and campaign runner
+//! # fase-specan — the spectrum-analyzer model and campaign engine
 //!
 //! Stands in for the paper's Agilent MXA N9020A (§3):
 //!
@@ -6,11 +6,15 @@
 //!   captures, calibrated in dBm.
 //! * [`SweepPlan`] — tiles a wide band into FFT-sized capture segments
 //!   whose spectra stitch seamlessly.
-//! * [`CampaignRunner`] — drives the full §3 procedure against a
-//!   [`fase_emsim::SimulatedSystem`]: calibrate the X/Y micro-benchmark at
-//!   each `f_alt_i`, execute it, schedule refreshes, render the EM scene,
-//!   capture, average (the paper averages four captures), stitch, and
-//!   label each spectrum with the *achieved* alternation frequency.
+//! * [`run_campaign_with_options`] — drives the full §3 procedure against
+//!   a [`fase_emsim::SimulatedSystem`] on a pool of capture tasks:
+//!   calibrate the X/Y micro-benchmark at each `f_alt_i`, execute it,
+//!   schedule refreshes, render the EM scene, capture, average (the paper
+//!   averages four captures), stitch, and label each spectrum with the
+//!   *achieved* alternation frequency. [`measure_alternation`] runs one
+//!   alternation frequency's share of the same campaign.
+//! * [`capture_iq`] / [`probe_modulation`] — raw IQ capture and AM/FM
+//!   classification of a single carrier (§4.4).
 //!
 //! The output is a [`fase_core::CampaignSpectra`], ready for
 //! [`fase_core::Fase::analyze`].
@@ -33,7 +37,6 @@ pub mod multichannel;
 pub mod probe;
 pub mod runner;
 pub mod scheduler;
-pub mod sliding;
 pub mod sweep;
 
 pub use analyzer::SpectrumAnalyzer;
@@ -42,11 +45,10 @@ pub use cache::{CacheKey, CacheLookup, CaptureCache, DirLock, SweepManifest};
 pub use cancel::CancelToken;
 pub use fault::{FaultKind, FaultPlan, FaultRates};
 pub use multichannel::{run_multichannel_sweep, ChannelPlan, MultiSweepOutcome};
-pub use probe::{IqCapture, ProbeConfig};
+pub use probe::{capture_iq, probe_modulation, IqCapture, ProbeConfig};
 pub use runner::{
-    run_campaign_parallel, run_campaign_with_options, Averaging, CalibrationCache, CampaignOptions,
-    CampaignRunner, DEFAULT_MAX_ATTEMPTS, DEFAULT_MAX_FFT,
+    measure_alternation, run_campaign_with_options, Averaging, CalibrationCache, CampaignOptions,
+    DEFAULT_MAX_ATTEMPTS, DEFAULT_MAX_FFT,
 };
 pub use scheduler::{run_sweep, BandOutcome, Shard, SweepConfig, SweepOptions, SweepOutcome};
-pub use sliding::{seam_pair, SlidingDft};
 pub use sweep::{plan_bands, SegmentSpec, SweepBand, SweepPlan};

@@ -6,9 +6,12 @@
 //! step: tune to the carrier, drive the micro-benchmark, and classify the
 //! captured signal as AM, FM, or unmodulated.
 
-use crate::runner::CampaignRunner;
 use fase_dsp::demod::{classify_modulation, ModulationKind, ModulationStats};
+use fase_dsp::fir::Fir;
+use fase_dsp::rng::SmallRng;
 use fase_dsp::{Complex64, Hertz};
+use fase_emsim::{CaptureWindow, RenderCtx, SimulatedSystem, SynthMode};
+use fase_sysmodel::ActivityPair;
 
 /// A raw IQ capture taken while the micro-benchmark ran.
 #[derive(Debug, Clone)]
@@ -49,47 +52,100 @@ impl Default for ProbeConfig {
     }
 }
 
-impl CampaignRunner {
-    /// Tunes to a reported carrier, drives the benchmark at `f_alt`, and
-    /// classifies the carrier's modulation (AM / FM / unmodulated).
-    ///
-    /// The alternation frequency should be small relative to the span so
-    /// the modulation side-bands stay inside the capture.
-    pub fn probe_modulation(
-        &mut self,
-        carrier: Hertz,
-        f_alt: Hertz,
-        config: &ProbeConfig,
-    ) -> (ModulationStats, ModulationKind) {
-        let capture = self.capture_iq(carrier, config.span, config.samples, f_alt);
-        // Smooth over ≈ 1/8 of the alternation period (at least 3
-        // samples) to suppress noise without erasing the modulation.
-        let smooth = ((config.span / f_alt.hz() / 8.0).round() as usize).max(3);
-        classify_modulation(
-            &capture.samples,
-            capture.sample_rate,
-            smooth,
-            config.am_threshold,
-            config.fm_threshold_hz,
-        )
+/// Captures raw IQ at `center` while `pair` alternates at `f_alt` on
+/// `system` — the attacker's (and auditor's) tap into the air interface,
+/// used for demodulation and modulation probing. The capture starts at
+/// time zero and draws its benchmark and refresh randomness from `seed`.
+///
+/// Mimics a real SDR front-end: the scene is rendered oversampled,
+/// low-pass filtered to the requested span, and decimated, so sources just
+/// outside the span (rendered because of the scene's edge guard) cannot
+/// alias into the capture.
+pub fn capture_iq(
+    system: &mut SimulatedSystem,
+    pair: ActivityPair,
+    seed: u64,
+    center: Hertz,
+    span: f64,
+    samples: usize,
+    f_alt: Hertz,
+) -> IqCapture {
+    const OVERSAMPLE: usize = 4;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let bench = pair.calibrated(&mut system.machine, f_alt.hz());
+    let duration = samples as f64 / span;
+    let wide_fs = span * OVERSAMPLE as f64;
+    let window = CaptureWindow::new(center, wide_fs, samples * OVERSAMPLE, 0.0);
+    let trace = system.machine.run_alternation(&bench, duration, &mut rng);
+    let refreshes = system.refresh.schedule(&trace, &mut rng);
+    let ctx = RenderCtx::new(&trace, &refreshes, &window).with_mode(SynthMode::Fast);
+    let wide = system.scene.render(&window, &ctx);
+    // Anti-alias: pass ±0.4·span, stop by the decimated Nyquist.
+    let fir = Fir::lowpass(161, 0.4 * span, wide_fs, fase_dsp::Window::Hann);
+    let iq: Vec<_> = fir
+        .apply_complex(&wide)
+        .into_iter()
+        .step_by(OVERSAMPLE)
+        .collect();
+    let pairs = (trace.len() / 2).max(1);
+    IqCapture {
+        center,
+        sample_rate: span,
+        samples: iq,
+        f_alt: Hertz(pairs as f64 / trace.duration()),
     }
+}
+
+/// Tunes to a reported carrier, drives `pair` at `f_alt` on `system`, and
+/// classifies the carrier's modulation (AM / FM / unmodulated) from one
+/// [`capture_iq`] capture seeded with `seed`.
+///
+/// The alternation frequency should be small relative to the span so the
+/// modulation side-bands stay inside the capture.
+pub fn probe_modulation(
+    system: &mut SimulatedSystem,
+    pair: ActivityPair,
+    seed: u64,
+    carrier: Hertz,
+    f_alt: Hertz,
+    config: &ProbeConfig,
+) -> (ModulationStats, ModulationKind) {
+    let capture = capture_iq(
+        system,
+        pair,
+        seed,
+        carrier,
+        config.span,
+        config.samples,
+        f_alt,
+    );
+    // Smooth over ≈ 1/8 of the alternation period (at least 3
+    // samples) to suppress noise without erasing the modulation.
+    let smooth = ((config.span / f_alt.hz() / 8.0).round() as usize).max(3);
+    classify_modulation(
+        &capture.samples,
+        capture.sample_rate,
+        smooth,
+        config.am_threshold,
+        config.fm_threshold_hz,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fase_dsp::demod::ModulationKind;
-    use fase_emsim::SimulatedSystem;
-    use fase_sysmodel::ActivityPair;
 
     #[test]
     fn dram_regulator_probes_as_am() {
-        let system = SimulatedSystem::intel_i7_desktop(42);
-        let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 300);
+        let mut system = SimulatedSystem::intel_i7_desktop(42);
         // Probe at 2 kHz: at the default 24 kHz span that leaves 12
         // samples per modulation period, so the envelope smoothing keeps
         // the (genuine) amplitude modulation intact.
-        let (stats, kind) = runner.probe_modulation(
+        let (stats, kind) = probe_modulation(
+            &mut system,
+            ActivityPair::LdmLdl1,
+            300,
             Hertz::from_khz(315.66),
             Hertz::from_khz(2.0),
             &ProbeConfig::default(),
@@ -100,16 +156,21 @@ mod tests {
 
     #[test]
     fn fm_regulator_probes_as_fm() {
-        let system = SimulatedSystem::amd_turion_laptop(2007);
-        let mut runner = CampaignRunner::new(system, ActivityPair::Ldl2Ldl1, 301);
+        let mut system = SimulatedSystem::amd_turion_laptop(2007);
         // The constant-on-time regulator deviates ~6% of 281 kHz ≈ 17 kHz:
         // widen the span to keep the swing in-band.
         let config = ProbeConfig {
             span: 120_000.0,
             ..ProbeConfig::default()
         };
-        let (stats, kind) =
-            runner.probe_modulation(Hertz::from_khz(280.87), Hertz::from_khz(5.0), &config);
+        let (stats, kind) = probe_modulation(
+            &mut system,
+            ActivityPair::Ldl2Ldl1,
+            301,
+            Hertz::from_khz(280.87),
+            Hertz::from_khz(5.0),
+            &config,
+        );
         assert_eq!(kind, ModulationKind::Fm, "{stats:?}");
         assert!(stats.fm_deviation_hz > 2_000.0, "{stats:?}");
     }
@@ -122,9 +183,11 @@ mod tests {
         // produce large instantaneous-frequency variance, so the probe is
         // meaningful only on actual carriers; verify the capture machinery
         // itself (length, rate, achieved f_alt) here.
-        let system = SimulatedSystem::intel_i7_desktop(42);
-        let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 302);
-        let cap = runner.capture_iq(
+        let mut system = SimulatedSystem::intel_i7_desktop(42);
+        let cap = capture_iq(
+            &mut system,
+            ActivityPair::LdmLdl1,
+            302,
             Hertz::from_khz(315.66),
             60_000.0,
             1 << 12,

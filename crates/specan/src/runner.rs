@@ -1,21 +1,22 @@
-//! The campaign runner: orchestrates micro-benchmark execution, EM
-//! rendering, capture, averaging and stitching for a full FASE campaign.
+//! The campaign engine: a pool of capture tasks that orchestrates
+//! micro-benchmark execution, EM rendering, capture, averaging and
+//! stitching for a full FASE campaign.
 
 use crate::analyzer::SpectrumAnalyzer;
 use crate::cancel::CancelToken;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::sweep::SweepPlan;
+use crate::sweep::{SegmentSpec, SweepPlan};
 use fase_core::{
     CampaignConfig, CampaignHealth, CampaignSpectra, DroppedAlternation, FaseError, FaultRecord,
     LabeledSpectrum,
 };
-use fase_dsp::fir::Fir;
 use fase_dsp::rng::{mix_seed, SmallRng};
 use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::{RenderCtx, SimulatedSystem, SynthMode};
 use fase_obs::{span, Recorder};
 use fase_sysmodel::{ActivityPair, Alternation};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -90,16 +91,6 @@ fn quarantine(captures: &[Spectrum]) -> Vec<&Spectrum> {
     }
 }
 
-/// Publishes a finished campaign's health record as observability
-/// counters, so retries/quarantines/faults show up in `--metrics-out`
-/// next to the stage timings.
-fn record_health(recorder: &Recorder, health: &CampaignHealth) {
-    recorder.count_usize("specan.capture_retries", health.total_retries);
-    recorder.count_usize("specan.quarantined", health.quarantined);
-    recorder.count_usize("specan.faults_injected", health.faults.len());
-    recorder.count_usize("specan.dropped_alternations", health.dropped.len());
-}
-
 /// RNG stream for `(campaign seed, task index, attempt)`. Attempt 0 uses
 /// the same derivation as the pre-retry runner (`mix_seed(seed, index)`),
 /// so fault-free campaigns reproduce historical results bit-for-bit;
@@ -110,427 +101,6 @@ fn attempt_seed(seed: u64, index: usize, attempt: u32) -> u64 {
         base
     } else {
         mix_seed(base, attempt as u64)
-    }
-}
-
-/// Runs FASE measurement campaigns against a [`SimulatedSystem`].
-///
-/// For each alternation frequency the runner calibrates the X/Y
-/// micro-benchmark on the system's machine model, executes it for the
-/// capture duration, schedules memory refreshes, renders the EM scene into
-/// IQ captures, and averages the analyzer spectra — exactly the procedure
-/// of the paper's §3.
-///
-/// # Examples
-///
-/// ```no_run
-/// use fase_core::{CampaignConfig, Fase};
-/// use fase_emsim::SimulatedSystem;
-/// use fase_specan::CampaignRunner;
-/// use fase_sysmodel::ActivityPair;
-///
-/// let system = SimulatedSystem::intel_i7_desktop(42);
-/// let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 7);
-/// let spectra = runner.run(&CampaignConfig::paper_0_4mhz())?;
-/// let report = Fase::default().analyze(&spectra)?;
-/// println!("{report}");
-/// # Ok::<(), fase_core::FaseError>(())
-/// ```
-#[derive(Debug)]
-pub struct CampaignRunner {
-    system: SimulatedSystem,
-    pair: ActivityPair,
-    analyzer: SpectrumAnalyzer,
-    max_fft: usize,
-    synth_mode: SynthMode,
-    rng: SmallRng,
-    /// Absolute time cursor so consecutive captures are phase-consistent.
-    time: f64,
-    fault_plan: Option<FaultPlan>,
-    max_attempts: u32,
-    averaging: Averaging,
-    recorder: Recorder,
-    cancel: CancelToken,
-}
-
-impl CampaignRunner {
-    /// Creates a runner for `system` driving the given activity pair.
-    pub fn new(system: SimulatedSystem, pair: ActivityPair, seed: u64) -> CampaignRunner {
-        CampaignRunner {
-            system,
-            pair,
-            analyzer: SpectrumAnalyzer::default(),
-            max_fft: DEFAULT_MAX_FFT,
-            synth_mode: SynthMode::Fast,
-            rng: SmallRng::seed_from_u64(seed),
-            time: 0.0,
-            fault_plan: None,
-            max_attempts: DEFAULT_MAX_ATTEMPTS,
-            averaging: Averaging::default(),
-            recorder: Recorder::global(),
-            cancel: CancelToken::never(),
-        }
-    }
-
-    /// Attaches a [`CancelToken`]; the runner checks it between
-    /// alternation frequencies, between captures, and before every retry,
-    /// and draws each executed capture from the token's budget. The
-    /// default inert token never fires, so untokened campaigns are
-    /// bit-identical to earlier releases.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> CampaignRunner {
-        self.cancel = cancel;
-        self
-    }
-
-    /// The error for a fired token.
-    fn cancel_error(&self) -> FaseError {
-        FaseError::cancelled(self.cancel.cause().unwrap_or("cancelled by caller"))
-    }
-
-    /// Replaces the metrics [`Recorder`] campaign spans and health counters
-    /// report through (default is the process-wide recorder, inert unless
-    /// enabled).
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Recorder) -> CampaignRunner {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Injects a deterministic impairment schedule into every capture (see
-    /// [`FaultPlan`]); faults are recorded in the campaign's
-    /// [`CampaignHealth`].
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> CampaignRunner {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Overrides the per-capture attempt budget (minimum 1; default
-    /// [`DEFAULT_MAX_ATTEMPTS`]).
-    pub fn with_max_attempts(mut self, max_attempts: u32) -> CampaignRunner {
-        self.max_attempts = max_attempts.max(1);
-        self
-    }
-
-    /// Selects the capture-averaging policy (default
-    /// [`Averaging::Robust`]).
-    pub fn with_averaging(mut self, averaging: Averaging) -> CampaignRunner {
-        self.averaging = averaging;
-        self
-    }
-
-    /// Selects the EM synthesis path (default [`SynthMode::Fast`]); the
-    /// exact path is the per-sample reference used for validation and
-    /// benchmarking.
-    pub fn with_synth_mode(mut self, mode: SynthMode) -> CampaignRunner {
-        self.synth_mode = mode;
-        self
-    }
-
-    /// Overrides the FFT length cap (smaller = less memory, more
-    /// segments).
-    pub fn with_max_fft(mut self, max_fft: usize) -> CampaignRunner {
-        self.max_fft = max_fft;
-        self
-    }
-
-    /// Overrides the analyzer (e.g. to use a different window).
-    pub fn with_analyzer(mut self, analyzer: SpectrumAnalyzer) -> CampaignRunner {
-        self.analyzer = analyzer;
-        self
-    }
-
-    /// The driven activity pair.
-    pub fn pair(&self) -> ActivityPair {
-        self.pair
-    }
-
-    /// Access to the simulated system (e.g. for ground truth in tests).
-    pub fn system(&self) -> &SimulatedSystem {
-        &self.system
-    }
-
-    /// Runs a full campaign: one averaged, stitched spectrum per
-    /// alternation frequency, labeled with the *achieved* alternation
-    /// frequency, with a [`CampaignHealth`] record attached.
-    ///
-    /// An alternation frequency whose capture retry budget is exhausted is
-    /// *dropped* and the campaign degrades to the survivors (the heuristic
-    /// needs only two spectra); the terminal
-    /// [`FaseError::CaptureFailed`] surfaces only when fewer than two
-    /// alternation frequencies survive. A [`CancelToken`] attached with
-    /// [`with_cancel`](CampaignRunner::with_cancel) behaves the same way:
-    /// once it fires, the remaining alternation frequencies are dropped
-    /// and the campaign degrades, or [`FaseError::Cancelled`] surfaces
-    /// when fewer than two spectra were already measured.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spectrum assembly failures, and capture failures or
-    /// cancellation when the campaign cannot degrade any further.
-    pub fn run(&mut self, config: &CampaignConfig) -> Result<CampaignSpectra, FaseError> {
-        let _campaign = span!(self.recorder, "campaign");
-        let f_alts = config.alternation_frequencies();
-        let mut health = CampaignHealth::new(f_alts.len());
-        let mut labeled = Vec::with_capacity(f_alts.len());
-        let mut first_failure: Option<FaseError> = None;
-        for (i_alt, &f_alt) in f_alts.iter().enumerate() {
-            // A fired token degrades the campaign to the spectra already
-            // measured when at least two survive (mirroring the pooled
-            // runner's band-granular cancellation); otherwise it aborts.
-            if self.cancel.is_cancelled() {
-                if labeled.len() >= 2 {
-                    for &abandoned in &f_alts[i_alt..] {
-                        health.dropped.push(DroppedAlternation {
-                            f_alt: abandoned,
-                            error: self.cancel_error(),
-                        });
-                    }
-                    break;
-                }
-                return Err(self.cancel_error());
-            }
-            let measured = self.measure_at(
-                i_alt,
-                f_alt,
-                config.band_lo(),
-                config.band_hi(),
-                config.resolution(),
-                config.averages(),
-                &mut health,
-            );
-            match measured {
-                Ok((spectrum, measured)) => labeled.push(LabeledSpectrum {
-                    f_alt: measured,
-                    spectrum,
-                }),
-                Err(e @ FaseError::CaptureFailed { .. }) => {
-                    first_failure.get_or_insert_with(|| e.clone());
-                    health.dropped.push(DroppedAlternation { f_alt, error: e });
-                }
-                Err(e @ FaseError::Cancelled(_)) if labeled.len() >= 2 => {
-                    health.dropped.push(DroppedAlternation { f_alt, error: e });
-                    for &abandoned in &f_alts[i_alt + 1..] {
-                        health.dropped.push(DroppedAlternation {
-                            f_alt: abandoned,
-                            error: self.cancel_error(),
-                        });
-                    }
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        health.surviving = labeled.len();
-        record_health(&self.recorder, &health);
-        if labeled.len() < 2 {
-            return Err(first_failure.unwrap_or_else(|| {
-                FaseError::invalid_spectra("fewer than two alternation frequencies survived")
-            }));
-        }
-        Ok(CampaignSpectra::new(config.clone(), labeled)?.with_health(health))
-    }
-
-    /// Measures a single averaged spectrum with the benchmark alternating
-    /// at `f_alt` — the building block for figures outside full campaigns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spectrum assembly failures.
-    pub fn single_spectrum(
-        &mut self,
-        f_alt: Hertz,
-        lo: Hertz,
-        hi: Hertz,
-        resolution: Hertz,
-        averages: usize,
-    ) -> Result<Spectrum, FaseError> {
-        let mut health = CampaignHealth::new(1);
-        Ok(self
-            .measure_at(0, f_alt, lo, hi, resolution, averages, &mut health)?
-            .0)
-    }
-
-    /// Measures one averaged, stitched, band-trimmed spectrum; returns it
-    /// with the achieved alternation frequency. Each capture gets up to
-    /// `max_attempts` tries; injected impairments and retries are recorded
-    /// in `health`.
-    #[allow(clippy::too_many_arguments)]
-    fn measure_at(
-        &mut self,
-        i_alt: usize,
-        f_alt: Hertz,
-        lo: Hertz,
-        hi: Hertz,
-        resolution: Hertz,
-        averages: usize,
-        health: &mut CampaignHealth,
-    ) -> Result<(Spectrum, Hertz), FaseError> {
-        let bench = self.pair.calibrated(&mut self.system.machine, f_alt.hz());
-        let plan = SweepPlan::new(lo, hi, resolution, self.max_fft);
-        let mut segment_spectra = Vec::with_capacity(plan.segments().len());
-        let mut period_sum = 0.0f64;
-        let mut period_count = 0usize;
-        for (i_seg, segment) in plan.segments().iter().enumerate() {
-            let mut captures = Vec::with_capacity(averages);
-            for i_avg in 0..averages {
-                if self.cancel.is_cancelled() {
-                    return Err(self.cancel_error());
-                }
-                let max_attempts = self.max_attempts.max(1);
-                let mut attempt = 0u32;
-                let _capture = span!(self.recorder, "capture");
-                let t0 = self.recorder.is_active().then(fase_obs::monotonic_ns);
-                let (spectrum, pairs, duration) = loop {
-                    let fault = self
-                        .fault_plan
-                        .as_ref()
-                        .and_then(|p| p.draw(i_alt, i_seg, i_avg, attempt));
-                    if let Some(kind) = fault {
-                        health.faults.push(FaultRecord {
-                            f_alt,
-                            segment: i_seg,
-                            average: i_avg,
-                            attempt,
-                            tag: kind.tag().to_owned(),
-                        });
-                    }
-                    let captured = self.capture_once(&bench, segment, fault);
-                    self.cancel.consume_capture();
-                    match captured {
-                        Ok(out) => {
-                            if attempt > 0 {
-                                health.retried_tasks += 1;
-                                health.total_retries += attempt as usize;
-                            }
-                            break out;
-                        }
-                        Err(e) => {
-                            attempt += 1;
-                            // A fired token stops the retry burn early;
-                            // the alternation degrades like an exhausted
-                            // budget would.
-                            if attempt >= max_attempts || self.cancel.is_cancelled() {
-                                if attempt > 1 {
-                                    health.retried_tasks += 1;
-                                    health.total_retries += (attempt - 1) as usize;
-                                }
-                                return Err(FaseError::capture_failed(
-                                    f_alt,
-                                    i_seg,
-                                    attempt,
-                                    e.to_string(),
-                                ));
-                            }
-                        }
-                    }
-                };
-                if let Some(t0) = t0 {
-                    let elapsed = fase_obs::monotonic_ns().saturating_sub(t0);
-                    self.recorder.observe_ns("specan.capture_ns", elapsed);
-                }
-                self.recorder.count("specan.captures", 1);
-                period_sum += duration / pairs as f64;
-                period_count += 1;
-                captures.push(spectrum);
-            }
-            segment_spectra.push(average_cohort(
-                &captures,
-                self.averaging,
-                &mut health.quarantined,
-            )?);
-        }
-        let stitched = Spectrum::stitch(segment_spectra.iter())?;
-        let trimmed = stitched.band(lo, hi)?;
-        let mean_period = period_sum / period_count as f64;
-        let measured = Hertz(1.0 / mean_period);
-        Ok((trimmed, measured))
-    }
-
-    /// One capture attempt: run the benchmark, render, apply any injected
-    /// impairment, transform. [`FaultKind::TaskFailure`] fails before any
-    /// simulation work (the model is an analyzer-side abort, not a
-    /// rendered glitch).
-    fn capture_once(
-        &mut self,
-        bench: &Alternation,
-        segment: &crate::sweep::SegmentSpec,
-        fault: Option<FaultKind>,
-    ) -> Result<(Spectrum, usize, f64), FaseError> {
-        if fault == Some(FaultKind::TaskFailure) {
-            return Err(FaseError::worker("injected task failure"));
-        }
-        let window = segment.window(self.time);
-        let trace = self
-            .system
-            .machine
-            .run_alternation(bench, segment.duration(), &mut self.rng);
-        let pairs = (trace.len() / 2).max(1);
-        let duration = trace.duration();
-        let refreshes = self.system.refresh.schedule(&trace, &mut self.rng);
-        let ctx = RenderCtx::new(&trace, &refreshes, &window)
-            .with_mode(self.synth_mode)
-            .with_recorder(self.recorder.clone());
-        let mut iq = self.system.scene.render(&window, &ctx);
-        if let Some(kind) = fault {
-            let mut fault_rng = self.rng.fork(0xFAB1_7FAB);
-            kind.apply(&mut iq, &mut fault_rng);
-        }
-        let spectrum = self.analyzer.spectrum(&window, &iq)?;
-        self.time += segment.duration();
-        Ok((spectrum, pairs, duration))
-    }
-
-    /// Calibrates and returns the alternation the runner would use at
-    /// `f_alt` (useful for inspecting instruction counts).
-    pub fn calibrate(&mut self, f_alt: Hertz) -> Alternation {
-        self.pair.calibrated(&mut self.system.machine, f_alt.hz())
-    }
-
-    /// Captures raw IQ at `center` while the runner's activity pair
-    /// alternates at `f_alt` — the attacker's (and auditor's) tap into
-    /// the air interface, used for demodulation and modulation probing.
-    ///
-    /// Mimics a real SDR front-end: the scene is rendered oversampled,
-    /// low-pass filtered to the requested span, and decimated, so sources
-    /// just outside the span (rendered because of the scene's edge guard)
-    /// cannot alias into the capture.
-    pub fn capture_iq(
-        &mut self,
-        center: Hertz,
-        span: f64,
-        samples: usize,
-        f_alt: Hertz,
-    ) -> crate::probe::IqCapture {
-        const OVERSAMPLE: usize = 4;
-        let bench = self.pair.calibrated(&mut self.system.machine, f_alt.hz());
-        let duration = samples as f64 / span;
-        let wide_fs = span * OVERSAMPLE as f64;
-        let window =
-            fase_emsim::CaptureWindow::new(center, wide_fs, samples * OVERSAMPLE, self.time);
-        let trace = self
-            .system
-            .machine
-            .run_alternation(&bench, duration, &mut self.rng);
-        let refreshes = self.system.refresh.schedule(&trace, &mut self.rng);
-        let ctx = RenderCtx::new(&trace, &refreshes, &window).with_mode(self.synth_mode);
-        let wide = self.system.scene.render(&window, &ctx);
-        // Anti-alias: pass ±0.4·span, stop by the decimated Nyquist.
-        let fir = Fir::lowpass(161, 0.4 * span, wide_fs, fase_dsp::Window::Hann);
-        let iq: Vec<_> = fir
-            .apply_complex(&wide)
-            .into_iter()
-            .step_by(OVERSAMPLE)
-            .collect();
-        self.time += duration;
-        let pairs = (trace.len() / 2).max(1);
-        let achieved = Hertz(pairs as f64 / trace.duration());
-        crate::probe::IqCapture {
-            center,
-            sample_rate: span,
-            samples: iq,
-            f_alt: achieved,
-        }
     }
 }
 
@@ -776,7 +346,7 @@ fn execute_capture<F>(
     attempt: u32,
     fault: Option<FaultKind>,
     prepared: &Prepared,
-    segment: &crate::sweep::SegmentSpec,
+    segment: &SegmentSpec,
     factory: &F,
     seed: u64,
     synth_mode: SynthMode,
@@ -815,52 +385,39 @@ where
     })
 }
 
-/// Runs a campaign on a work-stealing pool of capture tasks.
+/// Runs the capture tasks of the alternation frequencies in `alts` on a
+/// work-stealing pool and returns their results in task order.
 ///
-/// The campaign is flattened into independent `(f_alt, sweep segment,
-/// average)` capture tasks. Workers pull tasks from a shared atomic
-/// cursor, so a slow capture never idles the rest of the pool. Each task
-/// seeds its RNG from `mix_seed(seed, task_index)` and derives its capture
-/// start time from its position in the flattened order, which makes the
-/// assembled [`CampaignSpectra`] bit-identical for any worker count —
-/// including one.
-///
-/// `factory(i_alt)` builds the [`SimulatedSystem`] a task measures
-/// (usually the same preset with the same seed: the EM world is one
-/// machine, while capture noise realizations differ per measurement).
+/// Workers pull tasks from a shared atomic cursor, so a slow capture never
+/// idles the rest of the pool. Task indices are those of the whole
+/// campaign (alternation-major, then segment, then average), so running a
+/// subset of the alternations measures exactly what the full campaign
+/// measures for them.
 ///
 /// # Errors
 ///
-/// Propagates the first measurement error encountered; a panicking worker
-/// surfaces as [`FaseError::Worker`] instead of poisoning the process.
-pub fn run_campaign_with_options<F>(
+/// A panicking worker surfaces as [`FaseError::Worker`]; tasks a fired
+/// [`CancelToken`] left unrun surface as [`FaseError::Cancelled`].
+fn execute_tasks<F>(
     config: &CampaignConfig,
+    alts: Range<usize>,
+    segments: &[SegmentSpec],
     pair: ActivityPair,
-    factory: F,
+    factory: &F,
     seed: u64,
-    options: CampaignOptions,
-) -> Result<CampaignSpectra, FaseError>
+    options: &CampaignOptions,
+) -> Result<Vec<TaskResult>, FaseError>
 where
     F: Fn(usize) -> SimulatedSystem + Sync,
 {
     let f_alts = config.alternation_frequencies();
-    let plan = SweepPlan::new(
-        config.band_lo(),
-        config.band_hi(),
-        config.resolution(),
-        options.max_fft,
-    );
-    let segments = plan.segments();
     let averages = config.averages();
-
-    // Flatten the campaign: alternation-major, then segment, then average
-    // — the same order the sequential runner visits captures in.
-    let mut tasks = Vec::with_capacity(f_alts.len() * segments.len() * averages);
-    for i_alt in 0..f_alts.len() {
+    let mut tasks = Vec::with_capacity(alts.len() * segments.len() * averages);
+    for i_alt in alts {
         for i_seg in 0..segments.len() {
             for i_avg in 0..averages {
                 tasks.push(CaptureTask {
-                    index: tasks.len(),
+                    index: (i_alt * segments.len() + i_seg) * averages + i_avg,
                     i_alt,
                     i_seg,
                     i_avg,
@@ -872,11 +429,9 @@ where
     let threads = effective_threads(options.threads).min(tasks.len()).max(1);
     let synth_mode = options.synth_mode;
     let max_attempts = options.max_attempts.max(1);
-    let averaging = options.averaging;
     let fault_plan = options.fault_plan.as_ref();
     let recorder = &options.recorder;
     let cancel = &options.cancel;
-    let _campaign = span!(recorder, "campaign");
     let next = AtomicUsize::new(0);
     // With no caller-supplied cache the sharing still spans this
     // campaign's alternation frequencies: one op-level profiling pass
@@ -896,9 +451,7 @@ where
                 let next = &next;
                 let prepared = &prepared;
                 let results = &results;
-                let factory = &factory;
                 let f_alts = &f_alts;
-                let segments = &segments;
                 scope.spawn(move || loop {
                     // Cooperative cancellation: stop before claiming the
                     // next task, so latency is bounded by one capture.
@@ -1000,39 +553,70 @@ where
     if let Some(msg) = worker_panic {
         return Err(FaseError::worker(msg));
     }
-
-    // Reduce in task order (worker scheduling cannot reorder this):
-    // average each segment's captures, stitch segments, trim to band. An
-    // alternation frequency with an exhausted capture is dropped and the
-    // campaign degrades to the survivors; the error surfaces only when
-    // fewer than two survive.
-    let _reduce = span!(recorder, "reduce");
-    let outputs = results
+    results
         .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut outputs = outputs.into_iter();
-    let mut health = CampaignHealth::new(f_alts.len());
-    let mut labeled = Vec::with_capacity(f_alts.len());
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .into_iter()
+        .map(|result| {
+            // A hole in the results with a fired token is the
+            // cancellation itself, not a scheduler bug.
+            result.ok_or_else(|| {
+                if cancel.is_cancelled() {
+                    FaseError::cancelled(cancel.cause().unwrap_or("cancelled"))
+                } else {
+                    FaseError::worker("capture task never ran")
+                }
+            })
+        })
+        .collect()
+}
+
+/// Runs the capture tasks of the alternation frequencies in `alts` and
+/// reduces them in task order (worker scheduling cannot reorder this):
+/// average each segment's captures, stitch segments, trim to band, and
+/// label each spectrum with the achieved alternation frequency. An
+/// alternation frequency with an exhausted capture is dropped and
+/// recorded in the health, which is also published to the recorder.
+///
+/// Returns the surviving spectra in alternation order, the health, and
+/// the first capture failure that dropped an alternation, if any.
+fn measure_alternations<F>(
+    config: &CampaignConfig,
+    alts: Range<usize>,
+    pair: ActivityPair,
+    factory: &F,
+    seed: u64,
+    options: &CampaignOptions,
+) -> Result<(Vec<LabeledSpectrum>, CampaignHealth, Option<FaseError>), FaseError>
+where
+    F: Fn(usize) -> SimulatedSystem + Sync,
+{
+    let f_alts = config.alternation_frequencies();
+    let plan = SweepPlan::new(
+        config.band_lo(),
+        config.band_hi(),
+        config.resolution(),
+        options.max_fft,
+    );
+    let segments = plan.segments();
+    let averages = config.averages();
+    let recorder = &options.recorder;
+    let _campaign = span!(recorder, "campaign");
+    let results = execute_tasks(config, alts.clone(), segments, pair, factory, seed, options)?;
+
+    let _reduce = span!(recorder, "reduce");
+    let mut results = results.into_iter();
+    let mut health = CampaignHealth::new(alts.len());
+    let mut labeled = Vec::with_capacity(alts.len());
     let mut first_failure: Option<FaseError> = None;
-    for &f_alt in &f_alts {
+    for &f_alt in &f_alts[alts] {
         let mut segment_spectra = Vec::with_capacity(segments.len());
         let mut period_sum = 0.0f64;
         let mut period_count = 0usize;
         let mut alt_failure: Option<FaseError> = None;
         for _ in segments {
             let mut captures = Vec::with_capacity(averages);
-            for _ in 0..averages {
-                let result = match outputs.next().flatten() {
-                    Some(result) => result,
-                    // A hole in the results with a fired token is the
-                    // cancellation itself, not a scheduler bug.
-                    None if options.cancel.is_cancelled() => {
-                        return Err(FaseError::cancelled(
-                            options.cancel.cause().unwrap_or("cancelled"),
-                        ))
-                    }
-                    None => return Err(FaseError::worker("capture task never ran")),
-                };
+            for result in results.by_ref().take(averages) {
                 if result.attempts > 1 {
                     health.retried_tasks += 1;
                     health.total_retries += (result.attempts - 1) as usize;
@@ -1044,16 +628,15 @@ where
                         period_count += 1;
                         captures.push(out.spectrum);
                     }
-                    Err(e @ FaseError::CaptureFailed { .. }) => {
+                    Err(e) => {
                         alt_failure.get_or_insert(e);
                     }
-                    Err(e) => return Err(e),
                 }
             }
             if alt_failure.is_none() {
                 segment_spectra.push(average_cohort(
                     &captures,
-                    averaging,
+                    options.averaging,
                     &mut health.quarantined,
                 )?);
             }
@@ -1072,7 +655,57 @@ where
         });
     }
     health.surviving = labeled.len();
-    record_health(recorder, &health);
+    // Retries, quarantines and faults show up in `--metrics-out` next to
+    // the stage timings.
+    recorder.count_usize("specan.capture_retries", health.total_retries);
+    recorder.count_usize("specan.quarantined", health.quarantined);
+    recorder.count_usize("specan.faults_injected", health.faults.len());
+    recorder.count_usize("specan.dropped_alternations", health.dropped.len());
+    Ok((labeled, health, first_failure))
+}
+
+/// Runs a campaign on a work-stealing pool of capture tasks.
+///
+/// This is the paper's §3 measurement procedure: for each alternation
+/// frequency, calibrate the X/Y micro-benchmark, run it, schedule
+/// refreshes, render the EM scene, capture, average the captures of each
+/// sweep segment, stitch, and label the spectrum with the *achieved*
+/// alternation frequency.
+///
+/// The campaign is flattened into independent `(f_alt, sweep segment,
+/// average)` capture tasks. Each task seeds its RNG from
+/// `mix_seed(seed, task_index)` and derives its capture start time from
+/// its position in the flattened order, which makes the assembled
+/// [`CampaignSpectra`] bit-identical for any worker count — including
+/// one.
+///
+/// `factory(i_alt)` builds the [`SimulatedSystem`] a task measures
+/// (usually the same preset with the same seed: the EM world is one
+/// machine, while capture noise realizations differ per measurement).
+///
+/// An alternation frequency whose capture retry budget is exhausted is
+/// dropped and the campaign degrades to the survivors (the heuristic needs
+/// only two spectra), with a [`CampaignHealth`] record attached.
+///
+/// # Errors
+///
+/// [`FaseError::CaptureFailed`] when fewer than two alternation
+/// frequencies survive, [`FaseError::Cancelled`] when the options' token
+/// fires before every capture ran, and [`FaseError::Worker`] when a worker
+/// panics (instead of poisoning the process).
+pub fn run_campaign_with_options<F>(
+    config: &CampaignConfig,
+    pair: ActivityPair,
+    factory: F,
+    seed: u64,
+    options: CampaignOptions,
+) -> Result<CampaignSpectra, FaseError>
+where
+    F: Fn(usize) -> SimulatedSystem + Sync,
+{
+    let alts = 0..config.alternation_count();
+    let (labeled, health, first_failure) =
+        measure_alternations(config, alts, pair, &factory, seed, &options)?;
     if labeled.len() < 2 {
         return Err(first_failure.unwrap_or_else(|| {
             FaseError::invalid_spectra("fewer than two alternation frequencies survived")
@@ -1081,24 +714,42 @@ where
     Ok(CampaignSpectra::new(config.clone(), labeled)?.with_health(health))
 }
 
-/// Runs a campaign on the capture-task pool with default options (fast
-/// synthesis, thread count from `FASE_THREADS` or the machine).
+/// Measures alternation frequency `i_alt` of a campaign on the
+/// capture-task pool: the averaged, stitched, band-trimmed spectrum,
+/// labeled with the achieved alternation frequency.
 ///
-/// See [`run_campaign_with_options`] for the execution model.
+/// Only that alternation's capture tasks run, under the campaign's own
+/// task indices, so the result is bit-identical to entry `i_alt` of
+/// [`run_campaign_with_options`] called with the same arguments. Figures
+/// that need single spectra rather than a full campaign build on it.
 ///
 /// # Errors
 ///
-/// Propagates the first measurement error encountered.
-pub fn run_campaign_parallel<F>(
+/// [`FaseError::InvalidConfig`] when `i_alt` is out of range and
+/// [`FaseError::CaptureFailed`] when a capture exhausts its retry budget;
+/// otherwise as [`run_campaign_with_options`].
+pub fn measure_alternation<F>(
     config: &CampaignConfig,
+    i_alt: usize,
     pair: ActivityPair,
     factory: F,
     seed: u64,
-) -> Result<CampaignSpectra, FaseError>
+    options: CampaignOptions,
+) -> Result<LabeledSpectrum, FaseError>
 where
     F: Fn(usize) -> SimulatedSystem + Sync,
 {
-    run_campaign_with_options(config, pair, factory, seed, CampaignOptions::default())
+    if i_alt >= config.alternation_count() {
+        return Err(FaseError::invalid_config(format!(
+            "alternation index {i_alt} is out of range for {} alternation frequencies",
+            config.alternation_count()
+        )));
+    }
+    let (mut labeled, _, first_failure) =
+        measure_alternations(config, i_alt..i_alt + 1, pair, &factory, seed, &options)?;
+    labeled.pop().ok_or_else(|| {
+        first_failure.unwrap_or_else(|| FaseError::invalid_spectra("alternation was not measured"))
+    })
 }
 
 #[cfg(test)]
@@ -1125,12 +776,56 @@ mod tests {
         system
     }
 
+    /// Campaign options with a small FFT cap.
+    fn small_fft() -> CampaignOptions {
+        CampaignOptions {
+            max_fft: 1 << 12,
+            ..CampaignOptions::default()
+        }
+    }
+
+    /// One averaged spectrum over `[lo, hi]` with the benchmark
+    /// alternating at `f_alt`: the first alternation of a two-frequency
+    /// campaign.
+    fn single_spectrum(
+        pair: ActivityPair,
+        system_seed: u64,
+        seed: u64,
+        f_alt: Hertz,
+        (lo, hi): (Hertz, Hertz),
+        resolution: Hertz,
+        averages: usize,
+    ) -> Spectrum {
+        let config = CampaignConfig::builder()
+            .band(lo, hi)
+            .resolution(resolution)
+            .alternation(f_alt, resolution, 2)
+            .averages(averages)
+            .build()
+            .unwrap();
+        measure_alternation(
+            &config,
+            0,
+            pair,
+            |_| demo_system(system_seed),
+            seed,
+            small_fft(),
+        )
+        .unwrap()
+        .spectrum
+    }
+
     #[test]
     fn campaign_produces_consistent_spectra() {
-        let mut runner =
-            CampaignRunner::new(demo_system(5), ActivityPair::LdmLdl1, 11).with_max_fft(1 << 12);
         let config = small_config();
-        let spectra = runner.run(&config).unwrap();
+        let spectra = run_campaign_with_options(
+            &config,
+            ActivityPair::LdmLdl1,
+            |_| demo_system(5),
+            11,
+            small_fft(),
+        )
+        .unwrap();
         assert_eq!(spectra.len(), 5);
         let s0 = spectra.spectrum(0);
         assert_eq!(s0.resolution(), Hertz(200.0));
@@ -1150,9 +845,14 @@ mod tests {
     fn regulator_carrier_detected_in_band() {
         // 250–400 kHz contains the 315 kHz DRAM regulator (memory-
         // modulated) and the 332 kHz core regulator (not memory-modulated).
-        let mut runner =
-            CampaignRunner::new(demo_system(6), ActivityPair::LdmLdl1, 12).with_max_fft(1 << 12);
-        let spectra = runner.run(&small_config()).unwrap();
+        let spectra = run_campaign_with_options(
+            &small_config(),
+            ActivityPair::LdmLdl1,
+            |_| demo_system(6),
+            12,
+            small_fft(),
+        )
+        .unwrap();
         let report = Fase::default().analyze(&spectra).unwrap();
         let dram_reg = report.carrier_near(Hertz::from_khz(315.0), Hertz(1_500.0));
         assert!(dram_reg.is_some(), "{report}");
@@ -1161,20 +861,18 @@ mod tests {
     #[test]
     fn single_spectrum_shape() {
         // Idle memory (LDL1/LDL1): the refresh comb is clean and strong.
-        let mut runner =
-            CampaignRunner::new(demo_system(7), ActivityPair::Ldl1Ldl1, 13).with_max_fft(1 << 12);
         // 125 Hz resolution: the refresh line is narrow, so a finer grid
         // keeps its bin at full power while the broadband (rolling-noise)
         // floor drops with the bin width — a sharper contrast measurement.
-        let s = runner
-            .single_spectrum(
-                Hertz::from_khz(30.0),
-                Hertz::from_khz(100.0),
-                Hertz::from_khz(160.0),
-                Hertz(125.0),
-                2,
-            )
-            .unwrap();
+        let s = single_spectrum(
+            ActivityPair::Ldl1Ldl1,
+            7,
+            13,
+            Hertz::from_khz(30.0),
+            (Hertz::from_khz(100.0), Hertz::from_khz(160.0)),
+            Hertz(125.0),
+            2,
+        );
         assert_eq!(s.resolution(), Hertz(125.0));
         assert!(s.len() >= 480);
         // Peak-bin search around the nominal line so scalloping (the line
@@ -1192,21 +890,72 @@ mod tests {
     }
 
     #[test]
-    fn runner_accessors_and_calibration() {
-        let mut runner = CampaignRunner::new(demo_system(9), ActivityPair::LdmLdl1, 14);
-        assert_eq!(runner.pair(), ActivityPair::LdmLdl1);
-        assert!(runner.system().scene.source_count() > 5);
-        let bench = runner.calibrate(Hertz::from_khz(43.3));
+    fn pair_calibration_on_the_demo_machine() {
+        let mut system = demo_system(9);
+        assert!(system.scene.source_count() > 5);
+        let bench = ActivityPair::LdmLdl1.calibrated(&mut system.machine, 43_300.0);
         assert!(bench.x_count() >= 1 && bench.y_count() > bench.x_count());
         assert_eq!(bench.label(), "LDM/LDL1");
     }
 
     #[test]
+    fn measure_alternation_matches_the_campaign() {
+        // One engine: measuring a single alternation runs exactly that
+        // alternation's tasks of the full campaign, for any worker count.
+        let config = small_config();
+        for threads in [1, 2] {
+            let options = CampaignOptions {
+                threads: Some(threads),
+                ..small_fft()
+            };
+            let campaign = run_campaign_with_options(
+                &config,
+                ActivityPair::LdmLdl1,
+                |_| demo_system(6),
+                77,
+                options.clone(),
+            )
+            .unwrap();
+            for (i, labeled) in campaign.spectra().iter().enumerate() {
+                let single = measure_alternation(
+                    &config,
+                    i,
+                    ActivityPair::LdmLdl1,
+                    |_| demo_system(6),
+                    77,
+                    options.clone(),
+                )
+                .unwrap();
+                assert_eq!(
+                    single.spectrum, labeled.spectrum,
+                    "alternation {i} at {threads} thread(s)"
+                );
+                assert_eq!(single.f_alt, labeled.f_alt);
+            }
+        }
+        let err = measure_alternation(
+            &config,
+            5,
+            ActivityPair::LdmLdl1,
+            |_| demo_system(6),
+            77,
+            small_fft(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, FaseError::InvalidConfig(_)), "{err}");
+    }
+
+    #[test]
     fn parallel_campaign_matches_detection() {
         let config = small_config();
-        let spectra =
-            super::run_campaign_parallel(&config, ActivityPair::LdmLdl1, |_| demo_system(6), 77)
-                .unwrap();
+        let spectra = run_campaign_with_options(
+            &config,
+            ActivityPair::LdmLdl1,
+            |_| demo_system(6),
+            77,
+            CampaignOptions::default(),
+        )
+        .unwrap();
         assert_eq!(spectra.len(), 5);
         let report = Fase::default().analyze(&spectra).unwrap();
         assert!(
@@ -1241,28 +990,6 @@ mod tests {
         let pooled = run(4);
         assert_eq!(sequential, pooled, "threads=1 vs threads=4 diverged");
         assert_eq!(sequential, run(1), "same seed, same thread count diverged");
-    }
-
-    #[test]
-    fn sequential_campaign_records_observability() {
-        let recorder = Recorder::detached();
-        let mut runner = CampaignRunner::new(demo_system(5), ActivityPair::LdmLdl1, 11)
-            .with_max_fft(1 << 12)
-            .with_recorder(recorder.clone());
-        let spectra = runner.run(&small_config()).unwrap();
-        assert_eq!(spectra.len(), 5);
-        let snap = recorder.snapshot();
-        // 5 alternation frequencies × 1 segment × 3 averages.
-        assert_eq!(snap.counters.get("specan.captures"), Some(&15));
-        assert_eq!(snap.counters.get("specan.capture_retries"), Some(&0));
-        assert_eq!(snap.counters.get("specan.dropped_alternations"), Some(&0));
-        assert_eq!(snap.counters.get("emsim.renders"), Some(&15));
-        for path in ["campaign", "campaign/capture", "campaign/capture/synth"] {
-            assert!(snap.spans.contains_key(path), "missing span {path}");
-        }
-        let hist = snap.histograms.get("specan.capture_ns").unwrap();
-        assert_eq!(hist.count, 15);
-        assert!(hist.sum_ns > 0);
     }
 
     #[test]
@@ -1362,76 +1089,22 @@ mod tests {
     #[test]
     fn inert_token_leaves_campaign_bit_identical() {
         let config = small_config();
-        let plain =
-            run_campaign_parallel(&config, ActivityPair::LdmLdl1, |_| demo_system(6), 77).unwrap();
-        let with_token = run_campaign_with_options(
-            &config,
-            ActivityPair::LdmLdl1,
-            |_| demo_system(6),
-            77,
-            CampaignOptions {
-                cancel: crate::CancelToken::never(),
-                ..CampaignOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(plain, with_token);
-    }
-
-    #[test]
-    fn sequential_pre_cancelled_campaign_errors() {
-        // Fewer than two spectra exist when a pre-fired token is seen, so
-        // the sequential runner cannot degrade and must surface the cause.
-        let token = crate::CancelToken::new();
-        token.cancel();
-        let mut runner = CampaignRunner::new(demo_system(5), ActivityPair::LdmLdl1, 11)
-            .with_max_fft(1 << 12)
-            .with_cancel(token);
-        let err = runner.run(&small_config()).unwrap_err();
-        assert!(
-            matches!(&err, FaseError::Cancelled(msg) if msg.contains("cancelled by caller")),
-            "expected Cancelled, got {err:?}"
-        );
-    }
-
-    #[test]
-    fn sequential_capture_budget_degrades_to_survivors() {
-        // 5 alternation frequencies × 3 averages = 15 captures planned; a
-        // budget of 6 completes exactly two alternations, and the campaign
-        // degrades to them instead of failing outright.
-        let mut runner = CampaignRunner::new(demo_system(5), ActivityPair::LdmLdl1, 11)
-            .with_max_fft(1 << 12)
-            .with_cancel(crate::CancelToken::new().with_capture_budget(6));
-        let spectra = runner.run(&small_config()).unwrap();
-        assert_eq!(spectra.len(), 2);
-        let health = spectra.health().unwrap();
-        assert_eq!(health.surviving, 2);
-        assert_eq!(health.dropped.len(), 3);
-        for dropped in &health.dropped {
-            assert!(
-                matches!(&dropped.error, FaseError::Cancelled(msg) if msg.contains("capture budget")),
-                "expected Cancelled(budget), got {:?}",
-                dropped.error
-            );
-        }
-    }
-
-    #[test]
-    fn sequential_inert_token_is_bit_identical() {
-        // The default token never fires and must not perturb the campaign:
-        // untokened, never(), and an unfired live token all agree.
-        let config = small_config();
-        let run_with = |cancel: Option<crate::CancelToken>| {
-            let mut runner = CampaignRunner::new(demo_system(5), ActivityPair::LdmLdl1, 11)
-                .with_max_fft(1 << 12);
-            if let Some(token) = cancel {
-                runner = runner.with_cancel(token);
-            }
-            runner.run(&config).unwrap()
+        let run = |cancel: crate::CancelToken| {
+            run_campaign_with_options(
+                &config,
+                ActivityPair::LdmLdl1,
+                |_| demo_system(6),
+                77,
+                CampaignOptions {
+                    cancel,
+                    ..CampaignOptions::default()
+                },
+            )
+            .unwrap()
         };
-        let plain = run_with(None);
-        assert_eq!(plain, run_with(Some(crate::CancelToken::never())));
-        assert_eq!(plain, run_with(Some(crate::CancelToken::new())));
+        let plain = run(CampaignOptions::default().cancel);
+        assert_eq!(plain, run(crate::CancelToken::never()));
+        assert_eq!(plain, run(crate::CancelToken::new()));
     }
 
     #[test]
@@ -1439,16 +1112,15 @@ mod tests {
         // §4.2: the refresh carrier is strongest when memory is idle and
         // weakest under continuous memory activity.
         let measure = |pair: ActivityPair, seed: u64| -> f64 {
-            let mut runner = CampaignRunner::new(demo_system(8), pair, seed).with_max_fft(1 << 12);
-            let s = runner
-                .single_spectrum(
-                    Hertz::from_khz(30.0),
-                    Hertz::from_khz(120.0),
-                    Hertz::from_khz(140.0),
-                    Hertz(500.0),
-                    2,
-                )
-                .unwrap();
+            let s = single_spectrum(
+                pair,
+                8,
+                seed,
+                Hertz::from_khz(30.0),
+                (Hertz::from_khz(120.0), Hertz::from_khz(140.0)),
+                Hertz(500.0),
+                2,
+            );
             s.sample(Hertz(128_000.0)).unwrap()
         };
         let idle = measure(ActivityPair::Ldl1Ldl1, 21);

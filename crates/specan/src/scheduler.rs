@@ -31,10 +31,9 @@ use crate::runner::{run_campaign_with_options, CampaignOptions};
 use crate::sweep::{plan_bands, SweepBand};
 use fase_core::{
     merge_band_reports, CampaignConfig, CampaignSpectra, Fase, FaseConfig, FaseError, FaseReport,
-    LabeledSpectrum,
 };
 use fase_dsp::rng::mix_seed;
-use fase_dsp::{Hertz, Spectrum};
+use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
 use fase_sysmodel::ActivityPair;
 use std::path::PathBuf;
@@ -102,22 +101,6 @@ pub struct SweepOptions {
     /// Carriers closer than this across band seams are deduplicated as
     /// one emitter. `0.0` (the default) auto-selects `2 × resolution`.
     pub seam_tol: Hertz,
-    /// Reuse each interior seam's spectra from the band below instead of
-    /// synthesizing the overlap region twice: band `k`'s campaign renders
-    /// only `[prev.hi, hi_k]` and its seam bins `[lo_k, prev.hi)` are
-    /// spliced from band `k−1`'s already-measured spectra. This is the
-    /// band-level analogue of the [`crate::sliding`] sliding-DFT
-    /// recurrence (which the seam-equivalence tests pin against full FFTs
-    /// at `1e-12`): overlapping windows share their common samples once.
-    ///
-    /// Off by default, because a spliced seam carries the lower band's
-    /// noise realization — statistically equivalent, but not
-    /// byte-identical to two independent syntheses. Bands whose lower
-    /// neighbor is unavailable (first band, sharded or cancelled
-    /// neighbor, mismatched degraded labels) fall back to full-band
-    /// synthesis; spliced bands cache under a distinct key so sliding
-    /// and plain sweeps never cross-contaminate.
-    pub sliding_seams: bool,
 }
 
 /// What happened in one band.
@@ -179,22 +162,17 @@ fn band_description(
     pair: ActivityPair,
     band_seed: u64,
     options: &CampaignOptions,
-    spliced: bool,
 ) -> String {
     let fault = options
         .fault_plan
         .as_ref()
         .map_or_else(|| "none".to_owned(), |p| p.cache_token());
-    // Seam-spliced content differs from a full synthesis, so it gets its
-    // own key suffix; plain bands keep the original v1 description so
-    // existing caches stay valid.
-    let seams = if spliced { "\nseams=slide-reuse" } else { "" };
     format!(
         "{KEY_FORMAT}\nsystem={system_id}\npair={pair:?}\n\
          band={} lo={:016x} hi={:016x} res={:016x}\n\
          falt1={:016x} fdelta={:016x} alts={} avgs={}\n\
          seed={band_seed:016x}\nsynth={:?}\nmax_fft={}\nmax_attempts={}\n\
-         averaging={:?}\nfault={fault}{seams}",
+         averaging={:?}\nfault={fault}",
         band.index,
         band.lo.hz().to_bits(),
         band.hi.hz().to_bits(),
@@ -219,23 +197,17 @@ fn span_description(
     pair: ActivityPair,
     seed: u64,
     options: &CampaignOptions,
-    sliding_seams: bool,
 ) -> String {
     let fault = options
         .fault_plan
         .as_ref()
         .map_or_else(|| "none".to_owned(), |p| p.cache_token());
-    let seams = if sliding_seams {
-        "\nseams=slide-reuse"
-    } else {
-        ""
-    };
     format!(
         "{KEY_FORMAT} span\nsystem={system_id}\npair={pair:?}\n\
          lo={:016x} hi={:016x} res={:016x} bands={} overlap={:016x}\n\
          falt1={:016x} fdelta={:016x} alts={} avgs={}\n\
          seed={seed:016x}\nsynth={:?}\nmax_fft={}\nmax_attempts={}\n\
-         averaging={:?}\nfault={fault}{seams}",
+         averaging={:?}\nfault={fault}",
         config.lo.hz().to_bits(),
         config.hi.hz().to_bits(),
         config.resolution.hz().to_bits(),
@@ -250,46 +222,6 @@ fn span_description(
         options.max_attempts,
         options.averaging,
     )
-}
-
-/// Completes a seam-narrowed band: each of `narrow`'s spectra (measured
-/// over `[seam_hi, hi]` only) is extended down to the band's true lower
-/// edge `lo` by stitching the matching seam bins `[lo, seam_hi)` out of
-/// the lower neighbor's spectra — the samples under the seam were
-/// synthesized once, by the neighbor. Returns `None` when the neighbor
-/// cannot serve the seam (an alternation label missing after degradation,
-/// or grids that do not meet bin-exactly); the caller falls back to
-/// full-band synthesis.
-fn splice_seam(
-    full_config: &CampaignConfig,
-    lo: Hertz,
-    seam_hi: Hertz,
-    prev: &CampaignSpectra,
-    narrow: &CampaignSpectra,
-) -> Option<CampaignSpectra> {
-    let mut spliced = Vec::with_capacity(narrow.len());
-    for ls in narrow.spectra() {
-        // Achieved alternation labels are pure functions of the machine
-        // profile, which the sweep-wide calibration cache makes identical
-        // across bands — exact equality is the correctness check, not a
-        // float hazard.
-        let donor = prev.spectra().iter().find(|p| p.f_alt == ls.f_alt)?;
-        let res = ls.spectrum.resolution();
-        let seam = donor
-            .spectrum
-            .band(lo, Hertz(seam_hi.hz() - 0.5 * res.hz()))
-            .ok()?;
-        let whole = Spectrum::stitch([&seam, &ls.spectrum]).ok()?;
-        spliced.push(LabeledSpectrum {
-            f_alt: ls.f_alt,
-            spectrum: whole,
-        });
-    }
-    let mut out = CampaignSpectra::new(full_config.clone(), spliced).ok()?;
-    if let Some(health) = narrow.health() {
-        out = out.with_health(health.clone());
-    }
-    Some(out)
 }
 
 /// Runs a wide-band sweep: shard into bands, capture (or cache-hit) and
@@ -359,7 +291,6 @@ where
         pair,
         seed,
         &options.campaign,
-        options.sliding_seams,
     ));
     let mut manifest = match &cache {
         Some(cache) if options.resume => Some(
@@ -386,9 +317,6 @@ where
     let mut hits = 0usize;
     let mut misses = 0usize;
     let mut cancelled = false;
-    // Seam donor for the next band: the previous band and its spectra,
-    // kept only while seam reuse is on and the chain is unbroken.
-    let mut prev: Option<(SweepBand, CampaignSpectra)> = None;
 
     for band in &bands {
         // Band-granularity cancellation: once the token fires, finished
@@ -405,28 +333,6 @@ where
             continue;
         }
         let _band_span = recorder.span("specan.sweep_band");
-        // Seam reuse: splice this band's overlap bins from the band
-        // below instead of synthesizing them a second time. The donor
-        // must be the immediate neighbor and the narrowed remainder must
-        // still be a valid campaign band; otherwise the band synthesizes
-        // its full span. Both conditions are decided *before* the cache
-        // key is formed, so spliced and plain content never share a key.
-        let prev_band = prev.take();
-        let seam = prev_band
-            .as_ref()
-            .filter(|(pb, _)| {
-                options.sliding_seams && pb.index + 1 == band.index && pb.hi.hz() > band.lo.hz()
-            })
-            .and_then(|(pb, pspec)| {
-                let narrow = SweepBand {
-                    index: band.index,
-                    lo: pb.hi,
-                    hi: band.hi,
-                };
-                band_config(config, &narrow)
-                    .ok()
-                    .map(|cfg| (pb.hi, pspec, cfg))
-            });
         let full_config = band_config(config, band)?;
         let band_seed = mix_seed(seed, band.index as u64);
         let key = CacheKey::from_description(&band_description(
@@ -436,7 +342,6 @@ where
             pair,
             band_seed,
             &options.campaign,
-            seam.is_some(),
         ));
 
         let cached: Option<CampaignSpectra> = cache.as_ref().and_then(|c| {
@@ -467,27 +372,13 @@ where
                         continue;
                     }
                 }
-                let run = |cfg: &CampaignConfig| {
-                    run_campaign_with_options(cfg, pair, &factory, band_seed, band_campaign.clone())
-                };
-                let computed = match &seam {
-                    Some((seam_hi, pspec, narrow_cfg)) => match run(narrow_cfg) {
-                        Ok(narrow) => {
-                            match splice_seam(&full_config, band.lo, *seam_hi, pspec, &narrow) {
-                                Some(whole) => Ok(whole),
-                                // The neighbor cannot serve the seam
-                                // (degraded label mismatch, off-grid
-                                // edge): synthesize the full band after
-                                // all. Deterministic, so the spliced key
-                                // stays single-valued.
-                                None => run(&full_config),
-                            }
-                        }
-                        Err(e) => Err(e),
-                    },
-                    None => run(&full_config),
-                };
-                let spectra = match computed {
+                let spectra = match run_campaign_with_options(
+                    &full_config,
+                    pair,
+                    &factory,
+                    band_seed,
+                    band_campaign.clone(),
+                ) {
                     Ok(spectra) => spectra,
                     // The token fired mid-band: nothing of this band is
                     // kept (its captures never reduced), so the sweep
@@ -523,9 +414,6 @@ where
             carriers: report.len(),
         });
         reports.push(report);
-        if options.sliding_seams {
-            prev = Some((*band, spectra));
-        }
     }
 
     recorder.count_usize("specan.cache_hits", hits);
@@ -840,89 +728,33 @@ mod tests {
     }
 
     #[test]
-    fn sliding_seams_sweep_detects_like_the_plain_sweep() {
-        let plain = run_sweep(
-            &small_sweep(),
-            "demo",
-            ActivityPair::LdmLdl1,
-            demo_factory,
-            7,
-            &fast_options(),
+    fn cache_key_descriptions_are_pinned() {
+        // On-disk captures and manifests are addressed by these
+        // descriptions: any change strands every existing cache, so a
+        // change here must come with a KEY_FORMAT bump.
+        let config = small_sweep();
+        let options = fast_options().campaign;
+        let bands = plan_bands(
+            config.lo,
+            config.hi,
+            config.resolution,
+            config.bands,
+            config.overlap,
         )
         .unwrap();
-        let mut options = fast_options();
-        options.sliding_seams = true;
-        let slid = run_sweep(
-            &small_sweep(),
-            "demo",
-            ActivityPair::LdmLdl1,
-            demo_factory,
-            7,
-            &options,
-        )
-        .unwrap();
-        assert!(slid.complete);
-        // The seam carries the lower band's noise realization, so raw
-        // bytes may differ from two independent syntheses — but the
-        // detections must not: same carrier count, and every carrier
-        // frequency reproduced within the seam-dedup tolerance.
-        assert!(!slid.report.is_empty());
-        assert_eq!(slid.report.len(), plain.report.len());
-        for (a, b) in slid.report.carriers().iter().zip(plain.report.carriers()) {
-            assert!(
-                (a.frequency() - b.frequency()).hz().abs() <= 2.0 * small_sweep().resolution.hz(),
-                "carrier moved: {} vs {}",
-                a.frequency(),
-                b.frequency()
-            );
-        }
-    }
-
-    #[test]
-    fn sliding_seams_cold_warm_cache_is_byte_identical_and_keyed_apart() {
-        let dir = temp_dir("slide");
-        let mut options = fast_options();
-        options.sliding_seams = true;
-        options.cache_dir = Some(dir.clone());
-        let cold = run_sweep(
-            &small_sweep(),
-            "demo",
-            ActivityPair::LdmLdl1,
-            demo_factory,
-            7,
-            &options,
-        )
-        .unwrap();
-        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 2));
-        let warm = run_sweep(
-            &small_sweep(),
-            "demo",
-            ActivityPair::LdmLdl1,
-            demo_factory,
-            7,
-            &options,
-        )
-        .unwrap();
-        assert_eq!((warm.cache_hits, warm.cache_misses), (2, 0));
-        assert_eq!(warm.report.to_json(), cold.report.to_json());
-
-        // A plain sweep over the same cache dir shares band 0 (identical
-        // content either way) but must not hit the spliced band 1 entry.
-        let plain = SweepOptions {
-            cache_dir: Some(dir.clone()),
-            ..fast_options()
-        };
-        let p = run_sweep(
-            &small_sweep(),
-            "demo",
-            ActivityPair::LdmLdl1,
-            demo_factory,
-            7,
-            &plain,
-        )
-        .unwrap();
-        assert_eq!((p.cache_hits, p.cache_misses), (1, 1));
-        std::fs::remove_dir_all(&dir).unwrap();
+        let pair = ActivityPair::LdmLdl1;
+        let band = band_description(&config, &bands[1], "demo", pair, mix_seed(7, 1), &options);
+        assert_eq!(
+            CacheKey::from_description(&band).hex(),
+            "fcd81f041c301c90c0e6d64afd1e79e1",
+            "band key moved:\n{band}"
+        );
+        let span = span_description(&config, "demo", pair, 7, &options);
+        assert_eq!(
+            CacheKey::from_description(&span).hex(),
+            "42a7021797a0b65d8fbed48fbf8c8f56",
+            "span key moved:\n{span}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use fase_core::{CampaignConfig, Fase, FaseError, FaseReport};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
 use fase_specan::{
-    run_campaign_with_options, CampaignOptions, CampaignRunner, FaultKind, FaultPlan, FaultRates,
+    run_campaign_with_options, CampaignOptions, FaultKind, FaultPlan, FaultRates,
     DEFAULT_MAX_ATTEMPTS,
 };
 use fase_sysmodel::ActivityPair;
@@ -89,12 +89,17 @@ fn every_impairment_class_is_survivable() {
 #[test]
 fn sequential_runner_retries_and_records_faults() {
     // Fail the first two attempts of one capture: the default budget of
-    // three leaves room for the clean third attempt.
+    // three leaves room for the clean third attempt. One worker runs the
+    // tasks in campaign order.
     let plan = FaultPlan::new(13).force(0, Some(0), Some(0), 2, FaultKind::TaskFailure);
-    let mut runner = CampaignRunner::new(demo_system(5), ActivityPair::LdmLdl1, 11)
-        .with_max_fft(1 << 12)
-        .with_fault_plan(plan);
-    let spectra = runner.run(&small_config()).unwrap();
+    let spectra = run_campaign_with_options(
+        &small_config(),
+        ActivityPair::LdmLdl1,
+        |_| demo_system(5),
+        11,
+        options(1, Some(plan)),
+    )
+    .unwrap();
     let health = spectra.health().unwrap();
     assert!(health.has_fault("task-failure"));
     assert_eq!(health.retried_tasks, 1);
@@ -138,10 +143,14 @@ fn exhausted_alternation_degrades_the_campaign() {
 #[test]
 fn sequential_runner_degrades_like_the_pool() {
     let plan = FaultPlan::new(3).always_fail(2);
-    let mut runner = CampaignRunner::new(demo_system(5), ActivityPair::LdmLdl1, 11)
-        .with_max_fft(1 << 12)
-        .with_fault_plan(plan);
-    let spectra = runner.run(&small_config()).unwrap();
+    let spectra = run_campaign_with_options(
+        &small_config(),
+        ActivityPair::LdmLdl1,
+        |_| demo_system(5),
+        11,
+        options(1, Some(plan)),
+    )
+    .unwrap();
     assert_eq!(spectra.len(), 4);
     assert!(spectra.health().unwrap().degraded());
     let report = Fase::default().analyze(&spectra).unwrap();

@@ -15,7 +15,9 @@ use fase::sysmodel::cache::{CacheConfig, MemoryHierarchy};
 use fase::sysmodel::controller::RefreshConfig;
 use fase::sysmodel::{Domain, Machine, MachineConfig};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// The custom board. Every capture task of the campaign builds its own
+/// copy, so the construction lives in one function.
+fn build_system() -> SimulatedSystem {
     // --- the machine: a small embedded-class part, 1.2 GHz, tiny caches.
     let hierarchy = MemoryHierarchy::new(
         CacheConfig {
@@ -73,15 +75,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         3,
     )));
 
-    let system = SimulatedSystem {
+    SimulatedSystem {
         machine,
         scene,
         refresh: RefreshPolicy::Standard(RefreshConfig {
             t_refi: 1.0 / 256_000.0, // LPDDR refreshes twice as often
             ..RefreshConfig::default()
         }),
-    };
+    }
+}
 
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- the campaign.
     let campaign = CampaignConfig::builder()
         .band(Hertz::from_khz(200.0), Hertz::from_mhz(1.6))
@@ -89,8 +93,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
         .averages(3)
         .build()?;
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 9);
-    let spectra = runner.run(&campaign)?;
+    let spectra = run_campaign_with_options(
+        &campaign,
+        ActivityPair::LdmLdl1,
+        |_| build_system(),
+        9,
+        CampaignOptions::default(),
+    )?;
     let report = Fase::default().analyze(&spectra)?;
     println!("{report}");
 

@@ -14,15 +14,19 @@
 use fase::prelude::*;
 
 fn run_pair(pair: ActivityPair, seed: u64) -> Result<FaseReport, Box<dyn std::error::Error>> {
-    let system = SimulatedSystem::intel_i7_desktop(42);
     let campaign = CampaignConfig::builder()
         .band(Hertz::from_khz(60.0), Hertz::from_mhz(2.0))
         .resolution(Hertz(100.0))
         .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
         .averages(3)
         .build()?;
-    let mut runner = CampaignRunner::new(system, pair, seed);
-    let spectra = runner.run(&campaign)?;
+    let spectra = run_campaign_with_options(
+        &campaign,
+        pair,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        seed,
+        CampaignOptions::default(),
+    )?;
     let report = Fase::default().analyze(&spectra)?;
     println!("\n=== {pair} campaign ===\n{report}");
     Ok(report)

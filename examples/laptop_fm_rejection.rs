@@ -30,8 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
         .averages(3)
         .build()?;
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 17);
-    let spectra = runner.run(&campaign)?;
+    let spectra = run_campaign_with_options(
+        &campaign,
+        ActivityPair::LdmLdl1,
+        |_| SimulatedSystem::amd_turion_laptop(2007),
+        17,
+        CampaignOptions::default(),
+    )?;
     let report = Fase::default().analyze(&spectra)?;
     println!("\n{report}");
 

@@ -32,8 +32,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("running {campaign}");
 
     // 3. Drive the X/Y micro-benchmark and capture the spectra.
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 7);
-    let spectra = runner.run(&campaign)?;
+    //    Captures run on a pool of tasks, each building the system afresh.
+    let spectra = run_campaign_with_options(
+        &campaign,
+        ActivityPair::LdmLdl1,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        7,
+        CampaignOptions::default(),
+    )?;
 
     // 4. FASE: score side-band shifts, detect carriers.
     let report = Fase::new(FaseConfig::default()).analyze(&spectra)?;

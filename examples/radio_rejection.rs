@@ -31,8 +31,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
         .averages(3)
         .build()?;
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 7);
-    let spectra = runner.run(&campaign)?;
+    let spectra = run_campaign_with_options(
+        &campaign,
+        ActivityPair::LdmLdl1,
+        |_| SimulatedSystem::intel_i7_desktop(42),
+        7,
+        CampaignOptions::default(),
+    )?;
 
     // Baseline: a generic AM classifier on one captured spectrum.
     let generic = classify_am(spectra.spectrum(0), &AmcConfig::default());

@@ -13,7 +13,7 @@ use fase_core::{
 };
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::CampaignRunner;
+use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 use std::fmt;
 
@@ -64,7 +64,8 @@ impl fmt::Display for SystemAudit {
 ///
 /// Runs both activity-pair campaigns with the paper's five-`f_alt`
 /// procedure, classifies, and quantifies leakage. The `system_factory` is
-/// called once per campaign (each campaign drives the machine afresh).
+/// called for every capture task, so each capture drives the machine
+/// afresh.
 ///
 /// # Errors
 ///
@@ -93,7 +94,7 @@ pub fn audit_system<F>(
     seed: u64,
 ) -> Result<SystemAudit, FaseError>
 where
-    F: Fn() -> SimulatedSystem,
+    F: Fn() -> SimulatedSystem + Sync,
 {
     let config = CampaignConfig::builder()
         .band(lo, hi)
@@ -103,20 +104,18 @@ where
         .build()?;
     let fase = Fase::default();
 
-    let mut memory_runner = CampaignRunner::new(
-        system_factory(),
-        ActivityPair::LdmLdl1,
-        seed.wrapping_add(1),
-    );
-    let memory_spectra = memory_runner.run(&config)?;
+    let campaign = |pair: ActivityPair, campaign_seed: u64| {
+        run_campaign_with_options(
+            &config,
+            pair,
+            |_| system_factory(),
+            campaign_seed,
+            CampaignOptions::default(),
+        )
+    };
+    let memory_spectra = campaign(ActivityPair::LdmLdl1, seed.wrapping_add(1))?;
     let memory_report = fase.analyze(&memory_spectra)?;
-
-    let mut onchip_runner = CampaignRunner::new(
-        system_factory(),
-        ActivityPair::Ldl2Ldl1,
-        seed.wrapping_add(2),
-    );
-    let onchip_spectra = onchip_runner.run(&config)?;
+    let onchip_spectra = campaign(ActivityPair::Ldl2Ldl1, seed.wrapping_add(2))?;
     let onchip_report = fase.analyze(&onchip_spectra)?;
 
     let classified = classify_by_pairs(&memory_report, &onchip_report, Hertz::from_khz(2.0));

@@ -20,7 +20,8 @@
 //! * [`emsim`] — the physics-based EM emanation simulator standing in for
 //!   the paper's antenna + real machines: regulators, refresh pulse trains,
 //!   spread-spectrum clocks, AM radio interference, a noisy channel.
-//! * [`specan`] — the spectrum-analyzer model (IQ capture, RBW, averaging).
+//! * [`specan`] — the spectrum-analyzer model (IQ capture, RBW, averaging)
+//!   and the campaign engine that runs the paper's §3 procedure.
 //! * [`core`] — the FASE methodology itself: the Eq. (1)/(2) heuristic,
 //!   campaign orchestration, carrier detection/grouping/classification.
 //! * [`baseline`] — the naive detectors the paper argues against.
@@ -34,9 +35,14 @@
 //!
 //! // The paper's Intel Core i7 desktop, driven by the LDM/LDL1
 //! // (main-memory vs. L1-hit) alternation micro-benchmark.
-//! let system = SimulatedSystem::intel_i7_desktop(42);
-//! let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 7);
-//! let spectra = runner.run(&CampaignConfig::paper_0_4mhz())?;
+//! // Each capture task builds the system from the factory closure.
+//! let spectra = run_campaign_with_options(
+//!     &CampaignConfig::paper_0_4mhz(),
+//!     ActivityPair::LdmLdl1,
+//!     |_| SimulatedSystem::intel_i7_desktop(42),
+//!     7,
+//!     CampaignOptions::default(),
+//! )?;
 //! let report = Fase::new(FaseConfig::default()).analyze(&spectra)?;
 //! for carrier in report.carriers() {
 //!     println!("{carrier}");
@@ -68,6 +74,8 @@ pub mod prelude {
     pub use fase_dsp::{Dbm, Decibels, Hertz, Seconds, Spectrum};
     pub use fase_emsim::{RefreshPolicy, Scene, SimulatedSystem};
     pub use fase_obs::Recorder;
-    pub use fase_specan::{CampaignRunner, SpectrumAnalyzer};
+    pub use fase_specan::{
+        measure_alternation, run_campaign_with_options, CampaignOptions, SpectrumAnalyzer,
+    };
     pub use fase_sysmodel::{Activity, ActivityPair, Machine};
 }

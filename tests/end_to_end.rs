@@ -3,6 +3,7 @@
 
 use fase::prelude::*;
 use fase_core::heuristic::campaign_from_spectra;
+use fase_core::LabeledSpectrum;
 
 fn narrow_campaign() -> CampaignConfig {
     CampaignConfig::builder()
@@ -14,11 +15,25 @@ fn narrow_campaign() -> CampaignConfig {
         .expect("valid campaign")
 }
 
+/// The paper's i7 desktop, as a capture-task factory.
+fn i7(_: usize) -> SimulatedSystem {
+    SimulatedSystem::intel_i7_desktop(42)
+}
+
+/// Runs `config` with `pair` on the capture-task pool.
+fn run(
+    config: &CampaignConfig,
+    pair: ActivityPair,
+    factory: fn(usize) -> SimulatedSystem,
+    seed: u64,
+) -> CampaignSpectra {
+    run_campaign_with_options(config, pair, factory, seed, CampaignOptions::default())
+        .expect("campaign")
+}
+
 #[test]
 fn memory_pair_finds_dram_regulator() {
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 1);
-    let spectra = runner.run(&narrow_campaign()).expect("campaign");
+    let spectra = run(&narrow_campaign(), ActivityPair::LdmLdl1, i7, 1);
     let report = Fase::default().analyze(&spectra).expect("analysis");
     let carrier = report
         .carrier_near(Hertz::from_khz(315.66), Hertz::from_khz(2.0))
@@ -32,9 +47,7 @@ fn memory_pair_finds_dram_regulator() {
 #[test]
 fn stm_pair_finds_the_same_memory_carrier() {
     // §3: STM (write-back) pairings expose the same carriers as LDM ones.
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, ActivityPair::StmLdl1, 10);
-    let spectra = runner.run(&narrow_campaign()).expect("campaign");
+    let spectra = run(&narrow_campaign(), ActivityPair::StmLdl1, i7, 10);
     let report = Fase::default().analyze(&spectra).expect("analysis");
     assert!(
         report
@@ -47,9 +60,7 @@ fn stm_pair_finds_the_same_memory_carrier() {
 #[test]
 fn ldm_add_pair_finds_the_same_memory_carrier() {
     // §3: "LDM/ADD, LDM/DIV, etc." expose the same carriers as LDM/LDL1.
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmAdd, 13);
-    let spectra = runner.run(&narrow_campaign()).expect("campaign");
+    let spectra = run(&narrow_campaign(), ActivityPair::LdmAdd, i7, 13);
     let report = Fase::default().analyze(&spectra).expect("analysis");
     assert!(
         report
@@ -63,23 +74,19 @@ fn ldm_add_pair_finds_the_same_memory_carrier() {
 fn control_pair_finds_nothing() {
     // LDL1/LDL1 alternates between identical activities: no domain's load
     // changes at f_alt, so nothing may be reported.
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let mut runner = CampaignRunner::new(system, ActivityPair::Ldl1Ldl1, 2);
-    let spectra = runner.run(&narrow_campaign()).expect("campaign");
+    let spectra = run(&narrow_campaign(), ActivityPair::Ldl1Ldl1, i7, 2);
     let report = Fase::default().analyze(&spectra).expect("analysis");
     assert!(report.is_empty(), "control campaign reported: {report}");
 }
 
 #[test]
 fn classification_separates_memory_from_core() {
-    let run = |pair: ActivityPair, seed: u64| {
-        let system = SimulatedSystem::intel_i7_desktop(42);
-        let mut runner = CampaignRunner::new(system, pair, seed);
-        let spectra = runner.run(&narrow_campaign()).expect("campaign");
+    let analyze_pair = |pair: ActivityPair, seed: u64| {
+        let spectra = run(&narrow_campaign(), pair, i7, seed);
         Fase::default().analyze(&spectra).expect("analysis")
     };
-    let memory = run(ActivityPair::LdmLdl1, 3);
-    let onchip = run(ActivityPair::Ldl2Ldl1, 4);
+    let memory = analyze_pair(ActivityPair::LdmLdl1, 3);
+    let onchip = analyze_pair(ActivityPair::Ldl2Ldl1, 4);
     let classified = classify_by_pairs(&memory, &onchip, Hertz::from_khz(2.0));
     let class_of = |f: f64| {
         classified
@@ -109,8 +116,7 @@ fn am_radio_band_is_rejected() {
         .averages(2)
         .build()
         .expect("valid campaign");
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 5);
-    let spectra = runner.run(&campaign).expect("campaign");
+    let spectra = run(&campaign, ActivityPair::LdmLdl1, i7, 5);
     let report = Fase::default().analyze(&spectra).expect("analysis");
     for s in stations {
         assert!(
@@ -122,7 +128,6 @@ fn am_radio_band_is_rejected() {
 
 #[test]
 fn fm_regulator_not_reported_on_laptop() {
-    let system = SimulatedSystem::amd_turion_laptop(2007);
     let campaign = CampaignConfig::builder()
         .band(Hertz::from_khz(250.0), Hertz::from_khz(430.0))
         .resolution(Hertz(200.0))
@@ -130,8 +135,12 @@ fn fm_regulator_not_reported_on_laptop() {
         .averages(3)
         .build()
         .expect("valid campaign");
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 6);
-    let spectra = runner.run(&campaign).expect("campaign");
+    let spectra = run(
+        &campaign,
+        ActivityPair::LdmLdl1,
+        |_| SimulatedSystem::amd_turion_laptop(2007),
+        6,
+    );
     let report = Fase::default().analyze(&spectra).expect("analysis");
     // The AM memory regulator at ~389 kHz is found…
     assert!(
@@ -153,11 +162,18 @@ fn fm_regulator_not_reported_on_laptop() {
 fn detection_is_insensitive_to_antenna_response() {
     // Eq. (2) compares the same frequency across measurements, so any
     // smooth antenna response cancels out of the sub-scores.
-    use fase::specan::{AntennaResponse, SpectrumAnalyzer};
-    let system = SimulatedSystem::intel_i7_desktop(42);
-    let analyzer = SpectrumAnalyzer::default().with_antenna(AntennaResponse::aor_la400());
-    let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 12).with_analyzer(analyzer);
-    let spectra = runner.run(&narrow_campaign()).expect("campaign");
+    use fase::specan::AntennaResponse;
+    let flat = run(&narrow_campaign(), ActivityPair::LdmLdl1, i7, 12);
+    let antenna = AntennaResponse::aor_la400();
+    let shaped = flat
+        .spectra()
+        .iter()
+        .map(|s| LabeledSpectrum {
+            f_alt: s.f_alt,
+            spectrum: antenna.shape_spectrum(&s.spectrum),
+        })
+        .collect();
+    let spectra = CampaignSpectra::new(narrow_campaign(), shaped).expect("spectra");
     let report = Fase::default().analyze(&spectra).expect("analysis");
     assert!(
         report
@@ -169,21 +185,29 @@ fn detection_is_insensitive_to_antenna_response() {
 
 #[test]
 fn refresh_mitigation_removes_comb() {
-    let comb_level = |system: SimulatedSystem, seed: u64| -> f64 {
-        let mut runner = CampaignRunner::new(system, ActivityPair::Ldl1Ldl1, seed);
-        let s = runner
-            .single_spectrum(
-                Hertz::from_khz(30.0),
-                Hertz::from_khz(120.0),
-                Hertz::from_khz(136.0),
-                Hertz(100.0),
-                3,
-            )
-            .expect("capture");
+    // One idle-memory spectrum at f_alt = 30 kHz around the refresh line.
+    let config = CampaignConfig::builder()
+        .band(Hertz::from_khz(120.0), Hertz::from_khz(136.0))
+        .resolution(Hertz(100.0))
+        .alternation(Hertz::from_khz(30.0), Hertz::from_khz(2.0), 5)
+        .averages(3)
+        .build()
+        .expect("valid campaign");
+    let comb_level = |factory: fn(usize) -> SimulatedSystem, seed: u64| -> f64 {
+        let s = measure_alternation(
+            &config,
+            0,
+            ActivityPair::Ldl1Ldl1,
+            factory,
+            seed,
+            CampaignOptions::default(),
+        )
+        .expect("capture")
+        .spectrum;
         s.sample(Hertz(128_000.0)).expect("in band")
     };
-    let standard = comb_level(SimulatedSystem::intel_i7_desktop(42), 7);
-    let mitigated = comb_level(SimulatedSystem::intel_i7_mitigated(42, 0.45), 8);
+    let standard = comb_level(i7, 7);
+    let mitigated = comb_level(|_| SimulatedSystem::intel_i7_mitigated(42, 0.45), 8);
     assert!(
         standard > 4.0 * mitigated,
         "mitigation should suppress the idle comb: {standard} vs {mitigated}"
@@ -196,14 +220,16 @@ fn segmented_sweep_matches_single_segment() {
     // segments; the stitched spectrum must sit on the same grid and the
     // detection result must not change.
     let config = narrow_campaign();
-    let run = |max_fft: usize, seed: u64| {
-        let system = SimulatedSystem::intel_i7_desktop(42);
-        let mut runner =
-            CampaignRunner::new(system, ActivityPair::LdmLdl1, seed).with_max_fft(max_fft);
-        runner.run(&config).expect("campaign")
+    let run_capped = |max_fft: usize, seed: u64| {
+        let options = CampaignOptions {
+            max_fft,
+            ..CampaignOptions::default()
+        };
+        run_campaign_with_options(&config, ActivityPair::LdmLdl1, i7, seed, options)
+            .expect("campaign")
     };
-    let single = run(1 << 12, 11);
-    let tiled = run(1 << 8, 11);
+    let single = run_capped(1 << 12, 11);
+    let tiled = run_capped(1 << 8, 11);
     assert!(single.spectrum(0).same_grid(tiled.spectrum(0)));
     let report_single = Fase::default().analyze(&single).expect("analysis");
     let report_tiled = Fase::default().analyze(&tiled).expect("analysis");
@@ -219,9 +245,7 @@ fn segmented_sweep_matches_single_segment() {
 
 #[test]
 fn campaign_determinism() {
-    let run = || {
-        let system = SimulatedSystem::intel_i7_desktop(42);
-        let mut runner = CampaignRunner::new(system, ActivityPair::LdmLdl1, 9);
+    let run_once = || {
         let config = CampaignConfig::builder()
             .band(Hertz::from_khz(300.0), Hertz::from_khz(330.0))
             .resolution(Hertz(500.0))
@@ -229,10 +253,10 @@ fn campaign_determinism() {
             .averages(1)
             .build()
             .expect("valid campaign");
-        runner.run(&config).expect("campaign")
+        run(&config, ActivityPair::LdmLdl1, i7, 9)
     };
-    let a = run();
-    let b = run();
+    let a = run_once();
+    let b = run_once();
     assert_eq!(a.spectra().len(), b.spectra().len());
     for (x, y) in a.spectra().iter().zip(b.spectra()) {
         assert_eq!(x.f_alt, y.f_alt);
