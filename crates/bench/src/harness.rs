@@ -8,6 +8,7 @@
 //! can be tracked across commits — `BENCH_pipeline.json` at the repo root
 //! is the canonical artifact.
 
+use fase_dsp::stats::percentile;
 use std::time::Instant;
 
 /// One benchmark measurement: order statistics over the timed iterations,
@@ -51,19 +52,13 @@ pub fn bench<F: FnMut()>(name: &str, warmup: usize, iters: usize, mut f: F) -> B
         f();
         samples.push(t0.elapsed().as_nanos() as f64);
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pick = |q: f64| -> f64 {
-        // Nearest-rank on the sorted samples.
-        let idx = ((samples.len() as f64 - 1.0) * q).round() as usize;
-        samples[idx]
-    };
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
     BenchResult {
         name: name.to_string(),
         iters,
-        median_ns: pick(0.5),
-        p95_ns: pick(0.95),
-        min_ns: samples[0],
+        median_ns: percentile(&samples, 50.0),
+        p95_ns: percentile(&samples, 95.0),
+        min_ns: percentile(&samples, 0.0),
         mean_ns: mean,
     }
 }

@@ -15,7 +15,6 @@ use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::{RenderCtx, SimulatedSystem, SynthMode};
 use fase_obs::{span, Recorder};
 use fase_sysmodel::{ActivityPair, Alternation};
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -132,12 +131,6 @@ pub struct CampaignOptions {
     /// stay bit-identical; a fired token stops workers before their next
     /// task and surfaces as [`FaseError::Cancelled`] from the reduce.
     pub cancel: CancelToken,
-    /// Machine-profiling/calibration results shared with other campaigns
-    /// built from the *same factory* (see [`CalibrationCache`]); `None`
-    /// (the default) scopes the sharing to this campaign alone. Sharing
-    /// never changes captured bits — only how often the deterministic
-    /// profiling pass runs.
-    pub calibration: Option<CalibrationCache>,
 }
 
 impl Default for CampaignOptions {
@@ -151,7 +144,6 @@ impl Default for CampaignOptions {
             averaging: Averaging::default(),
             recorder: Recorder::global(),
             cancel: CancelToken::never(),
-            calibration: None,
         }
     }
 }
@@ -230,46 +222,16 @@ struct Prepared {
     bench: Alternation,
 }
 
-/// Shared machine-profiling and calibration results, reusable across the
-/// campaigns of a sweep (or any caller-chosen scope).
-///
-/// Profiling an activity on a [`fase_sysmodel::Machine`] is the dominant
-/// per-campaign setup cost, and it is deterministic: the same factory and
-/// activity pair always produce the same profile, and the calibrated
-/// iteration counts depend only on that profile and the alternation
-/// frequency. The cache therefore keys the warmed machine by
-/// `(i_alt, pair)` — one op-level profiling pass no matter how many
-/// alternation frequencies or bands reuse it — and the fully calibrated
-/// state by `(i_alt, f_alt, pair)`.
-///
-/// Entries are only valid for one `factory` closure: `i_alt` stands in
-/// for the opaque factory, so a cache must never be shared between
-/// campaigns whose factories build different systems for the same
-/// `i_alt`. [`crate::run_sweep`] creates one cache per sweep (every band
-/// shares the factory), which is the intended scope. Sharing changes no
-/// bits: a hit returns exactly the machine and bench a rebuild would.
-#[derive(Debug, Clone, Default)]
-pub struct CalibrationCache {
-    /// Profile-warmed machines keyed by `(i_alt, pair label)`.
-    machines: std::sync::Arc<Mutex<BTreeMap<(usize, &'static str), fase_sysmodel::Machine>>>,
-    /// Calibrated per-frequency state keyed by
-    /// `(i_alt, f_alt bit pattern, pair label)`.
-    #[allow(clippy::type_complexity)]
-    prepared: std::sync::Arc<Mutex<BTreeMap<(usize, u64, &'static str), std::sync::Arc<Prepared>>>>,
-}
-
 /// Returns the [`Prepared`] state for `i_alt`, building it on first use.
 ///
 /// The build is deterministic (factory + calibration, no RNG), so it
 /// does not matter which worker gets there first; the per-slot mutex
 /// makes later tasks of the same frequency wait for it rather than
-/// duplicate the profiling work. The [`CalibrationCache`] extends that
-/// sharing beyond the campaign: a cached machine skips factory
-/// construction and op-level profiling, and a cached `Prepared` skips
-/// calibration entirely — with bit-identical results either way.
+/// duplicate the calibration. The op-level profiling inside it is
+/// memoized process-wide by [`fase_sysmodel::Machine::profile`], so only
+/// the first campaign on a given machine pays for the pointer chase.
 fn prepared_for<F>(
     slot: &Mutex<Option<std::sync::Arc<Prepared>>>,
-    calibration: &CalibrationCache,
     i_alt: usize,
     f_alt: Hertz,
     pair: ActivityPair,
@@ -284,50 +246,9 @@ where
     if let Some(p) = &*guard {
         return std::sync::Arc::clone(p);
     }
-    let key = (i_alt, f_alt.hz().to_bits(), pair.label());
-    // Block expressions keep each map guard's life to the lookup itself.
-    let cached = {
-        calibration
-            .prepared
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-            .cloned()
-    };
-    let p = match cached {
-        Some(p) => p,
-        None => {
-            let mkey = (i_alt, pair.label());
-            let base = {
-                calibration
-                    .machines
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .get(&mkey)
-                    .cloned()
-            };
-            let mut machine = match base {
-                Some(machine) => machine,
-                None => factory(i_alt).machine,
-            };
-            // Warms the machine's profile cache on first use; hits it on
-            // every later calibration of the same (i_alt, pair).
-            let bench = pair.calibrated(&mut machine, f_alt.hz());
-            calibration
-                .machines
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .entry(mkey)
-                .or_insert_with(|| machine.clone());
-            let p = std::sync::Arc::new(Prepared { machine, bench });
-            calibration
-                .prepared
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(key, std::sync::Arc::clone(&p));
-            p
-        }
-    };
+    let mut machine = factory(i_alt).machine;
+    let bench = pair.calibrated(&mut machine, f_alt.hz());
+    let p = std::sync::Arc::new(Prepared { machine, bench });
     *guard = Some(std::sync::Arc::clone(&p));
     p
 }
@@ -433,11 +354,6 @@ where
     let recorder = &options.recorder;
     let cancel = &options.cancel;
     let next = AtomicUsize::new(0);
-    // With no caller-supplied cache the sharing still spans this
-    // campaign's alternation frequencies: one op-level profiling pass
-    // instead of one per frequency.
-    let calibration = options.calibration.clone().unwrap_or_default();
-    let calibration = &calibration;
     let prepared: Vec<Mutex<Option<std::sync::Arc<Prepared>>>> =
         f_alts.iter().map(|_| Mutex::new(None)).collect();
     let results: Mutex<Vec<Option<TaskResult>>> =
@@ -462,7 +378,6 @@ where
                     let Some(&task) = tasks.get(i) else { break };
                     let prep = prepared_for(
                         &prepared[task.i_alt],
-                        calibration,
                         task.i_alt,
                         f_alts[task.i_alt],
                         pair,

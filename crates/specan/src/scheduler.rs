@@ -304,14 +304,6 @@ where
 
     let analyzer = Fase::new(options.analysis).with_recorder(recorder.clone());
     let cancel = &options.campaign.cancel;
-    // Every band runs the same factory and activity pair, so one
-    // calibration cache serves the whole sweep: machine profiling — the
-    // dominant per-band setup cost — happens once instead of once per
-    // band per alternation frequency, with bit-identical captures.
-    let mut band_campaign = options.campaign.clone();
-    if band_campaign.calibration.is_none() {
-        band_campaign.calibration = Some(crate::runner::CalibrationCache::default());
-    }
     let mut outcomes = Vec::with_capacity(bands.len());
     let mut reports = Vec::with_capacity(bands.len());
     let mut hits = 0usize;
@@ -377,7 +369,7 @@ where
                     pair,
                     &factory,
                     band_seed,
-                    band_campaign.clone(),
+                    options.campaign.clone(),
                 ) {
                     Ok(spectra) => spectra,
                     // The token fired mid-band: nothing of this band is

@@ -17,6 +17,8 @@ use crate::domains::DomainLoads;
 use crate::microbench::Alternation;
 use crate::trace::ActivityTrace;
 use fase_dsp::rng::Rng;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Timing-jitter model for phase execution.
 ///
@@ -101,7 +103,9 @@ pub struct KernelProfile {
 #[derive(Debug, Clone)]
 pub struct Machine {
     config: MachineConfig,
-    hierarchy: MemoryHierarchy,
+    /// Copy-on-write: clones of a profiled machine (one per capture) and
+    /// memo replays share the warmed tag arrays instead of copying them.
+    hierarchy: Arc<MemoryHierarchy>,
     /// Memoized steady-state profiles keyed by `(activity, ops)`.
     ///
     /// Profiling runs the full pointer chase through the tag arrays —
@@ -113,22 +117,30 @@ pub struct Machine {
     profile_cache: std::collections::HashMap<(Activity, usize), KernelProfile>,
 }
 
-/// Process-wide (per-thread) memo of pointer-chase profiling runs.
+/// Process-wide memo of pointer-chase profiling runs, shared by every
+/// thread.
 ///
-/// Campaign runners build a *fresh* machine per capture, so the
-/// per-instance `profile_cache` above never amortizes the first — and by
-/// far most expensive — profiling pass: warming a DRAM-sized footprint
-/// walks the tag arrays about a million times (~100 ms). The outcome is a
-/// pure function of the machine config, the hierarchy's starting state,
-/// and `(activity, ops)`, all folded into the key; the value stores both
-/// the profile and the post-profiling hierarchy state so a hit replays
-/// the run bit-exactly — including the cache-warming side effect — on any
-/// identically-configured machine.
+/// Campaigns build a *fresh* machine per alternation frequency, and
+/// every campaign runs on fresh pool workers, so the per-instance
+/// `profile_cache` above never amortizes the first — and by far most
+/// expensive — profiling pass: warming a DRAM-sized footprint walks the
+/// tag arrays about a million times (~100 ms). The outcome is a pure
+/// function of the machine config, the hierarchy's starting state, and
+/// `(activity, ops)`, all folded into the key; the value stores both the
+/// profile and the post-profiling hierarchy state so a hit replays the
+/// run bit-exactly — including the cache-warming side effect — on any
+/// identically-configured machine. Traffic counts into
+/// `sysmodel.profile_memo_hits` / `sysmodel.profile_memo_misses`.
 const PROFILE_MEMO_CAP: usize = 16;
-thread_local! {
-    static PROFILE_MEMO: std::cell::RefCell<
-        std::collections::BTreeMap<u64, (KernelProfile, MemoryHierarchy)>,
-    > = const { std::cell::RefCell::new(std::collections::BTreeMap::new()) };
+type ProfileMemo = BTreeMap<u64, (KernelProfile, Arc<MemoryHierarchy>)>;
+static PROFILE_MEMO: Mutex<ProfileMemo> = Mutex::new(BTreeMap::new());
+
+fn profile_memo() -> std::sync::MutexGuard<'static, ProfileMemo> {
+    // Entries are inserted whole, so a panic elsewhere cannot leave one
+    // half-written.
+    PROFILE_MEMO
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Machine {
@@ -136,7 +148,7 @@ impl Machine {
     pub fn new(config: MachineConfig, hierarchy: MemoryHierarchy) -> Machine {
         Machine {
             config,
-            hierarchy,
+            hierarchy: Arc::new(hierarchy),
             profile_cache: std::collections::HashMap::new(),
         }
     }
@@ -178,19 +190,21 @@ impl Machine {
             return cached;
         }
         let key = self.memo_key(activity, ops);
-        let replay = PROFILE_MEMO.with(|memo| memo.borrow().get(&key).cloned());
+        // Bind the lookup so the memo lock is released before a miss runs
+        // the pointer chase.
+        let replay = profile_memo().get(&key).cloned();
         let profile = if let Some((profile, end_state)) = replay {
+            fase_obs::Recorder::global().count("sysmodel.profile_memo_hits", 1);
             self.hierarchy = end_state;
             profile
         } else {
+            fase_obs::Recorder::global().count("sysmodel.profile_memo_misses", 1);
             let profile = self.profile_uncached(activity, ops);
-            PROFILE_MEMO.with(|memo| {
-                let mut memo = memo.borrow_mut();
-                if memo.len() >= PROFILE_MEMO_CAP {
-                    memo.clear();
-                }
-                memo.insert(key, (profile, self.hierarchy.clone()));
-            });
+            let mut memo = profile_memo();
+            if memo.len() >= PROFILE_MEMO_CAP {
+                memo.clear();
+            }
+            memo.insert(key, (profile, Arc::clone(&self.hierarchy)));
             profile
         };
         self.profile_cache.insert((activity, ops), profile);
@@ -234,11 +248,12 @@ impl Machine {
             };
         };
         let mut chase = PointerChase::new(0x4000_0000, footprint, self.config.chase_stride);
+        let hierarchy = Arc::make_mut(&mut self.hierarchy);
 
         // Warm up: two full passes over the footprint.
         let lines = footprint as u64 / self.config.chase_stride;
         for _ in 0..2 * lines {
-            self.hierarchy.access(chase.next_address());
+            hierarchy.access(chase.next_address());
         }
 
         let mut total_cycles = 0u64;
@@ -246,7 +261,7 @@ impl Machine {
         let mut dram_ops = 0usize;
         for _ in 0..ops {
             let addr = chase.next_address();
-            let outcome = self.hierarchy.access(addr);
+            let outcome = hierarchy.access(addr);
             total_cycles += outcome.latency_cycles;
             weighted = weighted
                 + activity.domain_loads(Some(outcome.level)) * (outcome.latency_cycles as f64);
@@ -447,15 +462,21 @@ mod tests {
     #[test]
     fn profile_memo_replays_bit_exactly() {
         // Two identically-built machines: the first pays the pointer
-        // chase, the second replays it from the process-wide memo. Both
-        // the profiles and the warmed hierarchy state must be identical,
-        // so everything downstream (traces, captures) stays bit-equal.
+        // chase, the second replays it from the process-wide memo on
+        // another thread. Both the profiles and the warmed hierarchy state
+        // must be identical, so everything downstream (traces, captures)
+        // stays bit-equal.
         let mut a = Machine::core_i7();
         let pa_dram = a.profile(Activity::LoadDram, 2000);
         let pa_l1 = a.profile(Activity::LoadL1, 2000);
-        let mut b = Machine::core_i7();
-        let pb_dram = b.profile(Activity::LoadDram, 2000);
-        let pb_l1 = b.profile(Activity::LoadL1, 2000);
+        let (mut b, pb_dram, pb_l1) = std::thread::spawn(|| {
+            let mut b = Machine::core_i7();
+            let pb_dram = b.profile(Activity::LoadDram, 2000);
+            let pb_l1 = b.profile(Activity::LoadL1, 2000);
+            (b, pb_dram, pb_l1)
+        })
+        .join()
+        .expect("profiling thread panicked");
         assert_eq!(pa_dram, pb_dram);
         assert_eq!(pa_l1, pb_l1);
         assert_eq!(a.hierarchy.fold_state(17), b.hierarchy.fold_state(17));

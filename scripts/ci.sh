@@ -42,6 +42,13 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> benchmark package tests"
+# crates/bench/examples/perf is a package of its own, outside the
+# workspace, so the workspace test run never compiles it. Building and
+# testing it here catches a public-API change that would break the
+# benchmark before the benchmark itself runs.
+cargo test --offline -q --manifest-path crates/bench/examples/perf/Cargo.toml
+
 echo "==> DSP property tests (rfft)"
 # Belt and braces: this suite gates the FFT/synthesis hot-path rework and
 # must run even if someone narrows the workspace test run.
