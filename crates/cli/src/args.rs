@@ -35,6 +35,8 @@ pub enum ArgError {
     },
     /// The subcommand is unknown.
     UnknownCommand(String),
+    /// The subcommand does not read this option or flag.
+    UnknownOption(String),
 }
 
 impl fmt::Display for ArgError {
@@ -52,58 +54,62 @@ impl fmt::Display for ArgError {
                 write!(f, "option --{option}: '{value}' is not a valid {expected}")
             }
             ArgError::UnknownCommand(c) => write!(f, "unknown subcommand '{c}'"),
+            ArgError::UnknownOption(k) => write!(f, "unknown option --{k}"),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
-impl ParsedArgs {
-    /// Parses `command --key value --key2 value2 …`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ArgError`] for a missing command, a flag without a
-    /// value, or a stray positional token.
-    pub fn parse(args: &[String]) -> Result<ParsedArgs, ArgError> {
-        ParsedArgs::parse_with_flags(args, &[])
+/// The subcommand: the first argument, which must not be a `--flag`.
+///
+/// # Errors
+///
+/// [`ArgError::MissingCommand`] when there is none.
+pub fn command(args: &[String]) -> Result<&str, ArgError> {
+    match args.first() {
+        Some(command) if !command.starts_with("--") => Ok(command),
+        _ => Err(ArgError::MissingCommand),
     }
+}
 
-    /// Parses like [`ParsedArgs::parse`], but the names in `boolean`
-    /// (without the `--` prefix) are value-less flags: their presence is
-    /// queried with [`ParsedArgs::flag`] instead of consuming the next
-    /// token as a value.
+impl ParsedArgs {
+    /// Parses `command --key value … --flag …`. Only the names in
+    /// `options` (which take a value) and `flags` (which do not) are
+    /// accepted, written without the `--` prefix.
     ///
     /// # Errors
     ///
-    /// Returns an [`ArgError`] for a missing command, a non-boolean flag
-    /// without a value, or a stray positional token.
-    pub fn parse_with_flags(args: &[String], boolean: &[&str]) -> Result<ParsedArgs, ArgError> {
-        let mut iter = args.iter();
-        let command = iter.next().ok_or(ArgError::MissingCommand)?.clone();
-        if command.starts_with("--") {
-            return Err(ArgError::MissingCommand);
-        }
-        let mut options = BTreeMap::new();
-        let mut flags = BTreeSet::new();
+    /// Returns an [`ArgError`] for a missing command, an option without a
+    /// value, a name in neither list, or a stray positional token.
+    pub fn parse(
+        args: &[String],
+        options: &[&str],
+        flags: &[&str],
+    ) -> Result<ParsedArgs, ArgError> {
+        let command = command(args)?.to_owned();
+        let mut parsed = ParsedArgs {
+            command,
+            ..ParsedArgs::default()
+        };
+        let mut iter = args.iter().skip(1);
         while let Some(token) = iter.next() {
             let Some(key) = token.strip_prefix("--") else {
                 return Err(ArgError::UnexpectedToken(token.clone()));
             };
-            if boolean.contains(&key) {
-                flags.insert(key.to_owned());
+            if flags.contains(&key) {
+                parsed.flags.insert(key.to_owned());
                 continue;
+            }
+            if !options.contains(&key) {
+                return Err(ArgError::UnknownOption(key.to_owned()));
             }
             let value = iter
                 .next()
                 .ok_or_else(|| ArgError::MissingValue(key.to_owned()))?;
-            options.insert(key.to_owned(), value.clone());
+            parsed.options.insert(key.to_owned(), value.clone());
         }
-        Ok(ParsedArgs {
-            command,
-            options,
-            flags,
-        })
+        Ok(parsed)
     }
 
     /// The raw string value of an option.
@@ -233,9 +239,11 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
+    const SCAN: &[&str] = &["system", "lo", "hi", "avg", "alts", "res"];
+
     #[test]
     fn parses_command_and_options() {
-        let p = ParsedArgs::parse(&argv("scan --system i7 --lo 60k --hi 2M")).unwrap();
+        let p = ParsedArgs::parse(&argv("scan --system i7 --lo 60k --hi 2M"), SCAN, &[]).unwrap();
         assert_eq!(p.command, "scan");
         assert_eq!(p.get("system"), Some("i7"));
         assert_eq!(p.frequency("lo").unwrap(), 60_000.0);
@@ -245,37 +253,42 @@ mod tests {
     #[test]
     fn parse_errors() {
         assert_eq!(
-            ParsedArgs::parse(&[]).unwrap_err(),
+            ParsedArgs::parse(&[], SCAN, &[]).unwrap_err(),
             ArgError::MissingCommand
         );
         assert_eq!(
-            ParsedArgs::parse(&argv("--lo 60k")).unwrap_err(),
+            ParsedArgs::parse(&argv("--lo 60k"), SCAN, &[]).unwrap_err(),
             ArgError::MissingCommand
         );
         assert_eq!(
-            ParsedArgs::parse(&argv("scan --lo")).unwrap_err(),
+            ParsedArgs::parse(&argv("scan --lo"), SCAN, &[]).unwrap_err(),
             ArgError::MissingValue("lo".into())
         );
         assert_eq!(
-            ParsedArgs::parse(&argv("scan stray")).unwrap_err(),
+            ParsedArgs::parse(&argv("scan stray"), SCAN, &[]).unwrap_err(),
             ArgError::UnexpectedToken("stray".into())
+        );
+        assert_eq!(
+            ParsedArgs::parse(&argv("scan --lo 60k --bandz 2"), SCAN, &[]).unwrap_err(),
+            ArgError::UnknownOption("bandz".into())
         );
     }
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let p = ParsedArgs::parse_with_flags(
+        let p = ParsedArgs::parse(
             &argv("scan --timings --system i7 --lo 60k --hi 2M"),
+            SCAN,
             &["timings"],
         )
         .unwrap();
         assert!(p.flag("timings"));
         assert!(!p.flag("metrics-out"));
         assert_eq!(p.get("system"), Some("i7"));
-        // Without registration the same token still demands a value.
+        // An unregistered flag is refused, not taken as an option.
         assert_eq!(
-            ParsedArgs::parse(&argv("scan --timings")).unwrap_err(),
-            ArgError::MissingValue("timings".into())
+            ParsedArgs::parse(&argv("scan --timings"), SCAN, &[]).unwrap_err(),
+            ArgError::UnknownOption("timings".into())
         );
     }
 
@@ -293,7 +306,7 @@ mod tests {
 
     #[test]
     fn defaults_and_requirements() {
-        let p = ParsedArgs::parse(&argv("scan --avg 8")).unwrap();
+        let p = ParsedArgs::parse(&argv("scan --avg 8"), SCAN, &[]).unwrap();
         assert_eq!(p.integer_or("avg", 4).unwrap(), 8);
         assert_eq!(p.integer_or("alts", 5).unwrap(), 5);
         assert_eq!(p.frequency_or("res", 100.0).unwrap(), 100.0);
@@ -301,7 +314,7 @@ mod tests {
             p.required("system"),
             Err(ArgError::MissingOption(_))
         ));
-        let bad = ParsedArgs::parse(&argv("scan --avg nope")).unwrap();
+        let bad = ParsedArgs::parse(&argv("scan --avg nope"), SCAN, &[]).unwrap();
         assert!(matches!(
             bad.integer_or("avg", 4),
             Err(ArgError::BadValue { .. })
@@ -310,12 +323,15 @@ mod tests {
 
     #[test]
     fn floats_and_optional_integers() {
-        let p = ParsedArgs::parse(&argv("scan --fault-rate 0.05 --fail-alt 2")).unwrap();
+        let faults = &["fault-rate", "fail-alt"];
+        let p =
+            ParsedArgs::parse(&argv("scan --fault-rate 0.05 --fail-alt 2"), faults, &[]).unwrap();
         assert_eq!(p.float_or("fault-rate", 0.0).unwrap(), 0.05);
         assert_eq!(p.float_or("other-rate", 0.25).unwrap(), 0.25);
         assert_eq!(p.integer_opt("fail-alt").unwrap(), Some(2));
         assert_eq!(p.integer_opt("absent").unwrap(), None);
-        let bad = ParsedArgs::parse(&argv("scan --fault-rate nan --fail-alt x")).unwrap();
+        let bad =
+            ParsedArgs::parse(&argv("scan --fault-rate nan --fail-alt x"), faults, &[]).unwrap();
         assert!(matches!(
             bad.float_or("fault-rate", 0.0),
             Err(ArgError::BadValue { .. })
@@ -334,5 +350,7 @@ mod tests {
             expected: "frequency (e.g. 43.3k, 2M, 100)",
         };
         assert!(format!("{e}").contains("--lo"));
+        let e = ArgError::UnknownOption("bandz".into());
+        assert_eq!(format!("{e}"), "unknown option --bandz");
     }
 }

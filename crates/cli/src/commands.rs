@@ -1,6 +1,6 @@
 //! Subcommand implementations.
 
-use crate::args::{ArgError, ParsedArgs};
+use crate::args::{self, ArgError, ParsedArgs};
 use fase_core::{
     classify_by_pairs, estimate_all, CampaignConfig, CampaignSpectra, Fase, FaseError, FaseReport,
 };
@@ -23,16 +23,18 @@ usage:
                     [--falt <freq>] [--fdelta <freq>] [--alts <n>] [--avg <n>]
                     [--seed <n>] [--csv <path>]
                     [--fault-rate <p>] [--fault-seed <n>] [--retries <n>] [--fail-alt <i>]
-  fase-cli classify --system <name> --lo <freq> --hi <freq> [scan options]
+  fase-cli classify --system <name> --lo <freq> --hi <freq>
+                     [scan options except --pair and --csv]
   fase-cli probe     --system <name> --carrier <freq> [--falt <freq>] [--span <freq>] [--seed <n>]
-  fase-cli leakage   --system <name> --lo <freq> --hi <freq> [scan options]
-  fase-cli attribute --system <name> --peak <freq> --lo <freq> --hi <freq> [scan options]
+  fase-cli leakage   --system <name> --lo <freq> --hi <freq> [scan options except --csv]
+  fase-cli attribute --system <name> --peak <freq> --lo <freq> --hi <freq>
+                     [scan options except --csv]
   fase-cli report    --system <name> --lo <freq> --hi <freq> [scan options]
                      (scan with the stage-timing tree always appended)
   fase-cli sweep     --system <name> --lo <freq> --hi <freq> [--res <freq>]
                      [--bands <n>] [--overlap <freq>] [--shard <k/n>]
-                     [--cache-dir <path>] [--resume] [--threads <n>]
-                     [scan options]
+                     [--cache-dir <path>] [--threads <n>]
+                     [scan options except --csv]
   fase-cli serve     [--addr 127.0.0.1:0] [--port-file <path>] [--cache-dir <path>]
                      [--workers <n>] [--tenant-cap <n>] [--global-cap <n>]
                      [--quantum <n>] [--default-deadline-ms <n>]
@@ -45,25 +47,26 @@ usage:
                      [--min-auc <x>] [--json]
 
 systems: i7 | i3 | turion | p3m | i7-mitigated
-frequencies accept k/M/G suffixes (e.g. 43.3k, 2M).
+frequencies accept k/M/G suffixes (e.g. 43.3k, 2M). A subcommand refuses
+any option it does not list.
 
 sweep: shards [lo, hi] into --bands overlapping bands, runs a campaign per
 band, and merges the per-band reports (seam duplicates deduplicated,
 harmonic sets regrouped across bands). With --cache-dir, each band's
-captures are cached content-addressed: a warm re-run is served from disk,
-and --resume finishes an interrupted sweep by recomputing only the missing
-bands — bit-identical to an uninterrupted run. --shard k/n computes only
-bands with index % n == k, so several hosts sharing a cache directory can
-split one span.
+captures are cached content-addressed: a re-run is served from disk and
+recomputes only the bands with no valid entry, so re-running an
+interrupted sweep finishes it — bit-identical to an uninterrupted run.
+--shard k/n computes only bands with index % n == k, so several hosts
+sharing a cache directory can split one span.
 
-observability (scan/classify/leakage/attribute/report):
+observability (scan/classify/leakage/attribute/report/sweep):
   --metrics-out <path>  write deterministic metrics JSON (stage spans,
                         counters, latency histograms; stable key order,
                         durations only, no timestamps)
   --timings             append the hierarchical stage-timing tree to the
                         report
 
-fault injection (scan/classify/leakage/attribute):
+fault injection (scan/classify/leakage/attribute/report/sweep):
   --fault-rate <p>   per-class capture impairment probability (default 0)
   --fault-seed <n>   impairment schedule seed (default derived from --seed)
   --retries <n>      retries per failed capture before giving up (default 2)
@@ -81,9 +84,9 @@ output). --drain sends a drain once the load completes; --max-p99-ms
 fails the run (exit 2) when the p99 latency exceeds the bound.
 
 detect-bench: runs the labeled detection-quality population (leaky
-machines vs interferer-only scenes) through --channels-way multi-channel
-sweeps and reports ROC-AUC / average precision for the fused statistic
-against the single-channel baseline. --out writes the deterministic
+machines vs interferer-only scenes) through multi-channel sweeps with
+--channels receivers and reports ROC-AUC / average precision for the
+fused statistic against the single-channel baseline. --out writes the deterministic
 BENCH_detection JSON (no wall times — byte-identical across thread
 counts and cache temperatures); --min-auc fails the run (exit 2) when
 the fused AUC falls below the bound; --cache-dir reuses captures.
@@ -125,7 +128,7 @@ impl CliError {
     /// |------|-----------------------------------------------------|
     /// | 0    | success                                             |
     /// | 2    | usage error or invalid configuration                |
-    /// | 3    | capture cache I/O or manifest failure               |
+    /// | 3    | capture cache I/O failure                           |
     /// | 4    | a capture exhausted its retry budget                |
     /// | 5    | a campaign worker failed (panic/abort)              |
     /// | 6    | invalid spectra or spectrum-level failure           |
@@ -159,31 +162,60 @@ impl From<FaseError> for CliError {
     }
 }
 
+/// Options every campaign-running subcommand reads: the scene, the
+/// campaign grid, and the fault and retry settings.
+const CAMPAIGN: &str =
+    "system lo hi res falt fdelta alts avg seed fault-rate fault-seed retries fail-alt";
+
+/// Options `sweep` reads besides [`CAMPAIGN`].
+const SWEEP: &str = "pair bands overlap shard cache-dir threads metrics-out";
+
+/// Options `serve` reads.
+const SERVE: &str = "addr port-file cache-dir workers tenant-cap global-cap quantum \
+                     default-deadline-ms drain-deadline-ms run-ms";
+
+/// Options `load` reads.
+const LOAD: &str =
+    "addr tenants requests concurrency seed fault-rate deadline-ms max-captures max-p99-ms";
+
+/// A subcommand body.
+type Body = fn(&ParsedArgs) -> Result<String, CliError>;
+
+/// Every subcommand: its names, the `--key value` options and the
+/// `--flag`s it reads (space-separated), and its body. Any other option
+/// is an [`ArgError::UnknownOption`].
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &[&str], &str, Body)] = &[
+    ("list-systems", &[], "", |_| Ok(list_systems())),
+    ("scan report", &[CAMPAIGN, "pair csv metrics-out"], "timings", scan),
+    ("classify", &[CAMPAIGN, "metrics-out"], "timings", classify),
+    ("probe", &["system carrier falt span seed"], "", probe),
+    ("leakage", &[CAMPAIGN, "pair metrics-out"], "timings", leakage),
+    ("attribute", &[CAMPAIGN, "pair peak metrics-out"], "timings", attribute),
+    ("sweep", &[CAMPAIGN, SWEEP], "timings", sweep),
+    ("serve", &[SERVE], "", serve),
+    ("load", &[LOAD], "json drain no-retry", load),
+    ("detect-bench", &["channels cache-dir out min-auc"], "json", detect_bench),
+    ("help -h", &[], "", |_| Ok(format!("{USAGE}\n"))),
+];
+
 /// Entry point: parses `args` and runs the subcommand, returning the text
-/// to print.
+/// to print. `report` is `scan` with the timing tree always appended.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] describing what went wrong; the binary prints it
 /// with the usage text.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let parsed =
-        ParsedArgs::parse_with_flags(args, &["timings", "resume", "json", "drain", "no-retry"])?;
-    match parsed.command.as_str() {
-        "list-systems" => Ok(list_systems()),
-        "scan" => with_observability(&parsed, false, scan),
-        "classify" => with_observability(&parsed, false, classify),
-        "probe" => probe(&parsed),
-        "leakage" => with_observability(&parsed, false, leakage),
-        "attribute" => with_observability(&parsed, false, attribute),
-        "report" => with_observability(&parsed, true, scan),
-        "sweep" => with_observability(&parsed, false, sweep),
-        "serve" => serve(&parsed),
-        "load" => load(&parsed),
-        "detect-bench" => detect_bench(&parsed),
-        "help" | "--help" | "-h" => Ok(format!("{USAGE}\n")),
-        other => Err(ArgError::UnknownCommand(other.to_owned()).into()),
-    }
+    let name = args::command(args)?;
+    let (_, options, flags, body) = COMMANDS
+        .iter()
+        .find(|c| c.0.split_whitespace().any(|n| n == name))
+        .ok_or_else(|| ArgError::UnknownCommand(name.to_owned()))?;
+    let options: Vec<&str> = options.iter().flat_map(|g| g.split_whitespace()).collect();
+    let flags: Vec<&str> = flags.split_whitespace().collect();
+    let parsed = ParsedArgs::parse(args, &options, &flags)?;
+    with_observability(&parsed, name == "report", *body)
 }
 
 /// Runs `body` under the process-wide metrics recorder when observability
@@ -193,14 +225,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 /// report. Without either request this is a plain pass-through — the
 /// recorder stays disabled and the campaign pays only a relaxed atomic
 /// load per metric site.
-fn with_observability<F>(
+fn with_observability(
     parsed: &ParsedArgs,
     always_timings: bool,
-    body: F,
-) -> Result<String, CliError>
-where
-    F: FnOnce(&ParsedArgs) -> Result<String, CliError>,
-{
+    body: Body,
+) -> Result<String, CliError> {
     let metrics_out = parsed.get("metrics-out");
     let want_timings = always_timings || parsed.flag("timings");
     if metrics_out.is_none() && !want_timings {
@@ -236,30 +265,19 @@ fn list_systems() -> String {
 /// Maps a system name to its zero-capture constructor, so sweep workers
 /// can rebuild the scene without re-validating the name.
 fn system_factory(name: &str) -> Result<fn(u64) -> SimulatedSystem, CliError> {
-    match name {
-        "i7" => Ok(SimulatedSystem::intel_i7_desktop),
-        "i3" => Ok(SimulatedSystem::intel_i3_laptop),
-        "turion" => Ok(SimulatedSystem::amd_turion_laptop),
-        "p3m" => Ok(SimulatedSystem::pentium3m_laptop),
-        "i7-mitigated" => Ok(|seed| SimulatedSystem::intel_i7_mitigated(seed, 0.45)),
-        other => Err(CliError::Invalid(format!(
-            "unknown system '{other}' (try: fase-cli list-systems)"
-        ))),
-    }
+    fase_serve::protocol::system_factory(name).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "unknown system '{name}' (try: fase-cli list-systems)"
+        ))
+    })
 }
 
 fn pair_by_name(name: &str) -> Result<ActivityPair, CliError> {
-    match name {
-        "ldm-ldl1" => Ok(ActivityPair::LdmLdl1),
-        "ldl2-ldl1" => Ok(ActivityPair::Ldl2Ldl1),
-        "ldl1-ldl1" => Ok(ActivityPair::Ldl1Ldl1),
-        "ldm-ldm" => Ok(ActivityPair::LdmLdm),
-        "stm-ldl1" => Ok(ActivityPair::StmLdl1),
-        "ldm-add" => Ok(ActivityPair::LdmAdd),
-        other => Err(CliError::Invalid(format!(
-            "unknown pair '{other}' (ldm-ldl1 | ldl2-ldl1 | ldl1-ldl1 | ldm-ldm | stm-ldl1 | ldm-add)"
-        ))),
-    }
+    fase_serve::protocol::pair_by_name(name).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "unknown pair '{name}' (ldm-ldl1 | ldl2-ldl1 | ldl1-ldl1 | ldm-ldm | stm-ldl1 | ldm-add)"
+        ))
+    })
 }
 
 fn campaign_from(parsed: &ParsedArgs) -> Result<CampaignConfig, CliError> {
@@ -478,7 +496,6 @@ fn sweep(parsed: &ParsedArgs) -> Result<String, CliError> {
     };
     options.campaign.threads = parsed.integer_opt("threads")?.map(|n| n as usize);
     options.cache_dir = parsed.get("cache-dir").map(std::path::PathBuf::from);
-    options.resume = parsed.flag("resume");
     options.shard = shard_from(parsed)?;
     // The scene seed is part of the system's cache identity; the campaign
     // itself runs under a distinct seed stream (same convention as
@@ -864,17 +881,53 @@ mod tests {
     }
 
     #[test]
-    fn sweep_rejects_bad_shard_and_blind_resume() {
+    fn sweep_rejects_bad_shard_and_unknown_options() {
         let e = run(&argv(
             "sweep --system i7 --lo 250k --hi 400k --bands 2 --shard 5",
         ))
         .unwrap_err();
         assert!(matches!(e, CliError::Args(_)), "{e}");
-        let e = run(&argv(
-            "sweep --system i7 --lo 250k --hi 400k --bands 2 --resume",
-        ))
-        .unwrap_err();
-        assert!(matches!(e, CliError::Fase(_)), "{e}");
+        // Options sweep does not read, a misspelt one or --resume, fail
+        // before anything runs instead of being ignored.
+        for (cmd, message) in [
+            (
+                "sweep --system i7 --lo 250k --hi 400k --bandz 2",
+                "unknown option --bandz",
+            ),
+            (
+                "sweep --system i7 --lo 250k --hi 400k --bands 2 --resume",
+                "unknown option --resume",
+            ),
+        ] {
+            let e = run(&argv(cmd)).unwrap_err();
+            assert!(
+                matches!(e, CliError::Args(ArgError::UnknownOption(_))),
+                "{cmd}: {e}"
+            );
+            assert_eq!(e.to_string(), message);
+            assert_eq!(e.exit_code(), 2);
+        }
+        // Options are per subcommand: probe does not read --pair.
+        let e = run(&argv("probe --system i7 --carrier 315k --pair ldm-ldl1")).unwrap_err();
+        assert!(
+            matches!(e, CliError::Args(ArgError::UnknownOption(_))),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn every_usage_option_is_accepted_somewhere() {
+        let accepted: Vec<&str> = COMMANDS
+            .iter()
+            .flat_map(|(_, options, flags, _)| options.iter().chain([flags]))
+            .flat_map(|names| names.split_whitespace())
+            .collect();
+        for token in USAGE.split(|c: char| c.is_whitespace() || "[]|".contains(c)) {
+            if let Some(name) = token.strip_prefix("--") {
+                let name = name.trim_end_matches([',', ')', ';', '.']);
+                assert!(accepted.contains(&name), "USAGE lists unaccepted --{name}");
+            }
+        }
     }
 
     #[test]

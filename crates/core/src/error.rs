@@ -30,11 +30,10 @@ pub enum FaseError {
         /// Description of the final attempt's failure.
         cause: String,
     },
-    /// The capture cache could not be read or written (I/O failure,
-    /// unparsable entry, manifest problems). Cache *corruption* is never
-    /// an error — invalid entries are detected by their integrity hash and
-    /// silently recomputed — so this variant covers only the cases where
-    /// the sweep cannot proceed at all.
+    /// The capture cache could not be created or written (I/O failure).
+    /// Cache *corruption* is never an error — invalid entries are detected
+    /// by their integrity hash and silently recomputed — so this variant
+    /// covers only the cases where the sweep cannot proceed at all.
     Cache(String),
     /// The operation was cancelled cooperatively before it could finish —
     /// a deadline expired, a capture budget ran out, or a caller asked for

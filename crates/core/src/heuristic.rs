@@ -346,7 +346,7 @@ pub fn all_harmonic_scores_recorded(
         "core.heuristic.bins_scored",
         ctx.column_sum.len().saturating_mul(harmonics.len()),
     );
-    let threads = heuristic_threads().min(harmonics.len()).max(1);
+    let threads = worker_threads(None).min(harmonics.len()).max(1);
     if threads == 1 {
         return harmonics.iter().map(|&h| ctx.harmonic(h, config)).collect();
     }
@@ -381,17 +381,23 @@ pub fn all_harmonic_scores_recorded(
         .collect()
 }
 
-/// Worker count for the harmonic sweep: `FASE_THREADS` if set, else the
-/// machine's available parallelism.
-fn heuristic_threads() -> usize {
-    // fase-lint: allow(D-env) -- FASE_THREADS selects the worker count only; sweep results are bit-identical for any value (see the parallel-vs-sequential property tests)
+/// Resolves a worker count: `requested` if given, else `FASE_THREADS` if
+/// set to a number, else the machine's available parallelism; never 0.
+/// Every parallel stage in the workspace (this harmonic sweep, the
+/// campaign capture pool) sizes itself here, and none of them computes
+/// different bits for a different count.
+pub fn worker_threads(requested: Option<usize>) -> usize {
+    if let Some(n) = requested {
+        return n.max(1);
+    }
+    // fase-lint: allow(D-env) -- FASE_THREADS selects the worker count only; harmonic sweeps and campaigns are bit-identical for any value (parallel-vs-sequential property tests, figure worker-count identity)
     if let Some(n) = std::env::var("FASE_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
     {
         return n.max(1);
     }
-    // fase-lint: allow(D-thread) -- the machine's parallelism affects scheduling, not results; per-harmonic scores are thread-count-invariant
+    // fase-lint: allow(D-thread) -- the machine's parallelism affects scheduling, not results; per-harmonic scores and capture-task outputs reduce in a fixed order
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

@@ -5,6 +5,7 @@ use crate::grouping::{group_harmonic_sets, HarmonicSet};
 use crate::health::CampaignHealth;
 use crate::heuristic::ScoreTrace;
 use fase_dsp::Hertz;
+use fase_obs::json::quote as json_str;
 use std::fmt;
 
 /// Everything a FASE run produces: detected carriers (strongest evidence
@@ -152,25 +153,6 @@ pub(crate) fn json_f64(x: f64) -> String {
         // but a textual escape keeps the serializer total.
         format!("\"{x:?}\"")
     }
-}
-
-/// Escapes a string for a JSON literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn carrier_json(c: &Carrier) -> String {

@@ -1,4 +1,6 @@
-//! Minimal recursive-descent JSON parser used by the metrics validator.
+//! Minimal recursive-descent JSON parser used by the metrics validator,
+//! and [`quote`], the one JSON string writer every exporter in the
+//! workspace shares.
 //!
 //! Hand-rolled because the workspace is offline and dependency-free, and
 //! deliberately non-standard in one way: objects are kept as `(key,
@@ -103,6 +105,28 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
         return Err(parser.error("trailing data after document"));
     }
     Ok(value)
+}
+
+/// `s` as a JSON string literal, quotes included. `"` and `\` are
+/// backslash-escaped, `\n`, `\r` and `\t` by name, other control
+/// characters as `\u00XX`; everything else passes through unchanged.
+#[must_use]
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 const MAX_DEPTH: usize = 64;
@@ -321,5 +345,25 @@ impl Parser<'_> {
                 _ => return Err(self.error("expected ',' or ']' in array")),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quote_round_trips_through_parse() {
+        for s in [
+            "",
+            "plain",
+            "q\"uo\\te",
+            "nl\ncr\rtab\t",
+            "ctl\u{1}\u{1f}",
+            "µs ✓",
+        ] {
+            assert_eq!(parse(&quote(s)), Ok(Value::String(s.to_owned())), "{s:?}");
+        }
+        assert_eq!(quote("a\u{1}b"), "\"a\\u0001b\"");
     }
 }

@@ -2,6 +2,7 @@
 //! deterministic JSON (stable key order, durations only, no timestamps)
 //! and a human-readable span/counter tree for `--timings`.
 
+use crate::json::quote;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -211,7 +212,8 @@ fn push_indent(out: &mut String, level: usize) {
 
 fn push_key(out: &mut String, level: usize, key: &str) {
     push_indent(out, level);
-    let _ = write!(out, "\"{}\": ", escape(key));
+    out.push_str(&quote(key));
+    out.push_str(": ");
 }
 
 fn push_u64_map(out: &mut String, level: usize, map: &BTreeMap<String, u64>) {
@@ -243,24 +245,6 @@ fn push_f64_map(out: &mut String, level: usize, map: &BTreeMap<String, f64>) {
     }
     push_indent(out, level);
     out.push('}');
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn fmt_ns(ns: u64) -> String {

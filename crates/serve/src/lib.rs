@@ -19,9 +19,10 @@
 //!   its own request (bounded retries with exponential backoff first);
 //!   the pool and every other tenant keep going ([`server`]).
 //! * **Graceful drain** — `POST /v1/drain` stops admission, finishes the
-//!   work already accepted under a drain deadline, and leaves the cache
-//!   manifest consistent so a restarted server resumes an interrupted
-//!   sweep bit-identically ([`server::Server::drain`]).
+//!   work already accepted under a drain deadline, and leaves every
+//!   finished band in the shared capture cache, so a restarted server
+//!   resumes an interrupted sweep bit-identically
+//!   ([`server::Server::drain`]).
 //!
 //! The HTTP layer ([`http`]) is deliberately minimal — request line,
 //! headers, `Content-Length` bodies, bounded sizes, socket timeouts —

@@ -8,7 +8,7 @@
 
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_obs::json::{parse, Value};
+use fase_obs::json::{parse, quote, Value};
 use fase_specan::{SweepConfig, SweepOutcome};
 use fase_sysmodel::ActivityPair;
 
@@ -223,9 +223,9 @@ impl SweepRequest {
             "{{\"tenant\":{},\"system\":{},\"pair\":{},\"lo\":{},\"hi\":{},\"res\":{},\
              \"bands\":{},\"overlap\":{},\"falt\":{},\"fdelta\":{},\"alts\":{},\"avg\":{},\
              \"seed\":{},\"fault_rate\":{},\"retries\":{}",
-            escape(&self.tenant),
-            escape(&self.system),
-            escape(&self.pair),
+            quote(&self.tenant),
+            quote(&self.system),
+            quote(&self.pair),
             self.lo,
             self.hi,
             self.resolution,
@@ -256,8 +256,8 @@ impl SweepRequest {
     }
 }
 
-/// Maps a system preset name to its zero-capture constructor (same
-/// vocabulary as `fase-cli`).
+/// Maps a system preset name to its zero-capture constructor; `fase-cli`
+/// resolves its `--system` names here too.
 pub fn system_factory(name: &str) -> Option<fn(u64) -> SimulatedSystem> {
     match name {
         "i7" => Some(SimulatedSystem::intel_i7_desktop),
@@ -269,8 +269,8 @@ pub fn system_factory(name: &str) -> Option<fn(u64) -> SimulatedSystem> {
     }
 }
 
-/// Maps an activity-pair name to the pair (same vocabulary as
-/// `fase-cli`).
+/// Maps an activity-pair name to the pair; `fase-cli` resolves its
+/// `--pair` names here too.
 pub fn pair_by_name(name: &str) -> Option<ActivityPair> {
     match name {
         "ldm-ldl1" => Some(ActivityPair::LdmLdl1),
@@ -283,33 +283,10 @@ pub fn pair_by_name(name: &str) -> Option<ActivityPair> {
     }
 }
 
-/// JSON string escape (mirrors the metric exporter's rules).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A structured error body: `{"error": kind, "message": ...}` plus an
 /// optional machine-readable retry hint.
 pub fn error_body(kind: &str, message: &str, retry_after_ms: Option<u64>) -> String {
-    let mut out = format!(
-        "{{\"error\":{},\"message\":{}",
-        escape(kind),
-        escape(message)
-    );
+    let mut out = format!("{{\"error\":{},\"message\":{}", quote(kind), quote(message));
     if let Some(ms) = retry_after_ms {
         out.push_str(&format!(",\"retry_after_ms\":{ms}"));
     }
@@ -338,8 +315,8 @@ pub fn sweep_body(tenant: &str, outcome: &SweepOutcome) -> String {
     format!(
         "{{\"tenant\":{},\"status\":{},\"degraded\":{},\"cancelled\":{},\"complete\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\"bands\":[{}],\"report\":{}}}",
-        escape(tenant),
-        escape(if outcome.report.is_degraded() || outcome.cancelled {
+        quote(tenant),
+        quote(if outcome.report.is_degraded() || outcome.cancelled {
             "degraded"
         } else {
             "complete"
@@ -361,8 +338,8 @@ pub fn cancelled_body(tenant: &str, reason: &str) -> String {
         "{{\"tenant\":{},\"status\":\"degraded\",\"degraded\":true,\"cancelled\":true,\
          \"complete\":false,\"cache_hits\":0,\"cache_misses\":0,\"bands\":[],\
          \"reason\":{},\"report\":null}}",
-        escape(tenant),
-        escape(reason)
+        quote(tenant),
+        quote(reason)
     )
 }
 

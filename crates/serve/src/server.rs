@@ -35,10 +35,11 @@
 
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::protocol::{
-    cancelled_body, error_body, escape, pair_by_name, sweep_body, system_factory, SweepRequest,
+    cancelled_body, error_body, pair_by_name, sweep_body, system_factory, SweepRequest,
 };
 use crate::queue::{DrrQueues, QueueCaps};
 use fase_core::FaseError;
+use fase_obs::json::quote;
 use fase_obs::Recorder;
 use fase_specan::{CancelToken, FaultPlan, FaultRates, SweepOptions};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -387,7 +388,7 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Response {
 fn health_body(shared: &Arc<Shared>) -> String {
     format!(
         "{{\"phase\":{},\"queued\":{},\"active\":{},\"workers\":{}}}",
-        escape(shared.phase().as_str()),
+        quote(shared.phase().as_str()),
         lock(&shared.queues).len(),
         shared.active.load(Ordering::SeqCst),
         shared.config.workers.max(1)

@@ -209,7 +209,7 @@ fn mid_run_drain_answers_every_accepted_request() {
 
 #[test]
 fn restarted_server_resumes_an_interrupted_sweep_byte_identically() {
-    let cache = temp_dir("resume");
+    let cache = temp_dir("restart");
 
     // Server A: the request's capture budget covers band 0 only (15
     // captures); band 1 is abandoned and the reply is degraded.

@@ -18,26 +18,36 @@
 //! which is what makes warm-cache and resumed sweeps byte-identical to
 //! cold ones.
 //!
-//! A [`SweepManifest`] sits next to the entries and records which bands of
-//! a given sweep plan have completed, making interrupted sweeps resumable.
+//! The entries are the sweep's only state: an interrupted sweep resumes by
+//! re-running it over the same directory, because every finished band is
+//! found by its key and every missing one is captured.
+//!
+//! Writers need no lock. Each [`CaptureCache::store`] writes a temp file
+//! under a name no other writer uses (process id plus a process-wide
+//! counter) and renames it into place. Two writers of one key write the
+//! same bytes, the rename replaces the entry atomically, and a torn file
+//! still fails the integrity hash. A writer killed mid-write leaves its
+//! `*.tmp` file behind; nothing reads it, and it can be deleted.
 
 use fase_core::{
     CampaignConfig, CampaignHealth, CampaignSpectra, DroppedAlternation, FaseError, FaultRecord,
     LabeledSpectrum,
 };
 use fase_dsp::{Hertz, Spectrum};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// First line of every cache entry; bump the version to invalidate the
 /// whole cache when the entry format (or anything upstream of the stored
 /// bits) changes incompatibly.
 const ENTRY_MAGIC: &str = "FASECACHE v1";
 
-/// First line of every sweep manifest.
-const MANIFEST_MAGIC: &str = "FASESWEEP v1";
+/// Numbers this process's temp files, so concurrent writers in one
+/// process never share a temp name. It publishes no other data, so
+/// `Relaxed` increments suffice.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// FNV-1a 64-bit offset basis.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -66,110 +76,6 @@ fn digest_hex(bytes: &[u8]) -> String {
         fnv1a64(bytes, FNV_BASIS),
         fnv1a64(bytes, FNV_BASIS ^ FNV_SALT)
     )
-}
-
-/// Total time a writer waits for the directory lock before giving up.
-const LOCK_TIMEOUT_MS: u64 = 10_000;
-
-/// After waiting this long on a lock file with unreadable contents, the
-/// holder is presumed to have died between creating the file and writing
-/// its PID, and the lock is stolen.
-const LOCK_UNREADABLE_GRACE_MS: u64 = 500;
-
-/// An advisory cross-process writer lock on a cache directory.
-///
-/// Entry and manifest writes are temp-file + rename, which is safe
-/// against *readers* — but two writers sharing a directory (two sweeps
-/// with the same `--cache-dir`, or the server's request threads) can
-/// race on the same temp name and rename each other's half-written file
-/// into place. Every write therefore takes this lock first.
-///
-/// The lock is a `create_new` file holding the owner's PID. A waiter
-/// that finds the file checks whether the recorded PID is still alive
-/// (via `/proc`); a dead owner's lock is stolen, a live owner's is
-/// waited on with growing sleeps, bounded by [`LOCK_TIMEOUT_MS`].
-#[derive(Debug)]
-pub struct DirLock {
-    path: PathBuf,
-}
-
-impl DirLock {
-    /// Acquires the writer lock for `dir`, blocking (with backoff) while
-    /// another live process or thread holds it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaseError::Cache`] when the lock file cannot be created
-    /// for I/O reasons, or when a live holder keeps it past
-    /// [`LOCK_TIMEOUT_MS`].
-    pub fn acquire(dir: &Path) -> Result<DirLock, FaseError> {
-        let path = dir.join(".fase-cache.lock");
-        let mut waited_ms = 0u64;
-        // fase-lint: allow(C-cancel) -- lock acquisition is bounded by LOCK_TIMEOUT_MS and breaks stale holders; no token flows here
-        loop {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    use std::io::Write as _;
-                    // A failed PID write leaves the lock held but
-                    // anonymous; waiters then apply the unreadable-lock
-                    // grace period instead of PID liveness.
-                    let _ = writeln!(file, "pid {}", std::process::id());
-                    return Ok(DirLock { path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if holder_is_stale(&path, waited_ms) {
-                        let _ = std::fs::remove_file(&path);
-                        continue;
-                    }
-                }
-                Err(e) => {
-                    return Err(FaseError::cache(format!(
-                        "creating lock {}: {e}",
-                        path.display()
-                    )))
-                }
-            }
-            if waited_ms >= LOCK_TIMEOUT_MS {
-                return Err(FaseError::cache(format!(
-                    "lock {} held by a live process for over {LOCK_TIMEOUT_MS} ms",
-                    path.display()
-                )));
-            }
-            let step = (waited_ms / 8).clamp(1, 20);
-            std::thread::sleep(std::time::Duration::from_millis(step));
-            waited_ms += step;
-        }
-    }
-}
-
-impl Drop for DirLock {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// True when the lock at `path` belongs to a process that no longer
-/// exists. A vanished file reads as *not* stale (its owner just released
-/// it — the acquire loop will retry `create_new` immediately anyway); an
-/// unreadable PID becomes stale only after a grace period, so a holder
-/// between "create" and "write PID" is not robbed. Without `/proc`
-/// liveness is unknowable and the acquire timeout is the only bound.
-fn holder_is_stale(path: &Path, waited_ms: u64) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    let pid = text
-        .strip_prefix("pid ")
-        .and_then(|t| t.trim().parse::<u32>().ok());
-    let Some(pid) = pid else {
-        return waited_ms >= LOCK_UNREADABLE_GRACE_MS;
-    };
-    let proc_root = Path::new("/proc");
-    proc_root.exists() && !proc_root.join(pid.to_string()).exists()
 }
 
 /// A content-address: the 128-bit hex digest of a canonical capture
@@ -232,11 +138,6 @@ impl CaptureCache {
         Ok(CaptureCache { dir })
     }
 
-    /// The cache's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn entry_path(&self, key: &CacheKey) -> PathBuf {
         self.dir.join(format!("{}.entry", key.hex()))
     }
@@ -276,15 +177,13 @@ impl CaptureCache {
     }
 
     /// Persists a reduced band campaign under `key`. The entry is written
-    /// to a temporary file and renamed into place under the directory's
-    /// [`DirLock`], so a concurrent or killed writer can never leave a
-    /// half-entry under the final name — at worst the integrity hash
-    /// catches a torn rename target.
+    /// to a temp file of its own and renamed into place, so a concurrent
+    /// or killed writer can never leave a half-entry under the final name
+    /// — at worst the integrity hash catches a torn rename target.
     ///
     /// # Errors
     ///
-    /// Returns [`FaseError::Cache`] when the entry cannot be written or
-    /// the writer lock cannot be acquired.
+    /// Returns [`FaseError::Cache`] when the entry cannot be written.
     pub fn store(&self, key: &CacheKey, spectra: &CampaignSpectra) -> Result<(), FaseError> {
         let payload = encode_spectra(spectra);
         let text = format!(
@@ -292,15 +191,21 @@ impl CaptureCache {
             key.hex(),
             digest_hex(payload.as_bytes())
         );
-        let tmp = self.dir.join(format!("{}.tmp", key.hex()));
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = self
+            .dir
+            .join(format!("{}.{}-{seq}.tmp", key.hex(), std::process::id()));
         let path = self.entry_path(key);
-        let lock = DirLock::acquire(&self.dir)?;
-        std::fs::write(&tmp, text)
-            .map_err(|e| FaseError::cache(format!("writing {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| FaseError::cache(format!("renaming into {}: {e}", path.display())))?;
-        drop(lock);
-        Ok(())
+        let written = std::fs::write(&tmp, text)
+            .map_err(|e| FaseError::cache(format!("writing {}: {e}", tmp.display())))
+            .and_then(|()| {
+                std::fs::rename(&tmp, &path)
+                    .map_err(|e| FaseError::cache(format!("renaming into {}: {e}", path.display())))
+            });
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 }
 
@@ -524,162 +429,6 @@ fn decode_spectra(payload: &str) -> Option<CampaignSpectra> {
     })
 }
 
-/// Progress record of one sweep plan: which bands have a finished (and
-/// cached, when a cache is attached) campaign. Lives next to the cache
-/// entries, named by the sweep plan's own content hash, so concurrent
-/// sweeps of different plans never collide. `fase sweep --resume` reads
-/// it to prove there is an interrupted sweep to pick up.
-#[derive(Debug)]
-pub struct SweepManifest {
-    path: PathBuf,
-    span_key: String,
-    bands: usize,
-    done: BTreeMap<usize, String>,
-}
-
-impl SweepManifest {
-    fn manifest_path(dir: &Path, span_key: &CacheKey) -> PathBuf {
-        dir.join(format!("sweep-{}.manifest", span_key.hex()))
-    }
-
-    /// Starts a fresh manifest for the sweep plan hashed as `span_key`,
-    /// overwriting any previous record of the same plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaseError::Cache`] when the manifest cannot be written.
-    pub fn create(
-        dir: &Path,
-        span_key: &CacheKey,
-        bands: usize,
-    ) -> Result<SweepManifest, FaseError> {
-        let manifest = SweepManifest {
-            path: SweepManifest::manifest_path(dir, span_key),
-            span_key: span_key.hex().to_owned(),
-            bands,
-            done: BTreeMap::new(),
-        };
-        manifest.persist()?;
-        Ok(manifest)
-    }
-
-    /// Loads the manifest for `span_key`, if one exists. `Ok(None)` means
-    /// no sweep of this plan was ever started here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaseError::Cache`] when a manifest exists but cannot be
-    /// read or does not match this sweep plan (wrong magic, key, or band
-    /// count) — resuming against it would silently produce a different
-    /// sweep, so that is refused rather than repaired.
-    pub fn load(
-        dir: &Path,
-        span_key: &CacheKey,
-        bands: usize,
-    ) -> Result<Option<SweepManifest>, FaseError> {
-        let path = SweepManifest::manifest_path(dir, span_key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(FaseError::cache(format!(
-                    "reading manifest {}: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let corrupt = || FaseError::cache(format!("manifest {} is corrupt", path.display()));
-        let mut lines = text.lines();
-        if lines.next() != Some(MANIFEST_MAGIC) {
-            return Err(corrupt());
-        }
-        let mut span_toks = lines.next().ok_or_else(corrupt)?.split_whitespace();
-        if span_toks.next() != Some("span") {
-            return Err(corrupt());
-        }
-        let recorded_key = span_toks.next().ok_or_else(corrupt)?;
-        if span_toks.next() != Some("bands") {
-            return Err(corrupt());
-        }
-        let recorded_bands: usize = span_toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(corrupt)?;
-        if recorded_key != span_key.hex() || recorded_bands != bands {
-            return Err(FaseError::cache(format!(
-                "manifest {} records a different sweep plan",
-                path.display()
-            )));
-        }
-        let mut done = BTreeMap::new();
-        for line in lines {
-            let mut toks = line.split_whitespace();
-            if toks.next() != Some("done") {
-                return Err(corrupt());
-            }
-            let band: usize = toks
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(corrupt)?;
-            let entry = toks.next().ok_or_else(corrupt)?.to_owned();
-            done.insert(band, entry);
-        }
-        Ok(Some(SweepManifest {
-            path,
-            span_key: span_key.hex().to_owned(),
-            bands,
-            done,
-        }))
-    }
-
-    /// Records band `band` as finished, persisting immediately (the whole
-    /// point is surviving a kill between bands).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaseError::Cache`] when the manifest cannot be written.
-    pub fn mark_done(&mut self, band: usize, entry: &CacheKey) -> Result<(), FaseError> {
-        self.done.insert(band, entry.hex().to_owned());
-        self.persist()
-    }
-
-    /// True when band `band` finished in some earlier (or this) run.
-    pub fn is_done(&self, band: usize) -> bool {
-        self.done.contains_key(&band)
-    }
-
-    /// How many bands have finished.
-    pub fn done_count(&self) -> usize {
-        self.done.len()
-    }
-
-    /// True when every band of the plan has finished.
-    pub fn is_complete(&self) -> bool {
-        self.done.len() == self.bands
-    }
-
-    /// Atomic rewrite: temp file + rename under the directory's
-    /// [`DirLock`], same discipline as entries.
-    fn persist(&self) -> Result<(), FaseError> {
-        let mut text = format!(
-            "{MANIFEST_MAGIC}\nspan {} bands {}\n",
-            self.span_key, self.bands
-        );
-        for (band, entry) in &self.done {
-            let _ = writeln!(text, "done {band} {entry}");
-        }
-        let tmp = self.path.with_extension("manifest.tmp");
-        let dir = self.path.parent().unwrap_or(Path::new("."));
-        let lock = DirLock::acquire(dir)?;
-        std::fs::write(&tmp, text)
-            .map_err(|e| FaseError::cache(format!("writing {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| FaseError::cache(format!("renaming into {}: {e}", self.path.display())))?;
-        drop(lock);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,85 +550,81 @@ mod tests {
     }
 
     #[test]
-    fn manifest_tracks_progress_across_loads() {
-        let dir = temp_dir("manifest");
-        std::fs::create_dir_all(&dir).unwrap();
-        let span = CacheKey::from_description("span");
-        let entry = CacheKey::from_description("entry");
-        assert!(SweepManifest::load(&dir, &span, 3).unwrap().is_none());
-        let mut m = SweepManifest::create(&dir, &span, 3).unwrap();
-        assert!(!m.is_complete());
-        m.mark_done(0, &entry).unwrap();
-        m.mark_done(2, &entry).unwrap();
-        let loaded = SweepManifest::load(&dir, &span, 3).unwrap().unwrap();
-        assert!(loaded.is_done(0) && !loaded.is_done(1) && loaded.is_done(2));
-        assert_eq!(loaded.done_count(), 2);
-        // A different plan (band count) refuses to resume against it.
-        assert!(SweepManifest::load(&dir, &span, 4).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn two_threads_hammering_one_dir_stay_consistent() {
-        // The DirLock serializes entry + manifest writes: two threads
-        // storing under distinct and *shared* keys, while re-persisting a
-        // manifest, must leave every entry loadable and hash-valid.
+    fn concurrent_stores_and_loads_in_one_dir_stay_consistent() {
+        // No lock guards the directory: writers storing shared and
+        // distinct keys, while a reader loads in a loop, must never expose
+        // a torn entry, and must leave every entry bit-exact and no temp
+        // file behind.
+        use std::sync::atomic::AtomicBool;
+        const WRITERS: usize = 3;
+        const KEYS: usize = 4;
         let dir = temp_dir("hammer");
-        let cache = std::sync::Arc::new(CaptureCache::open(&dir).unwrap());
-        let spectra = std::sync::Arc::new(sample_spectra(true));
-        let span = CacheKey::from_description("hammer-span");
+        let cache = CaptureCache::open(&dir).unwrap();
+        let spectra = sample_spectra(true);
+        let keys: Vec<CacheKey> = (0..KEYS)
+            .map(|i| CacheKey::from_description(&format!("hammer-shared-{i}")))
+            .chain(
+                (0..WRITERS * KEYS).map(|i| CacheKey::from_description(&format!("hammer-own-{i}"))),
+            )
+            .collect();
+        let stored: Vec<AtomicBool> = keys.iter().map(|_| AtomicBool::new(false)).collect();
+        let writers_done = AtomicBool::new(false);
+        // Every thread starts at once, so the writes and reads overlap.
+        let start = std::sync::Barrier::new(WRITERS + 1);
         std::thread::scope(|scope| {
-            for t in 0..2u32 {
-                let cache = std::sync::Arc::clone(&cache);
-                let spectra = std::sync::Arc::clone(&spectra);
-                let span = span.clone();
-                scope.spawn(move || {
-                    let mut manifest = SweepManifest::create(cache.dir(), &span, 1000).unwrap();
-                    for i in 0..40u32 {
-                        let key = CacheKey::from_description(&format!("hammer-{}", i % 8));
-                        cache.store(&key, &spectra).unwrap();
-                        manifest.mark_done((t * 40 + i) as usize, &key).unwrap();
+            let reader = scope.spawn(|| {
+                start.wait();
+                let mut loads = 0usize;
+                while !writers_done.load(Ordering::SeqCst) || loads == 0 {
+                    for (key, was_stored) in keys.iter().zip(&stored) {
+                        let stored_before = was_stored.load(Ordering::SeqCst);
+                        match cache.load(key) {
+                            CacheLookup::Hit(loaded) => assert_eq!(*loaded, spectra),
+                            CacheLookup::Miss => assert!(!stored_before, "{key} vanished"),
+                            CacheLookup::Invalid => panic!("{key} read as invalid"),
+                        }
+                        loads += 1;
                     }
-                });
+                }
+            });
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|t| {
+                    let (cache, spectra, keys, stored) = (&cache, &spectra, &keys, &stored);
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        for _ in 0..40 {
+                            for i in 0..KEYS {
+                                let (shared, own) = (i, KEYS + t * KEYS + i);
+                                for k in [shared, own] {
+                                    cache.store(&keys[k], spectra).unwrap();
+                                    stored[k].store(true, Ordering::SeqCst);
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Stop the reader even when a writer failed, then report.
+            let written: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+            writers_done.store(true, Ordering::SeqCst);
+            reader.join().unwrap();
+            for result in written {
+                result.unwrap();
             }
         });
-        for i in 0..8u32 {
-            let key = CacheKey::from_description(&format!("hammer-{i}"));
-            match cache.load(&key) {
-                CacheLookup::Hit(loaded) => assert_eq!(*loaded, *spectra),
-                other => panic!("entry {i} unreadable after hammer: {other:?}"),
+        for key in &keys {
+            match cache.load(key) {
+                CacheLookup::Hit(loaded) => assert_eq!(*loaded, spectra),
+                other => panic!("entry {key} unreadable after hammer: {other:?}"),
             }
         }
-        // Both writers released the lock.
-        assert!(!dir.join(".fase-cache.lock").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_lock_from_dead_pid_is_stolen() {
-        let dir = temp_dir("stale");
-        std::fs::create_dir_all(&dir).unwrap();
-        // PIDs near u32::MAX exceed the kernel's pid_max; no live process
-        // can own this lock.
-        std::fs::write(dir.join(".fase-cache.lock"), "pid 4294967295\n").unwrap();
-        let lock = DirLock::acquire(&dir).unwrap();
-        drop(lock);
-        assert!(!dir.join(".fase-cache.lock").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn held_lock_blocks_until_released() {
-        let dir = temp_dir("held");
-        std::fs::create_dir_all(&dir).unwrap();
-        let first = DirLock::acquire(&dir).unwrap();
-        let dir2 = dir.clone();
-        let waiter = std::thread::spawn(move || DirLock::acquire(&dir2).map(drop));
-        // The waiter sees our live PID and must not steal.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(!waiter.is_finished(), "lock was stolen from a live owner");
-        drop(first);
-        waiter.join().unwrap().unwrap();
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -41,7 +41,7 @@ pub mod sweep;
 
 pub use analyzer::SpectrumAnalyzer;
 pub use antenna::AntennaResponse;
-pub use cache::{CacheKey, CacheLookup, CaptureCache, DirLock, SweepManifest};
+pub use cache::{CacheKey, CacheLookup, CaptureCache};
 pub use cancel::CancelToken;
 pub use fault::{FaultKind, FaultPlan, FaultRates};
 pub use multichannel::{run_multichannel_sweep, ChannelPlan, MultiSweepOutcome};

@@ -7,8 +7,8 @@ use crate::cancel::CancelToken;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::sweep::{SegmentSpec, SweepPlan};
 use fase_core::{
-    CampaignConfig, CampaignHealth, CampaignSpectra, DroppedAlternation, FaseError, FaultRecord,
-    LabeledSpectrum,
+    worker_threads, CampaignConfig, CampaignHealth, CampaignSpectra, DroppedAlternation, FaseError,
+    FaultRecord, LabeledSpectrum,
 };
 use fase_dsp::rng::{mix_seed, SmallRng};
 use fase_dsp::{Hertz, Spectrum};
@@ -181,25 +181,6 @@ struct TaskResult {
     faults: Vec<FaultRecord>,
 }
 
-/// Resolves the worker count: explicit request, then `FASE_THREADS`, then
-/// the machine's available parallelism.
-fn effective_threads(requested: Option<usize>) -> usize {
-    if let Some(n) = requested {
-        return n.max(1);
-    }
-    // fase-lint: allow(D-env) -- FASE_THREADS selects the worker count only; campaign output is bit-identical for any value (PR 1 guarantee)
-    if let Some(n) = std::env::var("FASE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    // fase-lint: allow(D-thread) -- the machine's parallelism affects scheduling, not results; task outputs reduce in task order
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// Extracts a printable message from a worker panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -347,7 +328,7 @@ where
         }
     }
 
-    let threads = effective_threads(options.threads).min(tasks.len()).max(1);
+    let threads = worker_threads(options.threads).min(tasks.len()).max(1);
     let synth_mode = options.synth_mode;
     let max_attempts = options.max_attempts.max(1);
     let fault_plan = options.fault_plan.as_ref();

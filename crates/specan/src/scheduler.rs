@@ -16,17 +16,17 @@
 //!   ([`crate::cache`]); a warm re-run (or one with changed *analysis*
 //!   settings, which are not part of the key) skips synthesis entirely and
 //!   is byte-identical to the cold run.
-//! * **Resume** — a [`crate::cache::SweepManifest`] records finished
-//!   bands; [`SweepOptions::resume`] re-runs only missing or invalid
-//!   shards. Per-band seeds derive from the band *index*
-//!   (`mix_seed(seed, index)`), never from execution order, so a resumed
-//!   sweep's report is bit-identical to an uninterrupted one.
+//! * **Resume** — the cache is the sweep's only state: re-running an
+//!   interrupted sweep over the same cache directory recomputes only the
+//!   bands with no valid entry. Per-band seeds derive from the band
+//!   *index* (`mix_seed(seed, index)`), never from execution order, so a
+//!   resumed sweep's report is bit-identical to an uninterrupted one.
 //! * **Sharding** — [`SweepOptions::shard`] `k/n` makes this process
 //!   compute only bands with `index % n == k`, so `n` hosts sharing a
 //!   cache directory can split a span and any one of them can later merge
 //!   the full result.
 
-use crate::cache::{CacheKey, CacheLookup, CaptureCache, SweepManifest};
+use crate::cache::{CacheKey, CacheLookup, CaptureCache};
 use crate::runner::{run_campaign_with_options, CampaignOptions};
 use crate::sweep::{plan_bands, SweepBand};
 use fase_core::{
@@ -89,12 +89,10 @@ pub struct SweepOptions {
     /// Deliberately *not* part of the cache key: re-analyzing cached
     /// captures with new detector settings is a pure cache-hit sweep.
     pub analysis: FaseConfig,
-    /// Directory for the capture cache and sweep manifest; `None` runs
-    /// uncached.
+    /// Directory for the capture cache; `None` runs uncached. Re-running
+    /// a sweep over the same directory resumes it: bands with a valid
+    /// entry are read back, the rest are captured.
     pub cache_dir: Option<PathBuf>,
-    /// Resume an interrupted sweep: require an existing manifest and
-    /// recompute only bands it does not record as done.
-    pub resume: bool,
     /// Optional `k/n` shard assignment; unassigned bands are skipped and
     /// reported in [`SweepOutcome::complete`].
     pub shard: Option<Shard>,
@@ -188,42 +186,6 @@ fn band_description(
     )
 }
 
-/// Canonical description of the whole sweep plan — the manifest's
-/// identity. Seed and capture options are included: resuming "the same
-/// sweep" with a different seed or fault plan is a different sweep.
-fn span_description(
-    config: &SweepConfig,
-    system_id: &str,
-    pair: ActivityPair,
-    seed: u64,
-    options: &CampaignOptions,
-) -> String {
-    let fault = options
-        .fault_plan
-        .as_ref()
-        .map_or_else(|| "none".to_owned(), |p| p.cache_token());
-    format!(
-        "{KEY_FORMAT} span\nsystem={system_id}\npair={pair:?}\n\
-         lo={:016x} hi={:016x} res={:016x} bands={} overlap={:016x}\n\
-         falt1={:016x} fdelta={:016x} alts={} avgs={}\n\
-         seed={seed:016x}\nsynth={:?}\nmax_fft={}\nmax_attempts={}\n\
-         averaging={:?}\nfault={fault}",
-        config.lo.hz().to_bits(),
-        config.hi.hz().to_bits(),
-        config.resolution.hz().to_bits(),
-        config.bands,
-        config.overlap.hz().to_bits(),
-        config.f_alt1.hz().to_bits(),
-        config.f_delta.hz().to_bits(),
-        config.alternations,
-        config.averages,
-        options.synth_mode,
-        options.max_fft,
-        options.max_attempts,
-        options.averaging,
-    )
-}
-
 /// Runs a wide-band sweep: shard into bands, capture (or cache-hit) and
 /// analyze each, merge into one span-wide report.
 ///
@@ -239,12 +201,11 @@ fn span_description(
 ///
 /// # Errors
 ///
-/// * [`FaseError::InvalidConfig`] — degenerate span/band plan, a shard
-///   assignment with `index >= count`, or `resume` without a cache
-///   directory.
-/// * [`FaseError::Cache`] — cache directory or manifest I/O failures, or
-///   `resume` when no manifest records this sweep plan. (Corrupt cache
-///   *entries* are never errors; they are recomputed.)
+/// * [`FaseError::InvalidConfig`] — degenerate span/band plan, or a shard
+///   assignment with `index >= count`.
+/// * [`FaseError::Cache`] — the cache directory cannot be created or an
+///   entry cannot be written. (Corrupt cache *entries* are never errors;
+///   they are recomputed.)
 /// * Any capture error a band campaign surfaces, unchanged.
 pub fn run_sweep<F>(
     config: &SweepConfig,
@@ -276,31 +237,11 @@ where
     let recorder = options.campaign.recorder.clone();
     let _sweep_span = recorder.span("specan.sweep");
 
-    let cache = match &options.cache_dir {
-        Some(dir) => Some(CaptureCache::open(dir)?),
-        None if options.resume => {
-            return Err(FaseError::invalid_config(
-                "resume requires a cache directory",
-            ));
-        }
-        None => None,
-    };
-    let span_key = CacheKey::from_description(&span_description(
-        config,
-        system_id,
-        pair,
-        seed,
-        &options.campaign,
-    ));
-    let mut manifest = match &cache {
-        Some(cache) if options.resume => Some(
-            SweepManifest::load(cache.dir(), &span_key, bands.len())?.ok_or_else(|| {
-                FaseError::cache("nothing to resume: no manifest records this sweep plan")
-            })?,
-        ),
-        Some(cache) => Some(SweepManifest::create(cache.dir(), &span_key, bands.len())?),
-        None => None,
-    };
+    let cache = options
+        .cache_dir
+        .as_ref()
+        .map(CaptureCache::open)
+        .transpose()?;
 
     let analyzer = Fase::new(options.analysis).with_recorder(recorder.clone());
     let cancel = &options.campaign.cancel;
@@ -312,8 +253,8 @@ where
 
     for band in &bands {
         // Band-granularity cancellation: once the token fires, finished
-        // bands stand (they are cached and marked done in the manifest)
-        // and everything else — cache probes included — is abandoned.
+        // bands stand (they are cached) and everything else — cache
+        // probes included — is abandoned.
         if cancelled || cancel.is_cancelled() {
             cancelled = true;
             outcomes.push(BandOutcome {
@@ -396,9 +337,6 @@ where
         };
 
         let report = analyzer.analyze(&spectra)?;
-        if let Some(manifest) = &mut manifest {
-            manifest.mark_done(band.index, &key)?;
-        }
         outcomes.push(BandOutcome {
             band: *band,
             from_cache,
@@ -547,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_halves_then_resume_match_the_monolithic_sweep() {
+    fn sharded_halves_then_rerun_match_the_monolithic_sweep() {
         let dir = temp_dir("shard");
         let whole = run_sweep(
             &small_sweep(),
@@ -578,11 +516,10 @@ mod tests {
         assert_eq!(partial.cache_misses, 1);
         assert!(partial.bands[1].skipped);
 
-        // Resuming without a shard fills in band 1 and reproduces the
-        // monolithic report exactly.
-        let resume = SweepOptions {
+        // Re-running without a shard over the same cache fills in band 1
+        // and reproduces the monolithic report exactly.
+        let rerun = SweepOptions {
             cache_dir: Some(dir.clone()),
-            resume: true,
             ..fast_options()
         };
         let finished = run_sweep(
@@ -591,7 +528,7 @@ mod tests {
             ActivityPair::LdmLdl1,
             demo_factory,
             11,
-            &resume,
+            &rerun,
         )
         .unwrap();
         assert!(finished.complete);
@@ -601,43 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_without_prior_sweep_is_refused() {
-        let dir = temp_dir("fresh-resume");
-        let options = SweepOptions {
-            cache_dir: Some(dir.clone()),
-            resume: true,
-            ..fast_options()
-        };
-        let err = run_sweep(
-            &small_sweep(),
-            "demo",
-            ActivityPair::LdmLdl1,
-            demo_factory,
-            7,
-            &options,
-        )
-        .unwrap_err();
-        assert!(matches!(err, FaseError::Cache(_)), "{err}");
-
-        let no_dir = SweepOptions {
-            resume: true,
-            ..fast_options()
-        };
-        let err = run_sweep(
-            &small_sweep(),
-            "demo",
-            ActivityPair::LdmLdl1,
-            demo_factory,
-            7,
-            &no_dir,
-        )
-        .unwrap_err();
-        assert!(matches!(err, FaseError::InvalidConfig(_)), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn capture_budget_yields_partial_degraded_sweep_then_resume_completes() {
+    fn capture_budget_yields_partial_degraded_sweep_then_rerun_completes() {
         let dir = temp_dir("cancel");
         // Budget for one band's captures (5 alts × 1 segment × 3 avgs =
         // 15) but not two: band 0 completes, band 1 is abandoned.
@@ -667,12 +568,11 @@ mod tests {
         assert_eq!(health.planned, 10);
         assert_eq!(health.surviving, 5);
 
-        // A fresh run over the same cache dir resumes from the manifest:
-        // band 0 cache-hits, band 1 computes, and the result is
+        // A fresh run over the same cache dir picks up where the budget
+        // stopped: band 0 cache-hits, band 1 computes, and the result is
         // bit-identical to a never-interrupted sweep.
-        let resume = SweepOptions {
+        let rerun = SweepOptions {
             cache_dir: Some(dir.clone()),
-            resume: true,
             ..fast_options()
         };
         let finished = run_sweep(
@@ -681,7 +581,7 @@ mod tests {
             ActivityPair::LdmLdl1,
             demo_factory,
             11,
-            &resume,
+            &rerun,
         )
         .unwrap();
         assert!(finished.complete && !finished.cancelled);
@@ -721,9 +621,9 @@ mod tests {
 
     #[test]
     fn cache_key_descriptions_are_pinned() {
-        // On-disk captures and manifests are addressed by these
-        // descriptions: any change strands every existing cache, so a
-        // change here must come with a KEY_FORMAT bump.
+        // On-disk captures are addressed by this description: any change
+        // strands every existing cache, so a change here must come with a
+        // KEY_FORMAT bump.
         let config = small_sweep();
         let options = fast_options().campaign;
         let bands = plan_bands(
@@ -740,12 +640,6 @@ mod tests {
             CacheKey::from_description(&band).hex(),
             "fcd81f041c301c90c0e6d64afd1e79e1",
             "band key moved:\n{band}"
-        );
-        let span = span_description(&config, "demo", pair, 7, &options);
-        assert_eq!(
-            CacheKey::from_description(&span).hex(),
-            "42a7021797a0b65d8fbed48fbf8c8f56",
-            "span key moved:\n{span}"
         );
     }
 

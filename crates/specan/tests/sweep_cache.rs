@@ -1,4 +1,4 @@
-//! End-to-end sweep/cache correctness: cold, warm, kill-and-resume and
+//! End-to-end sweep/cache correctness: cold, warm, kill-and-rerun and
 //! corrupted-entry runs must all produce byte-identical reports.
 
 use fase_dsp::Hertz;
@@ -74,8 +74,9 @@ fn cold_warm_and_resumed_sweeps_are_byte_identical() {
     assert_eq!(warm, reference, "warm run diverged");
 
     // "Kill" mid-sweep: a fresh cache where only band 0 was computed
-    // (shard 0/2 skips band 1), then --resume finishes the job.
-    let dir2 = temp_dir("resume");
+    // (shard 0/2 skips band 1), then a plain re-run over the same cache
+    // finishes the job.
+    let dir2 = temp_dir("rerun");
     let mut killed = options(Some(&dir2));
     killed.shard = Some(Shard { index: 0, count: 2 });
     let partial = run_sweep(
@@ -89,15 +90,13 @@ fn cold_warm_and_resumed_sweeps_are_byte_identical() {
     .unwrap();
     assert!(!partial.complete);
 
-    let mut resume = options(Some(&dir2));
-    resume.resume = true;
     let resumed = run_sweep(
         &sweep_config(),
         "it-demo",
         ActivityPair::LdmLdl1,
         factory,
         SEED,
-        &resume,
+        &options(Some(&dir2)),
     )
     .unwrap();
     assert!(resumed.complete);
