@@ -550,7 +550,7 @@ fn sweep(parsed: &ParsedArgs) -> Result<String, CliError> {
 /// Starts the multi-tenant sweep service and blocks until it drains
 /// (via `--run-ms` or an HTTP `POST /v1/drain`).
 fn serve(parsed: &ParsedArgs) -> Result<String, CliError> {
-    use fase_serve::{ServeConfig, ServePhase, Server};
+    use fase_serve::{ServeConfig, Server};
     let mut config = ServeConfig {
         addr: parsed.get("addr").unwrap_or("127.0.0.1:0").to_owned(),
         workers: parsed.integer_or("workers", 2)?.max(1) as usize,
@@ -571,19 +571,9 @@ fn serve(parsed: &ParsedArgs) -> Result<String, CliError> {
             .map_err(|e| CliError::Invalid(format!("cannot write {path}: {e}")))?;
     }
     println!("fase-serve listening on {addr}");
-    let started = fase_obs::monotonic_ns();
-    loop {
-        // An HTTP drain moves the phase; --run-ms triggers one from here.
-        if server.phase() != ServePhase::Accepting {
-            break;
-        }
-        if let Some(ms) = run_ms {
-            if fase_obs::monotonic_ns().saturating_sub(started) >= ms.saturating_mul(1_000_000) {
-                server.drain();
-                break;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
+    // An HTTP drain ends the wait; --run-ms expiring triggers one here.
+    if !server.wait_for_drain(run_ms.map(std::time::Duration::from_millis)) {
+        server.drain();
     }
     server.join();
     Ok(format!("fase-serve on {addr}: drained cleanly\n"))

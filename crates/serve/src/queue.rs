@@ -271,17 +271,6 @@ impl<T> DrrQueues<T> {
             }
         }
     }
-
-    /// Removes and returns every queued job (used by drain to cancel
-    /// work that will not be started). Tenant order, FIFO within each.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.total);
-        for (_, queue) in std::mem::take(&mut self.tenants) {
-            out.extend(queue.jobs.into_iter().map(|(_, payload)| payload));
-        }
-        self.total = 0;
-        out
-    }
 }
 
 #[cfg(test)]
@@ -432,17 +421,5 @@ mod tests {
         q.observe_service_ms(u64::MAX);
         assert!(q.estimated_service_ms() <= 60_000);
         assert_eq!(q.retry_hint_ms(1_000_000), 30_000);
-    }
-
-    #[test]
-    fn drain_all_empties_every_tenant() {
-        let mut q = DrrQueues::new(caps(8, 32, 2));
-        q.admit("a", 1, 1).unwrap();
-        q.admit("b", 1, 2).unwrap();
-        q.admit("a", 1, 3).unwrap();
-        let drained = q.drain_all();
-        assert_eq!(drained.len(), 3);
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None::<i32>);
     }
 }

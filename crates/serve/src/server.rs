@@ -11,6 +11,13 @@
 //!                         outstanding token (jobs finish degraded)
 //! ```
 //!
+//! ## One lock, one condvar
+//!
+//! The phase, the [`DrrQueues`] and the running jobs' cancel tokens sit
+//! behind one mutex; every wait is on the one `wake` condvar, notified
+//! by admit, job finished, drain, drain-deadline cancel and stop. The
+//! acceptor blocks in `accept`; [`Server::join`] wakes it by connecting.
+//!
 //! ## Request path
 //!
 //! Each connection gets a short-lived handler thread: it parses the
@@ -29,9 +36,10 @@
 //! retry budget; the worker then retries the whole sweep a bounded
 //! number of times with exponential backoff (each attempt under a
 //! perturbed fault schedule — a deterministic model of "the environment
-//! glitched, try again"). A panic anywhere inside the sweep is caught at
-//! the job boundary: the request gets a structured `500`, the worker
-//! thread and every other tenant keep going.
+//! glitched, try again"), cut short by a drain-deadline cancel. A panic
+//! anywhere inside the sweep is caught at the job boundary: the request
+//! gets a structured `500`, the worker thread and every other tenant
+//! keep going.
 
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::protocol::{
@@ -42,10 +50,10 @@ use fase_core::FaseError;
 use fase_obs::json::quote;
 use fase_obs::Recorder;
 use fase_specan::{CancelToken, FaultPlan, FaultRates, SweepOptions};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::BTreeMap;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -59,8 +67,8 @@ const REPLY_GRACE_MS: u64 = 15_000;
 /// Reply timeout for requests that carry no deadline at all.
 const NO_DEADLINE_REPLY_MS: u64 = 600_000;
 
-/// How often blocked workers and waiters re-check the server phase.
-const POLL_MS: u64 = 20;
+/// Pause after a failed `accept`, so a persistent `EMFILE` cannot spin.
+const ACCEPT_ERROR_BACKOFF_MS: u64 = 20;
 
 /// Everything configurable about a server instance.
 #[derive(Debug, Clone)]
@@ -127,14 +135,6 @@ impl ServePhase {
             ServePhase::Stopped => "stopped",
         }
     }
-
-    fn from_u8(v: u8) -> ServePhase {
-        match v {
-            0 => ServePhase::Accepting,
-            1 => ServePhase::Draining,
-            _ => ServePhase::Stopped,
-        }
-    }
 }
 
 /// An admitted request waiting for (or receiving) execution.
@@ -145,19 +145,30 @@ struct QueuedJob {
     reply: SyncSender<Response>,
 }
 
+/// Everything the server's threads coordinate on, behind one lock.
+#[derive(Debug)]
+struct State {
+    phase: ServePhase,
+    queues: DrrQueues<QueuedJob>,
+    /// Cancel tokens of the jobs executing now, for the drain deadline,
+    /// keyed by the index of the one worker running each.
+    running: BTreeMap<usize, CancelToken>,
+}
+
+impl State {
+    /// Every admitted request has been answered.
+    fn quiesced(&self) -> bool {
+        self.queues.is_empty() && self.running.is_empty()
+    }
+}
+
 /// State shared by the accept loop, handlers, and workers.
 #[derive(Debug)]
 struct Shared {
     config: ServeConfig,
-    queues: Mutex<DrrQueues<QueuedJob>>,
+    state: Mutex<State>,
+    /// Notified by admit, job finished, drain, deadline cancel and stop.
     wake: Condvar,
-    phase: AtomicU8,
-    /// Jobs currently executing on a worker.
-    active: AtomicUsize,
-    /// Cancel tokens of currently-executing jobs, for the drain
-    /// deadline. Keyed by a serial so removal is exact.
-    running: Mutex<Vec<(u64, CancelToken)>>,
-    next_serial: AtomicUsize,
 }
 
 /// Locks a mutex, riding through poisoning: a worker that panicked
@@ -168,11 +179,29 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl Shared {
     fn phase(&self) -> ServePhase {
-        ServePhase::from_u8(self.phase.load(Ordering::SeqCst))
+        lock(&self.state).phase
     }
 
-    fn quiesced(&self) -> bool {
-        lock(&self.queues).is_empty() && self.active.load(Ordering::SeqCst) == 0
+    /// Blocks on `wake` while `blocked` holds, for at most `timeout`
+    /// when one is given, and returns the guard.
+    fn block_while(
+        &self,
+        timeout: Option<Duration>,
+        blocked: impl FnMut(&mut State) -> bool,
+    ) -> MutexGuard<'_, State> {
+        let guard = lock(&self.state);
+        match timeout {
+            None => self
+                .wake
+                .wait_while(guard, blocked)
+                .unwrap_or_else(PoisonError::into_inner),
+            Some(timeout) => {
+                self.wake
+                    .wait_timeout_while(guard, timeout, blocked)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+        }
     }
 }
 
@@ -185,7 +214,7 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     workers: Vec<JoinHandle<()>>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl Server {
@@ -201,27 +230,24 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| FaseError::worker(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| FaseError::worker(format!("set_nonblocking: {e}")))?;
 
         let shared = Arc::new(Shared {
-            queues: Mutex::new(DrrQueues::new(config.caps)),
+            state: Mutex::new(State {
+                phase: ServePhase::Accepting,
+                queues: DrrQueues::new(config.caps),
+                running: BTreeMap::new(),
+            }),
             wake: Condvar::new(),
-            phase: AtomicU8::new(0),
-            active: AtomicUsize::new(0),
-            running: Mutex::new(Vec::new()),
-            next_serial: AtomicUsize::new(0),
             config,
         });
 
         let mut workers = Vec::with_capacity(shared.config.workers.max(1));
-        // fase-lint: allow(C-cancel) -- bounded spawn loop (one iteration per configured worker); worker_loop itself polls the drain phase
+        // fase-lint: allow(C-cancel) -- bounded spawn loop (one iteration per configured worker); worker_loop itself exits once the phase leaves Accepting
         for i in 0..shared.config.workers.max(1) {
             let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("fase-serve-worker-{i}"))
-                .spawn(move || worker_loop(&worker_shared))
+                .spawn(move || worker_loop(&worker_shared, i))
                 .map_err(|e| FaseError::worker(format!("spawn worker: {e}")))?;
             workers.push(handle);
         }
@@ -235,7 +261,7 @@ impl Server {
             shared,
             addr,
             workers,
-            acceptor: Some(acceptor),
+            acceptor,
         })
     }
 
@@ -257,64 +283,69 @@ impl Server {
         begin_drain(&self.shared);
     }
 
+    /// Blocks until a drain begins or `timeout` (if any) passes,
+    /// whichever comes first. Returns whether a drain began.
+    pub fn wait_for_drain(&self, timeout: Option<Duration>) -> bool {
+        self.shared
+            .block_while(timeout, |s| s.phase == ServePhase::Accepting)
+            .phase
+            != ServePhase::Accepting
+    }
+
     /// Drains (if not already draining) and blocks until every accepted
     /// request has been answered, then stops the workers and acceptor.
-    pub fn join(mut self) {
+    pub fn join(self) {
         begin_drain(&self.shared);
-        while !self.shared.quiesced() {
-            std::thread::sleep(Duration::from_millis(POLL_MS));
-        }
-        self.shared
-            .phase
-            .store(ServePhase::Stopped as u8, Ordering::SeqCst);
+        self.shared.block_while(None, |s| !s.quiesced()).phase = ServePhase::Stopped;
         self.shared.wake.notify_all();
-        for handle in self.workers.drain(..) {
+        for handle in self.workers {
             let _ = handle.join();
         }
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
+        // A connection of our own wakes the acceptor to see `Stopped`;
+        // if it cannot connect, the acceptor is left behind, not awaited.
+        if TcpStream::connect(wake_addr(self.addr)).is_ok() {
+            let _ = self.acceptor.join();
         }
+    }
+}
+
+/// The bound address with an unspecified IP replaced by loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, addr.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, addr.port()).into(),
+        _ => addr,
     }
 }
 
 /// Flips the phase to draining (once) and arms the drain-deadline
 /// watchdog that cancels whatever is still outstanding when it fires.
 fn begin_drain(shared: &Arc<Shared>) {
-    let flipped = shared
-        .phase
-        .compare_exchange(
-            ServePhase::Accepting as u8,
-            ServePhase::Draining as u8,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_ok();
-    if !flipped {
-        return;
+    {
+        let mut state = lock(&shared.state);
+        if state.phase != ServePhase::Accepting {
+            return;
+        }
+        state.phase = ServePhase::Draining;
     }
     shared.wake.notify_all();
     shared.config.recorder.count("serve.drains", 1);
     let watchdog = Arc::clone(shared);
-    let deadline_ms = shared.config.drain_deadline_ms;
+    let deadline = Duration::from_millis(shared.config.drain_deadline_ms);
     let _ = std::thread::Builder::new()
         .name("fase-serve-drain".to_owned())
         .spawn(move || {
-            // Sleep in slices so a fast drain releases the thread early.
-            let mut waited = 0u64;
-            while waited < deadline_ms && !watchdog.quiesced() {
-                let step = POLL_MS.min(deadline_ms - waited);
-                std::thread::sleep(Duration::from_millis(step));
-                waited += step;
-            }
-            if watchdog.quiesced() {
+            // Each finished job notifies: a fast drain frees this early.
+            let state = watchdog.block_while(Some(deadline), |s| !s.quiesced());
+            if state.quiesced() {
                 return;
             }
             // Deadline hit: cancel everything still queued or running.
             // Queued jobs stay queued — a worker pulls each one, sees
             // the fired token, and replies degraded, so every admitted
             // request is still answered.
-            lock(&watchdog.queues).for_each(|job| job.token.cancel());
-            for (_, token) in lock(&watchdog.running).iter() {
+            state.queues.for_each(|job| job.token.cancel());
+            for token in state.running.values() {
                 token.cancel();
             }
             watchdog.wake.notify_all();
@@ -326,20 +357,18 @@ fn begin_drain(shared: &Arc<Shared>) {
 /// short-lived handler thread.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
         if shared.phase() == ServePhase::Stopped {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let handler_shared = Arc::clone(shared);
                 let _ = std::thread::Builder::new()
                     .name("fase-serve-conn".to_owned())
                     .spawn(move || handle_connection(stream, &handler_shared));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(POLL_MS));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(POLL_MS)),
+            Err(_) => std::thread::sleep(Duration::from_millis(ACCEPT_ERROR_BACKOFF_MS)),
         }
     }
 }
@@ -386,26 +415,32 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Response {
 
 /// The `/v1/health` body.
 fn health_body(shared: &Arc<Shared>) -> String {
+    let state = lock(&shared.state);
     format!(
         "{{\"phase\":{},\"queued\":{},\"active\":{},\"workers\":{}}}",
-        quote(shared.phase().as_str()),
-        lock(&shared.queues).len(),
-        shared.active.load(Ordering::SeqCst),
+        quote(state.phase.as_str()),
+        state.queues.len(),
+        state.running.len(),
         shared.config.workers.max(1)
+    )
+}
+
+/// The `503` every sweep gets once the server stops accepting work.
+fn draining_response() -> Response {
+    Response::json(
+        503,
+        error_body(
+            "draining",
+            "server is draining; not accepting new work",
+            None,
+        ),
     )
 }
 
 /// The full `/v1/sweep` admission + wait path.
 fn handle_sweep(body: &str, shared: &Arc<Shared>) -> Response {
     if shared.phase() != ServePhase::Accepting {
-        return Response::json(
-            503,
-            error_body(
-                "draining",
-                "server is draining; not accepting new work",
-                None,
-            ),
-        );
+        return draining_response();
     }
     let request = match SweepRequest::from_json(body) {
         Ok(r) => r,
@@ -435,21 +470,14 @@ fn handle_sweep(body: &str, shared: &Arc<Shared>) -> Response {
         reply: reply_tx,
     };
     {
-        let mut queues = lock(&shared.queues);
+        let mut state = lock(&shared.state);
         // Re-check under the lock so no job is admitted after a drain
         // began (the watchdog iterates this queue exactly once).
-        if shared.phase() != ServePhase::Accepting {
-            return Response::json(
-                503,
-                error_body(
-                    "draining",
-                    "server is draining; not accepting new work",
-                    None,
-                ),
-            );
+        if state.phase != ServePhase::Accepting {
+            return draining_response();
         }
         let cost = job.request.cost();
-        if let Err(rejection) = queues.admit(&tenant, cost, job) {
+        if let Err(rejection) = state.queues.admit(&tenant, cost, job) {
             recorder.count_labeled("serve.rejected", &tenant, 1);
             let retry_ms = rejection.retry_after_ms();
             let kind = match rejection.scope() {
@@ -485,43 +513,32 @@ fn handle_sweep(body: &str, shared: &Arc<Shared>) -> Response {
     }
 }
 
-/// Worker thread: pull jobs in DRR order until the server stops (or the
-/// drain queue runs dry), executing each inside a panic boundary.
-fn worker_loop(shared: &Arc<Shared>) {
-    // fase-lint: allow(C-cancel) -- next_job returns None once the server enters Draining/Stopped, bounding each wait to one 100 ms Condvar tick
+/// Worker thread: pull jobs in DRR order until the queue is empty and
+/// the server no longer accepts work, executing each inside a panic
+/// boundary. `index` keys this worker's entry in `State::running`.
+fn worker_loop(shared: &Arc<Shared>, index: usize) {
     loop {
-        let Some(job) = next_job(shared) else { return };
-        let serial = shared.next_serial.fetch_add(1, Ordering::SeqCst) as u64;
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        lock(&shared.running).push((serial, job.token.clone()));
+        let job = {
+            let mut state = shared.block_while(None, |s| {
+                s.queues.is_empty() && s.phase == ServePhase::Accepting
+            });
+            // Empty past the wait: the server stopped accepting. Popping
+            // and registering under one guard means neither `quiesced`
+            // nor the drain watchdog's cancel can miss a job.
+            let Some(job) = state.queues.pop() else {
+                return;
+            };
+            state.running.insert(index, job.token.clone());
+            job
+        };
 
         let response = execute_job(shared, &job);
         // The handler may have timed out and gone; that is its problem,
         // not the worker's.
         let _ = job.reply.try_send(response);
 
-        lock(&shared.running).retain(|(s, _)| *s != serial);
-        shared.active.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Blocks until a job is available; `None` means "worker should exit"
-/// (server stopped, or draining with an empty queue).
-fn next_job(shared: &Arc<Shared>) -> Option<QueuedJob> {
-    let mut queues = lock(&shared.queues);
-    loop {
-        if let Some(job) = queues.pop() {
-            return Some(job);
-        }
-        match shared.phase() {
-            ServePhase::Accepting => {}
-            ServePhase::Draining | ServePhase::Stopped => return None,
-        }
-        let (guard, _) = shared
-            .wake
-            .wait_timeout(queues, Duration::from_millis(100))
-            .unwrap_or_else(PoisonError::into_inner);
-        queues = guard;
+        lock(&shared.state).running.remove(&index);
+        shared.wake.notify_all();
     }
 }
 
@@ -542,7 +559,9 @@ fn execute_job(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
     recorder.observe_ns("serve.request_ns", elapsed_ns);
     // Feed the measured cost back into admission control so 429 retry
     // hints track what a request actually costs on this box right now.
-    lock(&shared.queues).observe_service_ms(elapsed_ns / 1_000_000);
+    lock(&shared.state)
+        .queues
+        .observe_service_ms(elapsed_ns / 1_000_000);
     match outcome {
         Ok(response) => response,
         Err(payload) => {
@@ -637,7 +656,7 @@ fn run_with_retries(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
             ) => {
                 if attempt < shared.config.max_retries && !job.token.is_cancelled() {
                     recorder.count_labeled("serve.retries", &request.tenant, 1);
-                    backoff(attempt, &job.token);
+                    backoff(shared, attempt, &job.token);
                     attempt += 1;
                     continue;
                 }
@@ -652,16 +671,13 @@ fn run_with_retries(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
     }
 }
 
-/// Exponential backoff (50 ms doubling, capped at 800 ms), polled in
-/// slices so a firing cancel token cuts the wait short.
-fn backoff(attempt: u32, token: &CancelToken) {
+/// Exponential backoff (50 ms doubling, capped at 800 ms), cut short
+/// when the drain watchdog cancels the token and notifies `wake`.
+fn backoff(shared: &Shared, attempt: u32, token: &CancelToken) {
     let total = 50u64.saturating_mul(1 << attempt.min(4)).min(800);
-    let mut slept = 0u64;
-    while slept < total && !token.is_cancelled() {
-        let step = POLL_MS.min(total - slept);
-        std::thread::sleep(Duration::from_millis(step));
-        slept += step;
-    }
+    drop(shared.block_while(Some(Duration::from_millis(total)), |_| {
+        !token.is_cancelled()
+    }));
 }
 
 /// Stable machine-readable label for each error variant.
@@ -766,13 +782,106 @@ mod tests {
     }
 
     #[test]
+    fn idle_server_answers_without_a_polling_delay() {
+        let server = tiny_server();
+        let addr = server.addr().to_string();
+        let mut round_trips_ms: Vec<f64> = (0..20)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                let health = client_request(&addr, "GET", "/v1/health", "").unwrap();
+                assert_eq!(health.status, 200);
+                started.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        round_trips_ms.sort_by(f64::total_cmp);
+        let median = (round_trips_ms[9] + round_trips_ms[10]) / 2.0;
+        assert!(
+            median < 5.0,
+            "median idle round trip {median:.2} ms: {round_trips_ms:?}"
+        );
+        server.join();
+    }
+
+    /// A server whose cache directory is a regular file, so every sweep
+    /// attempt fails with `FaseError::Cache` before capturing anything.
+    /// Returns the server and the file to remove afterwards.
+    fn broken_cache_server(
+        tag: &str,
+        max_retries: u32,
+        drain_deadline_ms: u64,
+    ) -> (Server, PathBuf) {
+        let file = std::env::temp_dir().join(format!(
+            "fase-serve-broken-cache-{tag}-{}",
+            std::process::id()
+        ));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            cache_dir: Some(file.clone()),
+            max_retries,
+            drain_deadline_ms,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        (server, file)
+    }
+
+    fn counter(server: &Server, name: &str) -> u64 {
+        let snapshot = server.shared.config.recorder.snapshot();
+        snapshot.counters.get(name).copied().unwrap_or(0)
+    }
+
+    const SWEEP: &str = r#"{"tenant":"a","lo":250000,"hi":400000}"#;
+
+    #[test]
+    fn cache_failures_are_retried_then_answered_500() {
+        let (server, file) = broken_cache_server("retries", 2, 10_000);
+        let addr = server.addr().to_string();
+        let reply = client_request(&addr, "POST", "/v1/sweep", SWEEP).unwrap();
+        assert_eq!(reply.status, 500, "{}", reply.body);
+        assert!(reply.body.contains("\"error\":\"cache\""), "{}", reply.body);
+        assert_eq!(counter(&server, "serve.retries.a"), 2);
+        assert_eq!(counter(&server, "serve.failed.a"), 1);
+        server.join();
+        let _ = std::fs::remove_file(file);
+    }
+
+    #[test]
+    fn drain_deadline_cuts_a_retry_backoff_short() {
+        // Ten retries back off 50 + 100 + 200 + 400 + 6 × 800 ms ≈ 5.5 s.
+        let (server, file) = broken_cache_server("drain", 10, 100);
+        let addr = server.addr().to_string();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(client_request(&addr, "POST", "/v1/sweep", SWEEP));
+        });
+        // The first retry has been counted: the job is backing off.
+        let mut waited_ms = 0;
+        while counter(&server, "serve.retries.a") == 0 {
+            assert!(waited_ms < 10_000, "the sweep never retried");
+            std::thread::sleep(Duration::from_millis(5));
+            waited_ms += 5;
+        }
+        let drained = std::time::Instant::now();
+        server.drain();
+        let reply = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("no reply within 2 s of the drain")
+            .unwrap();
+        assert!(drained.elapsed() < Duration::from_secs(2));
+        assert_eq!(reply.status, 500, "{}", reply.body);
+        assert!(reply.body.contains("\"error\":\"cache\""), "{}", reply.body);
+        assert!(counter(&server, "serve.retries.a") < 10);
+        assert_eq!(counter(&server, "serve.drain_cancels"), 1);
+        server.join();
+        let _ = std::fs::remove_file(file);
+    }
+
+    #[test]
     fn phase_names_are_stable() {
         assert_eq!(ServePhase::Accepting.as_str(), "accepting");
         assert_eq!(ServePhase::Draining.as_str(), "draining");
         assert_eq!(ServePhase::Stopped.as_str(), "stopped");
-        assert_eq!(ServePhase::from_u8(0), ServePhase::Accepting);
-        assert_eq!(ServePhase::from_u8(1), ServePhase::Draining);
-        assert_eq!(ServePhase::from_u8(9), ServePhase::Stopped);
     }
 
     #[test]
