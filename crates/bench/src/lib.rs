@@ -3,7 +3,8 @@
 //! One binary per figure of the paper's evaluation (`fig01` … `fig17`),
 //! plus binaries for the prose claims (rejection, baseline comparison,
 //! refresh-vs-load, harmonic profiles, the refresh-randomization
-//! mitigation) and dependency-free performance benches (see [`harness`]).
+//! mitigation), and the detection-quality benchmark (see [`detection`]).
+//! Timing lives in the separate `perf` package under `examples/perf`.
 //!
 //! Every binary prints the figure's series (with a terminal plot) and
 //! writes CSV data under `target/figures/`.
@@ -12,7 +13,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod detection;
-pub mod harness;
 
 use fase_dsp::{Hertz, Spectrum};
 use std::fs;

@@ -654,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn synth_mode_defaults_fast() {
+    fn synthesis_defaults_to_fast() {
         assert_eq!(SynthMode::default(), SynthMode::Fast);
     }
 

@@ -58,7 +58,7 @@ pub fn classify(rel: &str) -> Option<RuleSet> {
     if !rel.ends_with(".rs") {
         return None;
     }
-    // Self, the bench harness, and non-src trees are out of scope.
+    // Self, the bench crate, and non-src trees are out of scope.
     if rel.starts_with("crates/lint/")
         || rel.starts_with("crates/bench/")
         || rel.contains("/tests/")
@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn exemptions() {
-        assert!(classify("crates/bench/src/harness.rs").is_none());
+        assert!(classify("crates/bench/src/detection.rs").is_none());
         assert!(classify("crates/lint/src/rules.rs").is_none());
         assert!(classify("crates/emsim/tests/pulse_validation.rs").is_none());
         assert!(classify("crates/specan/Cargo.toml").is_none());

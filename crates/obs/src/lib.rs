@@ -415,16 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_json_is_just_the_spans_object() {
-        let rec = Recorder::detached();
-        drop(rec.span("stage"));
-        let spans = rec.snapshot().spans_json();
-        assert!(spans.trim_start().starts_with('{'), "{spans}");
-        assert!(spans.contains("\"stage\""), "{spans}");
-        assert!(!spans.contains("counters"), "{spans}");
-    }
-
-    #[test]
     fn json_parser_roundtrips_and_rejects() {
         let v = json::parse(r#"{"a": [1, 2.5, "x\nA"], "b": {"c": true, "d": null}}"#)
             .expect("valid document");

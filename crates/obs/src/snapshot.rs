@@ -128,31 +128,6 @@ impl Snapshot {
         out
     }
 
-    /// The `spans` object alone, as JSON — the per-stage breakdown the
-    /// bench harness embeds into `BENCH_pipeline.json`.
-    #[must_use]
-    pub fn spans_json(&self) -> String {
-        if self.spans.is_empty() {
-            return String::from("{}");
-        }
-        let mut out = String::from("{\n");
-        for (i, (path, stat)) in self.spans.iter().enumerate() {
-            push_key(&mut out, 2, path);
-            let _ = write!(
-                out,
-                "{{ \"count\": {}, \"max_ns\": {}, \"min_ns\": {}, \"total_ns\": {} }}",
-                stat.count, stat.max_ns, stat.min_ns, stat.total_ns
-            );
-            out.push_str(if i + 1 < self.spans.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  }");
-        out
-    }
-
     /// Render the human `--timings` report: an indented span tree (calls
     /// and total wall time per path), then counters, then warnings.
     #[must_use]

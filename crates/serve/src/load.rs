@@ -132,7 +132,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Deterministic-key JSON for `BENCH_serve.json` and the CLI.
+    /// Deterministic-key JSON for `fase-cli load --json`.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"sent\":{},\"ok\":{},\"degraded\":{},\"rejected\":{},\"errors\":{},\
@@ -164,7 +164,7 @@ impl LoadReport {
 /// The previous nearest-rank variant rounded `p/100 · (n−1)` to the
 /// closest integer rank, which at small sample counts (n < 100) made p99
 /// degenerate to the maximum — or, one rank earlier, undershoot it — so
-/// `BENCH_serve` p99 jumped discontinuously with the request count.
+/// a reported p99 jumped discontinuously with the request count.
 /// Interpolating between the two bracketing ranks is continuous in both
 /// `p` and `n`.
 fn percentile(latencies_ms: &[f64], p: f64) -> f64 {

@@ -6,7 +6,7 @@
 //! across machines. Synthesis + capture dominates the cost, so finished
 //! band campaigns are persisted here, keyed by a stable hash of everything
 //! that determines their bits: scene/machine identity, activity pair,
-//! band, alternation family, averaging policy, fault plan and seed (the
+//! band, alternation family, FFT and retry budgets, fault plan and seed (the
 //! scheduler assembles that description; see
 //! [`CacheKey::from_description`]).
 //!
@@ -80,7 +80,7 @@ fn digest_hex(bytes: &[u8]) -> String {
 
 /// A content-address: the 128-bit hex digest of a canonical capture
 /// description. Equal descriptions — same scene, machine, band,
-/// alternation family, averaging, fault plan, seed — produce equal keys.
+/// alternation family, budgets, fault plan, seed — produce equal keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey(String);
 

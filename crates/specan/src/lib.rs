@@ -47,8 +47,8 @@ pub use fault::{FaultKind, FaultPlan, FaultRates};
 pub use multichannel::{run_multichannel_sweep, ChannelPlan, MultiSweepOutcome};
 pub use probe::{capture_iq, probe_modulation, IqCapture, ProbeConfig};
 pub use runner::{
-    measure_alternation, run_campaign_with_options, Averaging, CampaignOptions,
-    DEFAULT_MAX_ATTEMPTS, DEFAULT_MAX_FFT,
+    measure_alternation, run_campaign_with_options, CampaignOptions, DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_MAX_FFT,
 };
 pub use scheduler::{run_sweep, BandOutcome, Shard, SweepConfig, SweepOptions, SweepOutcome};
 pub use sweep::{plan_bands, SegmentSpec, SweepBand, SweepPlan};

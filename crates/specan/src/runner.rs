@@ -12,7 +12,7 @@ use fase_core::{
 };
 use fase_dsp::rng::{mix_seed, SmallRng};
 use fase_dsp::{Hertz, Spectrum};
-use fase_emsim::{RenderCtx, SimulatedSystem, SynthMode};
+use fase_emsim::{RenderCtx, SimulatedSystem};
 use fase_obs::{span, Recorder};
 use fase_sysmodel::{ActivityPair, Alternation};
 use std::ops::Range;
@@ -29,38 +29,6 @@ pub const DEFAULT_MAX_ATTEMPTS: u32 = 3;
 /// Captures whose total power deviates from the cohort median by more
 /// than this factor (either way) are quarantined by the robust averager.
 const QUARANTINE_FACTOR: f64 = 8.0;
-
-/// How a sweep segment's capture cohort is combined into one spectrum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Averaging {
-    /// Plain power mean — the paper's analyzer behaviour ("average 4
-    /// captures"), fastest, but one glitched capture drags every bin.
-    Mean,
-    /// Glitch-robust: captures whose total power is a gross outlier
-    /// against the cohort median are quarantined, then the survivors are
-    /// combined with a per-bin trimmed mean
-    /// ([`Spectrum::robust_average`]). Quarantine counts surface in
-    /// [`CampaignHealth`].
-    #[default]
-    Robust,
-}
-
-/// Combines one segment's captures per the configured averaging policy,
-/// bumping `quarantined` for every capture the robust path excluded.
-fn average_cohort(
-    captures: &[Spectrum],
-    averaging: Averaging,
-    quarantined: &mut usize,
-) -> Result<Spectrum, FaseError> {
-    match averaging {
-        Averaging::Mean => Ok(Spectrum::average(captures.iter())?),
-        Averaging::Robust => {
-            let survivors = quarantine(captures);
-            *quarantined += captures.len() - survivors.len();
-            Ok(Spectrum::robust_average(survivors.iter().copied())?)
-        }
-    }
-}
 
 /// Drops gross power outliers from a capture cohort. Quarantine needs a
 /// majority to define "normal": cohorts smaller than three captures, a
@@ -110,8 +78,6 @@ pub struct CampaignOptions {
     /// Worker thread count. `None` reads the `FASE_THREADS` environment
     /// variable and falls back to the machine's available parallelism.
     pub threads: Option<usize>,
-    /// EM synthesis path used for every capture.
-    pub synth_mode: SynthMode,
     /// FFT length cap for the sweep plan (see [`DEFAULT_MAX_FFT`]).
     pub max_fft: usize,
     /// Deterministic impairment schedule injected into captures; `None`
@@ -120,8 +86,6 @@ pub struct CampaignOptions {
     /// Per-capture attempt budget (minimum 1; a failed capture is retried
     /// on a fresh derived RNG stream until the budget is exhausted).
     pub max_attempts: u32,
-    /// Capture-averaging policy for each sweep segment's cohort.
-    pub averaging: Averaging,
     /// Metrics [`Recorder`] campaign spans, counters and capture timings
     /// report through (default is the process-wide recorder, inert unless
     /// enabled). Observability never affects campaign output.
@@ -137,11 +101,9 @@ impl Default for CampaignOptions {
     fn default() -> CampaignOptions {
         CampaignOptions {
             threads: None,
-            synth_mode: SynthMode::Fast,
             max_fft: DEFAULT_MAX_FFT,
             fault_plan: None,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
-            averaging: Averaging::default(),
             recorder: Recorder::global(),
             cancel: CancelToken::never(),
         }
@@ -251,7 +213,6 @@ fn execute_capture<F>(
     segment: &SegmentSpec,
     factory: &F,
     seed: u64,
-    synth_mode: SynthMode,
     recorder: &Recorder,
 ) -> Result<CaptureOut, FaseError>
 where
@@ -271,9 +232,7 @@ where
     let pairs = (trace.len() / 2).max(1);
     let trace_duration = trace.duration();
     let refreshes = system.refresh.schedule(&trace, &mut rng);
-    let ctx = RenderCtx::new(&trace, &refreshes, &window)
-        .with_mode(synth_mode)
-        .with_recorder(recorder.clone());
+    let ctx = RenderCtx::new(&trace, &refreshes, &window).with_recorder(recorder.clone());
     let mut iq = system.scene.render(&window, &ctx);
     if let Some(kind) = fault {
         let mut fault_rng = SmallRng::seed_from_u64(mix_seed(stream, 0xFAB1_7FAB));
@@ -329,7 +288,6 @@ where
     }
 
     let threads = worker_threads(options.threads).min(tasks.len()).max(1);
-    let synth_mode = options.synth_mode;
     let max_attempts = options.max_attempts.max(1);
     let fault_plan = options.fault_plan.as_ref();
     let recorder = &options.recorder;
@@ -394,7 +352,6 @@ where
                             &segments[task.i_seg],
                             factory,
                             seed,
-                            synth_mode,
                             recorder,
                         );
                         cancel.consume_capture();
@@ -530,11 +487,11 @@ where
                 }
             }
             if alt_failure.is_none() {
-                segment_spectra.push(average_cohort(
-                    &captures,
-                    options.averaging,
-                    &mut health.quarantined,
-                )?);
+                // Quarantine gross power outliers, then combine the
+                // survivors with a per-bin trimmed mean.
+                let survivors = quarantine(&captures);
+                health.quarantined += captures.len() - survivors.len();
+                segment_spectra.push(Spectrum::robust_average(survivors.iter().copied())?);
             }
         }
         if let Some(e) = alt_failure {

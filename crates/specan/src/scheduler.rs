@@ -80,10 +80,10 @@ pub struct Shard {
 /// measures, which is [`SweepConfig`]).
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Per-band campaign execution options (threads, synthesis mode,
-    /// fault plan, averaging, recorder). The fault plan and averaging
-    /// policy are part of each band's cache key; threads and recorder are
-    /// not.
+    /// Per-band campaign execution options (threads, FFT cap, fault plan,
+    /// retry budget, recorder, cancellation). The FFT cap, fault plan and
+    /// retry budget are part of each band's cache key; threads and
+    /// recorder are not.
     pub campaign: CampaignOptions,
     /// Analysis configuration applied to each band and to the merge.
     /// Deliberately *not* part of the cache key: re-analyzing cached
@@ -152,7 +152,9 @@ fn band_config(config: &SweepConfig, band: &SweepBand) -> Result<CampaignConfig,
 /// captured bits. `system_id` names the simulated scene + machine (the
 /// caller's factory is opaque, so the caller vouches for the name);
 /// floats enter as bit patterns, and execution details that cannot change
-/// the bits (thread count, recorder) stay out.
+/// the bits (thread count, recorder) stay out. Every capture renders
+/// with Fast synthesis and robust averaging; the `synth` and `averaging`
+/// lines still name them so existing cache entries keep their keys.
 fn band_description(
     config: &SweepConfig,
     band: &SweepBand,
@@ -169,8 +171,8 @@ fn band_description(
         "{KEY_FORMAT}\nsystem={system_id}\npair={pair:?}\n\
          band={} lo={:016x} hi={:016x} res={:016x}\n\
          falt1={:016x} fdelta={:016x} alts={} avgs={}\n\
-         seed={band_seed:016x}\nsynth={:?}\nmax_fft={}\nmax_attempts={}\n\
-         averaging={:?}\nfault={fault}",
+         seed={band_seed:016x}\nsynth=Fast\nmax_fft={}\nmax_attempts={}\n\
+         averaging=Robust\nfault={fault}",
         band.index,
         band.lo.hz().to_bits(),
         band.hi.hz().to_bits(),
@@ -179,10 +181,8 @@ fn band_description(
         config.f_delta.hz().to_bits(),
         config.alternations,
         config.averages,
-        options.synth_mode,
         options.max_fft,
         options.max_attempts,
-        options.averaging,
     )
 }
 

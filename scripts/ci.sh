@@ -8,6 +8,19 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# The base commit of the per-layer perf A/B stage below, taken before any
+# build can touch the tree: on a pull-request run, the merge-base with the
+# target branch; else HEAD when the work tree has uncommitted changes
+# (those changes are what is tested); else HEAD~1 (a push, or a clean
+# checkout, tests its last commit).
+if [[ -n "${GITHUB_BASE_REF:-}" ]]; then
+  ab_base=$(git merge-base HEAD "origin/$GITHUB_BASE_REF")
+elif [[ -n "$(git status --porcelain)" ]]; then
+  ab_base=$(git rev-parse HEAD)
+else
+  ab_base=$(git rev-parse HEAD~1)
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -82,28 +95,67 @@ for src in crates/bench/src/bin/*.rs; do
 done
 [[ $figures_ok -eq 1 ]] || { echo "figure output depends on the worker count"; exit 1; }
 
-echo "==> capture/synth perf regression gate"
-# Re-run the pipeline bench and compare the capture/synth stage total
-# against the checked-in BENCH_pipeline.json: a regression of more than
-# 20% fails. One retry damps scheduler noise on small CI boxes; the
-# checked-in file is restored afterwards so the gate never dirties the
-# tree.
-synth_baseline=$(sed -n 's/.*"capture\/synth".*"total_ns": \([0-9]*\).*/\1/p' BENCH_pipeline.json)
-[[ -n "$synth_baseline" ]] \
-  || { echo "BENCH_pipeline.json lacks a capture/synth stage total"; exit 1; }
-cp BENCH_pipeline.json target/BENCH_pipeline.checked-in.json
-synth_gate() {
-  cargo bench --offline -p fase-bench --bench pipeline > /dev/null
-  synth_now=$(sed -n 's/.*"capture\/synth".*"total_ns": \([0-9]*\).*/\1/p' BENCH_pipeline.json)
-  [[ -n "$synth_now" ]] && (( synth_now * 10 <= synth_baseline * 12 ))
+echo "==> per-layer perf A/B gate (base build vs this tree, same host)"
+# The benchmark package (crates/bench/examples/perf) is built twice: at a
+# base commit, checked out in a git worktree under target/, and from this
+# tree. Traced runs of both then alternate on this host, the same seeds
+# on both sides and the side that goes first swapping from pair to pair,
+# so the gate compares the change and not the machine. A per-layer
+# metric whose median over the pairs is more than 20% worse than the
+# base's fails. Each metric is gated on the workload that exercises it.
+# serve runs 10 pairs, the others 5: on a 2-core host, serve's service
+# time read 9.0-16.5 ms over ten runs of one build, a spread that lets
+# five pairs fail an unchanged tree now and then.
+ab_dir=target/perf-ab
+ab_tree=$ab_dir/base
+git worktree remove --force "$ab_tree" 2>/dev/null || true
+rm -rf "$ab_tree"
+git worktree prune
+mkdir -p "$ab_dir"
+git worktree add --detach --quiet "$ab_tree" "$ab_base"
+perf_pkg=crates/bench/examples/perf
+cargo build --offline --release --quiet --manifest-path "$ab_tree/$perf_pkg/Cargo.toml"
+cargo build --offline --release --quiet --manifest-path "$perf_pkg/Cargo.toml"
+declare -A ab_bin=([base]="$ab_tree/$perf_pkg/target/release/perf"
+  [head]="$perf_pkg/target/release/perf")
+echo "base $(git rev-parse --short "$ab_base")"
+# A traced serve run needs 25 s, or its tail percentiles lack samples and
+# it exits 2; 5 s runs of the closed-loop workloads suffice.
+declare -A ab_seconds=([campaign]=5 [sweep_warm]=5 [serve]=25)
+declare -A ab_npairs=([campaign]=5 [sweep_warm]=5 [serve]=10)
+declare -A ab_gates=(
+  [campaign]="emsim.synth_ms dsp.transform_ms core.detect_ms specan.capture_self_ms"
+  [sweep_warm]="specan.cache_ms" [serve]="serve.service_ms")
+# Median of metric $3 over side $1's runs of workload $2; a result line
+# holds each metric as "name": {"value": v, "unit": u}.
+ab_median() {
+  grep -o "\"${3//./\\.}\": {\"value\": [-0-9.eE+]*" "$ab_dir/$1.$2.jsonl" \
+    | sed 's/.* //' | sort -g \
+    | awk '{ v[NR] = $1 } END { if (NR) print (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2 }'
 }
-synth_gate || synth_gate || {
-  echo "capture/synth regressed >20%: ${synth_now:-unreported} ns vs baseline ${synth_baseline} ns"
-  cp target/BENCH_pipeline.checked-in.json BENCH_pipeline.json
-  exit 1
-}
-echo "capture/synth: ${synth_now} ns (baseline ${synth_baseline} ns)"
-cp target/BENCH_pipeline.checked-in.json BENCH_pipeline.json
+ab_ok=1
+for w in campaign sweep_warm serve; do
+  : > "$ab_dir/base.$w.jsonl"
+  : > "$ab_dir/head.$w.jsonl"
+  for ((pair = 1; pair <= ab_npairs[$w]; pair++)); do
+    sides=(base head)
+    (( pair % 2 == 1 )) || sides=(head base)
+    for side in "${sides[@]}"; do
+      "${ab_bin[$side]}" --workload "$w" --seed "$pair" --seconds "${ab_seconds[$w]}" \
+        --trace 1 | tail -n 1 >> "$ab_dir/$side.$w.jsonl"
+    done
+  done
+  for m in ${ab_gates[$w]}; do
+    base_med=$(ab_median base "$w" "$m")
+    head_med=$(ab_median head "$w" "$m")
+    verdict=$(awk -v b="$base_med" -v h="$head_med" 'BEGIN {
+      printf("%s %+.1f%%", (b > 0 && h <= 1.2 * b) ? "ok" : "WORSE", (b > 0) ? (h / b - 1) * 100 : 0) }')
+    echo "  $w $m: base ${base_med:-missing}, head ${head_med:-missing} ($verdict)"
+    [[ $verdict == ok* ]] || ab_ok=0
+  done
+done
+git worktree remove --force "$ab_tree"
+[[ $ab_ok -eq 1 ]] || { echo "a per-layer metric is >20% worse than the base build"; exit 1; }
 
 echo "==> metrics export + schema validation"
 # A small real campaign with observability on: the exported metrics JSON
@@ -118,20 +170,34 @@ cargo run -p fase-obs --offline --release --bin fase-obs-validate -- \
 
 echo "==> sweep cache reuse"
 # The same two-band sweep twice against one cache directory: the first
-# run populates it, the second must be served from it (nonzero
-# specan.cache_hits in the exported metrics) and its metrics must still
-# validate against the schema.
+# run must miss both bands and store them, the second must be served
+# from the cache (both bands hit, none missed) and take at most a fifth
+# of the cold run's sweep time. Both runs' metrics must validate against
+# the schema.
 rm -rf target/sweep-cache
 sweep_args=(sweep --system i7 --lo 250k --hi 400k --res 500 --bands 2
   --overlap 2k --falt 30k --fdelta 2k --alts 3 --avg 1 --seed 5
   --cache-dir target/sweep-cache)
-cargo run -p fase-cli --offline --release -- "${sweep_args[@]}" > /dev/null
+cargo run -p fase-cli --offline --release -- "${sweep_args[@]}" \
+  --metrics-out target/sweep-cold-metrics.json > /dev/null
 cargo run -p fase-cli --offline --release -- "${sweep_args[@]}" \
   --metrics-out target/sweep-metrics.json > /dev/null
-cargo run -p fase-obs --offline --release --bin fase-obs-validate -- \
-  target/sweep-metrics.json scripts/metrics.schema.json
-grep -Eq '"specan\.cache_hits": [1-9]' target/sweep-metrics.json \
-  || { echo "warm sweep recorded no cache hits:"; cat target/sweep-metrics.json; exit 1; }
+for run in sweep-cold-metrics sweep-metrics; do
+  cargo run -p fase-obs --offline --release --bin fase-obs-validate -- \
+    "target/$run.json" scripts/metrics.schema.json
+done
+# One counter, or one span's total_ns, from an exported metrics file.
+metric() { sed -n "s/.*\"$2\": \([0-9]*\).*/\1/p" "$1"; }
+span_ns() { sed -n "s/.*\"$2\": {.*\"total_ns\": \([0-9]*\) }.*/\1/p" "$1"; }
+cold_hm="$(metric target/sweep-cold-metrics.json 'specan\.cache_hits')/$(metric target/sweep-cold-metrics.json 'specan\.cache_misses')"
+warm_hm="$(metric target/sweep-metrics.json 'specan\.cache_hits')/$(metric target/sweep-metrics.json 'specan\.cache_misses')"
+[[ $cold_hm == 0/2 && $warm_hm == 2/0 ]] \
+  || { echo "cache hits/misses: cold $cold_hm (want 0/2), warm $warm_hm (want 2/0)"; exit 1; }
+cold_ns=$(span_ns target/sweep-cold-metrics.json 'specan\.sweep')
+warm_ns=$(span_ns target/sweep-metrics.json 'specan\.sweep')
+[[ -n "$cold_ns" && -n "$warm_ns" ]] && (( cold_ns >= 5 * warm_ns )) \
+  || { echo "warm sweep not 5x faster than cold: ${warm_ns:-?} vs ${cold_ns:-?} ns"; exit 1; }
+echo "sweep: cold ${cold_ns} ns, warm ${warm_ns} ns"
 
 echo "==> detection-quality benchmark (fused vs single-channel ROC)"
 # The labeled scenario population through 3-channel fusion, three times:
@@ -169,11 +235,15 @@ awk "BEGIN { exit !($fused_auc >= $single_auc && $fused_auc >= 0.9) }" \
   || { echo "fused AUC $fused_auc must be >= single-channel AUC $single_auc and >= 0.9"; exit 1; }
 echo "detection: fused AUC $fused_auc vs single-channel AUC $single_auc"
 
-echo "==> serve smoke (seeded load, p99 bound, clean drain)"
-# Start the detection service on an OS-assigned port, fire a small
-# deterministic multi-tenant load at it, assert the p99 latency under a
-# generous bound, then drain: the server must answer every request and
-# exit cleanly on its own.
+echo "==> serve smoke (seeded load twice, warm speedup, clean drain)"
+# Start the detection service on an OS-assigned port and fire the same
+# small deterministic multi-tenant load at it twice: the first run fills
+# the cache, the second is served from it. Both runs must answer every
+# request without errors, under a generous p99 bound, and the warm run's
+# p50 must be at most half the cold run's. The second run then drains:
+# the server must exit cleanly on its own. A load with another seed goes
+# first, so the process-wide memos and FFT plans are warm before the
+# cold run and the speedup measures the capture cache alone.
 rm -f target/serve.port target/serve.log
 rm -rf target/serve-cache
 cargo run -p fase-cli --offline --release -- \
@@ -187,12 +257,26 @@ for _ in $(seq 1 100); do
 done
 [[ -s target/serve.port ]] \
   || { echo "server never wrote its port file"; cat target/serve.log; exit 1; }
-cargo run -p fase-cli --offline --release -- \
-  load --addr "$(cat target/serve.port)" --tenants 2 --requests 1 \
-  --concurrency 4 --seed 7 --max-p99-ms 60000 --json --drain \
+load_args=(load --addr "$(cat target/serve.port)" --tenants 2 --requests 1
+  --concurrency 4 --max-p99-ms 60000 --json)
+cargo run -p fase-cli --offline --release -- "${load_args[@]}" --seed 8 > /dev/null
+cargo run -p fase-cli --offline --release -- "${load_args[@]}" --seed 7 > target/serve-load-cold.json
+cargo run -p fase-cli --offline --release -- "${load_args[@]}" --seed 7 --drain \
   > target/serve-load.json
-grep -q '"errors":0' target/serve-load.json \
-  || { echo "serve load run had errors:"; cat target/serve-load.json; exit 1; }
+# One number from a load report's JSON.
+load_field() { sed -n "s/.*\"$2\":\([0-9.]*\).*/\1/p" "$1"; }
+for run in serve-load-cold serve-load; do
+  report=target/$run.json
+  sent=$(load_field "$report" sent)
+  answered=$(( $(load_field "$report" ok) + $(load_field "$report" degraded) ))
+  grep -q '"errors":0' "$report" && [[ -n "$sent" && $sent -gt 0 && $answered -eq $sent ]] \
+    || { echo "serve load run had errors or unanswered requests:"; cat "$report"; exit 1; }
+done
+cold_p50=$(load_field target/serve-load-cold.json p50_ms)
+warm_p50=$(load_field target/serve-load.json p50_ms)
+awk -v c="$cold_p50" -v w="$warm_p50" 'BEGIN { exit !(c > 0 && w <= c / 2) }' \
+  || { echo "warm serve p50 ${warm_p50} ms is not at most half the cold ${cold_p50} ms"; exit 1; }
+echo "serve: p50 cold ${cold_p50} ms, warm ${warm_p50} ms"
 wait "$serve_pid"
 trap - EXIT
 grep -q "drained cleanly" target/serve.log \
