@@ -108,7 +108,6 @@ fn main() {
         let fase = Fase::new(FaseConfig {
             heuristic: HeuristicConfig {
                 search_bins: v.search_bins,
-                ..Default::default()
             },
             detector: DetectorConfig {
                 min_support: v.min_support,

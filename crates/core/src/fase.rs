@@ -1,6 +1,5 @@
 //! The top-level FASE analyzer.
 
-use crate::config::CampaignConfig;
 use crate::detector::{detect_in_trace, merge_detections, Detection, DetectorConfig};
 use crate::error::FaseError;
 use crate::heuristic::{all_harmonic_scores_recorded, HeuristicConfig};
@@ -139,26 +138,12 @@ impl Fase {
         self.recorder.count_usize("core.carriers", report.len());
         Ok(report)
     }
-
-    /// Convenience: validates raw per-alternation spectra into a campaign
-    /// and analyzes them in one call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates campaign-validation and analysis errors.
-    pub fn analyze_raw(
-        &self,
-        config: CampaignConfig,
-        spectra: Vec<fase_dsp::Spectrum>,
-    ) -> Result<FaseReport, FaseError> {
-        let campaign = crate::heuristic::campaign_from_spectra(config, spectra)?;
-        self.analyze(&campaign)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CampaignConfig;
     use fase_dsp::{Hertz, Spectrum};
 
     fn config() -> CampaignConfig {
@@ -252,24 +237,5 @@ mod tests {
         }
         assert_eq!(snap.counters.get("core.carriers"), Some(&1));
         assert!(snap.counters.contains_key("core.heuristic.bins_scored"));
-    }
-
-    #[test]
-    fn analyze_raw_convenience() {
-        let config = config();
-        let bins = config.bins();
-        let spectra: Vec<Spectrum> = config
-            .alternation_frequencies()
-            .iter()
-            .map(|f_alt| {
-                let mut p = vec![1e-14; bins];
-                p[1000] = 1e-10;
-                p[1000 + (f_alt.hz() / 100.0) as usize] = 2e-12;
-                p[1000 - (f_alt.hz() / 100.0) as usize] = 2e-12;
-                Spectrum::new(Hertz(0.0), Hertz(100.0), p).unwrap()
-            })
-            .collect();
-        let report = Fase::default().analyze_raw(config, spectra).unwrap();
-        assert_eq!(report.len(), 1);
     }
 }

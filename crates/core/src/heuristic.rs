@@ -24,6 +24,16 @@ use fase_dsp::units::bin_round;
 use fase_dsp::{Hertz, Spectrum};
 use fase_obs::Recorder;
 
+/// Stabilizing floor added to numerator and denominator, expressed as a
+/// fraction of the spectrum's median bin power.
+const FLOOR_FRACTION: f64 = 0.1;
+
+/// A sub-score above this ratio counts as one spectrum "supporting" the
+/// candidate carrier. The detector later requires a minimum number of
+/// supporting spectra, so one lone coincidence (a spike that a single
+/// shifted lookup happens to graze) cannot fake a carrier.
+const SUPPORT_RATIO: f64 = 2.0;
+
 /// Configuration of the heuristic evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeuristicConfig {
@@ -31,23 +41,11 @@ pub struct HeuristicConfig {
     /// before the shifted lookup. Absorbs residual alternation-frequency
     /// calibration error and side-band line width.
     pub search_bins: usize,
-    /// Stabilizing floor added to numerator and denominator, expressed as a
-    /// fraction of the spectrum's median bin power.
-    pub floor_fraction: f64,
-    /// A sub-score above this ratio counts as one spectrum "supporting"
-    /// the candidate carrier. The detector later requires a minimum number
-    /// of supporting spectra, so one lone coincidence (a spike that a
-    /// single shifted lookup happens to graze) cannot fake a carrier.
-    pub support_ratio: f64,
 }
 
 impl Default for HeuristicConfig {
     fn default() -> HeuristicConfig {
-        HeuristicConfig {
-            search_bins: 3,
-            floor_fraction: 0.1,
-            support_ratio: 2.0,
-        }
+        HeuristicConfig { search_bins: 3 }
     }
 }
 
@@ -210,8 +208,8 @@ impl ScoreContext {
 
         let floored: Vec<Vec<f64>> = (0..n_spectra)
             .map(|i| {
-                let floor = (spectra.spectrum(i).median_power() * config.floor_fraction)
-                    .max(f64::MIN_POSITIVE);
+                let floor =
+                    (spectra.spectrum(i).median_power() * FLOOR_FRACTION).max(f64::MIN_POSITIVE);
                 let mut maxed = windowed_max(spectra.spectrum(i).powers(), search);
                 for v in &mut maxed {
                     *v += floor;
@@ -241,7 +239,7 @@ impl ScoreContext {
     }
 
     /// Evaluates `F_h(f)` over the whole band for one harmonic.
-    fn harmonic(&self, h: i32, config: &HeuristicConfig) -> ScoreTrace {
+    fn harmonic(&self, h: i32) -> ScoreTrace {
         let bins = self.column_sum.len();
         // Integer bin shift per spectrum: h · f_alt_i / f_res.
         let shifts: Vec<i64> = self
@@ -267,7 +265,7 @@ impl ScoreContext {
                 let sub = own / others;
                 f *= sub;
                 contributions += 1;
-                if sub > config.support_ratio {
+                if sub > SUPPORT_RATIO {
                     supporters += 1;
                 }
             }
@@ -309,7 +307,7 @@ pub fn harmonic_scores_recorded(
 ) -> ScoreTrace {
     let ctx = ScoreContext::new(spectra, config, recorder);
     recorder.count_usize("core.heuristic.bins_scored", ctx.column_sum.len());
-    ctx.harmonic(h, config)
+    ctx.harmonic(h)
 }
 
 /// Computes score traces for every harmonic `±1..=±max_harmonic`.
@@ -348,7 +346,7 @@ pub fn all_harmonic_scores_recorded(
     );
     let threads = worker_threads(None).min(harmonics.len()).max(1);
     if threads == 1 {
-        return harmonics.iter().map(|&h| ctx.harmonic(h, config)).collect();
+        return harmonics.iter().map(|&h| ctx.harmonic(h)).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results: Vec<std::sync::Mutex<Option<ScoreTrace>>> = harmonics
@@ -360,7 +358,7 @@ pub fn all_harmonic_scores_recorded(
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(&h) = harmonics.get(i) else { break };
-                let trace = ctx.harmonic(h, config);
+                let trace = ctx.harmonic(h);
                 *results[i]
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(trace);
@@ -376,7 +374,7 @@ pub fn all_harmonic_scores_recorded(
         .map(|(slot, &h)| {
             slot.into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|| ctx.harmonic(h, config))
+                .unwrap_or_else(|| ctx.harmonic(h))
         })
         .collect()
 }

@@ -41,6 +41,10 @@ impl fmt::Display for Attribution {
     }
 }
 
+/// Power ratio a spectrum must show at its expected position to count as
+/// consistent.
+const MIN_RATIO: f64 = 2.0;
+
 /// Configuration for [`attribute_peak`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttributionConfig {
@@ -48,9 +52,6 @@ pub struct AttributionConfig {
     pub max_harmonic: u32,
     /// Search half-width (bins) around each expected peak position.
     pub search_bins: usize,
-    /// Power ratio a spectrum must show at its expected position to count
-    /// as consistent.
-    pub min_ratio: f64,
 }
 
 impl Default for AttributionConfig {
@@ -58,7 +59,6 @@ impl Default for AttributionConfig {
         AttributionConfig {
             max_harmonic: 5,
             search_bins: 3,
-            min_ratio: 2.0,
         }
     }
 }
@@ -107,7 +107,7 @@ pub fn attribute_peak(
                 let ratio = own / others;
                 ratio_sum += ratio;
                 evaluated += 1;
-                if ratio >= config.min_ratio {
+                if ratio >= MIN_RATIO {
                     consistent += 1;
                 }
             }
@@ -272,9 +272,6 @@ mod tests {
         // Every spectrum in the synthetic campaign has a nonzero floor, so
         // all five are evaluated and the mean is over five honest ratios —
         // well above the consistency threshold, not deflated by zeros.
-        assert!(
-            best.mean_ratio >= AttributionConfig::default().min_ratio,
-            "{best:?}"
-        );
+        assert!(best.mean_ratio >= MIN_RATIO, "{best:?}");
     }
 }

@@ -174,23 +174,10 @@ pub struct RidgePoint {
 /// magnitude (normalized by the window's coherent gain, so a stable tone
 /// reads its true envelope amplitude) is the demodulated sample.
 ///
-/// # Panics
-///
-/// Panics if `frame_len` or `hop` is zero.
-pub fn ridge_track(
-    iq: &[Complex64],
-    sample_rate: f64,
-    frame_len: usize,
-    hop: usize,
-    window: Window,
-) -> Vec<RidgePoint> {
-    ridge_track_in_band(iq, sample_rate, frame_len, hop, window, None)
-}
-
-/// [`ridge_track`] with the search restricted to offsets within
-/// `band = (lo, hi)` Hz — a tracking receiver knows roughly where its
+/// With `band = Some((lo, hi))` the search is restricted to offsets
+/// within `lo..=hi` Hz — a tracking receiver knows roughly where its
 /// carrier sweeps, and constraining the search keeps weak-envelope frames
-/// from locking onto unrelated signals.
+/// from locking onto unrelated signals. `None` searches every bin.
 ///
 /// # Panics
 ///
@@ -482,7 +469,7 @@ mod tests {
                 Complex64::from_polar(amp, phase)
             })
             .collect();
-        let ridge = ridge_track(&iq, fs, 32, 16, Window::Hann);
+        let ridge = ridge_track_in_band(&iq, fs, 32, 16, Window::Hann, None);
         assert!(ridge.len() > 500);
         // The tracked offsets span most of the ±100 kHz sweep.
         let max_off = ridge
@@ -526,7 +513,7 @@ mod tests {
         let iq: Vec<Complex64> = (0..4096)
             .map(|i| Complex64::from_polar(2.5, TAU * 12_500.0 * i as f64 / fs))
             .collect();
-        let ridge = ridge_track(&iq, fs, 64, 64, Window::Hann);
+        let ridge = ridge_track_in_band(&iq, fs, 64, 64, Window::Hann, None);
         for p in &ridge {
             assert!((p.frequency_offset - 12_500.0).abs() < fs / 64.0);
             assert!((p.amplitude - 2.5).abs() < 0.1, "amp {}", p.amplitude);

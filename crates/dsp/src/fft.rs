@@ -18,7 +18,7 @@
 //! per-thread caches ([`cached_plan`], [`cached_rfft_plan`]); Bluestein
 //! transforms reuse their convolution workspace across calls via
 //! [`FftScratch`] — the one-shot entry points ([`FftPlan::transform`],
-//! [`fft`], [`ifft`], [`rfft`], [`fft_real`]) borrow a per-thread scratch so
+//! [`fft`], [`ifft`], [`rfft`]) borrow a per-thread scratch so
 //! even "plan-less" callers stop paying a workspace allocation per call.
 //! Cache traffic is observable through the `dsp.plan_cache_hits` /
 //! `dsp.plan_cache_misses` counters.
@@ -592,26 +592,6 @@ fn bluestein(
     for k in 0..n {
         data[k] = a[k] * chirp[k];
     }
-}
-
-/// One-shot forward FFT of a real signal; returns the full complex spectrum.
-///
-/// Convenience wrapper around [`FftPlan`] for callers that transform once.
-///
-/// # Examples
-///
-/// ```
-/// use fase_dsp::fft::fft_real;
-/// let x: Vec<f64> = (0..16)
-///     .map(|n| (2.0 * std::f64::consts::PI * 2.0 * n as f64 / 16.0).cos())
-///     .collect();
-/// let spec = fft_real(&x);
-/// // A unit cosine at bin 2 produces N/2 magnitude at bins 2 and N-2.
-/// assert!((spec[2].norm() - 8.0).abs() < 1e-9);
-/// assert!((spec[14].norm() - 8.0).abs() < 1e-9);
-/// ```
-pub fn fft_real(signal: &[f64]) -> Vec<Complex64> {
-    rfft(signal)
 }
 
 /// One-shot forward FFT of a real signal through the packed real-input path.

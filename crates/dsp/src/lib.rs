@@ -13,12 +13,9 @@
 //!   demodulators, retuning, spectrograms, and AM-vs-FM classification.
 //! * [`fir`] — windowed-sinc lowpass/bandpass filter design (the receiver
 //!   chain's channel filters).
-//! * [`noise`] — seeded Gaussian / pink / Gauss–Markov / phase-walk
-//!   generators.
+//! * [`noise`] — seeded real and circular-complex Gaussian draws.
 //! * [`rng`] — the self-contained SplitMix64 PRNG every stochastic
 //!   component draws from (no external `rand` dependency).
-//! * [`welch`] — Welch averaged-periodogram PSD estimation for long IQ
-//!   captures.
 //! * [`stats`] — small robust-statistics helpers.
 //! * [`units`] — [`Hertz`], [`Seconds`], [`Decibels`], [`Dbm`] newtypes.
 //!
@@ -56,7 +53,6 @@ pub mod rng;
 pub mod spectrum;
 pub mod stats;
 pub mod units;
-pub mod welch;
 pub mod window;
 
 pub use complex::Complex64;

@@ -2,8 +2,7 @@
 //!
 //! Everything stochastic in the simulator flows from explicit RNGs so that
 //! figures and tests are reproducible. [`crate::rng`] provides uniform
-//! variates; the Gaussian, pink and random-walk processes here are built on
-//! top of it.
+//! variates; the Gaussian draws here are built on top of it.
 
 use crate::complex::Complex64;
 use crate::rng::Rng;
@@ -41,13 +40,6 @@ pub fn complex_normal<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Complex64 {
     Complex64::new(r * cos, r * sin)
 }
 
-/// Fills `out` with white Gaussian noise of standard deviation `sigma`.
-pub fn white_noise<R: Rng + ?Sized>(rng: &mut R, sigma: f64, out: &mut [f64]) {
-    for x in out.iter_mut() {
-        *x = sigma * standard_normal(rng);
-    }
-}
-
 /// Like [`complex_normal`] — circular complex Gaussian with total power
 /// σ² — but drawn with the Marsaglia polar method: an accepted uniform
 /// pair in the unit disc yields both components from one `ln`/`sqrt` with
@@ -80,111 +72,6 @@ pub fn complex_normal_polar<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Complex
     }
 }
 
-/// A first-order Gauss–Markov (Ornstein–Uhlenbeck–like) process.
-///
-/// Used for oscillator drift and the "gently rolling hills and valleys" of
-/// broadband switching noise (paper §2.1): low-pass-filtered randomness with
-/// a controllable correlation time.
-#[derive(Debug, Clone)]
-pub struct GaussMarkov {
-    state: f64,
-    /// Per-step retention factor `exp(-dt/tau)`.
-    alpha: f64,
-    /// Per-step innovation standard deviation.
-    innovation: f64,
-}
-
-impl GaussMarkov {
-    /// Creates a process with stationary standard deviation `sigma` and
-    /// correlation time of `tau_steps` update steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or `tau_steps` is not positive.
-    pub fn new(sigma: f64, tau_steps: f64) -> GaussMarkov {
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        assert!(tau_steps > 0.0, "correlation time must be positive");
-        let alpha = (-1.0 / tau_steps).exp();
-        let innovation = sigma * safe_sqrt(1.0 - alpha * alpha);
-        GaussMarkov {
-            state: 0.0,
-            alpha,
-            innovation,
-        }
-    }
-
-    /// Advances one step and returns the new state.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        self.state = self.alpha * self.state + self.innovation * standard_normal(rng);
-        self.state
-    }
-
-    /// Current state without advancing.
-    pub fn value(&self) -> f64 {
-        self.state
-    }
-}
-
-/// A random-walk phase process for oscillator phase noise.
-///
-/// Each step adds N(0, step_sigma²) radians; carriers built on RC
-/// oscillators (switching regulators) use large steps, crystal-derived
-/// clocks use tiny ones. Integrated random-walk phase produces the
-/// Gaussian-looking spread the paper shows in Figure 12.
-#[derive(Debug, Clone)]
-pub struct PhaseWalk {
-    phase: f64,
-    step_sigma: f64,
-}
-
-impl PhaseWalk {
-    /// Creates a phase walk with the given per-step standard deviation in
-    /// radians.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step_sigma` is negative.
-    pub fn new(step_sigma: f64) -> PhaseWalk {
-        assert!(step_sigma >= 0.0, "step sigma must be non-negative");
-        PhaseWalk {
-            phase: 0.0,
-            step_sigma,
-        }
-    }
-
-    /// Advances one step and returns the accumulated phase in radians.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        self.phase += self.step_sigma * standard_normal(rng);
-        self.phase
-    }
-
-    /// Current accumulated phase.
-    pub fn phase(&self) -> f64 {
-        self.phase
-    }
-}
-
-/// Generates `n` samples of pink (1/f) noise using the Voss–McCartney
-/// algorithm with `octaves` update rows.
-///
-/// # Panics
-///
-/// Panics if `octaves` is zero or greater than 62.
-pub fn pink_noise<R: Rng + ?Sized>(rng: &mut R, sigma: f64, octaves: u32, n: usize) -> Vec<f64> {
-    assert!((1..=62).contains(&octaves), "octaves must be in 1..=62");
-    let mut rows: Vec<f64> = (0..octaves).map(|_| standard_normal(rng)).collect();
-    let norm = sigma / safe_sqrt(f64::from(octaves));
-    (0..n)
-        .map(|i| {
-            // Row k updates every 2^k samples (trailing-zeros trick).
-            // fase-lint: allow(U-cast) -- u32→usize row index, bounded by octaves ≤ 62
-            let k = (i + 1).trailing_zeros().min(octaves - 1) as usize;
-            rows[k] = standard_normal(rng);
-            rows.iter().sum::<f64>() * norm
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,74 +95,6 @@ mod tests {
             .sum::<f64>()
             / 100_000.0;
         assert!((power - sigma * sigma).abs() / (sigma * sigma) < 0.02);
-    }
-
-    #[test]
-    fn white_noise_fills_buffer() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut buf = vec![0.0; 10_000];
-        white_noise(&mut rng, 0.5, &mut buf);
-        assert!((stats::std_dev(&buf) - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn gauss_markov_stationary_std() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut gm = GaussMarkov::new(3.0, 20.0);
-        // Burn in, then measure.
-        for _ in 0..1000 {
-            gm.step(&mut rng);
-        }
-        let xs: Vec<f64> = (0..200_000).map(|_| gm.step(&mut rng)).collect();
-        assert!((stats::std_dev(&xs) - 3.0).abs() < 0.1);
-        // Consecutive samples are correlated.
-        let lag1: f64 = xs.windows(2).map(|w| w[0] * w[1]).sum::<f64>() / (xs.len() - 1) as f64;
-        let corr = lag1 / stats::variance(&xs);
-        assert!((corr - (-1.0f64 / 20.0).exp()).abs() < 0.02, "corr {corr}");
-    }
-
-    #[test]
-    fn phase_walk_variance_grows_linearly() {
-        let step = 0.01;
-        let trials = 2000;
-        let steps = 400;
-        let mut rng = SmallRng::seed_from_u64(5);
-        let finals: Vec<f64> = (0..trials)
-            .map(|_| {
-                let mut w = PhaseWalk::new(step);
-                for _ in 0..steps {
-                    w.step(&mut rng);
-                }
-                w.phase()
-            })
-            .collect();
-        let expected_var = step * step * steps as f64;
-        let var = stats::variance(&finals);
-        assert!(
-            (var - expected_var).abs() / expected_var < 0.15,
-            "var {var} vs {expected_var}"
-        );
-    }
-
-    #[test]
-    fn pink_noise_spectral_slope() {
-        use crate::fft::fft_real;
-        let mut rng = SmallRng::seed_from_u64(9);
-        let n = 1 << 15;
-        let x = pink_noise(&mut rng, 1.0, 16, n);
-        let spec = fft_real(&x);
-        // Compare average power in a low band vs a band 16x higher: expect
-        // roughly 16x (12 dB) more power at the lower band for 1/f noise.
-        let band_power = |lo: usize, hi: usize| -> f64 {
-            spec[lo..hi].iter().map(|z| z.norm_sqr()).sum::<f64>() / (hi - lo) as f64
-        };
-        let low = band_power(8, 32);
-        let high = band_power(128, 512);
-        let ratio = low / high;
-        assert!(
-            ratio > 4.0 && ratio < 64.0,
-            "expected ~16x low/high power ratio, got {ratio}"
-        );
     }
 
     #[test]

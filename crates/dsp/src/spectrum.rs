@@ -393,22 +393,6 @@ impl Spectrum {
         Spectrum::new(first.start, res, power)
     }
 
-    /// Adds another spectrum's power bin-by-bin (e.g. summing independent
-    /// source contributions).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpectrumError::GridMismatch`] if grids differ.
-    pub fn add_power(&mut self, other: &Spectrum) -> Result<(), SpectrumError> {
-        if !self.same_grid(other) {
-            return Err(SpectrumError::GridMismatch);
-        }
-        for (a, p) in self.power_mw.iter_mut().zip(&other.power_mw) {
-            *a += p;
-        }
-        Ok(())
-    }
-
     /// Returns a copy with every bin scaled by a linear factor.
     ///
     /// # Panics
@@ -612,11 +596,8 @@ mod tests {
     }
 
     #[test]
-    fn add_power_and_scale() {
-        let mut a = Spectrum::new(Hertz(0.0), Hertz(1.0), vec![1.0, 2.0]).unwrap();
-        let b = Spectrum::new(Hertz(0.0), Hertz(1.0), vec![0.5, 0.5]).unwrap();
-        a.add_power(&b).unwrap();
-        assert_eq!(a.powers(), &[1.5, 2.5]);
+    fn scale_multiplies_every_bin() {
+        let a = Spectrum::new(Hertz(0.0), Hertz(1.0), vec![1.5, 2.5]).unwrap();
         let s = a.scaled(2.0);
         assert_eq!(s.powers(), &[3.0, 5.0]);
     }

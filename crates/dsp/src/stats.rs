@@ -78,31 +78,6 @@ pub fn argmax(xs: &[f64]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Greatest common divisor of two positive reals within a relative
-/// tolerance — used to group detected carriers into harmonic sets
-/// (315/630/945 kHz → 315 kHz).
-///
-/// Returns `None` if either input is non-positive or no divisor within
-/// tolerance exists after a bounded Euclid iteration.
-pub fn real_gcd(a: f64, b: f64, rel_tol: f64) -> Option<f64> {
-    if a <= 0.0 || b <= 0.0 || !a.is_finite() || !b.is_finite() {
-        return None;
-    }
-    let tol = a.max(b) * rel_tol;
-    let (mut x, mut y) = (a.max(b), a.min(b));
-    for _ in 0..64 {
-        if y < tol {
-            return Some(x);
-        }
-        let r = x % y;
-        // Snap remainders near 0 or near y (float wobble around exact division).
-        let r = if r < tol || (y - r) < tol { 0.0 } else { r };
-        x = y;
-        y = r;
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
 // Guarded NaN-able operations.
 //
@@ -138,12 +113,6 @@ pub fn safe_ln(x: f64) -> f64 {
     x.max(f64::MIN_POSITIVE).ln()
 }
 
-/// Base-10 logarithm clamped away from the non-positive domain; the
-/// building block behind the dB conversions in [`crate::units`].
-pub fn safe_log10(x: f64) -> f64 {
-    x.max(f64::MIN_POSITIVE).log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,8 +124,6 @@ mod tests {
         assert_eq!(safe_sqrt(f64::NAN), 0.0);
         assert_eq!(safe_ln(std::f64::consts::E), 1.0);
         assert!(safe_ln(-1.0).is_finite());
-        assert_eq!(safe_log10(1000.0), 3.0);
-        assert!(safe_log10(0.0).is_finite());
     }
 
     #[test]
@@ -214,16 +181,5 @@ mod tests {
     fn mad_survives_poisoned_bins() {
         let xs = [1.0, 2.0, 3.0, 4.0, 5.0, f64::NAN];
         assert_eq!(mad(&xs), 1.0);
-    }
-
-    #[test]
-    fn gcd_of_harmonics() {
-        // 315 kHz harmonic set.
-        let g = real_gcd(630_000.0, 945_000.0, 1e-6).unwrap();
-        assert!((g - 315_000.0).abs() < 1.0, "g = {g}");
-        // With measurement error.
-        let g = real_gcd(630_010.0, 944_980.0, 1e-3).unwrap();
-        assert!((g - 315_000.0).abs() < 500.0, "g = {g}");
-        assert_eq!(real_gcd(-1.0, 2.0, 1e-6), None);
     }
 }

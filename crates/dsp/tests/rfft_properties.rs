@@ -156,20 +156,6 @@ fn rfft_pure_cosine_lands_in_symmetric_bins() {
 }
 
 #[test]
-fn fft_real_is_the_rfft_path() {
-    // The legacy name must stay a strict alias — same bits out.
-    let x = real_signal(300, 9);
-    let via_alias = fase_dsp::fft::fft_real(&x);
-    let via_rfft = rfft(&x);
-    for (k, (a, b)) in via_alias.iter().zip(&via_rfft).enumerate() {
-        assert!(
-            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-            "bin {k}: fft_real diverged from rfft"
-        );
-    }
-}
-
-#[test]
 fn zero_and_dc_signals() {
     for &n in &[2usize, 7, 64] {
         let zeros = vec![0.0; n];

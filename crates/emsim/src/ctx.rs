@@ -1,7 +1,7 @@
 //! Capture windows and the render context shared by all EM sources.
 
 use crate::phasor::SynthMode;
-use fase_dsp::{Complex64, Hertz, Seconds};
+use fase_dsp::{Hertz, Seconds};
 use fase_obs::Recorder;
 use fase_sysmodel::{ActivityTrace, Domain, RefreshEvent};
 
@@ -89,11 +89,6 @@ impl CaptureWindow {
     /// hertz of margin beyond each edge.
     pub fn contains(&self, f: Hertz, guard: Hertz) -> bool {
         f.hz() >= self.low_edge().hz() - guard.hz() && f.hz() <= self.high_edge().hz() + guard.hz()
-    }
-
-    /// Time of sample `n` (absolute seconds).
-    pub fn time_of(&self, n: usize) -> f64 {
-        self.start_time + n as f64 / self.sample_rate
     }
 }
 
@@ -205,19 +200,6 @@ pub fn dbm_to_amplitude(dbm: f64) -> f64 {
     10f64.powf(dbm / 20.0)
 }
 
-/// Inverse of [`dbm_to_amplitude`].
-pub fn amplitude_to_dbm(a: f64) -> f64 {
-    20.0 * a.log10()
-}
-
-/// Accumulates `amp · e^{jφ}` tones efficiently: callers keep a phase and a
-/// per-sample increment. Provided as a free function so every source shares
-/// the same convention.
-#[inline]
-pub fn add_tone_sample(out: &mut Complex64, amp: f64, phase: f64) {
-    *out += Complex64::from_polar(amp, phase);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +213,6 @@ mod tests {
         assert!(w.contains(Hertz::from_khz(450.0), Hertz::ZERO));
         assert!(!w.contains(Hertz::from_khz(399.0), Hertz::ZERO));
         assert!(w.contains(Hertz::from_khz(399.0), Hertz(2000.0)));
-        assert!((w.time_of(200) - 1.501).abs() < 1e-12);
     }
 
     #[test]
@@ -260,7 +241,6 @@ mod tests {
     fn dbm_amplitude_round_trip() {
         for dbm in [-150.0, -110.0, -30.0, 0.0] {
             let a = dbm_to_amplitude(dbm);
-            assert!((amplitude_to_dbm(a) - dbm).abs() < 1e-9);
             // Power of the envelope is |a|^2 mW.
             assert!((10.0 * (a * a).log10() - dbm).abs() < 1e-9);
         }

@@ -28,15 +28,15 @@
 //!
 //! A single phasor recurrence is a serial dependency chain — each sample's
 //! complex multiply waits on the previous one, so the CPU's SIMD units and
-//! multiple FP pipes sit idle. The [`mix_tone`] family instead splits the
-//! output into [`MIX_LANES`] interleaved lanes, each advanced by
-//! `rotation^MIX_LANES` per step: four independent chains the compiler can
-//! vectorize and schedule in parallel, with the window/load envelope fused
-//! into the store. Renormalization is on a **fixed cadence** — every
+//! multiple FP pipes sit idle. The lane mixers ([`mix_tone_ramp`],
+//! [`mix_chirp_env`]) instead split the output into [`MIX_LANES`]
+//! interleaved lanes, each advanced by `rotation^MIX_LANES` per step: four
+//! independent chains the compiler can vectorize and schedule in parallel,
+//! with the window/load envelope fused into the store. Renormalization is on a **fixed cadence** — every
 //! [`RENORM_INTERVAL`] samples inside a mix call and once at the end of
 //! every call — so amplitude drift stays bounded over arbitrarily long
 //! captures regardless of how callers chop their sample ranges (the
-//! `mix_tone_drift_bounded_over_2_22_samples` test pins the bound against
+//! `mix_tones_drift_bounded_over_2_22_samples` test pins the bound against
 //! the exact oracle over ≥2²² samples).
 
 use fase_dsp::Complex64;
@@ -168,138 +168,16 @@ fn unit_pow(base: Complex64, mut e: usize) -> Complex64 {
     acc
 }
 
-/// Mixes `amp·e^{jφ(t)}` (constant frequency, constant amplitude) into
-/// `out`, advancing `phasor` by `out.len()` samples.
+/// Mixes a constant-frequency tone with a linearly ramping envelope into
+/// `out`, advancing `phasor` by `out.len()` samples: sample `i` receives
+/// `(env0 + i·step) · phasor₀ · rotation^i`. Covers the broadcast-audio
+/// interpolation path without materializing an envelope buffer.
 ///
-/// Four-lane batched recurrence: sample `n` receives
-/// `amp · phasor₀ · rotation^n`, evaluated as [`MIX_LANES`] interleaved
-/// chains each stepped by `rotation⁴`. The phasor leaves renormalized, and
-/// lanes renormalize every [`RENORM_INTERVAL`] samples, so state carried
-/// across many mix calls does not drift.
-///
-/// # Examples
-///
-/// ```
-/// use fase_dsp::Complex64;
-/// use fase_emsim::phasor::{mix_tone, Phasor};
-/// let mut out = vec![Complex64::ZERO; 48];
-/// let mut p = Phasor::new(0.0);
-/// let rot = Phasor::rotation(1_000.0, 1.0 / 48_000.0);
-/// mix_tone(&mut out, &mut p, rot, 2.0);
-/// assert!((out[0] - Complex64::new(2.0, 0.0)).norm() < 1e-12);
-/// // After 48 samples of 1 kHz / 48 kHz the phasor wrapped to 1+0j.
-/// assert!((p.value() - Complex64::ONE).norm() < 1e-9);
-/// ```
-pub fn mix_tone(out: &mut [Complex64], phasor: &mut Phasor, rotation: Complex64, amp: f64) {
-    if out.is_empty() {
-        return;
-    }
-    let r2 = rotation * rotation;
-    let r4 = r2 * r2;
-    let z = phasor.z;
-    let (mut u0, mut u1, mut u2, mut u3) = (z, z * rotation, z * r2, z * r2 * rotation);
-    for block in out.chunks_mut(RENORM_INTERVAL) {
-        let mut quads = block.chunks_exact_mut(MIX_LANES);
-        for quad in &mut quads {
-            if let [a, b, c, d] = quad {
-                *a += u0.scale(amp);
-                *b += u1.scale(amp);
-                *c += u2.scale(amp);
-                *d += u3.scale(amp);
-            }
-            u0 *= r4;
-            u1 *= r4;
-            u2 *= r4;
-            u3 *= r4;
-        }
-        let rem = quads.into_remainder();
-        for (s, w) in rem.iter_mut().zip([u0, u1, u2, u3]) {
-            *s += w.scale(amp);
-        }
-        if !rem.is_empty() {
-            // End of the buffer (only the final block can have a tail):
-            // the phasor state for sample `len` is the first unused lane.
-            u0 = match rem.len() {
-                1 => u1,
-                2 => u2,
-                _ => u3,
-            };
-        }
-        u0 = renorm_lane(u0);
-        u1 = renorm_lane(u1);
-        u2 = renorm_lane(u2);
-        u3 = renorm_lane(u3);
-    }
-    phasor.z = u0;
-    phasor.renormalize();
-}
-
-/// Like [`mix_tone`], but with a per-sample envelope: sample `i` receives
-/// `amp · env[i] · phasor₀ · rotation^i`. This is the amplitude-modulation
-/// path — the envelope *is* the signal FASE detects, so it multiplies
-/// per-sample while the carrier advances by recurrence.
-///
-/// # Panics
-///
-/// Panics if `env.len() != out.len()`.
-pub fn mix_tone_env(
-    out: &mut [Complex64],
-    env: &[f64],
-    phasor: &mut Phasor,
-    rotation: Complex64,
-    amp: f64,
-) {
-    assert_eq!(env.len(), out.len(), "envelope length must match output");
-    if out.is_empty() {
-        return;
-    }
-    let r2 = rotation * rotation;
-    let r4 = r2 * r2;
-    let z = phasor.z;
-    let (mut u0, mut u1, mut u2, mut u3) = (z, z * rotation, z * r2, z * r2 * rotation);
-    for (block, eblock) in out
-        .chunks_mut(RENORM_INTERVAL)
-        .zip(env.chunks(RENORM_INTERVAL))
-    {
-        let mut quads = block.chunks_exact_mut(MIX_LANES);
-        let mut equads = eblock.chunks_exact(MIX_LANES);
-        for (quad, eq) in (&mut quads).zip(&mut equads) {
-            if let ([a, b, c, d], [e0, e1, e2, e3]) = (quad, eq) {
-                *a += u0.scale(amp * e0);
-                *b += u1.scale(amp * e1);
-                *c += u2.scale(amp * e2);
-                *d += u3.scale(amp * e3);
-            }
-            u0 *= r4;
-            u1 *= r4;
-            u2 *= r4;
-            u3 *= r4;
-        }
-        let rem = quads.into_remainder();
-        for ((s, &e), w) in rem.iter_mut().zip(equads.remainder()).zip([u0, u1, u2, u3]) {
-            *s += w.scale(amp * e);
-        }
-        if !rem.is_empty() {
-            u0 = match rem.len() {
-                1 => u1,
-                2 => u2,
-                _ => u3,
-            };
-        }
-        u0 = renorm_lane(u0);
-        u1 = renorm_lane(u1);
-        u2 = renorm_lane(u2);
-        u3 = renorm_lane(u3);
-    }
-    phasor.z = u0;
-    phasor.renormalize();
-}
-
-/// Like [`mix_tone`], but with a linearly ramping envelope:
-/// sample `i` receives `(env0 + i·step) · phasor₀ · rotation^i`. Covers the
-/// broadcast-audio interpolation path without materializing an envelope
-/// buffer; each lane carries its own envelope accumulator stepped by
-/// `MIX_LANES·step`.
+/// Four-lane batched recurrence: [`MIX_LANES`] interleaved chains each
+/// stepped by `rotation⁴`, each lane carrying its own envelope accumulator
+/// stepped by `MIX_LANES·step`. The phasor leaves renormalized, and lanes
+/// renormalize every [`RENORM_INTERVAL`] samples, so state carried across
+/// many mix calls does not drift.
 pub fn mix_tone_ramp(
     out: &mut [Complex64],
     phasor: &mut Phasor,
@@ -355,9 +233,10 @@ pub fn mix_tone_ramp(
     phasor.renormalize();
 }
 
-/// Like [`mix_tone_env`], but for a linear frequency chirp: the per-sample
-/// rotation itself rotates by `accel` each sample (the second-order
-/// recurrence of [`Phasor::chirp`]). On return `rotation` holds the
+/// Mixes a linear frequency chirp with a per-sample envelope into `out`:
+/// sample `i` receives `amp · env[i] · phasor₀ · rotation^i · accel^{i(i-1)/2}`
+/// — the per-sample rotation itself rotates by `accel` each sample (the
+/// second-order recurrence of [`Phasor::chirp`]). On return `rotation` holds the
 /// end-of-buffer per-sample rotation (`rotation·accel^len`), ready for the
 /// caller's next block.
 ///
@@ -484,7 +363,7 @@ impl<F: Fn(usize, usize) -> bool> Iterator for RunIter<F> {
 /// Mixes a whole bank of constant-frequency tones into `out` in one pass:
 /// sample `n` receives `Σ_k amps[k] · phasors[k]₀ · rots[k]ⁿ`.
 ///
-/// Where [`mix_tone`] interleaves four lanes of a *single* recurrence,
+/// Where [`mix_tone_ramp`] interleaves four lanes of a *single* recurrence,
 /// here each harmonic of a multi-harmonic source (regulator combs run
 /// ~a dozen) is its own independent chain — the same instruction-level
 /// parallelism with one read-modify-write pass over `out` instead of one
@@ -658,65 +537,6 @@ mod tests {
         assert_eq!(SynthMode::default(), SynthMode::Fast);
     }
 
-    /// Naive serial reference for the lane mixers.
-    fn naive_mix(
-        out: &mut [Complex64],
-        p: &mut Phasor,
-        mut rot: Complex64,
-        accel: Option<Complex64>,
-        env: impl Fn(usize) -> f64,
-    ) {
-        for (i, s) in out.iter_mut().enumerate() {
-            *s += p.value().scale(env(i));
-            p.advance(rot);
-            if let Some(a) = accel {
-                rot *= a;
-            }
-        }
-        p.renormalize();
-    }
-
-    #[test]
-    fn mix_tone_matches_naive_recurrence() {
-        for &n in &[0usize, 1, 2, 3, 4, 5, 63, 64, 100, 4096, 4099] {
-            let rot = Phasor::rotation(12_345.0, 1e-6);
-            let mut fast = vec![Complex64::new(0.1, -0.2); n];
-            let mut slow = fast.clone();
-            let mut p_fast = Phasor::new(0.7);
-            let mut p_slow = Phasor::new(0.7);
-            mix_tone(&mut fast, &mut p_fast, rot, 3.5e-5);
-            naive_mix(&mut slow, &mut p_slow, rot, None, |_| 3.5e-5);
-            for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
-                assert!((*a - *b).norm() < 1e-16, "n={n} sample {i}: {a} vs {b}");
-            }
-            assert!(
-                (p_fast.value() - p_slow.value()).norm() < 1e-12,
-                "n={n}: end phasor state diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn mix_tone_env_matches_naive_recurrence() {
-        for &n in &[1usize, 4, 63, 64, 100, 2050] {
-            let rot = Phasor::rotation(-7_777.0, 1e-6);
-            let env: Vec<f64> = (0..n)
-                .map(|i| 0.5 + 0.4 * ((i % 13) as f64 / 13.0))
-                .collect();
-            let mut fast = vec![Complex64::ZERO; n];
-            let mut slow = vec![Complex64::ZERO; n];
-            let mut p_fast = Phasor::new(-0.4);
-            let mut p_slow = Phasor::new(-0.4);
-            mix_tone_env(&mut fast, &env, &mut p_fast, rot, 2.0);
-            naive_mix(&mut slow, &mut p_slow, rot, None, |i| 2.0 * env[i]);
-            for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
-                // amp = 2.0, so this is ~5e-12 relative.
-                assert!((*a - *b).norm() < 1e-11, "n={n} sample {i}");
-            }
-            assert!((p_fast.value() - p_slow.value()).norm() < 1e-12);
-        }
-    }
-
     #[test]
     fn mix_tone_ramp_matches_naive_recurrence() {
         for &n in &[1usize, 5, 64, 333] {
@@ -727,9 +547,11 @@ mod tests {
             let mut p_fast = Phasor::new(1.1);
             let mut p_slow = Phasor::new(1.1);
             mix_tone_ramp(&mut fast, &mut p_fast, rot, env0, step);
-            naive_mix(&mut slow, &mut p_slow, rot, None, |i| {
-                env0 + i as f64 * step
-            });
+            for (i, s) in slow.iter_mut().enumerate() {
+                *s += p_slow.value().scale(env0 + i as f64 * step);
+                p_slow.advance(rot);
+            }
+            p_slow.renormalize();
             for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
                 assert!((*a - *b).norm() < 1e-16, "n={n} sample {i}");
             }
@@ -800,16 +622,17 @@ mod tests {
     }
 
     #[test]
-    fn mix_tone_drift_bounded_over_2_22_samples() {
-        // Satellite guarantee: fixed-cadence renormalization bounds the
-        // amplitude AND phase error of Fast-mode synthesis against the
-        // Exact oracle over at least 2^22 samples. f·dt = 1/64 makes the
-        // oracle phase exactly representable: phase(n) = 2π·(n mod 64)/64.
+    fn mix_tones_drift_bounded_over_2_22_samples() {
+        // Fixed-cadence renormalization bounds the amplitude AND phase
+        // error of Fast-mode synthesis against the Exact oracle over at
+        // least 2^22 samples. f·dt = 1/64 makes the oracle phase exactly
+        // representable: phase(n) = 2π·(n mod 64)/64. A one-tone bank
+        // exercises the same kernel every source mixes through.
         let rot = Complex64::cis(TAU / 64.0);
         let amp = 2.5e-4;
         let total = 1usize << 22;
         let chunk = 1usize << 14; // capture-sized mixes, state carried across
-        let mut p = Phasor::new(0.0);
+        let mut ps = [Phasor::new(0.0)];
         let mut buf = vec![Complex64::ZERO; chunk];
         let (mut worst_amp, mut worst_phase) = (0.0f64, 0.0f64);
         let mut base = 0usize;
@@ -817,7 +640,7 @@ mod tests {
             for z in buf.iter_mut() {
                 *z = Complex64::ZERO;
             }
-            mix_tone(&mut buf, &mut p, rot, amp);
+            mix_tones(&mut buf, &mut ps, &[rot], &[amp]);
             for i in (0..chunk).step_by(509) {
                 let exact = Complex64::from_polar(amp, TAU * (((base + i) % 64) as f64) / 64.0);
                 let got = buf[i];
@@ -830,6 +653,6 @@ mod tests {
         assert!(worst_amp < 1e-12, "amplitude drift {worst_amp}");
         assert!(worst_phase < 1e-8, "phase drift {worst_phase}");
         // The carried phasor itself is still on the unit circle.
-        assert!((p.value().norm() - 1.0).abs() < 1e-13);
+        assert!((ps[0].value().norm() - 1.0).abs() < 1e-13);
     }
 }

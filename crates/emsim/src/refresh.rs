@@ -77,11 +77,6 @@ impl RefreshSource {
     pub fn nominal_rate(&self) -> Hertz {
         self.nominal_rate
     }
-
-    /// Duty cycle of the nominal pulse train.
-    pub fn duty_cycle(&self) -> f64 {
-        self.pulse_width * self.nominal_rate.hz()
-    }
 }
 
 impl EmSource for RefreshSource {
@@ -317,12 +312,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn duty_cycle_is_small() {
-        let src = RefreshSource::new("refresh", Hertz(128_000.0), 200e-9);
-        // Paper: "<3%" — ours is 200ns/7.8125µs = 2.56%.
-        assert!((src.duty_cycle() - 0.0256).abs() < 1e-6);
     }
 }

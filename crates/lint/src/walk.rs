@@ -40,7 +40,6 @@ const PANIC_FREE_CRATES: &[&str] = &[
 /// DSP hot-path files subject to the units/float-hygiene rules (group U).
 const HOT_PATHS: &[&str] = &[
     "crates/dsp/src/spectrum.rs",
-    "crates/dsp/src/welch.rs",
     "crates/dsp/src/fft.rs",
     "crates/dsp/src/window.rs",
     "crates/dsp/src/peaks.rs",

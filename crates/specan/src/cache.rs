@@ -2,13 +2,12 @@
 //!
 //! A wide-band sweep re-runs the same five-`f_alt` campaign in dozens of
 //! bands, and in practice (paper §3: multi-hour spans on the Agilent MXA)
-//! gets interrupted, re-run with tweaked analysis settings, and repeated
-//! across machines. Synthesis + capture dominates the cost, so finished
-//! band campaigns are persisted here, keyed by a stable hash of everything
-//! that determines their bits: scene/machine identity, activity pair,
-//! band, alternation family, FFT and retry budgets, fault plan and seed (the
-//! scheduler assembles that description; see
-//! [`CacheKey::from_description`]).
+//! gets interrupted, re-run, and repeated across machines. Synthesis +
+//! capture dominates the cost, so finished band campaigns are persisted
+//! here, keyed by a stable hash of everything that determines their bits:
+//! scene/machine identity, activity pair, band, alternation family, FFT
+//! and retry budgets, fault plan and seed (the scheduler assembles that
+//! description; see [`CacheKey::from_description`]).
 //!
 //! Entries carry an FNV-based integrity hash over their payload: a
 //! corrupted or truncated entry fails verification and reads as

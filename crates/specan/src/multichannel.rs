@@ -14,9 +14,7 @@
 //!   sweep seed, so the transmitted spectrum is bit-identical across
 //!   channels. Only the propagation channel differs.
 //! * Channel `k` replaces the factory's channel with one seeded
-//!   `mix_seed(plan.seed, k)` at the same noise density, optionally
-//!   attenuated by `k × gain_step_db` to model increasing antenna
-//!   distance.
+//!   `mix_seed(plan.seed, k)` at the same noise density and gain.
 //! * Each channel caches under its own `system_id` suffix (`#ch{k}`),
 //!   so warm multi-channel re-runs are pure cache hits per channel and
 //!   byte-identical to cold ones.
@@ -25,7 +23,9 @@
 //! report is a deterministic function of (config, factory, seed, plan).
 
 use crate::scheduler::{run_sweep, SweepConfig, SweepOptions, SweepOutcome};
-use fase_core::{fuse_reports, single_channel_statistic, FaseError, FaseReport, FusionReport};
+use fase_core::{
+    fuse_reports, single_channel_statistic, FaseConfig, FaseError, FaseReport, FusionReport,
+};
 use fase_dsp::rng::mix_seed;
 use fase_dsp::Hertz;
 use fase_emsim::channel::Channel;
@@ -41,29 +41,13 @@ pub struct ChannelPlan {
     /// `mix_seed(seed, k)`, so channels are independent of each other
     /// and of the sweep's own capture seed.
     pub seed: u64,
-    /// Gain offset applied per position: channel `k` runs at the
-    /// factory's channel gain plus `k × gain_step_db` dB. Negative
-    /// values model moving the antenna away; `0.0` keeps every
-    /// position at the factory's gain.
-    pub gain_step_db: f64,
 }
 
 impl ChannelPlan {
     /// A `K`-position plan at the factory's gain, channels seeded from
     /// `seed`.
     pub fn new(channels: usize, seed: u64) -> ChannelPlan {
-        ChannelPlan {
-            channels,
-            seed,
-            gain_step_db: 0.0,
-        }
-    }
-
-    /// Sets the per-position gain step (builder style).
-    #[must_use]
-    pub fn with_gain_step_db(mut self, step: f64) -> ChannelPlan {
-        self.gain_step_db = step;
-        self
+        ChannelPlan { channels, seed }
     }
 }
 
@@ -107,13 +91,11 @@ impl MultiSweepOutcome {
 }
 
 /// Replaces `system`'s propagation channel with realization `k` of the
-/// plan: same noise density, fresh RNG stream, per-position gain
-/// offset.
+/// plan: same noise density and gain, fresh RNG stream.
 fn apply_channel(system: &mut SimulatedSystem, plan: &ChannelPlan, k: usize) {
     let base = system.scene.channel();
-    let gain_db = base.gain().db() + k as f64 * plan.gain_step_db;
-    let realized =
-        Channel::new(base.noise_density(), mix_seed(plan.seed, k as u64)).with_gain_db(gain_db);
+    let realized = Channel::new(base.noise_density(), mix_seed(plan.seed, k as u64))
+        .with_gain_db(base.gain().db());
     system.scene.set_channel(realized);
 }
 
@@ -182,7 +164,7 @@ where
     }
 
     let reports: Vec<FaseReport> = per_channel.iter().map(|o| o.report.clone()).collect();
-    let fused = fuse_reports(&reports, match_tol, options.analysis.group_rel_tol);
+    let fused = fuse_reports(&reports, match_tol, FaseConfig::default().group_rel_tol);
     Ok(MultiSweepOutcome { per_channel, fused })
 }
 
@@ -325,12 +307,10 @@ mod tests {
     }
 
     #[test]
-    fn gain_step_attenuates_later_positions() {
+    fn every_position_keeps_the_factory_gain() {
         let mut system = demo_factory(0);
         let base_gain = system.scene.channel().gain().db();
-        let plan = ChannelPlan::new(3, 1).with_gain_step_db(-6.0);
-        apply_channel(&mut system, &plan, 2);
-        let got = system.scene.channel().gain().db();
-        assert!((got - (base_gain - 12.0)).abs() < 1e-12, "{got}");
+        apply_channel(&mut system, &ChannelPlan::new(3, 1), 2);
+        assert_eq!(system.scene.channel().gain().db(), base_gain);
     }
 }

@@ -13,9 +13,8 @@
 //!
 //! * **Capture cache** — with [`SweepOptions::cache_dir`] set, each band's
 //!   reduced [`CampaignSpectra`] is stored content-addressed
-//!   ([`crate::cache`]); a warm re-run (or one with changed *analysis*
-//!   settings, which are not part of the key) skips synthesis entirely and
-//!   is byte-identical to the cold run.
+//!   ([`crate::cache`]); a warm re-run skips synthesis entirely and is
+//!   byte-identical to the cold run.
 //! * **Resume** — the cache is the sweep's only state: re-running an
 //!   interrupted sweep over the same cache directory recomputes only the
 //!   bands with no valid entry. Per-band seeds derive from the band
@@ -85,10 +84,6 @@ pub struct SweepOptions {
     /// retry budget are part of each band's cache key; threads and
     /// recorder are not.
     pub campaign: CampaignOptions,
-    /// Analysis configuration applied to each band and to the merge.
-    /// Deliberately *not* part of the cache key: re-analyzing cached
-    /// captures with new detector settings is a pure cache-hit sweep.
-    pub analysis: FaseConfig,
     /// Directory for the capture cache; `None` runs uncached. Re-running
     /// a sweep over the same directory resumes it: bands with a valid
     /// entry are read back, the rest are captured.
@@ -243,7 +238,7 @@ where
         .map(CaptureCache::open)
         .transpose()?;
 
-    let analyzer = Fase::new(options.analysis).with_recorder(recorder.clone());
+    let analyzer = Fase::default().with_recorder(recorder.clone());
     let cancel = &options.campaign.cancel;
     let mut outcomes = Vec::with_capacity(bands.len());
     let mut reports = Vec::with_capacity(bands.len());
@@ -355,7 +350,7 @@ where
         Hertz(2.0 * config.resolution.hz())
     };
     let complete = outcomes.iter().all(|o| !o.skipped);
-    let mut report = merge_band_reports(&reports, seam, options.analysis.group_rel_tol);
+    let mut report = merge_band_reports(&reports, seam, FaseConfig::default().group_rel_tol);
     if cancelled {
         // Count the abandoned bands' alternations as planned-but-lost so
         // the partial report carries the degraded mark (PR 2 semantics):

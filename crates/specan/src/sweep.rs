@@ -115,11 +115,6 @@ impl SweepPlan {
     pub fn segments(&self) -> &[SegmentSpec] {
         &self.segments
     }
-
-    /// Total IQ samples per full sweep (all segments).
-    pub fn samples_per_sweep(&self) -> usize {
-        self.fft_len * self.segments.len()
-    }
 }
 
 /// One band of a wide-band sweep: a sub-span of the full `[lo, hi]`
@@ -232,7 +227,6 @@ mod tests {
             let next_lo = pair[1].center.hz() - pair[1].sample_rate / 2.0;
             assert!((prev_hi - next_lo).abs() < 1e-6);
         }
-        assert_eq!(plan.samples_per_sweep(), 3 << 14);
     }
 
     #[test]

@@ -51,18 +51,6 @@ impl Activity {
         Activity::Nop,
     ];
 
-    /// True if this activity accesses the memory hierarchy.
-    pub fn is_memory(self) -> bool {
-        matches!(
-            self,
-            Activity::LoadDram
-                | Activity::StoreDram
-                | Activity::LoadLlc
-                | Activity::LoadL2
-                | Activity::LoadL1
-        )
-    }
-
     /// Pointer-chase footprint in bytes for a memory activity, derived from
     /// the hierarchy capacities so each activity is served at its intended
     /// level (half the target level's capacity; twice the LLC for DRAM).
@@ -242,10 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_classification() {
-        assert!(Activity::LoadDram.is_memory());
-        assert!(Activity::StoreDram.is_memory());
-        assert!(!Activity::Div.is_memory());
+    fn alu_latency_classification() {
         assert_eq!(Activity::Add.alu_latency_cycles(), Some(1));
         assert_eq!(Activity::LoadL1.alu_latency_cycles(), None);
     }

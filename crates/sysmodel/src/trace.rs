@@ -101,19 +101,6 @@ impl ActivityTrace {
         self.segments[idx].loads
     }
 
-    /// Index of the segment containing time `t` (clamped to valid range).
-    /// Returns `None` for an empty trace.
-    pub fn segment_index_at(&self, t: f64) -> Option<usize> {
-        if self.segments.is_empty() {
-            return None;
-        }
-        Some(
-            self.segments
-                .partition_point(|s| s.end() <= t)
-                .min(self.segments.len() - 1),
-        )
-    }
-
     /// Time-weighted mean load over the whole trace.
     pub fn mean_loads(&self) -> DomainLoads {
         if self.duration == 0.0 {
@@ -148,14 +135,6 @@ impl ActivityTrace {
             out.push(load);
         }
         out
-    }
-
-    /// Concatenates another trace onto the end of this one (its times are
-    /// shifted by the current duration).
-    pub fn extend_with(&mut self, other: &ActivityTrace) {
-        for s in &other.segments {
-            self.push(s.duration, s.loads);
-        }
     }
 }
 
@@ -262,17 +241,6 @@ mod tests {
         assert_eq!(wave[0], 1.0);
         assert_eq!(wave[1], 1.0);
         assert_eq!(wave[2], 1.0);
-    }
-
-    #[test]
-    fn extend_with_shifts_times() {
-        let mut a = xy_trace();
-        let b = xy_trace();
-        let d = a.duration();
-        a.extend_with(&b);
-        assert_eq!(a.len(), 16);
-        assert!((a.duration() - 2.0 * d).abs() < 1e-15);
-        assert!((a.segments()[8].start - d).abs() < 1e-15);
     }
 
     #[test]

@@ -201,24 +201,64 @@ fn refresh_schedule_invariants() {
 
 /// The heuristic normalizes any campaign whose spectra are identical
 /// (nothing moves with f_alt) to a score of exactly 1 everywhere.
+///
+/// It also pins the reading of Eq. 2 that DESIGN §1 takes from the
+/// paper's prose: every F_{i,h} factor of a stationary signal stays near
+/// one. Each of N ∈ 2..=5 spectra is one random shape, with a strong
+/// stationary tone, times independent per-bin factors in [1−ε, 1+ε].
+/// Numerator and denominator of each factor then lie within (1±ε) of the
+/// shape's value, so every F_h lies within [((1−ε)/(1+ε))^N,
+/// ((1+ε)/(1−ε))^N] and no factor reaches the support ratio.
 #[test]
 fn heuristic_flat_for_identical_spectra() {
-    for_each_case(10, |rng| {
-        let powers = gen_vec(rng, 1e-16, 1e-9, 64, 256);
-        let n = powers.len();
-        let res = 100.0;
+    const EPS: f64 = 0.02;
+    let res = 100.0;
+    let campaign_of = |spectra: Vec<Spectrum>| {
+        let bins = spectra[0].len();
         let config = CampaignConfig::builder()
-            .band(Hertz(0.0), Hertz(res * (n - 1) as f64))
+            .band(Hertz(0.0), Hertz(res * (bins - 1) as f64))
             .resolution(Hertz(res))
-            .alternation(Hertz(2_000.0), Hertz(500.0), 3)
+            .alternation(Hertz(2_000.0), Hertz(500.0), spectra.len())
             .build()
             .unwrap();
+        campaign_from_spectra(config, spectra).unwrap()
+    };
+    for_each_case(10, |rng| {
+        let powers = gen_vec(rng, 1e-16, 1e-9, 64, 256);
         let s = Spectrum::new(Hertz(0.0), Hertz(res), powers).unwrap();
-        let campaign = campaign_from_spectra(config, vec![s.clone(), s.clone(), s]).unwrap();
+        let campaign = campaign_of(vec![s.clone(), s.clone(), s]);
         let trace = harmonic_scores(&campaign, 1, &HeuristicConfig::default());
         for (b, &score) in trace.scores().iter().enumerate() {
             assert!((score - 1.0).abs() < 1e-9, "bin {b}: {score}");
             assert_eq!(trace.support()[b], 0);
+        }
+
+        let n_spectra = gen_usize(rng, 2, 6);
+        let mut shape = gen_vec(rng, 1e-16, 1e-9, 64, 256);
+        let tone = gen_usize(rng, 0, shape.len());
+        shape[tone] = 1e-6;
+        let spectra: Vec<Spectrum> = (0..n_spectra)
+            .map(|_| {
+                let powers = shape
+                    .iter()
+                    .map(|&p| p * rng.gen_range(1.0 - EPS, 1.0 + EPS))
+                    .collect();
+                Spectrum::new(Hertz(0.0), Hertz(res), powers).unwrap()
+            })
+            .collect();
+        let campaign = campaign_of(spectra);
+        let lo = ((1.0 - EPS) / (1.0 + EPS)).powi(n_spectra as i32);
+        let hi = ((1.0 + EPS) / (1.0 - EPS)).powi(n_spectra as i32);
+        let max_h = FaseConfig::default().max_harmonic as i32;
+        for h in (-max_h..=max_h).filter(|&h| h != 0) {
+            let trace = harmonic_scores(&campaign, h, &HeuristicConfig::default());
+            for (b, &score) in trace.scores().iter().enumerate() {
+                assert!(
+                    (lo..=hi).contains(&score),
+                    "N={n_spectra} h={h} bin {b}: {score} outside [{lo}, {hi}]"
+                );
+                assert_eq!(trace.support()[b], 0, "N={n_spectra} h={h} bin {b}");
+            }
         }
     });
 }
