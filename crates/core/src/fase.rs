@@ -2,7 +2,7 @@
 
 use crate::detector::{detect_in_trace, merge_detections, Detection, DetectorConfig};
 use crate::error::FaseError;
-use crate::heuristic::{all_harmonic_scores_recorded, HeuristicConfig};
+use crate::heuristic::{all_harmonic_scores_recorded, par_map, HeuristicConfig};
 use crate::report::FaseReport;
 use crate::spectra::CampaignSpectra;
 use fase_obs::{span, Recorder};
@@ -100,7 +100,10 @@ impl Fase {
     }
 
     /// Runs the full FASE pipeline: score every harmonic, pick peaks,
-    /// merge evidence into carriers, group harmonic sets.
+    /// merge evidence into carriers, group harmonic sets. Scoring and
+    /// per-trace peak picking run on the worker pool; detections are
+    /// concatenated in trace order, so the report is the same for any
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -121,9 +124,9 @@ impl Fase {
         };
         let detections: Vec<Detection> = {
             let _detect = span!(self.recorder, "detect");
-            traces
-                .iter()
-                .flat_map(|t| detect_in_trace(t, &self.config.detector))
+            par_map(&traces, |t| detect_in_trace(t, &self.config.detector))
+                .into_iter()
+                .flatten()
                 .collect()
         };
         self.recorder
@@ -201,6 +204,27 @@ mod tests {
         assert!(report
             .carrier_near(Hertz(150_000.0), Hertz(300.0))
             .is_some());
+    }
+
+    #[test]
+    fn parallel_detect_matches_sequential_pipeline() {
+        let campaign = modulated_campaign(&[60_000.0, 110_000.0, 150_000.0]);
+        let config = FaseConfig::default();
+        let report = Fase::new(config).analyze(&campaign).unwrap();
+        assert!(report.len() >= 2, "carriers: {}", report.len());
+
+        let traces = crate::heuristic::all_harmonic_scores(
+            &campaign,
+            config.max_harmonic,
+            &config.heuristic,
+        );
+        let mut detections = Vec::new();
+        for trace in &traces {
+            detections.extend(detect_in_trace(trace, &config.detector));
+        }
+        let carriers = merge_detections(&campaign, detections, &config.detector);
+        let serial = FaseReport::from_carriers(carriers, config.group_rel_tol).with_traces(traces);
+        assert_eq!(report.to_json(), serial.to_json());
     }
 
     #[test]

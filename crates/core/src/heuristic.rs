@@ -344,46 +344,53 @@ pub fn all_harmonic_scores_recorded(
         "core.heuristic.bins_scored",
         ctx.column_sum.len().saturating_mul(harmonics.len()),
     );
-    let threads = worker_threads(None).min(harmonics.len()).max(1);
+    par_map(&harmonics, |&h| ctx.harmonic(h))
+}
+
+/// Maps `f` over `items` on [`worker_threads`]`(None)` scoped threads and
+/// returns the results in item order. Workers claim the next index from
+/// an atomic cursor; each result depends only on its item, so the output
+/// is the sequential map's for any thread count.
+pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = worker_threads(None).min(items.len()).max(1);
     if threads == 1 {
-        return harmonics.iter().map(|&h| ctx.harmonic(h)).collect();
+        return items.iter().map(f).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<std::sync::Mutex<Option<ScoreTrace>>> = harmonics
-        .iter()
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
+    let results: Vec<std::sync::Mutex<Option<R>>> =
+        items.iter().map(|_| std::sync::Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&h) = harmonics.get(i) else { break };
-                let trace = ctx.harmonic(h);
+                let Some(item) = items.get(i) else { break };
+                let result = f(item);
                 *results[i]
                     .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(trace);
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
             });
         }
     });
     // The scope join guarantees every slot was written exactly once; if a
-    // slot were ever empty, recomputing the trace inline reproduces the
-    // worker's deterministic output instead of panicking mid-sweep.
+    // slot were ever empty, recomputing it inline reproduces the worker's
+    // deterministic output instead of panicking mid-stage.
     results
         .into_iter()
-        .zip(&harmonics)
-        .map(|(slot, &h)| {
+        .zip(items)
+        .map(|(slot, item)| {
             slot.into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|| ctx.harmonic(h))
+                .unwrap_or_else(|| f(item))
         })
         .collect()
 }
 
 /// Resolves a worker count: `requested` if given, else `FASE_THREADS` if
 /// set to a number, else the machine's available parallelism; never 0.
-/// Every parallel stage in the workspace (this harmonic sweep, the
-/// campaign capture pool) sizes itself here, and none of them computes
-/// different bits for a different count.
+/// Every parallel stage in the workspace (the harmonic sweep and
+/// per-trace detection through `par_map`, the campaign capture pool)
+/// sizes itself here, and none of them computes different bits for a
+/// different count.
 pub fn worker_threads(requested: Option<usize>) -> usize {
     if let Some(n) = requested {
         return n.max(1);

@@ -62,61 +62,104 @@ impl Default for PeakConfig {
 /// Returns peaks sorted by descending value. Inputs shorter than
 /// `2·half_window + 1` return no peaks.
 pub fn find_peaks(values: &[f64], config: &PeakConfig) -> Vec<Peak> {
-    let n = values.len();
     let w = config.half_window.max(1);
-    if n < 2 * w + 1 {
+    if values.len() < 2 * w + 1 {
         return Vec::new();
     }
+    select_peaks(values, &palshikar_scores(values, w), config)
+}
 
-    // Neighborhood mean over the finite samples only, so one poisoned bin
-    // (NaN/Inf from a glitched capture) cannot mask every peak near it.
-    let finite_mean = |xs: &[f64]| {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for &x in xs {
-            if x.is_finite() {
-                sum += x;
-                count += 1;
-            }
+/// Neighborhood mean over the finite samples only, so one poisoned bin
+/// (NaN/Inf from a glitched capture) cannot mask every peak near it.
+fn finite_mean(xs: &[f64]) -> Option<f64> {
+    let mut sum = 0.0;
+    let mut count = 0usize;
+    for &x in xs {
+        if x.is_finite() {
+            sum += x;
+            count += 1;
         }
-        (count > 0).then(|| sum / count as f64)
-    };
-
-    // Palshikar S1 score: mean of (x[i] - mean(left w)) and (x[i] - mean(right w)).
-    let mut scores = vec![0.0f64; n];
-    for i in 0..n {
-        if !values[i].is_finite() {
-            continue; // a non-finite sample can never be a peak
-        }
-        let lo = i.saturating_sub(w);
-        let hi = (i + w).min(n - 1);
-        let rise_left = finite_mean(&values[lo..i]).map_or(0.0, |m| values[i] - m);
-        let rise_right = finite_mean(&values[i + 1..=hi]).map_or(0.0, |m| values[i] - m);
-        scores[i] = 0.5 * (rise_left + rise_right);
     }
+    (count > 0).then(|| sum / count as f64)
+}
 
+/// Palshikar S1 score of every sample: the mean of `x[i] - mean(left w)`
+/// and `x[i] - mean(right w)`, with 0.0 for a non-finite sample (it can
+/// never be a peak). Needs `values.len() >= 2·w + 1`.
+///
+/// The left window of sample `i + w + 1` is the right window of sample
+/// `i`, so each full window's mean is computed once, into `full[i]` (the
+/// window `values[i + 1..=i + w]`). Only the `w + 1` leading left windows
+/// and the `w` trailing, truncated right windows are summed on their own.
+fn palshikar_scores(values: &[f64], w: usize) -> Vec<f64> {
+    let n = values.len();
+    let full_count = n - w;
+    // Tap by tap: every window still adds its samples left to right, so
+    // each sum equals `finite_mean`'s bit for bit. A skipped sample adds
+    // +0.0, which is exact: a sum started at +0.0 never becomes -0.0.
+    let mut sums = vec![0.0f64; full_count];
+    let mut counts = vec![0.0f64; full_count];
+    for k in 1..=w {
+        let tap = &values[k..k + full_count];
+        for ((sum, count), &x) in sums.iter_mut().zip(counts.iter_mut()).zip(tap) {
+            let finite = x.is_finite();
+            *sum += if finite { x } else { 0.0 };
+            *count += if finite { 1.0 } else { 0.0 };
+        }
+    }
+    let full: Vec<Option<f64>> = sums
+        .iter()
+        .zip(&counts)
+        .map(|(&sum, &count)| (count > 0.0).then(|| sum / count))
+        .collect();
+
+    let mut scores = vec![0.0f64; n];
+    for (i, (score, &x)) in scores.iter_mut().zip(values).enumerate() {
+        if !x.is_finite() {
+            continue;
+        }
+        let left = if i > w {
+            full[i - w - 1]
+        } else {
+            finite_mean(&values[..i])
+        };
+        let right = if i < full_count {
+            full[i]
+        } else {
+            finite_mean(&values[i + 1..])
+        };
+        let rise_left = left.map_or(0.0, |m| x - m);
+        let rise_right = right.map_or(0.0, |m| x - m);
+        *score = 0.5 * (rise_left + rise_right);
+    }
+    scores
+}
+
+/// Thresholds `scores` robustly and keeps one local maximum per
+/// neighborhood (see [`find_peaks`]).
+fn select_peaks(values: &[f64], scores: &[f64], config: &PeakConfig) -> Vec<Peak> {
+    let n = values.len();
     // The robust threshold must be computed over the scores of *finite*
-    // samples only: non-finite samples keep the 0.0 placeholder assigned
-    // above, and on a heavily-poisoned capture those placeholders would
+    // samples only: non-finite samples carry a 0.0 score placeholder,
+    // and on a heavily-poisoned capture those placeholders would
     // drag the median toward zero and deflate the MAD, moving the
     // threshold and changing which peaks clear it.
     let finite_scores: Vec<f64> = values
         .iter()
-        .zip(&scores)
+        .zip(scores)
         .filter(|(x, _)| x.is_finite())
         .map(|(_, &s)| s)
         .collect();
     if finite_scores.is_empty() {
         return Vec::new();
     }
-    let med = stats::median(&finite_scores);
-    let spread = stats::mad(&finite_scores);
+    let (med, spread) = stats::median_mad(&finite_scores);
     let threshold = (med + config.threshold_mads * spread).max(config.min_rise);
 
     // Candidate peaks: strict local maxima whose score clears the
     // threshold. Non-finite neighbors compare as -inf so a legitimate peak
     // beside a poisoned bin is still reported; non-finite samples
-    // themselves were given zero scores above and cannot qualify.
+    // themselves have zero scores and cannot qualify.
     let v = |i: usize| {
         if values[i].is_finite() {
             values[i]
@@ -172,6 +215,82 @@ pub fn parabolic_offset(values: &[f64], index: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{mix_seed, Rng, SmallRng};
+
+    /// The direct O(n·w) Palshikar loop: both windows of every sample
+    /// summed from scratch. [`palshikar_scores`] must match it bit for bit.
+    fn reference_scores(values: &[f64], w: usize) -> Vec<f64> {
+        let n = values.len();
+        let mut scores = vec![0.0f64; n];
+        for i in 0..n {
+            if !values[i].is_finite() {
+                continue;
+            }
+            let lo = i.saturating_sub(w);
+            let hi = (i + w).min(n - 1);
+            let rise_left = finite_mean(&values[lo..i]).map_or(0.0, |m| values[i] - m);
+            let rise_right = finite_mean(&values[i + 1..=hi]).map_or(0.0, |m| values[i] - m);
+            scores[i] = 0.5 * (rise_left + rise_right);
+        }
+        scores
+    }
+
+    #[test]
+    fn windowed_scores_match_the_direct_loop() {
+        let mut found = 0;
+        for &w in &[1usize, 5, 30] {
+            for case in 0..48u64 {
+                let mut rng = SmallRng::seed_from_u64(mix_seed(w as u64, case));
+                let n = 2 * w + 1 + (rng.next_u64() % 160) as usize;
+                // Even cases draw from a few small integers and ±0.0, so
+                // window sums cancel to exactly zero; odd cases are
+                // log-domain noise with a few strong spikes.
+                let mut x: Vec<f64> = (0..n)
+                    .map(|_| {
+                        if case % 2 == 0 {
+                            [-1.0, -0.0, 0.0, 1.0, 2.0][(rng.next_u64() % 5) as usize]
+                        } else if rng.gen_f64() < 0.03 {
+                            rng.gen_range(5.0, 20.0)
+                        } else {
+                            rng.gen_range(-0.5, 0.5)
+                        }
+                    })
+                    .collect();
+                for v in x.iter_mut() {
+                    let r = rng.gen_f64();
+                    if r < 0.04 {
+                        *v = f64::NAN;
+                    } else if r < 0.06 {
+                        *v = f64::INFINITY;
+                    } else if r < 0.08 {
+                        *v = f64::NEG_INFINITY;
+                    }
+                }
+                let fast: Vec<u64> = palshikar_scores(&x, w)
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect();
+                let slow: Vec<u64> = reference_scores(&x, w)
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect();
+                assert_eq!(fast, slow, "w={w} case={case} n={n}");
+                let config = PeakConfig {
+                    half_window: w,
+                    threshold_mads: 4.0,
+                    ..PeakConfig::default()
+                };
+                let peaks = find_peaks(&x, &config);
+                assert_eq!(
+                    peaks,
+                    select_peaks(&x, &reference_scores(&x, w), &config),
+                    "w={w} case={case} n={n}"
+                );
+                found += peaks.len();
+            }
+        }
+        assert!(found > 0, "no case produced a peak");
+    }
 
     fn flat_with_spikes(n: usize, spikes: &[(usize, f64)]) -> Vec<f64> {
         let mut x = vec![1.0; n];

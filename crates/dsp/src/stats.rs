@@ -22,7 +22,8 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Median (by sorting a copy). Returns 0.0 for an empty slice.
+/// Median of the finite elements, found by selection (no full sort).
+/// Returns 0.0 if no finite elements remain.
 pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 50.0)
 }
@@ -37,31 +38,47 @@ pub fn median(xs: &[f64]) -> f64 {
 /// Panics if `p` is outside `[0, 100]` or NaN.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-    let mut sorted: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted.sort_by(f64::total_cmp);
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
+    let mut finite: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
+    select_percentile(&mut finite, p)
 }
 
-/// Median absolute deviation — a robust spread estimate, used by the peak
-/// detector to set thresholds that survive strong outlier peaks.
-pub fn mad(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
+/// Median and median absolute deviation of the finite elements, as
+/// `(median, MAD)` — a robust centre and spread, used by the peak detector
+/// to set thresholds that survive strong outlier peaks. The median is
+/// selected once and the deviations reuse its buffer. Both are 0.0 if no
+/// finite elements remain.
+pub fn median_mad(xs: &[f64]) -> (f64, f64) {
+    let mut buf: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
+    let med = select_percentile(&mut buf, 50.0);
+    for x in &mut buf {
+        *x = (*x - med).abs();
+    }
+    // A deviation can overflow to +Inf; like any non-finite value it does
+    // not count towards the spread.
+    buf.retain(|d| d.is_finite());
+    (med, select_percentile(&mut buf, 50.0))
+}
+
+/// Percentile `p` of `buf`, which holds only finite values, by
+/// selection: `buf` is reordered, not sorted. Under `total_cmp` the
+/// `lo`-th order statistic and the minimum above it are the same bits a
+/// full sort puts at `lo` and `lo + 1`, so the interpolation below is
+/// bit-identical to a sort-based percentile.
+fn select_percentile(buf: &mut [f64], p: f64) -> f64 {
+    if buf.is_empty() {
         return 0.0;
     }
-    let m = median(xs);
-    let deviations: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
-    median(&deviations)
+    let rank = p / 100.0 * (buf.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let (_, &mut a, upper) = buf.select_nth_unstable_by(lo, f64::total_cmp);
+    if lo == hi {
+        return a;
+    }
+    // `hi == lo + 1 <= len - 1`, so `upper` is never empty.
+    let b = upper.iter().copied().min_by(f64::total_cmp).unwrap_or(a);
+    let frac = rank - lo as f64;
+    a * (1.0 - frac) + b * frac
 }
 
 /// Index of the maximum *finite* element; `None` for an empty slice or
@@ -149,9 +166,10 @@ mod tests {
     #[test]
     fn mad_is_robust() {
         let xs = [1.0, 1.0, 1.0, 1.0, 1000.0];
-        assert_eq!(mad(&xs), 0.0);
+        assert_eq!(median_mad(&xs), (1.0, 0.0));
         let ys = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(mad(&ys), 1.0);
+        assert_eq!(median_mad(&ys), (3.0, 1.0));
+        assert_eq!(median_mad(&[]), (0.0, 0.0));
     }
 
     #[test]
@@ -180,6 +198,7 @@ mod tests {
     #[test]
     fn mad_survives_poisoned_bins() {
         let xs = [1.0, 2.0, 3.0, 4.0, 5.0, f64::NAN];
-        assert_eq!(mad(&xs), 1.0);
+        assert_eq!(median_mad(&xs), (3.0, 1.0));
+        assert_eq!(median_mad(&[f64::NAN, f64::INFINITY]), (0.0, 0.0));
     }
 }

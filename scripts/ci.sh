@@ -106,6 +106,9 @@ echo "==> per-layer perf A/B gate (base build vs this tree, same host)"
 # serve runs 10 pairs, the others 5: on a 2-core host, serve's service
 # time read 9.0-16.5 ms over ten runs of one build, a spread that lets
 # five pairs fail an unchanged tree now and then.
+# For each workload the stage also prints whether the base and head
+# stamps carry the same report_digest seed for seed, naming any seed
+# whose report changed; that line is information, not a gate.
 ab_dir=target/perf-ab
 ab_tree=$ab_dir/base
 git worktree remove --force "$ab_tree" 2>/dev/null || true
@@ -133,18 +136,39 @@ ab_median() {
     | sed 's/.* //' | sort -g \
     | awk '{ v[NR] = $1 } END { if (NR) print (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2 }'
 }
+# The report digest in side $1's stamp line for workload $2, seed $3.
+ab_digest() {
+  sed -n "s/.*\"seed\": $3,.*\"report_digest\": \"\([^\"]*\)\".*/\1/p" "$ab_dir/$1.$2.stamps"
+}
 ab_ok=1
 for w in campaign sweep_warm serve; do
-  : > "$ab_dir/base.$w.jsonl"
-  : > "$ab_dir/head.$w.jsonl"
+  for side in base head; do
+    : > "$ab_dir/$side.$w.jsonl"
+    : > "$ab_dir/$side.$w.stamps"
+  done
   for ((pair = 1; pair <= ab_npairs[$w]; pair++)); do
     sides=(base head)
     (( pair % 2 == 1 )) || sides=(head base)
     for side in "${sides[@]}"; do
       "${ab_bin[$side]}" --workload "$w" --seed "$pair" --seconds "${ab_seconds[$w]}" \
-        --trace 1 | tail -n 1 >> "$ab_dir/$side.$w.jsonl"
+        --trace 1 > "$ab_dir/run.out"
+      tail -n 1 "$ab_dir/run.out" >> "$ab_dir/$side.$w.jsonl"
+      grep '^{"stamp"' "$ab_dir/run.out" >> "$ab_dir/$side.$w.stamps" || true
     done
   done
+  # Output identity, printed and not gated: a change that fixes a
+  # detector claim may change reports on purpose.
+  differ=()
+  for ((pair = 1; pair <= ab_npairs[$w]; pair++)); do
+    base_digest=$(ab_digest base "$w" "$pair")
+    head_digest=$(ab_digest head "$w" "$pair")
+    [[ -n $base_digest && $base_digest == "$head_digest" ]] || differ+=("$pair")
+  done
+  if (( ${#differ[@]} )); then
+    echo "  $w report_digest: base and head differ on seed(s) ${differ[*]} (not gated)"
+  else
+    echo "  $w report_digest: identical on seeds 1-${ab_npairs[$w]}"
+  fi
   for m in ${ab_gates[$w]}; do
     base_med=$(ab_median base "$w" "$m")
     head_med=$(ab_median head "$w" "$m")

@@ -285,9 +285,61 @@ fn stats_sanity() {
         let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(med >= lo && med <= hi);
-        assert!(stats::mad(&xs) >= 0.0);
+        assert!(stats::median_mad(&xs).1 >= 0.0);
         assert!(stats::percentile(&xs, 0.0) == lo);
         assert!(stats::percentile(&xs, 100.0) == hi);
+    });
+}
+
+/// Sort-based percentile over the finite elements: the reference that
+/// the selection-based `stats::percentile` must reproduce bit for bit.
+fn sorted_percentile(xs: &[f64], p: f64) -> f64 {
+    let mut sorted: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted.sort_by(f64::total_cmp);
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let frac = rank - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
+/// Selection statistics equal the sort-based reference bit for bit —
+/// odd and even lengths, duplicates, ±0.0 and ignored NaN/±Inf entries.
+#[test]
+fn selection_statistics_match_sorting() {
+    const SPECIAL: [f64; 6] = [0.0, -0.0, 1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for_each_case(18, |rng| {
+        let n = gen_usize(rng, 1, 201);
+        let xs: Vec<f64> = (0..n)
+            .map(|_| match rng.next_u64() % 4 {
+                0 => SPECIAL[(rng.next_u64() % 6) as usize],
+                1 => (rng.next_u64() % 5) as f64 - 2.0,
+                _ => rng.gen_range(-1e3, 1e3),
+            })
+            .collect();
+        for p in [0.0, 1.0, 25.0, 50.0, 73.3, 99.0, 100.0] {
+            assert_eq!(
+                stats::percentile(&xs, p).to_bits(),
+                sorted_percentile(&xs, p).to_bits(),
+                "p={p} xs={xs:?}"
+            );
+        }
+        let med = sorted_percentile(&xs, 50.0);
+        let deviations: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
+        let (m, mad) = stats::median_mad(&xs);
+        assert_eq!(m.to_bits(), med.to_bits(), "xs={xs:?}");
+        assert_eq!(
+            mad.to_bits(),
+            sorted_percentile(&deviations, 50.0).to_bits(),
+            "xs={xs:?}"
+        );
     });
 }
 
