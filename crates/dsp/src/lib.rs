@@ -56,7 +56,7 @@ pub mod units;
 pub mod window;
 
 pub use complex::Complex64;
-pub use fft::{cached_plan, FftPlan, FftScratch};
+pub use fft::{cached_plan, FftPlan};
 pub use spectrum::{Spectrum, SpectrumError};
 pub use units::{Dbm, Decibels, Hertz, Seconds};
 pub use window::Window;

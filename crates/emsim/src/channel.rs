@@ -6,29 +6,20 @@
 //! noise at a configurable density.
 
 use crate::ctx::CaptureWindow;
+use crate::memo::{self, memoize_draws, DrawMemo};
 use fase_dsp::noise::complex_normal_polar;
 use fase_dsp::rng::SmallRng;
 use fase_dsp::{Complex64, Decibels};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 thread_local! {
     /// Receiver-noise realizations keyed by (RNG state at entry, σ bits,
-    /// capture length). The draws are a pure function of the starting
-    /// state, so the memo stores the vector *and* the state the
-    /// generator ended at; replaying both is bit-identical to drawing.
-    /// The capture pool rebuilds the channel (restarting its RNG) for
-    /// every capture of a campaign, which is what makes this hit; a
-    /// long-lived channel advances its RNG and misses, as before.
-    #[allow(clippy::type_complexity)]
-    static RX_NOISE_CACHE: RefCell<BTreeMap<(u64, u64, usize), (Rc<Vec<Complex64>>, u64)>> =
-        const { RefCell::new(BTreeMap::new()) };
+    /// capture length). The capture pool rebuilds the channel (restarting
+    /// its RNG) for every capture of a campaign, which is what makes this
+    /// hit; a long-lived channel advances its RNG and misses, as before.
+    static RX_NOISE_CACHE: DrawMemo<(u64, usize), Rc<Vec<Complex64>>> =
+        const { memo::empty() };
 }
-
-/// Bounds [`RX_NOISE_CACHE`]: entries are capture-sized, and campaigns
-/// only ever reuse a couple of (seed, geometry) combinations.
-const RX_NOISE_CACHE_CAP: usize = 8;
 
 /// Receiver channel model.
 ///
@@ -87,31 +78,18 @@ impl Channel {
         // sample the variance equals that power.
         let density_mw = 10f64.powf(self.noise_density_dbm_per_hz / 10.0);
         let sigma = (density_mw * window.sample_rate()).sqrt();
-        let key = (self.rng.state(), sigma.to_bits(), iq.len());
-        let cached = RX_NOISE_CACHE.with(|c| c.borrow().get(&key).cloned());
-        let noise = match cached {
-            Some((noise, end_state)) => {
-                self.rng = SmallRng::seed_from_u64(end_state);
-                noise
-            }
-            None => {
-                let rng = &mut self.rng;
-                let noise: Rc<Vec<Complex64>> = Rc::new(
+        let noise = memoize_draws(
+            &RX_NOISE_CACHE,
+            &mut self.rng,
+            (sigma.to_bits(), iq.len()),
+            |rng| {
+                Rc::new(
                     iq.iter()
                         .map(|_| complex_normal_polar(rng, sigma))
                         .collect(),
-                );
-                let end_state = self.rng.state();
-                RX_NOISE_CACHE.with(|c| {
-                    let mut map = c.borrow_mut();
-                    if map.len() >= RX_NOISE_CACHE_CAP {
-                        map.clear();
-                    }
-                    map.insert(key, (Rc::clone(&noise), end_state));
-                });
-                noise
-            }
-        };
+                )
+            },
+        );
         for (z, nz) in iq.iter_mut().zip(noise.iter()) {
             *z = z.scale(g) + *nz;
         }

@@ -8,14 +8,13 @@
 //! reported; these sources provide the corresponding workload.
 
 use crate::ctx::{dbm_to_amplitude, CaptureWindow, RenderCtx};
+use crate::memo::{self, memoize, memoize_draws, DrawMemo, Memo};
 use crate::phasor::{Phasor, SynthMode};
 use crate::source::{EmSource, FreqDrift, SourceInfo, SourceKind};
 use fase_dsp::fft::cached_plan;
 use fase_dsp::noise::complex_normal_polar;
 use fase_dsp::rng::{Rng, SmallRng};
 use fase_dsp::{Complex64, Hertz};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::f64::consts::TAU;
 use std::rc::Rc;
 
@@ -24,12 +23,6 @@ use std::rc::Rc;
 /// notably *not* the start time, which neither the spur table nor the
 /// noise envelope depends on.
 type GeometryKey = (u64, u64, usize);
-
-/// Caches in this module never hold more than this many entries;
-/// campaigns reuse one or two, sweeps a handful per band instance, so the
-/// bound only guards against pathological callers. Entries can reach
-/// capture size (~16 bytes × n), so the cap also bounds memory.
-const GEOMETRY_CACHE_CAP: usize = 8;
 
 fn geometry_key(window: &CaptureWindow) -> GeometryKey {
     (
@@ -41,9 +34,7 @@ fn geometry_key(window: &CaptureWindow) -> GeometryKey {
 
 /// FNV-1a-style fold over 64-bit words, used to fingerprint source
 /// content (spur tables, noise envelopes) so renders can be memoized
-/// across *instances*: the capture pool rebuilds each simulated system
-/// from its factory for every capture, so per-instance caches would
-/// never see a second lookup.
+/// across *instances* (see [`crate::memo`]).
 fn content_fingerprint(words: impl Iterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for w in words {
@@ -56,39 +47,21 @@ fn content_fingerprint(words: impl Iterator<Item = u64>) -> u64 {
 
 thread_local! {
     /// Time-domain spur blocks keyed by (spur-table fingerprint, capture
-    /// geometry). The block is a pure deterministic function of the key,
-    /// so any thread computes bit-identical samples and sharing cannot
-    /// perturb thread-count bit-identity.
-    #[allow(clippy::type_complexity)]
-    static SPUR_CACHE: RefCell<BTreeMap<(u64, GeometryKey), Rc<Vec<Complex64>>>> =
-        const { RefCell::new(BTreeMap::new()) };
-    /// Rendered noise realizations keyed by (envelope fingerprint, RNG
-    /// state at render start, capture geometry). The draws are a pure
-    /// function of the starting state, so the memo stores the block
-    /// *and* the state the generator ended at; a hit replays both,
-    /// making memoized and unmemoized runs bit-identical everywhere.
-    /// Long-lived instances advance their RNG every render and simply
-    /// miss, exactly as before; the capture pool reconstructs each
-    /// system per capture, restarting the RNG, and hits.
-    #[allow(clippy::type_complexity)]
-    static NOISE_CACHE: RefCell<BTreeMap<(u64, u64, GeometryKey), (Rc<Vec<Complex64>>, u64)>> =
-        const { RefCell::new(BTreeMap::new()) };
+    /// geometry). The block is a pure deterministic function of the key.
+    static SPUR_CACHE: Memo<(u64, GeometryKey), Rc<Vec<Complex64>>> =
+        const { memo::empty() };
+    /// Rendered noise realizations keyed by (RNG state at render start,
+    /// envelope fingerprint, capture geometry). The capture pool
+    /// reconstructs each system per capture, restarting the RNG, and hits.
+    static NOISE_CACHE: DrawMemo<(u64, GeometryKey), Rc<Vec<Complex64>>> =
+        const { memo::empty() };
     /// Per-bin σ of the rolling-noise frequency-domain draw, keyed by
     /// (envelope fingerprint, capture geometry). The envelope is frozen
     /// by construction, so evaluating the hills (one `powf` + `exp` per
     /// hill per bin) is paid once per geometry even when the realization
     /// itself must be fresh.
-    #[allow(clippy::type_complexity)]
-    static SIGMA_CACHE: RefCell<BTreeMap<(u64, GeometryKey), Rc<Vec<f64>>>> =
-        const { RefCell::new(BTreeMap::new()) };
-}
-
-/// Inserts into a capped cache map, clearing it first when full.
-fn cache_insert<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, value: V) {
-    if map.len() >= GEOMETRY_CACHE_CAP {
-        map.clear();
-    }
-    map.insert(key, value);
+    static SIGMA_CACHE: Memo<(u64, GeometryKey), Rc<Vec<f64>>> =
+        const { memo::empty() };
 }
 
 /// An AM broadcast station: a strong, stable carrier amplitude-modulated by
@@ -348,15 +321,9 @@ impl EmSource for SpurForest {
 
     fn render(&mut self, window: &CaptureWindow, _ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
         let key = (self.fingerprint, geometry_key(window));
-        let cached = SPUR_CACHE.with(|c| c.borrow().get(&key).cloned());
-        let block = match cached {
-            Some(block) => block,
-            None => {
-                let block = Rc::new(render_spur_block(&self.spurs, window));
-                SPUR_CACHE.with(|c| cache_insert(&mut c.borrow_mut(), key, Rc::clone(&block)));
-                block
-            }
-        };
+        let block = memoize(&SPUR_CACHE, key, || {
+            Rc::new(render_spur_block(&self.spurs, window))
+        });
         for (o, s) in out.iter_mut().zip(block.iter()) {
             *o += *s;
         }
@@ -482,6 +449,36 @@ impl RollingNoise {
             .sum();
         floor * (1.0 + excess)
     }
+
+    /// Per-bin σ of the frequency-domain draw for `window`'s geometry.
+    fn sigmas(&self, window: &CaptureWindow) -> Rc<Vec<f64>> {
+        memoize(
+            &SIGMA_CACHE,
+            (self.fingerprint, geometry_key(window)),
+            || {
+                let n = window.len();
+                let fs = window.sample_rate();
+                let bin_hz = fs / n as f64;
+                Rc::new(
+                    (0..n)
+                        .map(|k| {
+                            // FFT bin k ↔ baseband offset (k > n/2 means
+                            // negative).
+                            let offset = if k <= n / 2 {
+                                k as f64
+                            } else {
+                                k as f64 - n as f64
+                            } * bin_hz;
+                            let f = Hertz(window.center().hz() + offset);
+                            // X_k ~ CN(0, density·n·fs) gives PSD = density
+                            // after the IFFT.
+                            (self.density_at(f) * n as f64 * fs).sqrt()
+                        })
+                        .collect(),
+                )
+            },
+        )
+    }
 }
 
 impl EmSource for RollingNoise {
@@ -495,59 +492,20 @@ impl EmSource for RollingNoise {
     }
 
     fn render(&mut self, window: &CaptureWindow, _ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
-        let n = window.len();
-        let fs = window.sample_rate();
-        let key = (self.fingerprint, self.rng.state(), geometry_key(window));
-        let cached = NOISE_CACHE.with(|c| c.borrow().get(&key).cloned());
-        let block = match cached {
-            Some((block, end_state)) => {
-                // Replaying the memoized realization must leave the
-                // generator exactly where the draws would have.
-                self.rng = SmallRng::seed_from_u64(end_state);
-                block
-            }
-            None => {
-                let skey = (self.fingerprint, geometry_key(window));
-                let sigmas = match SIGMA_CACHE.with(|c| c.borrow().get(&skey).cloned()) {
-                    Some(sigmas) => sigmas,
-                    None => {
-                        let bin_hz = fs / n as f64;
-                        let sigmas: Rc<Vec<f64>> = Rc::new(
-                            (0..n)
-                                .map(|k| {
-                                    // FFT bin k ↔ baseband offset
-                                    // (k > n/2 means negative).
-                                    let offset = if k <= n / 2 {
-                                        k as f64
-                                    } else {
-                                        k as f64 - n as f64
-                                    } * bin_hz;
-                                    let f = Hertz(window.center().hz() + offset);
-                                    // X_k ~ CN(0, density·n·fs) gives
-                                    // PSD = density after the IFFT.
-                                    (self.density_at(f) * n as f64 * fs).sqrt()
-                                })
-                                .collect(),
-                        );
-                        SIGMA_CACHE
-                            .with(|c| cache_insert(&mut c.borrow_mut(), skey, Rc::clone(&sigmas)));
-                        sigmas
-                    }
-                };
-                let rng = &mut self.rng;
-                let mut freq: Vec<Complex64> = sigmas
-                    .iter()
-                    .map(|&sigma| complex_normal_polar(rng, sigma))
-                    .collect();
-                cached_plan(n).inverse(&mut freq);
-                let block = Rc::new(freq);
-                let end_state = self.rng.state();
-                NOISE_CACHE.with(|c| {
-                    cache_insert(&mut c.borrow_mut(), key, (Rc::clone(&block), end_state))
-                });
-                block
-            }
-        };
+        // The draw reads the envelope through `self`, so it advances a
+        // copy of the generator that is written back afterwards.
+        let mut rng = self.rng.clone();
+        let key = (self.fingerprint, geometry_key(window));
+        let block = memoize_draws(&NOISE_CACHE, &mut rng, key, |rng| {
+            let mut freq: Vec<Complex64> = self
+                .sigmas(window)
+                .iter()
+                .map(|&sigma| complex_normal_polar(rng, sigma))
+                .collect();
+            cached_plan(window.len()).inverse(&mut freq);
+            Rc::new(freq)
+        });
+        self.rng = rng;
         for (o, s) in out.iter_mut().zip(block.iter()) {
             *o += *s;
         }

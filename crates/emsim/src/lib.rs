@@ -34,6 +34,7 @@ pub mod channel;
 pub mod clock;
 pub mod ctx;
 pub mod interference;
+mod memo;
 pub mod phasor;
 pub mod refresh;
 pub mod regulator;

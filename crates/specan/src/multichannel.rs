@@ -22,12 +22,11 @@
 //! Channels run sequentially and are fused in index order; the fused
 //! report is a deterministic function of (config, factory, seed, plan).
 
-use crate::scheduler::{run_sweep, SweepConfig, SweepOptions, SweepOutcome};
+use crate::scheduler::{run_sweep, seam_tolerance, SweepConfig, SweepOptions, SweepOutcome};
 use fase_core::{
     fuse_reports, single_channel_statistic, FaseConfig, FaseError, FaseReport, FusionReport,
 };
 use fase_dsp::rng::mix_seed;
-use fase_dsp::Hertz;
 use fase_emsim::channel::Channel;
 use fase_emsim::SimulatedSystem;
 use fase_sysmodel::ActivityPair;
@@ -107,9 +106,8 @@ fn apply_channel(system: &mut SimulatedSystem, plan: &ChannelPlan, k: usize) {
 /// [`run_sweep`]; each channel's captures cache under
 /// `{system_id}#ch{k}`, so a channel realization never collides with
 /// the single-channel sweep of the same machine. The carrier match
-/// tolerance for fusion is `options.seam_tol` when set, else
-/// `2 × config.resolution` — the same tolerance the sweep itself uses
-/// to deduplicate seam carriers.
+/// tolerance for fusion is `2 × config.resolution` — the same tolerance
+/// the sweep itself uses to deduplicate seam carriers.
 ///
 /// # Errors
 ///
@@ -134,11 +132,7 @@ where
             "a channel plan needs at least one channel",
         ));
     }
-    let match_tol = if options.seam_tol.hz() > 0.0 {
-        options.seam_tol
-    } else {
-        Hertz(2.0 * config.resolution.hz())
-    };
+    let match_tol = seam_tolerance(config.resolution);
 
     let mut per_channel = Vec::with_capacity(plan.channels);
     for k in 0..plan.channels {
@@ -171,6 +165,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fase_dsp::Hertz;
     use fase_sysmodel::Machine;
 
     fn demo_factory(i_alt: usize) -> SimulatedSystem {

@@ -91,9 +91,6 @@ pub struct SweepOptions {
     /// Optional `k/n` shard assignment; unassigned bands are skipped and
     /// reported in [`SweepOutcome::complete`].
     pub shard: Option<Shard>,
-    /// Carriers closer than this across band seams are deduplicated as
-    /// one emitter. `0.0` (the default) auto-selects `2 × resolution`.
-    pub seam_tol: Hertz,
 }
 
 /// What happened in one band.
@@ -131,6 +128,12 @@ pub struct SweepOutcome {
     /// planned-but-lost, so [`FaseReport::is_degraded`] is true — the
     /// partial report prints and serializes as degraded.
     pub cancelled: bool,
+}
+
+/// Carriers closer than this across band seams (or across channel
+/// realizations) are one emitter: twice the sweep's resolution.
+pub(crate) fn seam_tolerance(resolution: Hertz) -> Hertz {
+    Hertz(2.0 * resolution.hz())
 }
 
 /// The campaign configuration one band runs.
@@ -344,11 +347,7 @@ where
     recorder.count_usize("specan.cache_hits", hits);
     recorder.count_usize("specan.cache_misses", misses);
 
-    let seam = if options.seam_tol.hz() > 0.0 {
-        options.seam_tol
-    } else {
-        Hertz(2.0 * config.resolution.hz())
-    };
+    let seam = seam_tolerance(config.resolution);
     let complete = outcomes.iter().all(|o| !o.skipped);
     let mut report = merge_band_reports(&reports, seam, FaseConfig::default().group_rel_tol);
     if cancelled {

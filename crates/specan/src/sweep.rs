@@ -237,6 +237,32 @@ mod tests {
     }
 
     #[test]
+    fn fft_len_is_a_power_of_two_for_any_plan() {
+        // Every segment the sweep captures is a power-of-two transform,
+        // whatever the band, resolution or FFT cap: the FFT engine's
+        // arbitrary-length path serves no capture.
+        use fase_dsp::rng::{Rng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(0xF17_1E4);
+        for case in 0..400 {
+            let lo = rng.gen_range(0.0, 50e6);
+            let hi = lo + rng.gen_range(1e3, 2e6);
+            let resolution = Hertz(rng.gen_range(10.0, 5e3));
+            // Every fourth cap is a power of two; the rest are arbitrary.
+            let max_fft = if case % 4 == 0 {
+                1usize << (4 + rng.next_u64() % 17)
+            } else {
+                16 + (rng.next_u64() % (1 << 20)) as usize
+            };
+            let plan = SweepPlan::new(Hertz(lo), Hertz(hi), resolution, max_fft);
+            let n = plan.fft_len();
+            let what = format!("[{lo}, {hi}] at {resolution}, max_fft {max_fft}: n = {n}");
+            assert!(n.is_power_of_two(), "{what}");
+            assert!(n <= max_fft.next_power_of_two(), "{what}");
+            assert!(plan.segments().iter().all(|s| s.len == n), "{what}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "ordered")]
     fn inverted_band_panics() {
         let _ = SweepPlan::new(Hertz(1e6), Hertz(0.0), Hertz(50.0), 1 << 15);

@@ -62,11 +62,6 @@ echo "==> benchmark package tests"
 # benchmark before the benchmark itself runs.
 cargo test --offline -q --manifest-path crates/bench/examples/perf/Cargo.toml
 
-echo "==> DSP property tests (rfft)"
-# Belt and braces: this suite gates the FFT/synthesis hot-path rework and
-# must run even if someone narrows the workspace test run.
-cargo test --offline --release -q -p fase-dsp --test rfft_properties
-
 echo "==> figures (worker-count identity, claim verdicts)"
 # Every fase-bench figure/claim binary runs twice, with one and with two
 # capture workers: stdout and exit status must match byte for byte, the
