@@ -11,15 +11,14 @@
 //! A [`FftPlan`] precomputes twiddle factors and bit-reversal tables once and
 //! can then transform any number of buffers of the planned length. Repeated
 //! transforms of the same length avoid re-planning entirely through the
-//! per-thread cache behind [`cached_plan`], which the one-shot entry points
+//! process-wide cache behind [`cached_plan`], which the one-shot entry points
 //! ([`fft`], [`ifft`]) use. Cache traffic is observable through the
 //! `dsp.plan_cache_hits` / `dsp.plan_cache_misses` counters.
 
 use crate::complex::Complex64;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::f64::consts::PI;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Direction of a transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,17 +223,15 @@ impl FftPlan {
     }
 }
 
-thread_local! {
-    static PLAN_CACHE: RefCell<BTreeMap<usize, Rc<FftPlan>>> =
-        const { RefCell::new(BTreeMap::new()) };
-}
+static PLAN_CACHE: Mutex<BTreeMap<usize, Arc<FftPlan>>> = Mutex::new(BTreeMap::new());
 
-/// Fetches (or creates and caches) the current thread's plan of length `n`.
+/// Fetches (or creates and caches) the process-wide plan of length `n`.
 ///
 /// Planning a transform costs O(n log n) trigonometric evaluations — for
 /// repeated segment captures of the same length that re-planning dwarfs the
-/// transform itself. Plans are cached per thread, so worker threads in a
-/// capture pool each build their own table once and never contend on a lock.
+/// transform itself. Plans are shared by every thread and outlive the
+/// capture pool's workers, so a length is planned once per process; the
+/// lock is held only for the lookup and the insert, never while planning.
 ///
 /// # Examples
 ///
@@ -245,24 +242,30 @@ thread_local! {
 /// plan.forward(&mut data);
 /// assert!((data[0].re - 8.0).abs() < 1e-12);
 /// // The second fetch reuses the same planning work.
-/// assert!(std::rc::Rc::ptr_eq(&plan, &cached_plan(8)));
+/// assert!(std::sync::Arc::ptr_eq(&plan, &cached_plan(8)));
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if `n` is zero.
-pub fn cached_plan(n: usize) -> Rc<FftPlan> {
-    PLAN_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(plan) = cache.get(&n) {
-            fase_obs::Recorder::global().count("dsp.plan_cache_hits", 1);
-            return Rc::clone(plan);
-        }
-        fase_obs::Recorder::global().count("dsp.plan_cache_misses", 1);
-        let plan = Rc::new(FftPlan::new(n));
-        cache.insert(n, Rc::clone(&plan));
-        plan
-    })
+pub fn cached_plan(n: usize) -> Arc<FftPlan> {
+    // Bind the lookup so the lock is released before a miss plans.
+    let hit = plan_cache().get(&n).cloned();
+    if let Some(plan) = hit {
+        fase_obs::Recorder::global().count("dsp.plan_cache_hits", 1);
+        return plan;
+    }
+    fase_obs::Recorder::global().count("dsp.plan_cache_misses", 1);
+    let plan = Arc::new(FftPlan::new(n));
+    // A thread that planned the same length meanwhile wins, so every
+    // caller shares one plan.
+    Arc::clone(plan_cache().entry(n).or_insert(plan))
+}
+
+fn plan_cache() -> MutexGuard<'static, BTreeMap<usize, Arc<FftPlan>>> {
+    // Plans are inserted whole, so a panic elsewhere cannot leave one
+    // half-written.
+    PLAN_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn conjugate(data: &mut [Complex64]) {
@@ -319,7 +322,7 @@ fn bluestein(
 
 /// One-shot forward FFT of a complex signal, out of place.
 ///
-/// Plans through the per-thread cache, so repeated same-length calls pay
+/// Plans through the process-wide cache, so repeated same-length calls pay
 /// only the transform itself.
 pub fn fft(signal: &[Complex64]) -> Vec<Complex64> {
     let mut data = signal.to_vec();
@@ -329,7 +332,7 @@ pub fn fft(signal: &[Complex64]) -> Vec<Complex64> {
 
 /// One-shot inverse FFT of a complex spectrum, out of place (scaled by 1/N).
 ///
-/// Plans through the per-thread cache, so repeated same-length calls pay
+/// Plans through the process-wide cache, so repeated same-length calls pay
 /// only the transform itself.
 pub fn ifft(spectrum: &[Complex64]) -> Vec<Complex64> {
     let mut data = spectrum.to_vec();
@@ -508,12 +511,18 @@ mod tests {
     fn cached_plan_returns_shared_plan() {
         let a = cached_plan(240);
         let b = cached_plan(240);
-        assert!(Rc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.len(), 240);
         let x = test_signal(240);
         let mut via_cache = x.clone();
         a.forward(&mut via_cache);
         assert_close(&via_cache, &fft(&x), 0.0);
+    }
+
+    #[test]
+    fn cached_plan_is_shared_across_threads() {
+        let fetch = || std::thread::spawn(|| cached_plan(96)).join().unwrap();
+        assert!(Arc::ptr_eq(&fetch(), &fetch()));
     }
 
     #[test]

@@ -8,15 +8,14 @@
 //! Generating a window table costs `n` cosine-series evaluations, and the
 //! analyzer needs the same table (plus its coherent gain and ENBW) for every
 //! capture of a campaign — so [`Window::tables`] memoizes the whole bundle
-//! per thread, keyed by `(family, length)`. The in-place [`Window::apply`] /
+//! process-wide, keyed by `(family, length)`. The in-place [`Window::apply`] /
 //! [`Window::apply_complex`] helpers and the scalar accessors route through
 //! the cache; the raw [`Window::coefficients`] generator stays allocation-
 //! fresh for callers that mutate or own the table (FIR design, tests).
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A window function family.
 ///
@@ -127,14 +126,14 @@ impl Window {
 
     /// Coherent gain: the mean of the coefficients. A pure tone's measured
     /// amplitude is scaled by this factor; the analyzer divides it back out.
-    /// Served from the per-thread table cache.
+    /// Served from the process-wide table cache.
     pub fn coherent_gain(self, n: usize) -> f64 {
         self.tables(n).coherent_gain()
     }
 
     /// Normalized equivalent noise bandwidth (ENBW) in bins:
     /// `n·Σw² / (Σw)²`. Converts windowed-FFT bin power to power spectral
-    /// density. Served from the per-thread table cache.
+    /// density. Served from the process-wide table cache.
     pub fn enbw_bins(self, n: usize) -> f64 {
         self.tables(n).enbw_bins()
     }
@@ -164,30 +163,33 @@ impl Window {
         }
     }
 
-    /// Fetches (or builds and caches) this thread's precomputed table bundle
-    /// for length `n`: the periodic coefficient table plus the coherent-gain
-    /// and ENBW scalars derived from it. Hot loops that window the same
-    /// length repeatedly (every capture of a campaign) should hold the
-    /// returned `Rc` instead of regenerating tables per call.
+    /// Fetches (or builds and caches) the process-wide precomputed table
+    /// bundle for length `n`: the periodic coefficient table plus the
+    /// coherent-gain and ENBW scalars derived from it. Hot loops that window
+    /// the same length repeatedly (every capture of a campaign) should hold
+    /// the returned `Arc` instead of regenerating tables per call. The
+    /// lock is held only for the lookup and the insert, never while
+    /// building.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn tables(self, n: usize) -> Rc<WindowTables> {
-        TABLE_CACHE.with(|cache| {
-            Rc::clone(
-                cache
-                    .borrow_mut()
-                    .entry((self, n))
-                    .or_insert_with(|| Rc::new(WindowTables::build(self, n))),
-            )
-        })
+    pub fn tables(self, n: usize) -> Arc<WindowTables> {
+        // Bind the lookup so the lock is released before a miss builds.
+        let hit = table_cache().get(&(self, n)).cloned();
+        if let Some(tables) = hit {
+            return tables;
+        }
+        let tables = Arc::new(WindowTables::build(self, n));
+        // A thread that built the same tables meanwhile wins, so every
+        // caller shares one bundle.
+        Arc::clone(table_cache().entry((self, n)).or_insert(tables))
     }
 }
 
 /// Precomputed per-length window data: the periodic coefficient table and
 /// the two scalar calibration factors derived from it. Built once per
-/// `(family, length)` per thread by [`Window::tables`].
+/// `(family, length)` per process by [`Window::tables`].
 #[derive(Debug, Clone)]
 pub struct WindowTables {
     coefficients: Vec<f64>,
@@ -234,9 +236,13 @@ impl WindowTables {
     }
 }
 
-thread_local! {
-    static TABLE_CACHE: RefCell<BTreeMap<(Window, usize), Rc<WindowTables>>> =
-        const { RefCell::new(BTreeMap::new()) };
+type TableCache = BTreeMap<(Window, usize), Arc<WindowTables>>;
+static TABLE_CACHE: Mutex<TableCache> = Mutex::new(BTreeMap::new());
+
+fn table_cache() -> MutexGuard<'static, TableCache> {
+    // Tables are inserted whole, so a panic elsewhere cannot leave one
+    // half-written.
+    TABLE_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl fmt::Display for Window {
@@ -368,9 +374,19 @@ mod tests {
                 let sum_sq: f64 = fresh.iter().map(|x| x * x).sum();
                 let enbw = n as f64 * sum_sq / (sum * sum);
                 assert!((t.enbw_bins() - enbw).abs() < 1e-15);
-                // Same Rc on the second fetch — no regeneration.
-                assert!(Rc::ptr_eq(&t, &win.tables(n)));
+                // Same Arc on the second fetch — no regeneration.
+                assert!(Arc::ptr_eq(&t, &win.tables(n)));
             }
         }
+    }
+
+    #[test]
+    fn cached_tables_are_shared_across_threads() {
+        let fetch = || {
+            std::thread::spawn(|| Window::FlatTop.tables(96))
+                .join()
+                .unwrap()
+        };
+        assert!(Arc::ptr_eq(&fetch(), &fetch()));
     }
 }

@@ -10,16 +10,13 @@ use crate::memo::{self, memoize_draws, DrawMemo};
 use fase_dsp::noise::complex_normal_polar;
 use fase_dsp::rng::SmallRng;
 use fase_dsp::{Complex64, Decibels};
-use std::rc::Rc;
+use std::sync::Arc;
 
-thread_local! {
-    /// Receiver-noise realizations keyed by (RNG state at entry, σ bits,
-    /// capture length). The capture pool rebuilds the channel (restarting
-    /// its RNG) for every capture of a campaign, which is what makes this
-    /// hit; a long-lived channel advances its RNG and misses, as before.
-    static RX_NOISE_CACHE: DrawMemo<(u64, usize), Rc<Vec<Complex64>>> =
-        const { memo::empty() };
-}
+/// Receiver-noise realizations keyed by (RNG state at entry, σ bits,
+/// capture length). The capture pool rebuilds the channel (restarting its
+/// RNG) for every capture of a campaign, which is what makes this hit; a
+/// long-lived channel advances its RNG and misses, as before.
+static RX_NOISE_CACHE: DrawMemo<(u64, usize), Arc<Vec<Complex64>>> = memo::empty();
 
 /// Receiver channel model.
 ///
@@ -83,7 +80,7 @@ impl Channel {
             &mut self.rng,
             (sigma.to_bits(), iq.len()),
             |rng| {
-                Rc::new(
+                Arc::new(
                     iq.iter()
                         .map(|_| complex_normal_polar(rng, sigma))
                         .collect(),

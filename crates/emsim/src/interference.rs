@@ -16,7 +16,7 @@ use fase_dsp::noise::complex_normal_polar;
 use fase_dsp::rng::{Rng, SmallRng};
 use fase_dsp::{Complex64, Hertz};
 use std::f64::consts::TAU;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Capture geometry fingerprint: center frequency, sample rate (both by
 /// exact bit pattern) and length. Everything a per-geometry cache needs —
@@ -45,24 +45,18 @@ fn content_fingerprint(words: impl Iterator<Item = u64>) -> u64 {
     h
 }
 
-thread_local! {
-    /// Time-domain spur blocks keyed by (spur-table fingerprint, capture
-    /// geometry). The block is a pure deterministic function of the key.
-    static SPUR_CACHE: Memo<(u64, GeometryKey), Rc<Vec<Complex64>>> =
-        const { memo::empty() };
-    /// Rendered noise realizations keyed by (RNG state at render start,
-    /// envelope fingerprint, capture geometry). The capture pool
-    /// reconstructs each system per capture, restarting the RNG, and hits.
-    static NOISE_CACHE: DrawMemo<(u64, GeometryKey), Rc<Vec<Complex64>>> =
-        const { memo::empty() };
-    /// Per-bin σ of the rolling-noise frequency-domain draw, keyed by
-    /// (envelope fingerprint, capture geometry). The envelope is frozen
-    /// by construction, so evaluating the hills (one `powf` + `exp` per
-    /// hill per bin) is paid once per geometry even when the realization
-    /// itself must be fresh.
-    static SIGMA_CACHE: Memo<(u64, GeometryKey), Rc<Vec<f64>>> =
-        const { memo::empty() };
-}
+/// Time-domain spur blocks keyed by (spur-table fingerprint, capture
+/// geometry). The block is a pure deterministic function of the key.
+static SPUR_CACHE: Memo<(u64, GeometryKey), Arc<Vec<Complex64>>> = memo::empty();
+/// Rendered noise realizations keyed by (RNG state at render start,
+/// envelope fingerprint, capture geometry). The capture pool reconstructs
+/// each system per capture, restarting the RNG, and hits.
+static NOISE_CACHE: DrawMemo<(u64, GeometryKey), Arc<Vec<Complex64>>> = memo::empty();
+/// Per-bin σ of the rolling-noise frequency-domain draw, keyed by
+/// (envelope fingerprint, capture geometry). The envelope is frozen by
+/// construction, so evaluating the hills (one `exp` per hill per bin) is
+/// paid once per geometry even when the realization itself must be fresh.
+static SIGMA_CACHE: Memo<(u64, GeometryKey), Arc<Vec<f64>>> = memo::empty();
 
 /// An AM broadcast station: a strong, stable carrier amplitude-modulated by
 /// an audio-like program — modulated, but **not** by the victim's program
@@ -322,7 +316,7 @@ impl EmSource for SpurForest {
     fn render(&mut self, window: &CaptureWindow, _ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
         let key = (self.fingerprint, geometry_key(window));
         let block = memoize(&SPUR_CACHE, key, || {
-            Rc::new(render_spur_block(&self.spurs, window))
+            Arc::new(render_spur_block(&self.spurs, window))
         });
         for (o, s) in out.iter_mut().zip(block.iter()) {
             *o += *s;
@@ -380,9 +374,12 @@ pub struct NoiseHill {
 #[derive(Debug)]
 pub struct RollingNoise {
     name: String,
-    /// Noise density far from any hill, in dBm/Hz.
-    floor_dbm_per_hz: f64,
+    /// Noise density far from any hill, in mW/Hz.
+    floor_mw_per_hz: f64,
     hills: Vec<NoiseHill>,
+    /// Each hill's linear excess factor at its top, `10^(excess_db/10) − 1`,
+    /// computed once.
+    hill_gains: Vec<f64>,
     rng: SmallRng,
     /// Content fingerprint of the frozen envelope (floor + hills), used
     /// with the RNG state to memoize whole rendered realizations across
@@ -407,10 +404,15 @@ impl RollingNoise {
                 ]
             }),
         ));
+        let hill_gains = hills
+            .iter()
+            .map(|h| 10f64.powf(h.excess_db / 10.0) - 1.0)
+            .collect();
         RollingNoise {
             name: name.to_owned(),
-            floor_dbm_per_hz,
+            floor_mw_per_hz: 10f64.powf(floor_dbm_per_hz / 10.0),
             hills,
+            hill_gains,
             rng: SmallRng::seed_from_u64(seed),
             fingerprint,
         }
@@ -438,20 +440,20 @@ impl RollingNoise {
 
     /// Noise density (mW/Hz) of the envelope at RF frequency `f`.
     pub fn density_at(&self, f: Hertz) -> f64 {
-        let floor = 10f64.powf(self.floor_dbm_per_hz / 10.0);
         let excess: f64 = self
             .hills
             .iter()
-            .map(|h| {
+            .zip(&self.hill_gains)
+            .map(|(h, gain)| {
                 let z = (f.hz() - h.center.hz()) / h.width.hz();
-                (10f64.powf(h.excess_db / 10.0) - 1.0) * (-0.5 * z * z).exp()
+                gain * (-0.5 * z * z).exp()
             })
             .sum();
-        floor * (1.0 + excess)
+        self.floor_mw_per_hz * (1.0 + excess)
     }
 
     /// Per-bin σ of the frequency-domain draw for `window`'s geometry.
-    fn sigmas(&self, window: &CaptureWindow) -> Rc<Vec<f64>> {
+    fn sigmas(&self, window: &CaptureWindow) -> Arc<Vec<f64>> {
         memoize(
             &SIGMA_CACHE,
             (self.fingerprint, geometry_key(window)),
@@ -459,7 +461,7 @@ impl RollingNoise {
                 let n = window.len();
                 let fs = window.sample_rate();
                 let bin_hz = fs / n as f64;
-                Rc::new(
+                Arc::new(
                     (0..n)
                         .map(|k| {
                             // FFT bin k ↔ baseband offset (k > n/2 means
@@ -503,7 +505,7 @@ impl EmSource for RollingNoise {
                 .map(|&sigma| complex_normal_polar(rng, sigma))
                 .collect();
             cached_plan(window.len()).inverse(&mut freq);
-            Rc::new(freq)
+            Arc::new(freq)
         });
         self.rng = rng;
         for (o, s) in out.iter_mut().zip(block.iter()) {

@@ -79,7 +79,7 @@ impl SpectrumAnalyzer {
         let _transform = fase_obs::span!("transform");
         let n = iq.len();
         // Window tables (coefficients + coherent gain) come from the
-        // per-thread cache, the window multiply is fused into the copy into
+        // process-wide cache, the window multiply is fused into the copy into
         // the reused FFT workspace, and bin powers use norm_sqr with a
         // squared scale — no per-bin hypot, no per-capture allocation
         // beyond the power vector the Spectrum owns.
@@ -99,7 +99,7 @@ impl SpectrumAnalyzer {
 }
 
 /// Windowed FFT power of one capture: fused window-multiply copy into
-/// `buf`, in-place transform through the per-thread plan cache, centered
+/// `buf`, in-place transform through the process-wide plan cache, centered
 /// bin order, and `|z|²·scale²` readout.
 fn windowed_power(
     iq: &[Complex64],
@@ -110,7 +110,7 @@ fn windowed_power(
     buf.clear();
     buf.extend(iq.iter().zip(coeffs).map(|(z, &c)| z.scale(c)));
     // Campaigns transform thousands of equal-length captures; the
-    // per-thread plan cache pays the twiddle setup once per worker.
+    // process-wide plan cache pays the twiddle setup once per length.
     cached_plan(iq.len()).forward(buf);
     fft_shift(buf);
     buf.iter().map(|z| z.norm_sqr() * scale_sq).collect()

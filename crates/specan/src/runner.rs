@@ -221,18 +221,33 @@ where
     if fault == Some(FaultKind::TaskFailure) {
         return Err(FaseError::worker("injected task failure"));
     }
-    let mut system = factory(task.i_alt);
-    system.machine = prepared.machine.clone();
+    // Set-up stages are child spans of the pool's `capture` span, beside
+    // the `synth` and `transform` spans opened further down.
+    let mut system = {
+        let _setup = span!(recorder, "setup");
+        let mut system = factory(task.i_alt);
+        system.machine = prepared.machine.clone();
+        system
+    };
     let stream = attempt_seed(seed, task.index, attempt);
     let mut rng = SmallRng::seed_from_u64(stream);
     let window = segment.window(task.index as f64 * segment.duration());
-    let trace = system
-        .machine
-        .run_alternation(&prepared.bench, segment.duration(), &mut rng);
+    let trace = {
+        let _alternation = span!(recorder, "alternation");
+        system
+            .machine
+            .run_alternation(&prepared.bench, segment.duration(), &mut rng)
+    };
     let pairs = (trace.len() / 2).max(1);
     let trace_duration = trace.duration();
-    let refreshes = system.refresh.schedule(&trace, &mut rng);
-    let ctx = RenderCtx::new(&trace, &refreshes, &window).with_recorder(recorder.clone());
+    let refreshes = {
+        let _refresh = span!(recorder, "refresh");
+        system.refresh.schedule(&trace, &mut rng)
+    };
+    let ctx = {
+        let _render_ctx = span!(recorder, "render_ctx");
+        RenderCtx::new(&trace, &refreshes, &window).with_recorder(recorder.clone())
+    };
     let mut iq = system.scene.render(&window, &ctx);
     if let Some(kind) = fault {
         let mut fault_rng = SmallRng::seed_from_u64(mix_seed(stream, 0xFAB1_7FAB));

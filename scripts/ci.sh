@@ -101,6 +101,7 @@ echo "==> per-layer perf A/B gate (base build vs this tree, same host)"
 # serve runs 10 pairs, the others 5: on a 2-core host, serve's service
 # time read 9.0-16.5 ms over ten runs of one build, a spread that lets
 # five pairs fail an unchanged tree now and then.
+# Every head campaign run must also read a dsp.plan_cache_hit_ratio of 1.
 # For each workload the stage also prints whether the base and head
 # stamps carry the same report_digest seed for seed, naming any seed
 # whose report changed; that line is information, not a gate.
@@ -172,6 +173,18 @@ for w in campaign sweep_warm serve; do
     echo "  $w $m: base ${base_med:-missing}, head ${head_med:-missing} ($verdict)"
     [[ $verdict == ok* ]] || ab_ok=0
   done
+  # Every traced op runs after set-up, so a plan-cache miss in a head
+  # campaign run means an FFT plan died with the capture pool's workers.
+  if [[ $w == campaign ]]; then
+    ratios=$(grep -o '"dsp\.plan_cache_hit_ratio": {"value": [-0-9.eE+]*' \
+      "$ab_dir/head.$w.jsonl" | sed 's/.* //' | tr '\n' ' ')
+    if [[ -n $ratios ]] && awk '{ for (i = 1; i <= NF; i++) if ($i != 1) exit 1 }' <<< "$ratios"; then
+      echo "  campaign dsp.plan_cache_hit_ratio: 1 on every head run"
+    else
+      echo "  campaign dsp.plan_cache_hit_ratio: head runs read ${ratios:-nothing} (WORSE: must be 1)"
+      ab_ok=0
+    fi
+  fi
 done
 git worktree remove --force "$ab_tree"
 [[ $ab_ok -eq 1 ]] || { echo "a per-layer metric is >20% worse than the base build"; exit 1; }
