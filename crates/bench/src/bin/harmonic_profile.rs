@@ -12,7 +12,7 @@ use fase_sysmodel::{ActivityTrace, Domain, DomainLoads};
 
 fn harmonic_levels(duty: f64, n_harmonics: u32) -> Vec<f64> {
     let fsw = Hertz::from_khz(300.0);
-    let mut reg = SwitchingRegulator::new("probe", fsw, Domain::Dram, 1)
+    let reg = SwitchingRegulator::new("probe", fsw, Domain::Dram, 1)
         .with_base_duty(duty)
         .with_duty_gain(0.0)
         .with_fundamental_dbm(-100.0)

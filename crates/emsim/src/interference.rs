@@ -8,10 +8,10 @@
 //! reported; these sources provide the corresponding workload.
 
 use crate::ctx::{dbm_to_amplitude, CaptureWindow, RenderCtx};
-use crate::memo::{self, memoize, memoize_draws, DrawMemo, Memo};
 use crate::phasor::{Phasor, SynthMode};
 use crate::source::{EmSource, FreqDrift, SourceInfo, SourceKind};
 use fase_dsp::fft::cached_plan;
+use fase_dsp::memo::{memoize, Memo};
 use fase_dsp::noise::complex_normal_polar;
 use fase_dsp::rng::{Rng, SmallRng};
 use fase_dsp::{Complex64, Hertz};
@@ -34,7 +34,7 @@ fn geometry_key(window: &CaptureWindow) -> GeometryKey {
 
 /// FNV-1a-style fold over 64-bit words, used to fingerprint source
 /// content (spur tables, noise envelopes) so renders can be memoized
-/// across *instances* (see [`crate::memo`]).
+/// across *instances* (see [`fase_dsp::memo`]).
 fn content_fingerprint(words: impl Iterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for w in words {
@@ -47,16 +47,19 @@ fn content_fingerprint(words: impl Iterator<Item = u64>) -> u64 {
 
 /// Time-domain spur blocks keyed by (spur-table fingerprint, capture
 /// geometry). The block is a pure deterministic function of the key.
-static SPUR_CACHE: Memo<(u64, GeometryKey), Arc<Vec<Complex64>>> = memo::empty();
-/// Rendered noise realizations keyed by (RNG state at render start,
-/// envelope fingerprint, capture geometry). The capture pool reconstructs
-/// each system per capture, restarting the RNG, and hits.
-static NOISE_CACHE: DrawMemo<(u64, GeometryKey), Arc<Vec<Complex64>>> = memo::empty();
+static SPUR_CACHE: Memo<(u64, GeometryKey), Arc<Vec<Complex64>>> = crate::render_memo();
+
+/// (generator start state, (envelope fingerprint, capture geometry)).
+type NoiseKey = (u64, (u64, GeometryKey));
+
+/// Rendered noise realizations. Every render starts from the source's
+/// seed, so every capture of a campaign replays the same draw and hits.
+static NOISE_CACHE: Memo<NoiseKey, Arc<Vec<Complex64>>> = crate::render_memo();
 /// Per-bin σ of the rolling-noise frequency-domain draw, keyed by
 /// (envelope fingerprint, capture geometry). The envelope is frozen by
 /// construction, so evaluating the hills (one `exp` per hill per bin) is
 /// paid once per geometry even when the realization itself must be fresh.
-static SIGMA_CACHE: Memo<(u64, GeometryKey), Arc<Vec<f64>>> = memo::empty();
+static SIGMA_CACHE: Memo<(u64, GeometryKey), Arc<Vec<f64>>> = crate::render_memo();
 
 /// An AM broadcast station: a strong, stable carrier amplitude-modulated by
 /// an audio-like program — modulated, but **not** by the victim's program
@@ -133,13 +136,14 @@ impl AmBroadcast {
         self.carrier
     }
 
-    fn audio(&mut self, t: f64, dt: f64) -> f64 {
+    /// The programme at `t`, advancing the render's `audio_noise` by `dt`.
+    fn audio(&self, t: f64, dt: f64, audio_noise: &mut FreqDrift, rng: &mut SmallRng) -> f64 {
         let mut a: f64 = self
             .tones
             .iter()
             .map(|&(f, level)| level * (TAU * f * t).sin())
             .sum();
-        a = 0.5 * a / self.tones.len() as f64 + 0.5 * self.audio_noise.step(dt, &mut self.rng);
+        a = 0.5 * a / self.tones.len() as f64 + 0.5 * audio_noise.step(dt, rng);
         a.clamp(-1.0, 1.0)
     }
 }
@@ -154,10 +158,15 @@ impl EmSource for AmBroadcast {
         }
     }
 
-    fn render(&mut self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
+    fn render(&self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
         if !window.contains(self.carrier, Hertz(20_000.0)) {
             return;
         }
+        let (mut rng, mut freq_drift, mut audio_noise) = (
+            self.rng.clone(),
+            self.drift.clone(),
+            self.audio_noise.clone(),
+        );
         let fs = window.sample_rate();
         let dt = 1.0 / fs;
         let t0 = window.start_time();
@@ -167,9 +176,9 @@ impl EmSource for AmBroadcast {
                 let mut phase = TAU * ((self.carrier.hz() - f_off) * t0) % TAU;
                 for (n, sample) in out.iter_mut().enumerate().take(window.len()) {
                     let t = t0 + n as f64 * dt;
-                    let drift = self.drift.step(dt, &mut self.rng);
-                    let envelope =
-                        self.amplitude * (1.0 + self.modulation_index * self.audio(t, dt)).max(0.0);
+                    let drift = freq_drift.step(dt, &mut rng);
+                    let audio = self.audio(t, dt, &mut audio_noise, &mut rng);
+                    let envelope = self.amplitude * (1.0 + self.modulation_index * audio).max(0.0);
                     *sample += Complex64::from_polar(envelope, phase);
                     phase = (phase + TAU * (self.carrier.hz() + drift - f_off) * dt) % TAU;
                 }
@@ -183,18 +192,18 @@ impl EmSource for AmBroadcast {
                 // kernel, so blocks need no other cap.)
                 let block = ((fs / 32_000.0) as usize).max(1);
                 let mut phasor = Phasor::new(TAU * ((self.carrier.hz() - f_off) * t0) % TAU);
-                let mut env_end =
-                    self.amplitude * (1.0 + self.modulation_index * self.audio(t0, dt)).max(0.0);
+                let audio = self.audio(t0, dt, &mut audio_noise, &mut rng);
+                let mut env_end = self.amplitude * (1.0 + self.modulation_index * audio).max(0.0);
                 let n = window.len();
                 let mut pos = 0;
                 while pos < n {
                     let len = (n - pos).min(block);
                     let dt_block = dt * len as f64;
-                    let drift = self.drift.step(dt_block, &mut self.rng);
+                    let drift = freq_drift.step(dt_block, &mut rng);
                     let env0 = env_end;
                     let t_end = t0 + (pos + len) as f64 * dt;
-                    env_end = self.amplitude
-                        * (1.0 + self.modulation_index * self.audio(t_end, dt_block)).max(0.0);
+                    let audio = self.audio(t_end, dt_block, &mut audio_noise, &mut rng);
+                    env_end = self.amplitude * (1.0 + self.modulation_index * audio).max(0.0);
                     let rot = Phasor::rotation(self.carrier.hz() + drift - f_off, dt);
                     let step = (env_end - env0) / len as f64;
                     crate::phasor::mix_tone_ramp(
@@ -214,10 +223,11 @@ impl EmSource for AmBroadcast {
 /// A forest of unmodulated spurs — the "thousands of periodic signals that
 /// are not modulated by system activity".
 ///
-/// Rendered in the frequency domain (one inverse FFT per capture) so large
-/// populations stay cheap. Spur frequencies are quantized to the capture's
-/// bin grid; quantization is identical across the captures of a campaign,
-/// which is exactly the stability property that makes FASE reject them.
+/// Rendered in the frequency domain (one inverse FFT per capture
+/// geometry) so large populations stay cheap. Spur frequencies are
+/// quantized to the capture's bin grid; quantization is identical across
+/// the captures of a campaign, which is exactly the stability property
+/// that makes FASE reject them.
 #[derive(Debug)]
 pub struct SpurForest {
     name: String,
@@ -227,8 +237,8 @@ pub struct SpurForest {
     /// time-domain blocks are shared. Spur frequencies are quantized to
     /// the bin grid and phases are fixed, so the block is independent of
     /// the capture start time: every capture of a campaign adds the
-    /// *same* samples, and the inverse FFT is paid once — even though
-    /// the capture pool rebuilds the forest itself for every capture.
+    /// *same* samples, and the inverse FFT is paid once per geometry —
+    /// also across forests built apart with equal spurs.
     fingerprint: u64,
 }
 
@@ -313,7 +323,7 @@ impl EmSource for SpurForest {
         }
     }
 
-    fn render(&mut self, window: &CaptureWindow, _ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
+    fn render(&self, window: &CaptureWindow, _ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
         let key = (self.fingerprint, geometry_key(window));
         let block = memoize(&SPUR_CACHE, key, || {
             Arc::new(render_spur_block(&self.spurs, window))
@@ -370,7 +380,7 @@ pub struct NoiseHill {
 ///
 /// The envelope is fixed at construction (it is the same in every capture,
 /// so it cannot masquerade as a modulated signal); the noise realization is
-/// fresh each render.
+/// drawn from the seed, so every render of one source adds the same draw.
 #[derive(Debug)]
 pub struct RollingNoise {
     name: String,
@@ -382,8 +392,8 @@ pub struct RollingNoise {
     hill_gains: Vec<f64>,
     rng: SmallRng,
     /// Content fingerprint of the frozen envelope (floor + hills), used
-    /// with the RNG state to memoize whole rendered realizations across
-    /// the per-capture system rebuilds of the capture pool.
+    /// with the generator's start state to memoize whole rendered
+    /// realizations.
     fingerprint: u64,
 }
 
@@ -493,21 +503,18 @@ impl EmSource for RollingNoise {
         }
     }
 
-    fn render(&mut self, window: &CaptureWindow, _ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
-        // The draw reads the envelope through `self`, so it advances a
-        // copy of the generator that is written back afterwards.
-        let mut rng = self.rng.clone();
-        let key = (self.fingerprint, geometry_key(window));
-        let block = memoize_draws(&NOISE_CACHE, &mut rng, key, |rng| {
+    fn render(&self, window: &CaptureWindow, _ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
+        let key = (self.rng.state(), (self.fingerprint, geometry_key(window)));
+        let block = memoize(&NOISE_CACHE, key, || {
+            let mut rng = self.rng.clone();
             let mut freq: Vec<Complex64> = self
                 .sigmas(window)
                 .iter()
-                .map(|&sigma| complex_normal_polar(rng, sigma))
+                .map(|&sigma| complex_normal_polar(&mut rng, sigma))
                 .collect();
             cached_plan(window.len()).inverse(&mut freq);
             Arc::new(freq)
         });
-        self.rng = rng;
         for (o, s) in out.iter_mut().zip(block.iter()) {
             *o += *s;
         }
@@ -520,7 +527,7 @@ mod tests {
     use fase_dsp::fft::{fft, fft_shift};
     use fase_sysmodel::ActivityTrace;
 
-    fn render(src: &mut dyn EmSource, center: Hertz, fs: f64, n: usize) -> Vec<Complex64> {
+    fn render(src: &dyn EmSource, center: Hertz, fs: f64, n: usize) -> Vec<Complex64> {
         let window = CaptureWindow::new(center, fs, n, 0.0);
         let trace = ActivityTrace::new();
         let ctx = RenderCtx::new(&trace, &[], &window);
@@ -540,12 +547,12 @@ mod tests {
 
     #[test]
     fn am_station_has_carrier_and_sidebands() {
-        let mut st = AmBroadcast::new("test", Hertz::from_khz(750.0), 1)
+        let st = AmBroadcast::new("test", Hertz::from_khz(750.0), 1)
             .with_level_dbm(-90.0)
             .with_modulation_index(0.8);
         let fs = 40e3;
         let n = 1 << 14;
-        let iq = render(&mut st, Hertz::from_khz(750.0), fs, n);
+        let iq = render(&st, Hertz::from_khz(750.0), fs, n);
         let spec = power_bins(&iq);
         let carrier = spec[n / 2 - 2..n / 2 + 2].iter().sum::<f64>();
         let carrier_dbm = 10.0 * carrier.log10();
@@ -575,8 +582,8 @@ mod tests {
 
     #[test]
     fn am_station_outside_span_silent() {
-        let mut st = AmBroadcast::new("far", Hertz::from_mhz(5.0), 2);
-        let iq = render(&mut st, Hertz::from_khz(200.0), 100e3, 1024);
+        let st = AmBroadcast::new("far", Hertz::from_mhz(5.0), 2);
+        let iq = render(&st, Hertz::from_khz(200.0), 100e3, 1024);
         assert!(iq.iter().all(|z| z.norm() == 0.0));
     }
 
@@ -586,10 +593,10 @@ mod tests {
             (Hertz::from_khz(100.0), -110.0),
             (Hertz::from_khz(300.0), -100.0),
         ];
-        let mut forest = SpurForest::from_spurs("f", &spurs, 3);
+        let forest = SpurForest::from_spurs("f", &spurs, 3);
         let fs = 1e6;
         let n = 1 << 14;
-        let iq = render(&mut forest, Hertz::from_khz(500.0), fs, n);
+        let iq = render(&forest, Hertz::from_khz(500.0), fs, n);
         let spec = power_bins(&iq);
         let bin_hz = fs / n as f64;
         for &(f, dbm) in &spurs {
@@ -602,11 +609,11 @@ mod tests {
 
     #[test]
     fn spur_amplitudes_stable_across_renders() {
-        let mut forest = SpurForest::random("f", Hertz(0.0), Hertz(1e6), 50, -130.0, -105.0, 7);
+        let forest = SpurForest::random("f", Hertz(0.0), Hertz(1e6), 50, -130.0, -105.0, 7);
         let fs = 1e6;
         let n = 1 << 13;
-        let a = power_bins(&render(&mut forest, Hertz::from_khz(500.0), fs, n));
-        let b = power_bins(&render(&mut forest, Hertz::from_khz(500.0), fs, n));
+        let a = power_bins(&render(&forest, Hertz::from_khz(500.0), fs, n));
+        let b = power_bins(&render(&forest, Hertz::from_khz(500.0), fs, n));
         for (x, y) in a.iter().zip(&b) {
             assert!(
                 (x - y).abs() <= 1e-18 + 1e-9 * x.max(*y),
@@ -622,10 +629,10 @@ mod tests {
             width: Hertz::from_khz(40.0),
             excess_db: 12.0,
         }];
-        let mut noise = RollingNoise::new("hills", -150.0, hills, 5);
+        let noise = RollingNoise::new("hills", -150.0, hills, 5);
         let fs = 1e6;
         let n = 1 << 15;
-        let iq = render(&mut noise, Hertz::from_khz(500.0), fs, n);
+        let iq = render(&noise, Hertz::from_khz(500.0), fs, n);
         let spec = power_bins(&iq);
         let bin_hz = fs / n as f64;
         // Average bin power near the hill vs far away: expect ≈ 12 dB.
@@ -645,10 +652,18 @@ mod tests {
     }
 
     #[test]
-    fn noise_is_fresh_each_render() {
-        let mut noise = RollingNoise::new("n", -150.0, vec![], 6);
-        let a = render(&mut noise, Hertz(0.0), 1e5, 1024);
-        let b = render(&mut noise, Hertz(0.0), 1e5, 1024);
-        assert!(a.iter().zip(&b).any(|(x, y)| (*x - *y).norm() > 0.0));
+    fn noise_realization_follows_the_seed() {
+        let draw = |seed| {
+            render(
+                &RollingNoise::new("n", -150.0, vec![], seed),
+                Hertz(0.0),
+                1e5,
+                1024,
+            )
+        };
+        assert!(draw(6)
+            .iter()
+            .zip(&draw(7))
+            .any(|(x, y)| (*x - *y).norm() > 0.0));
     }
 }

@@ -22,8 +22,11 @@
 //!   validated against.
 //!
 //! A [`Scene`] sums sources into complex-baseband captures
-//! ([`CaptureWindow`]); [`SimulatedSystem`] pairs a scene with the
-//! micro-architectural model from `fase-sysmodel` and a refresh policy.
+//! ([`CaptureWindow`]). A render reads no mutable state: every stochastic
+//! source starts each render from its construction-time generator, so one
+//! scene serves every capture of a campaign. [`SimulatedSystem`] pairs a
+//! scene with the micro-architectural model from `fase-sysmodel` and a
+//! refresh policy.
 //! Presets reproduce the paper's Intel Core i7 desktop and AMD Turion X2
 //! laptop.
 
@@ -34,7 +37,6 @@ pub mod channel;
 pub mod clock;
 pub mod ctx;
 pub mod interference;
-mod memo;
 pub mod phasor;
 pub mod refresh;
 pub mod regulator;
@@ -46,3 +48,13 @@ pub use ctx::{CaptureWindow, RenderCtx};
 pub use phasor::SynthMode;
 pub use scene::{RefreshPolicy, Scene, SimulatedSystem};
 pub use source::{EmSource, SourceInfo, SourceKind};
+
+/// A process-wide render memo (see [`fase_dsp::memo`]), counting into
+/// `emsim.memo_hits` / `emsim.memo_misses`. It never holds more than 8
+/// entries: a campaign needs one key per memo and capture geometry, and an
+/// 8-band sweep needs eight, which fills the cap, so a sweep alternating
+/// with work of another geometry re-renders its bands. Entries can reach
+/// capture size, so the cap also bounds memory.
+pub(crate) const fn render_memo<K, V>() -> fase_dsp::memo::Memo<K, V> {
+    fase_dsp::memo::Memo::new(8, "emsim.memo_hits", "emsim.memo_misses")
+}

@@ -89,7 +89,7 @@ impl EmSource for RefreshSource {
         }
     }
 
-    fn render(&mut self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
+    fn render(&self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
         let fs = window.sample_rate();
         let ts = 1.0 / fs;
         let f0 = window.center().hz();
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn no_events_no_signal() {
-        let mut src = RefreshSource::new("refresh", Hertz(128_000.0), 200e-9);
+        let src = RefreshSource::new("refresh", Hertz(128_000.0), 200e-9);
         let window = CaptureWindow::new(Hertz::from_mhz(1.0), 1e6, 1024, 0.0);
         let trace = ActivityTrace::new();
         let ctx = RenderCtx::new(&trace, &[], &window);
@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn events_outside_window_ignored() {
-        let mut src = RefreshSource::new("refresh", Hertz(128_000.0), 200e-9);
+        let src = RefreshSource::new("refresh", Hertz(128_000.0), 200e-9);
         let window = CaptureWindow::new(Hertz::from_mhz(1.0), 1e6, 1024, 0.0);
         let trace = ActivityTrace::new();
         let far = [RefreshEvent {

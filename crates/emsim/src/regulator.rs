@@ -129,12 +129,13 @@ impl SwitchingRegulator {
 
     /// Reference path: per-sample trigonometry and per-sample drift.
     fn render_exact(
-        &mut self,
+        &self,
         window: &CaptureWindow,
         load: &[f64],
         ks: &[u32],
         out: &mut [Complex64],
     ) {
+        let (mut freq_drift, mut rng) = (self.drift.clone(), self.rng.clone());
         let dt = 1.0 / window.sample_rate();
         let t0 = window.start_time();
         let mut phases: Vec<f64> = ks
@@ -142,7 +143,7 @@ impl SwitchingRegulator {
             .map(|&k| TAU * ((k as f64 * self.fsw.hz() - window.center().hz()) * t0) % TAU)
             .collect();
         for (n, sample) in out.iter_mut().enumerate().take(window.len()) {
-            let drift = self.drift.step(dt, &mut self.rng);
+            let drift = freq_drift.step(dt, &mut rng);
             let d = self.duty(load[n]);
             for (i, &k) in ks.iter().enumerate() {
                 let amp = self.amp_scale * pulse_harmonic_amplitude(k, d);
@@ -156,13 +157,8 @@ impl SwitchingRegulator {
     /// Fast path: phasor recurrences, with amplitudes recomputed only when
     /// the load value actually changes (the envelope — the signal under
     /// test — stays sample-exact) and drift stepped once per run.
-    fn render_fast(
-        &mut self,
-        window: &CaptureWindow,
-        load: &[f64],
-        ks: &[u32],
-        out: &mut [Complex64],
-    ) {
+    fn render_fast(&self, window: &CaptureWindow, load: &[f64], ks: &[u32], out: &mut [Complex64]) {
+        let (mut freq_drift, mut rng) = (self.drift.clone(), self.rng.clone());
         let dt = 1.0 / window.sample_rate();
         let t0 = window.start_time();
         let fsw = self.fsw.hz();
@@ -181,7 +177,7 @@ impl SwitchingRegulator {
             return;
         };
         for (start, len) in runs_of(window.len(), |a, b| load[a] == load[b]) {
-            let drift = self.drift.step(dt * len as f64, &mut self.rng);
+            let drift = freq_drift.step(dt * len as f64, &mut rng);
             let level = load[start];
             let set = match amp_sets.iter().position(|&(l, _)| l == level) {
                 Some(i) => i,
@@ -223,7 +219,7 @@ impl EmSource for SwitchingRegulator {
         }
     }
 
-    fn render(&mut self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
+    fn render(&self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
         let ks = harmonics_in_window(self.fsw, window, EDGE_GUARD, MAX_HARMONICS);
         if ks.is_empty() {
             return;
@@ -300,7 +296,7 @@ impl EmSource for FmRegulator {
         }
     }
 
-    fn render(&mut self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
+    fn render(&self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]) {
         // Use a generous guard: the carrier wanders by fm_gain·fsw.
         let guard = Hertz(EDGE_GUARD.hz() + self.fm_gain * self.fsw.hz() * (MAX_HARMONICS as f64));
         let ks = harmonics_in_window(self.fsw, window, guard, MAX_HARMONICS);
@@ -311,6 +307,7 @@ impl EmSource for FmRegulator {
         let dt = 1.0 / fs;
         let t0 = window.start_time();
         let load = ctx.load_waveform(self.domain);
+        let (mut freq_drift, mut rng) = (self.drift.clone(), self.rng.clone());
         let amps: Vec<f64> = ks
             .iter()
             .map(|&k| self.amp_scale * pulse_harmonic_amplitude(k, self.duty))
@@ -323,7 +320,7 @@ impl EmSource for FmRegulator {
                     .map(|&k| TAU * ((k as f64 * self.fsw.hz() - f_off) * t0) % TAU)
                     .collect();
                 for (n, sample) in out.iter_mut().enumerate().take(window.len()) {
-                    let drift = self.drift.step(dt, &mut self.rng);
+                    let drift = freq_drift.step(dt, &mut rng);
                     // Constant on-time: instantaneous switching frequency
                     // tracks load.
                     let f_inst = self.fsw.hz() * (1.0 + self.fm_gain * load[n]) + drift;
@@ -347,7 +344,7 @@ impl EmSource for FmRegulator {
                     return;
                 };
                 for (start, len) in runs_of(window.len(), |a, b| load[a] == load[b]) {
-                    let drift = self.drift.step(dt * len as f64, &mut self.rng);
+                    let drift = freq_drift.step(dt * len as f64, &mut rng);
                     let f_inst = self.fsw.hz() * (1.0 + self.fm_gain * load[start]) + drift;
                     let w = Phasor::rotation(f_inst, dt);
                     let mut rot = Phasor::rotation(k0 as f64 * f_inst - f_off, dt);
@@ -377,7 +374,7 @@ mod tests {
     /// Renders a source over a window with the given constant DRAM load and
     /// returns the power spectrum (bin power in mW, DC-centered grid).
     fn spectrum_of(
-        source: &mut dyn EmSource,
+        source: &dyn EmSource,
         center: Hertz,
         fs: f64,
         n: usize,
@@ -407,12 +404,12 @@ mod tests {
 
     #[test]
     fn regulator_emits_harmonic_family() {
-        let mut reg = SwitchingRegulator::new("test", Hertz::from_khz(315.0), Domain::Dram, 1)
+        let reg = SwitchingRegulator::new("test", Hertz::from_khz(315.0), Domain::Dram, 1)
             .with_fundamental_dbm(-100.0)
             .with_linewidth(Hertz(30.0));
         let fs = 4.0e6;
         let n = 1 << 16;
-        let spec = spectrum_of(&mut reg, Hertz::from_mhz(2.0), fs, n, 0.0);
+        let spec = spectrum_of(&reg, Hertz::from_mhz(2.0), fs, n, 0.0);
         // Power near each of the first 6 harmonics should clearly exceed the
         // (zero) background.
         for k in 1..=6u32 {
@@ -425,13 +422,13 @@ mod tests {
 
     #[test]
     fn fundamental_level_calibration() {
-        let mut reg = SwitchingRegulator::new("cal", Hertz::from_khz(315.0), Domain::Dram, 2)
+        let reg = SwitchingRegulator::new("cal", Hertz::from_khz(315.0), Domain::Dram, 2)
             .with_fundamental_dbm(-100.0)
             .with_linewidth(Hertz(5.0));
         assert!((reg.fundamental_dbm() - -100.0).abs() < 1e-9);
         let fs = 1.0e6;
         let n = 1 << 16;
-        let spec = spectrum_of(&mut reg, Hertz::from_khz(315.0), fs, n, 0.0);
+        let spec = spectrum_of(&reg, Hertz::from_khz(315.0), fs, n, 0.0);
         // Sum power around the carrier (line width spreads it over bins);
         // for a spread line the bin-power sum overcounts by the window's
         // equivalent noise bandwidth.
@@ -454,8 +451,8 @@ mod tests {
         };
         let fs = 200e3;
         let n = 1 << 14;
-        let spec0 = spectrum_of(&mut make(), Hertz::from_khz(315.0), fs, n, 0.0);
-        let spec1 = spectrum_of(&mut make(), Hertz::from_khz(315.0), fs, n, 1.0);
+        let spec0 = spectrum_of(&make(), Hertz::from_khz(315.0), fs, n, 0.0);
+        let spec1 = spectrum_of(&make(), Hertz::from_khz(315.0), fs, n, 1.0);
         let b = n / 2;
         let p0: f64 = spec0[b - 100..b + 100].iter().sum();
         let p1: f64 = spec1[b - 100..b + 100].iter().sum();
@@ -467,10 +464,10 @@ mod tests {
 
     #[test]
     fn no_render_outside_span() {
-        let mut reg = SwitchingRegulator::new("far", Hertz::from_mhz(50.0), Domain::Dram, 4);
+        let reg = SwitchingRegulator::new("far", Hertz::from_mhz(50.0), Domain::Dram, 4);
         let fs = 1.0e6;
         let n = 1024;
-        let spec = spectrum_of(&mut reg, Hertz::from_khz(500.0), fs, n, 1.0);
+        let spec = spectrum_of(&reg, Hertz::from_khz(500.0), fs, n, 1.0);
         assert!(spec.iter().all(|&p| p == 0.0));
     }
 

@@ -22,7 +22,7 @@ use fase_sysmodel::{ActivityTrace, Domain, Machine, RefreshEvent};
 /// ```
 /// use fase_dsp::Hertz;
 /// use fase_emsim::{CaptureWindow, RenderCtx, Scene};
-/// let mut scene = Scene::demo();
+/// let scene = Scene::demo();
 /// let window = CaptureWindow::new(Hertz::from_khz(400.0), 200e3, 4096, 0.0);
 /// let ctx = RenderCtx::idle(&window);
 /// let iq = scene.render(&window, &ctx);
@@ -88,14 +88,15 @@ impl Scene {
     }
 
     /// Renders all sources for `window` and applies the channel (gain +
-    /// receiver noise).
-    pub fn render(&mut self, window: &CaptureWindow, ctx: &RenderCtx<'_>) -> Vec<Complex64> {
+    /// receiver noise). Rendering changes nothing in the scene, so equal
+    /// windows and contexts render equal samples.
+    pub fn render(&self, window: &CaptureWindow, ctx: &RenderCtx<'_>) -> Vec<Complex64> {
         let _synth = fase_obs::span!(ctx.recorder(), "synth");
         ctx.recorder().count("emsim.renders", 1);
         ctx.recorder()
             .count_usize("emsim.samples_rendered", window.len());
         let mut iq = vec![Complex64::ZERO; window.len()];
-        for source in self.sources.iter_mut() {
+        for source in &self.sources {
             source.render(window, ctx, &mut iq);
         }
         self.channel.apply(window, &mut iq);
@@ -520,7 +521,7 @@ mod tests {
 
     #[test]
     fn demo_scene_renders() {
-        let mut scene = Scene::demo();
+        let scene = Scene::demo();
         let window = CaptureWindow::new(Hertz::from_khz(315.0), 100e3, 2048, 0.0);
         let ctx = RenderCtx::idle(&window);
         let iq = scene.render(&window, &ctx);

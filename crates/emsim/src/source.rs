@@ -60,15 +60,18 @@ pub struct SourceInfo {
 /// A physical EM emanation source.
 ///
 /// Sources add their complex-baseband contribution for a capture window
-/// into a shared buffer. They own their stochastic state (phase noise,
-/// drift), so repeated renders continue the same physical process.
-pub trait EmSource: fmt::Debug + Send {
+/// into a shared buffer. A render is a pure function of the source, the
+/// window and the [`RenderCtx`]: a stochastic source (phase noise, drift,
+/// programme) starts every render from a clone of its construction-time
+/// generator and never writes it back, so one source serves every capture
+/// of a campaign, from any thread.
+pub trait EmSource: fmt::Debug + Send + Sync {
     /// Ground-truth description.
     fn info(&self) -> SourceInfo;
 
     /// Adds this source's contribution for `window` into `out`
     /// (`out.len() == window.len()`).
-    fn render(&mut self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]);
+    fn render(&self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]);
 }
 
 /// A slowly drifting frequency-offset process (first-order Gauss–Markov in
@@ -119,11 +122,6 @@ impl FreqDrift {
         let alpha = (-dt / self.tau).exp();
         let innovation = self.sigma * (1.0 - alpha * alpha).sqrt();
         self.state = alpha * self.state + innovation * standard_normal(rng);
-        self.state
-    }
-
-    /// Current offset without advancing.
-    pub fn offset(&self) -> f64 {
         self.state
     }
 }

@@ -39,7 +39,7 @@ fn analytic_harmonics_match_brute_force_pwm() {
     let center = 1.0e6;
 
     // Analytic source, frozen oscillator, fixed duty.
-    let mut reg = SwitchingRegulator::new("val", Hertz(fsw), Domain::Dram, 9)
+    let reg = SwitchingRegulator::new("val", Hertz(fsw), Domain::Dram, 9)
         .with_base_duty(duty)
         .with_duty_gain(0.0)
         .with_fundamental_dbm(-100.0)

@@ -265,8 +265,14 @@ fn last_arg_ident(tokens: &[Tok], open: usize) -> Option<String> {
 ///
 /// A `let`-bound guard (`let g = m.lock();`) lives to the end of the
 /// enclosing block — or to an explicit `drop(g)` — while a temporary
-/// (`m.lock().push(x)`) lives to the end of its statement.
+/// (`m.lock().push(x)`) lives to the end of its statement. A `let` binds
+/// the guard only when the lock call, plus any `.unwrap()`, `.expect(..)`,
+/// `.unwrap_or_else(..)` or `?`, ends the initializer:
+/// `let hit = lock(m).get(&k).cloned();` binds a value, not the guard.
 fn guard_scope(tokens: &[Tok], acq: usize) -> (usize, Option<String>) {
+    if !ends_initializer(tokens, acq) {
+        return (statement_end(tokens, acq), None);
+    }
     let stmt_start = statement_start(tokens, acq);
     // The binding `let` nearest the acquisition at statement depth 0.
     let mut depth = 0i32;
@@ -314,6 +320,44 @@ fn guard_scope(tokens: &[Tok], acq: usize) -> (usize, Option<String>) {
         }
         None => (statement_end(tokens, acq), None),
     }
+}
+
+/// True when the lock call at `acq`, with any unwrapping adapters, runs
+/// to the end of its statement.
+fn ends_initializer(tokens: &[Tok], acq: usize) -> bool {
+    const ADAPTERS: [&str; 3] = ["unwrap", "expect", "unwrap_or_else"];
+    let mut j = matching(tokens, acq + 1, ('(', ')')) + 1;
+    while let Some(t) = tokens.get(j) {
+        if t.is_punct('?') {
+            j += 1;
+        } else if t.is_punct('.')
+            && tokens
+                .get(j + 1)
+                .is_some_and(|m| ADAPTERS.contains(&m.text.as_str()))
+        {
+            j = matching(tokens, j + 2, ('(', ')')) + 1;
+        } else {
+            break;
+        }
+    }
+    j >= statement_end(tokens, acq)
+}
+
+/// Token index of the `close` bracket matching the `open` one at
+/// `start`, or of the last token when it is unmatched.
+fn matching(tokens: &[Tok], start: usize, (open, close): (char, char)) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(start) {
+        if t.is_punct(open) {
+            depth += 1;
+        } else if t.is_punct(close) {
+            depth = depth.saturating_sub(1);
+            if depth == 0 {
+                return j;
+            }
+        }
+    }
+    tokens.len().saturating_sub(1)
 }
 
 /// Token index where the statement containing `i` begins: just past the
@@ -400,38 +444,13 @@ fn fn_body_range(tokens: &[Tok], after_name: usize) -> Option<(usize, usize)> {
         }
         p += 1;
     }
-    // Match the parameter parens.
-    let mut d = 0usize;
-    while p < tokens.len() {
-        if tokens[p].is_punct('(') {
-            d += 1;
-        } else if tokens[p].is_punct(')') {
-            d -= 1;
-            if d == 0 {
-                break;
-            }
-        }
-        p += 1;
-    }
-    // Scan the return type / where clause for the body's `{`.
-    let mut q = p + 1;
+    // Scan past the parameter parens, through the return type / where
+    // clause, for the body's `{`.
+    let mut q = matching(tokens, p, ('(', ')')) + 1;
     while q < tokens.len() {
         let t = &tokens[q];
         if t.is_punct('{') {
-            let mut depth = 0usize;
-            let mut e = q;
-            while e < tokens.len() {
-                if tokens[e].is_punct('{') {
-                    depth += 1;
-                } else if tokens[e].is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some((q, e));
-                    }
-                }
-                e += 1;
-            }
-            return Some((q, tokens.len().saturating_sub(1)));
+            return Some((q, matching(tokens, q, ('{', '}'))));
         }
         if t.is_punct(';') {
             return None;
@@ -454,20 +473,7 @@ fn loop_body(tokens: &[Tok], kw: usize) -> Option<(usize, usize)> {
         } else if t.is_punct(')') || t.is_punct(']') {
             depth -= 1;
         } else if t.is_punct('{') && depth <= 0 {
-            let mut d = 0usize;
-            let mut e = j;
-            while e < tokens.len() {
-                if tokens[e].is_punct('{') {
-                    d += 1;
-                } else if tokens[e].is_punct('}') {
-                    d -= 1;
-                    if d == 0 {
-                        return Some((j, e));
-                    }
-                }
-                e += 1;
-            }
-            return Some((j, tokens.len().saturating_sub(1)));
+            return Some((j, matching(tokens, j, ('{', '}'))));
         } else if t.is_punct(';') || t.is_punct('}') {
             return None; // malformed header
         }

@@ -150,6 +150,25 @@ fn locks_fixture_flags_only_discarded_guards() {
 }
 
 #[test]
+fn locks_fixture_scopes_an_initializer_guard_to_its_statement() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/locks.rs");
+    let source = std::fs::read_to_string(&path).expect("locks fixture");
+    let fns = fase_lint::parse::parse(&fase_lint::lexer::lex(&source), &[]);
+    let find = |name: &str| fns.iter().find(|f| f.name == name).unwrap();
+    // `let first = lock(m).first().copied();` binds a value: its guard
+    // is gone before the next `lock(m)`.
+    let locks = &find("temporary_in_initializer").locks;
+    assert_eq!(locks.len(), 3, "{locks:#?}");
+    for pair in locks.windows(2) {
+        assert!(pair[0].guard.is_none(), "{locks:#?}");
+        assert!(pair[0].scope_end < pair[1].tok, "{locks:#?}");
+    }
+    // A lock call plus its unwrapping adapter still binds the guard.
+    let scoped = &find("scoped").locks[0];
+    assert_eq!(scoped.guard.as_deref(), Some("guard"));
+}
+
+#[test]
 fn clean_fixture_is_silent() {
     let findings = fixture("clean.rs");
     assert!(findings.is_empty(), "false positives: {findings:#?}");

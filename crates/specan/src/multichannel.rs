@@ -100,7 +100,8 @@ fn apply_channel(system: &mut SimulatedSystem, plan: &ChannelPlan, k: usize) {
 
 /// Runs the same sweep campaign through `plan.channels` channel
 /// realizations of the machine `factory` builds, and fuses the
-/// per-channel reports.
+/// per-channel reports. The factory is called as in [`run_sweep`], once
+/// per alternation frequency of each band each channel captures.
 ///
 /// `system_id` names what the factory builds exactly as in
 /// [`run_sweep`]; each channel's captures cache under

@@ -17,7 +17,7 @@ use fase_obs::{span, Recorder};
 use fase_sysmodel::{ActivityPair, Alternation};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Default FFT length cap (131072 points covers the paper's 0–4 MHz /
 /// 50 Hz campaign in one segment).
@@ -155,88 +155,56 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Per-alternation-frequency setup shared by that frequency's capture
-/// tasks: the calibrated micro-benchmark and the machine whose profile
-/// cache the calibration warmed. Tasks clone the machine, so every
-/// capture starts from the identical calibrated state — and skips the
-/// expensive op-level profiling pass.
+/// tasks: the system the factory built for it, whose machine the
+/// calibration warmed, and the calibrated micro-benchmark. Renders read
+/// no mutable source state, so every task renders the one scene; each
+/// task clones the machine, so every capture starts from the identical
+/// calibrated state — and skips the expensive op-level profiling pass.
+///
+/// The build is deterministic (factory + calibration, no RNG), so it
+/// does not matter which worker gets there first. The op-level profiling
+/// inside it is memoized process-wide by
+/// [`fase_sysmodel::Machine::profile`], so only the first campaign on a
+/// given machine pays for the pointer chase.
 #[derive(Debug)]
 struct Prepared {
-    machine: fase_sysmodel::Machine,
+    system: SimulatedSystem,
     bench: Alternation,
 }
 
-/// Returns the [`Prepared`] state for `i_alt`, building it on first use.
-///
-/// The build is deterministic (factory + calibration, no RNG), so it
-/// does not matter which worker gets there first; the per-slot mutex
-/// makes later tasks of the same frequency wait for it rather than
-/// duplicate the calibration. The op-level profiling inside it is
-/// memoized process-wide by [`fase_sysmodel::Machine::profile`], so only
-/// the first campaign on a given machine pays for the pointer chase.
-fn prepared_for<F>(
-    slot: &Mutex<Option<std::sync::Arc<Prepared>>>,
-    i_alt: usize,
-    f_alt: Hertz,
-    pair: ActivityPair,
-    factory: &F,
-) -> std::sync::Arc<Prepared>
-where
-    F: Fn(usize) -> SimulatedSystem,
-{
-    let mut guard = slot
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(p) = &*guard {
-        return std::sync::Arc::clone(p);
-    }
-    let mut machine = factory(i_alt).machine;
-    let bench = pair.calibrated(&mut machine, f_alt.hz());
-    let p = std::sync::Arc::new(Prepared { machine, bench });
-    *guard = Some(std::sync::Arc::clone(&p));
-    p
-}
-
-/// Executes one capture attempt: build the system, run the calibrated
-/// benchmark on the pre-profiled machine, render the EM scene, apply any
+/// Executes one capture attempt: run the calibrated benchmark on a clone
+/// of the pre-profiled machine, render the prepared EM scene, apply any
 /// injected impairment and transform the capture.
 ///
 /// Everything the attempt touches — machine, RNG stream, capture start
 /// time, fault realization — is derived from the task's own coordinates
 /// (and the attempt number), so the result is identical no matter which
 /// worker runs it or in what order.
-#[allow(clippy::too_many_arguments)]
-fn execute_capture<F>(
+fn execute_capture(
     task: CaptureTask,
     attempt: u32,
     fault: Option<FaultKind>,
     prepared: &Prepared,
     segment: &SegmentSpec,
-    factory: &F,
     seed: u64,
     recorder: &Recorder,
-) -> Result<CaptureOut, FaseError>
-where
-    F: Fn(usize) -> SimulatedSystem,
-{
+) -> Result<CaptureOut, FaseError> {
     if fault == Some(FaultKind::TaskFailure) {
         return Err(FaseError::worker("injected task failure"));
     }
+    let system = &prepared.system;
     // Set-up stages are child spans of the pool's `capture` span, beside
     // the `synth` and `transform` spans opened further down.
-    let mut system = {
+    let mut machine = {
         let _setup = span!(recorder, "setup");
-        let mut system = factory(task.i_alt);
-        system.machine = prepared.machine.clone();
-        system
+        system.machine.clone()
     };
     let stream = attempt_seed(seed, task.index, attempt);
     let mut rng = SmallRng::seed_from_u64(stream);
     let window = segment.window(task.index as f64 * segment.duration());
     let trace = {
         let _alternation = span!(recorder, "alternation");
-        system
-            .machine
-            .run_alternation(&prepared.bench, segment.duration(), &mut rng)
+        machine.run_alternation(&prepared.bench, segment.duration(), &mut rng)
     };
     let pairs = (trace.len() / 2).max(1);
     let trace_duration = trace.duration();
@@ -308,8 +276,7 @@ where
     let recorder = &options.recorder;
     let cancel = &options.cancel;
     let next = AtomicUsize::new(0);
-    let prepared: Vec<Mutex<Option<std::sync::Arc<Prepared>>>> =
-        f_alts.iter().map(|_| Mutex::new(None)).collect();
+    let prepared: Vec<OnceLock<Prepared>> = f_alts.iter().map(|_| OnceLock::new()).collect();
     let results: Mutex<Vec<Option<TaskResult>>> =
         Mutex::new((0..tasks.len()).map(|_| None).collect());
 
@@ -330,13 +297,13 @@ where
                     }
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&task) = tasks.get(i) else { break };
-                    let prep = prepared_for(
-                        &prepared[task.i_alt],
-                        task.i_alt,
-                        f_alts[task.i_alt],
-                        pair,
-                        factory,
-                    );
+                    // Later tasks of the same frequency wait for the first
+                    // one's build rather than duplicate the calibration.
+                    let prep = prepared[task.i_alt].get_or_init(|| {
+                        let mut system = factory(task.i_alt);
+                        let bench = pair.calibrated(&mut system.machine, f_alts[task.i_alt].hz());
+                        Prepared { system, bench }
+                    });
                     // Worker threads have their own span stack, so this
                     // aggregates as a root "capture" span (one entry per
                     // task, retries included).
@@ -363,9 +330,8 @@ where
                             task,
                             attempt,
                             fault,
-                            &prep,
+                            prep,
                             &segments[task.i_seg],
-                            factory,
                             seed,
                             recorder,
                         );
@@ -547,9 +513,11 @@ where
 /// [`CampaignSpectra`] bit-identical for any worker count — including
 /// one.
 ///
-/// `factory(i_alt)` builds the [`SimulatedSystem`] a task measures
-/// (usually the same preset with the same seed: the EM world is one
-/// machine, while capture noise realizations differ per measurement).
+/// `factory(i_alt)` builds the [`SimulatedSystem`] the tasks of
+/// alternation `i_alt` measure (usually the same preset with the same
+/// seed: the EM world is one machine). It is called once per alternation
+/// frequency per campaign; that frequency's captures share the system's
+/// scene and clone its calibrated machine.
 ///
 /// An alternation frequency whose capture retry budget is exhausted is
 /// dropped and the campaign degrades to the survivors (the heuristic needs
@@ -588,8 +556,9 @@ where
 ///
 /// Only that alternation's capture tasks run, under the campaign's own
 /// task indices, so the result is bit-identical to entry `i_alt` of
-/// [`run_campaign_with_options`] called with the same arguments. Figures
-/// that need single spectra rather than a full campaign build on it.
+/// [`run_campaign_with_options`] called with the same arguments; the
+/// factory is called once, for `i_alt`. Figures that need single spectra
+/// rather than a full campaign build on it.
 ///
 /// # Errors
 ///
@@ -885,6 +854,29 @@ mod tests {
         }
         assert_eq!(snap.spans.get("capture").unwrap().count, 15);
         assert_eq!(snap.histograms.get("specan.capture_ns").unwrap().count, 15);
+    }
+
+    #[test]
+    fn the_factory_runs_once_per_alternation_frequency() {
+        // Every capture of an alternation frequency renders the one scene
+        // built for it: 5 frequencies × 3 averages, 5 systems.
+        let config = small_config();
+        let calls = AtomicUsize::new(0);
+        run_campaign_with_options(
+            &config,
+            ActivityPair::LdmLdl1,
+            |_| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                demo_system(6)
+            },
+            77,
+            CampaignOptions {
+                threads: Some(2),
+                ..small_fft()
+            },
+        )
+        .unwrap();
+        assert_eq!(calls.into_inner(), config.alternation_count());
     }
 
     #[test]

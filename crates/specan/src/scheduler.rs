@@ -188,8 +188,8 @@ fn band_description(
 /// analyze each, merge into one span-wide report.
 ///
 /// `factory(i_alt)` builds the [`SimulatedSystem`] a band's campaign
-/// measures, exactly as in
-/// [`run_campaign_with_options`]; `system_id` must
+/// measures, exactly as in [`run_campaign_with_options`]: once per
+/// alternation frequency of each captured band. `system_id` must
 /// uniquely name what the factory builds (scene + machine + scene seed),
 /// because it stands in for the opaque factory in the cache key. Each
 /// band's campaign runs with seed `mix_seed(seed, band_index)`, so band

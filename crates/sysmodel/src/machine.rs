@@ -16,9 +16,9 @@ use crate::cache::{fnv_fold, MemoryHierarchy};
 use crate::domains::DomainLoads;
 use crate::microbench::Alternation;
 use crate::trace::ActivityTrace;
+use fase_dsp::memo::{memoize, Memo};
 use fase_dsp::rng::Rng;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Timing-jitter model for phase execution.
 ///
@@ -129,19 +129,14 @@ pub struct Machine {
 /// `(activity, ops)`, all folded into the key; the value stores both the
 /// profile and the post-profiling hierarchy state so a hit replays the
 /// run bit-exactly — including the cache-warming side effect — on any
-/// identically-configured machine. Traffic counts into
-/// `sysmodel.profile_memo_hits` / `sysmodel.profile_memo_misses`.
-const PROFILE_MEMO_CAP: usize = 16;
-type ProfileMemo = BTreeMap<u64, (KernelProfile, Arc<MemoryHierarchy>)>;
-static PROFILE_MEMO: Mutex<ProfileMemo> = Mutex::new(BTreeMap::new());
-
-fn profile_memo() -> std::sync::MutexGuard<'static, ProfileMemo> {
-    // Entries are inserted whole, so a panic elsewhere cannot leave one
-    // half-written.
-    PROFILE_MEMO
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// identically-configured machine. It holds at most 16 entries; traffic
+/// counts into `sysmodel.profile_memo_hits` /
+/// `sysmodel.profile_memo_misses`.
+static PROFILE_MEMO: Memo<u64, (KernelProfile, Arc<MemoryHierarchy>)> = Memo::new(
+    16,
+    "sysmodel.profile_memo_hits",
+    "sysmodel.profile_memo_misses",
+);
 
 impl Machine {
     /// Creates a machine from explicit parts.
@@ -190,23 +185,11 @@ impl Machine {
             return cached;
         }
         let key = self.memo_key(activity, ops);
-        // Bind the lookup so the memo lock is released before a miss runs
-        // the pointer chase.
-        let replay = profile_memo().get(&key).cloned();
-        let profile = if let Some((profile, end_state)) = replay {
-            fase_obs::Recorder::global().count("sysmodel.profile_memo_hits", 1);
-            self.hierarchy = end_state;
-            profile
-        } else {
-            fase_obs::Recorder::global().count("sysmodel.profile_memo_misses", 1);
+        let (profile, end_state) = memoize(&PROFILE_MEMO, key, || {
             let profile = self.profile_uncached(activity, ops);
-            let mut memo = profile_memo();
-            if memo.len() >= PROFILE_MEMO_CAP {
-                memo.clear();
-            }
-            memo.insert(key, (profile, Arc::clone(&self.hierarchy)));
-            profile
-        };
+            (profile, Arc::clone(&self.hierarchy))
+        });
+        self.hierarchy = end_state;
         self.profile_cache.insert((activity, ops), profile);
         profile
     }

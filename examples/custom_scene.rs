@@ -15,8 +15,8 @@ use fase::sysmodel::cache::{CacheConfig, MemoryHierarchy};
 use fase::sysmodel::controller::RefreshConfig;
 use fase::sysmodel::{Domain, Machine, MachineConfig};
 
-/// The custom board. Every capture task of the campaign builds its own
-/// copy, so the construction lives in one function.
+/// The custom board. The campaign builds one copy per alternation
+/// frequency, so the construction lives in one function.
 fn build_system() -> SimulatedSystem {
     // --- the machine: a small embedded-class part, 1.2 GHz, tiny caches.
     let hierarchy = MemoryHierarchy::new(

@@ -237,8 +237,9 @@ echo "==> detection-quality benchmark (fused vs single-channel ROC)"
 # bench binary itself asserts fused AUC >= single-channel AUC and >= 0.9;
 # here we additionally pin that the JSON (which carries no wall times) is
 # byte-identical across cache temperature and thread count — the fusion
-# analogue of the sweep scheduler's bit-identity promise. The checked-in
-# BENCH_detection.json is never touched.
+# analogue of the sweep scheduler's bit-identity promise. The cold run
+# must also reproduce the checked-in BENCH_detection.json byte for byte;
+# CI never writes that file.
 # Absolute paths: cargo runs the bench binary with the package dir
 # (crates/bench) as its working directory, so relative env paths would
 # land there instead of the workspace target/.
@@ -247,6 +248,8 @@ FASE_DETECT_OUT="$PWD/target/BENCH_detection.cold.json" FASE_DETECT_CACHE="$PWD/
   cargo bench --offline -p fase-bench --bench detection > target/detect-bench.log
 FASE_DETECT_OUT="$PWD/target/BENCH_detection.warm.json" FASE_DETECT_CACHE="$PWD/target/detect-cache" \
   cargo bench --offline -p fase-bench --bench detection >> target/detect-bench.log
+cmp -s target/BENCH_detection.cold.json BENCH_detection.json \
+  || { echo "detection JSON differs from the checked-in BENCH_detection.json"; exit 1; }
 cmp -s target/BENCH_detection.cold.json target/BENCH_detection.warm.json \
   || { echo "detection JSON differs between cold and warm cache runs"; exit 1; }
 rm -rf target/detect-cache

@@ -64,8 +64,9 @@ impl fmt::Display for SystemAudit {
 ///
 /// Runs both activity-pair campaigns with the paper's five-`f_alt`
 /// procedure, classifies, and quantifies leakage. The `system_factory` is
-/// called for every capture task, so each capture drives the machine
-/// afresh.
+/// called once per alternation frequency of each campaign; that
+/// frequency's captures share the scene and each drives a clone of the
+/// calibrated machine.
 ///
 /// # Errors
 ///

@@ -35,7 +35,7 @@
 //!
 //! // The paper's Intel Core i7 desktop, driven by the LDM/LDL1
 //! // (main-memory vs. L1-hit) alternation micro-benchmark.
-//! // Each capture task builds the system from the factory closure.
+//! // The factory builds the system once per alternation frequency.
 //! let spectra = run_campaign_with_options(
 //!     &CampaignConfig::paper_0_4mhz(),
 //!     ActivityPair::LdmLdl1,
