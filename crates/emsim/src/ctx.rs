@@ -114,13 +114,7 @@ impl<'a> RenderCtx<'a> {
         refreshes: &'a [RefreshEvent],
         window: &CaptureWindow,
     ) -> RenderCtx<'a> {
-        let fs = window.sample_rate();
-        let n = window.len();
-        let loads = [
-            trace.rasterize(Domain::Core, fs, n),
-            trace.rasterize(Domain::MemoryInterface, fs, n),
-            trace.rasterize(Domain::Dram, fs, n),
-        ];
+        let loads = trace.rasterize_domains(window.sample_rate(), window.len());
         RenderCtx {
             trace,
             refreshes,

@@ -267,8 +267,15 @@ fn encode_spectra(spectra: &CampaignSpectra) -> String {
             f64_hex(s.resolution().hz()),
             s.len()
         );
-        let bins: Vec<String> = s.powers().iter().map(|&p| f64_hex(p)).collect();
-        out.push_str(&bins.join(" "));
+        // Each bin goes straight into the payload: 16 hex digits plus a
+        // separator.
+        out.reserve(17 * s.len());
+        for (i, &p) in s.powers().iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            let _ = write!(out, "{:016x}", p.to_bits());
+        }
         out.push('\n');
     }
     if let Some(h) = spectra.health() {
@@ -492,6 +499,22 @@ mod tests {
         assert_eq!(a.hex().len(), 32);
         assert!(a.hex().chars().all(|c| c.is_ascii_hexdigit()));
         assert_eq!(format!("{a}"), a.hex());
+    }
+
+    #[test]
+    fn entry_bytes_are_pinned() {
+        // Stored entries are read back by every later version: the
+        // payload bytes of one entry with and one without health must not
+        // move (a change here needs an ENTRY_MAGIC bump).
+        let digests =
+            [false, true].map(|h| digest_hex(encode_spectra(&sample_spectra(h)).as_bytes()));
+        assert_eq!(
+            digests,
+            [
+                "4fec7e9d97bc0bdf4150462624f8dd00",
+                "d01997f88e766dfd501d5453639b1e8c"
+            ]
+        );
     }
 
     #[test]

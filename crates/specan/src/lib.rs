@@ -21,8 +21,9 @@
 //!
 //! On top of single-band campaigns, the crate provides the wide-band
 //! sweep machinery of paper §3: [`plan_bands`] shards a span into
-//! overlapping bands, [`run_sweep`] drives a campaign per band and merges
-//! the reports, and [`CaptureCache`] persists reduced band captures
+//! overlapping bands, [`run_sweep`] captures every missed band on one
+//! capture pool, runs a campaign's reduce and analysis per band and
+//! merges the reports, and [`CaptureCache`] persists reduced band captures
 //! content-addressed so interrupted or repeated sweeps skip synthesis.
 
 #![warn(missing_docs)]

@@ -100,8 +100,9 @@ fn apply_channel(system: &mut SimulatedSystem, plan: &ChannelPlan, k: usize) {
 
 /// Runs the same sweep campaign through `plan.channels` channel
 /// realizations of the machine `factory` builds, and fuses the
-/// per-channel reports. The factory is called as in [`run_sweep`], once
-/// per alternation frequency of each band each channel captures.
+/// per-channel reports. The factory is called as in [`run_sweep`]: each
+/// channel's sweep calls it once per alternation frequency if it
+/// captures any band.
 ///
 /// `system_id` names what the factory builds exactly as in
 /// [`run_sweep`]; each channel's captures cache under

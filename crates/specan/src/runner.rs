@@ -16,8 +16,8 @@ use fase_emsim::{RenderCtx, SimulatedSystem};
 use fase_obs::{span, Recorder};
 use fase_sysmodel::{ActivityPair, Alternation};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Default FFT length cap (131072 points covers the paper's 0–4 MHz /
 /// 50 Hz campaign in one segment).
@@ -110,12 +110,15 @@ impl Default for CampaignOptions {
     }
 }
 
-/// One independent unit of campaign work: a single IQ capture, identified
-/// by its (alternation frequency, sweep segment, average) cell.
+/// One independent unit of pool work: a single IQ capture, identified by
+/// its pool band and its (alternation frequency, sweep segment, average)
+/// cell of that band's campaign.
 #[derive(Debug, Clone, Copy)]
 struct CaptureTask {
-    /// Position in the flattened campaign order; doubles as the RNG
-    /// stream index and the capture's slot in the time schedule.
+    /// The pool band the capture belongs to.
+    band: usize,
+    /// Position in the band campaign's flattened order; doubles as the
+    /// RNG stream index and the capture's slot in the time schedule.
     index: usize,
     i_alt: usize,
     i_seg: usize,
@@ -155,17 +158,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Per-alternation-frequency setup shared by that frequency's capture
-/// tasks: the system the factory built for it, whose machine the
-/// calibration warmed, and the calibrated micro-benchmark. Renders read
-/// no mutable source state, so every task renders the one scene; each
-/// task clones the machine, so every capture starts from the identical
-/// calibrated state — and skips the expensive op-level profiling pass.
+/// tasks in every band of a pool run: the system the factory built for
+/// it, whose machine the calibration warmed, and the calibrated
+/// micro-benchmark. Renders read no mutable source state, so every task
+/// renders the one scene; each task clones the machine, so every capture
+/// starts from the identical calibrated state — and skips the expensive
+/// op-level profiling pass.
 ///
-/// The build is deterministic (factory + calibration, no RNG), so it
-/// does not matter which worker gets there first. The op-level profiling
-/// inside it is memoized process-wide by
-/// [`fase_sysmodel::Machine::profile`], so only the first campaign on a
-/// given machine pays for the pointer chase.
+/// The build is deterministic (factory + calibration, no RNG, nothing
+/// band-specific), so it does not matter which worker or which band gets
+/// there first. The op-level profiling inside it is memoized process-wide
+/// by [`fase_sysmodel::Machine::profile`], so only the first campaign on
+/// a given machine pays for the pointer chase.
 #[derive(Debug)]
 struct Prepared {
     system: SimulatedSystem,
@@ -229,191 +233,426 @@ fn execute_capture(
     })
 }
 
-/// Runs the capture tasks of the alternation frequencies in `alts` on a
-/// work-stealing pool and returns their results in task order.
+/// One band of a capture pool run: the campaign it measures, the
+/// alternation frequencies of that campaign it runs, and the seed its
+/// capture streams derive from. The bands of one run share one
+/// alternation family — a sweep runs the same family in every band — so
+/// they share each frequency's [`Prepared`] system.
+#[derive(Debug)]
+pub(crate) struct PoolBand<'a> {
+    pub(crate) config: &'a CampaignConfig,
+    pub(crate) alts: Range<usize>,
+    pub(crate) seed: u64,
+}
+
+/// A band's reduced captures: the surviving spectra in alternation
+/// order, the health, and the first capture failure that dropped an
+/// alternation, if any.
+#[derive(Debug)]
+pub(crate) struct Reduced {
+    labeled: Vec<LabeledSpectrum>,
+    health: CampaignHealth,
+    first_failure: Option<FaseError>,
+}
+
+impl Reduced {
+    /// The band's campaign spectra with the health attached.
+    ///
+    /// # Errors
+    ///
+    /// The first capture failure (or [`FaseError::InvalidSpectra`]) when
+    /// fewer than two alternation frequencies survived.
+    pub(crate) fn into_campaign(
+        self,
+        config: &CampaignConfig,
+    ) -> Result<CampaignSpectra, FaseError> {
+        if self.labeled.len() < 2 {
+            return Err(self.first_failure.unwrap_or_else(|| {
+                FaseError::invalid_spectra("fewer than two alternation frequencies survived")
+            }));
+        }
+        Ok(CampaignSpectra::new(config.clone(), self.labeled)?.with_health(self.health))
+    }
+}
+
+/// What the pool's workers hand the caller: the landed results by task,
+/// each band's count of captures still out, and the workers still
+/// running.
+#[derive(Debug)]
+struct Landing {
+    results: Vec<Option<TaskResult>>,
+    pending: Vec<usize>,
+    live: usize,
+}
+
+fn lock(landing: &Mutex<Landing>) -> MutexGuard<'_, Landing> {
+    // Results are stored whole, so a panic elsewhere cannot leave one
+    // half-written.
+    landing.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A work-stealing pool of capture tasks over one or more bands.
 ///
-/// Workers pull tasks from a shared atomic cursor, so a slow capture never
-/// idles the rest of the pool. Task indices are those of the whole
-/// campaign (alternation-major, then segment, then average), so running a
-/// subset of the alternations measures exactly what the full campaign
-/// measures for them.
-///
-/// # Errors
-///
-/// A panicking worker surfaces as [`FaseError::Worker`]; tasks a fired
-/// [`CancelToken`] left unrun surface as [`FaseError::Cancelled`].
-fn execute_tasks<F>(
-    config: &CampaignConfig,
-    alts: Range<usize>,
-    segments: &[SegmentSpec],
-    pair: ActivityPair,
-    factory: &F,
-    seed: u64,
-    options: &CampaignOptions,
-) -> Result<Vec<TaskResult>, FaseError>
-where
-    F: Fn(usize) -> SimulatedSystem + Sync,
-{
-    let f_alts = config.alternation_frequencies();
-    let averages = config.averages();
-    let mut tasks = Vec::with_capacity(alts.len() * segments.len() * averages);
-    for i_alt in alts {
-        for i_seg in 0..segments.len() {
-            for i_avg in 0..averages {
-                tasks.push(CaptureTask {
-                    index: (i_alt * segments.len() + i_seg) * averages + i_avg,
-                    i_alt,
-                    i_seg,
-                    i_avg,
-                });
+/// Tasks go into one queue in band-major order (then alternation,
+/// segment, average); workers pull them from a shared atomic cursor, so a
+/// slow capture never idles the rest of the pool and a band's captures
+/// all start before the next band's. Task indices are those of each
+/// band's whole campaign, so running a subset of the alternations
+/// measures exactly what the full campaign measures for them. The caller
+/// reduces the bands in order with [`CapturePool::reduce`], each as soon
+/// as its last capture lands, while the workers capture later bands.
+#[derive(Debug)]
+pub(crate) struct CapturePool<'a> {
+    bands: &'a [PoolBand<'a>],
+    plans: Vec<SweepPlan>,
+    tasks: Vec<CaptureTask>,
+    /// Band `j`'s tasks are `tasks[ranges[j]]`.
+    ranges: Vec<Range<usize>>,
+    f_alts: Vec<Hertz>,
+    prepared: Vec<OnceLock<Prepared>>,
+    options: &'a CampaignOptions,
+    threads: usize,
+    next: AtomicUsize,
+    /// Set when the caller has what it needs or a worker panicked:
+    /// workers claim no further task.
+    stop: AtomicBool,
+    landing: Mutex<Landing>,
+    /// Signalled when a band's last capture lands or a worker exits.
+    landed: Condvar,
+}
+
+/// Marks a worker's exit, panicking or not: the caller stops waiting for
+/// captures no worker is left to run, and a panic stops the pool.
+struct WorkerExit<'p, 'a>(&'p CapturePool<'a>);
+
+impl Drop for WorkerExit<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop.store(true, Ordering::Relaxed);
+        }
+        lock(&self.0.landing).live -= 1;
+        self.0.landed.notify_all();
+    }
+}
+
+impl<'a> CapturePool<'a> {
+    fn new(bands: &'a [PoolBand<'a>], options: &'a CampaignOptions) -> CapturePool<'a> {
+        let plans: Vec<SweepPlan> = bands
+            .iter()
+            .map(|b| {
+                let c = b.config;
+                SweepPlan::new(c.band_lo(), c.band_hi(), c.resolution(), options.max_fft)
+            })
+            .collect();
+        let mut tasks = Vec::new();
+        let mut ranges = Vec::with_capacity(bands.len());
+        for (j, (band, plan)) in bands.iter().zip(&plans).enumerate() {
+            let first = tasks.len();
+            let segments = plan.segments().len();
+            let averages = band.config.averages();
+            for i_alt in band.alts.clone() {
+                for i_seg in 0..segments {
+                    for i_avg in 0..averages {
+                        tasks.push(CaptureTask {
+                            band: j,
+                            index: (i_alt * segments + i_seg) * averages + i_avg,
+                            i_alt,
+                            i_seg,
+                            i_avg,
+                        });
+                    }
+                }
+            }
+            ranges.push(first..tasks.len());
+        }
+        let f_alts = bands
+            .first()
+            .map(|b| b.config.alternation_frequencies())
+            .unwrap_or_default();
+        debug_assert!(bands
+            .iter()
+            .all(|b| b.config.alternation_frequencies() == f_alts));
+        let threads = worker_threads(options.threads).min(tasks.len());
+        let landing = Landing {
+            results: tasks.iter().map(|_| None).collect(),
+            pending: ranges.iter().map(Range::len).collect(),
+            live: threads,
+        };
+        CapturePool {
+            bands,
+            plans,
+            tasks,
+            ranges,
+            prepared: f_alts.iter().map(|_| OnceLock::new()).collect(),
+            f_alts,
+            options,
+            threads,
+            next: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            landing: Mutex::new(landing),
+            landed: Condvar::new(),
+        }
+    }
+
+    /// A worker: claims tasks in queue order until the queue is empty,
+    /// the token fires or the pool stops.
+    fn work<F>(&self, pair: ActivityPair, factory: &F)
+    where
+        F: Fn(usize) -> SimulatedSystem + Sync,
+    {
+        let _exit = WorkerExit(self);
+        loop {
+            // Cooperative cancellation: stop before claiming the next
+            // task, so latency is bounded by one capture.
+            if self.options.cancel.is_cancelled() || self.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(&task) = self.tasks.get(i) else {
+                break;
+            };
+            // Later tasks of the same frequency, in any band, wait for the
+            // first one's build rather than duplicate the calibration.
+            let prep = self.prepared[task.i_alt].get_or_init(|| {
+                let mut system = factory(task.i_alt);
+                let bench = pair.calibrated(&mut system.machine, self.f_alts[task.i_alt].hz());
+                Prepared { system, bench }
+            });
+            let result = self.capture(task, prep);
+            let mut landing = lock(&self.landing);
+            landing.results[i] = Some(result);
+            landing.pending[task.band] -= 1;
+            if landing.pending[task.band] == 0 {
+                self.landed.notify_all();
             }
         }
     }
 
-    let threads = worker_threads(options.threads).min(tasks.len()).max(1);
-    let max_attempts = options.max_attempts.max(1);
-    let fault_plan = options.fault_plan.as_ref();
-    let recorder = &options.recorder;
-    let cancel = &options.cancel;
-    let next = AtomicUsize::new(0);
-    let prepared: Vec<OnceLock<Prepared>> = f_alts.iter().map(|_| OnceLock::new()).collect();
-    let results: Mutex<Vec<Option<TaskResult>>> =
-        Mutex::new((0..tasks.len()).map(|_| None).collect());
-
-    let mut worker_panic: Option<String> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let tasks = &tasks;
-                let next = &next;
-                let prepared = &prepared;
-                let results = &results;
-                let f_alts = &f_alts;
-                scope.spawn(move || loop {
-                    // Cooperative cancellation: stop before claiming the
-                    // next task, so latency is bounded by one capture.
-                    if cancel.is_cancelled() {
-                        break;
+    /// Runs one capture task with its bounded retries.
+    fn capture(&self, task: CaptureTask, prep: &Prepared) -> TaskResult {
+        let recorder = &self.options.recorder;
+        let cancel = &self.options.cancel;
+        let max_attempts = self.options.max_attempts.max(1);
+        let f_alt = self.f_alts[task.i_alt];
+        // Worker threads have their own span stack, so this aggregates as
+        // a root "capture" span (one entry per task, retries included).
+        let _capture = span!(recorder, "capture");
+        let t0 = recorder.is_active().then(fase_obs::monotonic_ns);
+        // Bounded retry: each attempt draws its own fault and RNG stream
+        // from the task coordinates, so the retry history is identical for
+        // any worker count.
+        let mut faults = Vec::new();
+        let mut attempt = 0u32;
+        let result = loop {
+            let fault = self
+                .options
+                .fault_plan
+                .as_ref()
+                .and_then(|p| p.draw(task.i_alt, task.i_seg, task.i_avg, attempt));
+            if let Some(kind) = fault {
+                faults.push(FaultRecord {
+                    f_alt,
+                    segment: task.i_seg,
+                    average: task.i_avg,
+                    attempt,
+                    tag: kind.tag().to_owned(),
+                });
+            }
+            let out = execute_capture(
+                task,
+                attempt,
+                fault,
+                prep,
+                &self.plans[task.band].segments()[task.i_seg],
+                self.bands[task.band].seed,
+                recorder,
+            );
+            cancel.consume_capture();
+            attempt += 1;
+            match out {
+                Ok(out) => {
+                    break TaskResult {
+                        out: Ok(out),
+                        attempts: attempt,
+                        faults,
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&task) = tasks.get(i) else { break };
-                    // Later tasks of the same frequency wait for the first
-                    // one's build rather than duplicate the calibration.
-                    let prep = prepared[task.i_alt].get_or_init(|| {
-                        let mut system = factory(task.i_alt);
-                        let bench = pair.calibrated(&mut system.machine, f_alts[task.i_alt].hz());
-                        Prepared { system, bench }
-                    });
-                    // Worker threads have their own span stack, so this
-                    // aggregates as a root "capture" span (one entry per
-                    // task, retries included).
-                    let _capture = span!(recorder, "capture");
-                    let t0 = recorder.is_active().then(fase_obs::monotonic_ns);
-                    // Bounded retry: each attempt draws its own fault and
-                    // RNG stream from the task coordinates, so the retry
-                    // history is identical for any worker count.
-                    let mut faults = Vec::new();
-                    let mut attempt = 0u32;
-                    let result = loop {
-                        let fault = fault_plan
-                            .and_then(|p| p.draw(task.i_alt, task.i_seg, task.i_avg, attempt));
-                        if let Some(kind) = fault {
-                            faults.push(FaultRecord {
-                                f_alt: f_alts[task.i_alt],
-                                segment: task.i_seg,
-                                average: task.i_avg,
+                }
+                Err(e) => {
+                    // Exhausted budget or a fired token ends the retry
+                    // burn; either way the capture reports as failed and
+                    // the alternation degrades.
+                    if attempt >= max_attempts || cancel.is_cancelled() {
+                        break TaskResult {
+                            out: Err(FaseError::capture_failed(
+                                f_alt,
+                                task.i_seg,
                                 attempt,
-                                tag: kind.tag().to_owned(),
-                            });
-                        }
-                        let out = execute_capture(
-                            task,
-                            attempt,
-                            fault,
-                            prep,
-                            &segments[task.i_seg],
-                            seed,
-                            recorder,
-                        );
-                        cancel.consume_capture();
-                        attempt += 1;
-                        match out {
-                            Ok(out) => {
-                                break TaskResult {
-                                    out: Ok(out),
-                                    attempts: attempt,
-                                    faults,
-                                }
-                            }
-                            Err(e) => {
-                                // Exhausted budget or a fired token ends
-                                // the retry burn; either way the capture
-                                // reports as failed and the alternation
-                                // degrades.
-                                if attempt >= max_attempts || cancel.is_cancelled() {
-                                    break TaskResult {
-                                        out: Err(FaseError::capture_failed(
-                                            f_alts[task.i_alt],
-                                            task.i_seg,
-                                            attempt,
-                                            e.to_string(),
-                                        )),
-                                        attempts: attempt,
-                                        faults,
-                                    };
-                                }
-                            }
-                        }
-                    };
-                    if let Some(t0) = t0 {
-                        let elapsed = fase_obs::monotonic_ns().saturating_sub(t0);
-                        recorder.observe_ns("specan.capture_ns", elapsed);
+                                e.to_string(),
+                            )),
+                            attempts: attempt,
+                            faults,
+                        };
                     }
-                    if result.out.is_ok() {
-                        recorder.count("specan.captures", 1);
+                }
+            }
+        };
+        if let Some(t0) = t0 {
+            let elapsed = fase_obs::monotonic_ns().saturating_sub(t0);
+            recorder.observe_ns("specan.capture_ns", elapsed);
+        }
+        if result.out.is_ok() {
+            recorder.count("specan.captures", 1);
+        }
+        result
+    }
+
+    /// Waits for every capture of band `j` to land, then reduces them in
+    /// task order (worker scheduling cannot reorder this): average each
+    /// segment's captures, stitch segments, trim to band, and label each
+    /// spectrum with the achieved alternation frequency. An alternation
+    /// frequency with an exhausted capture is dropped and recorded in the
+    /// health, which is also published to the recorder.
+    ///
+    /// # Errors
+    ///
+    /// [`FaseError::Cancelled`] when the token fired before every capture
+    /// of the band ran, [`FaseError::Worker`] when a panicked worker left
+    /// some unrun, and any averaging or stitching error.
+    pub(crate) fn reduce(&self, j: usize) -> Result<Reduced, FaseError> {
+        let results = {
+            let landing = lock(&self.landing);
+            let mut landing = self
+                .landed
+                .wait_while(landing, |l| l.pending[j] > 0 && l.live > 0)
+                .unwrap_or_else(PoisonError::into_inner);
+            landing.results[self.ranges[j].clone()]
+                .iter_mut()
+                .map(Option::take)
+                .collect::<Option<Vec<TaskResult>>>()
+        };
+        let Some(results) = results else {
+            // A hole with a fired token is the cancellation itself, not
+            // a scheduler bug.
+            let cancel = &self.options.cancel;
+            return Err(if cancel.is_cancelled() {
+                FaseError::cancelled(cancel.cause().unwrap_or("cancelled"))
+            } else {
+                FaseError::worker("capture task never ran")
+            });
+        };
+        let recorder = &self.options.recorder;
+        let _reduce = span!(recorder, "reduce");
+        let band = &self.bands[j];
+        let config = band.config;
+        let segments = self.plans[j].segments();
+        let averages = config.averages();
+        let mut results = results.into_iter();
+        let mut health = CampaignHealth::new(band.alts.len());
+        let mut labeled = Vec::with_capacity(band.alts.len());
+        let mut first_failure: Option<FaseError> = None;
+        for &f_alt in &self.f_alts[band.alts.clone()] {
+            let mut segment_spectra = Vec::with_capacity(segments.len());
+            let mut period_sum = 0.0f64;
+            let mut period_count = 0usize;
+            let mut alt_failure: Option<FaseError> = None;
+            for _ in segments {
+                let mut captures = Vec::with_capacity(averages);
+                for result in results.by_ref().take(averages) {
+                    if result.attempts > 1 {
+                        health.retried_tasks += 1;
+                        health.total_retries += (result.attempts - 1) as usize;
                     }
-                    results
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)[i] = Some(result);
-                })
-            })
+                    health.faults.extend(result.faults);
+                    match result.out {
+                        Ok(out) => {
+                            period_sum += out.trace_duration / out.pairs as f64;
+                            period_count += 1;
+                            captures.push(out.spectrum);
+                        }
+                        Err(e) => {
+                            alt_failure.get_or_insert(e);
+                        }
+                    }
+                }
+                if alt_failure.is_none() {
+                    // Quarantine gross power outliers, then combine the
+                    // survivors with a per-bin trimmed mean.
+                    let survivors = quarantine(&captures);
+                    health.quarantined += captures.len() - survivors.len();
+                    segment_spectra.push(Spectrum::robust_average(survivors.iter().copied())?);
+                }
+            }
+            if let Some(e) = alt_failure {
+                first_failure.get_or_insert_with(|| e.clone());
+                health.dropped.push(DroppedAlternation { f_alt, error: e });
+                continue;
+            }
+            let stitched = Spectrum::stitch(segment_spectra.iter())?;
+            let spectrum = stitched.band(config.band_lo(), config.band_hi())?;
+            let measured = Hertz(period_count as f64 / period_sum);
+            labeled.push(LabeledSpectrum {
+                f_alt: measured,
+                spectrum,
+            });
+        }
+        health.surviving = labeled.len();
+        // Retries, quarantines and faults show up in `--metrics-out` next
+        // to the stage timings.
+        recorder.count_usize("specan.capture_retries", health.total_retries);
+        recorder.count_usize("specan.quarantined", health.quarantined);
+        recorder.count_usize("specan.faults_injected", health.faults.len());
+        recorder.count_usize("specan.dropped_alternations", health.dropped.len());
+        Ok(Reduced {
+            labeled,
+            health,
+            first_failure,
+        })
+    }
+}
+
+/// Runs the capture tasks of `bands` on one work-stealing pool while
+/// `consume` reduces them on the calling thread, and returns what
+/// `consume` returns. The factory runs once per alternation frequency per
+/// call, however many bands share it. Once `consume` returns, workers
+/// claim no further task.
+///
+/// # Errors
+///
+/// A panicking worker surfaces as [`FaseError::Worker`], whatever
+/// `consume` returned.
+pub(crate) fn run_pool<F, T>(
+    bands: &[PoolBand<'_>],
+    pair: ActivityPair,
+    factory: &F,
+    options: &CampaignOptions,
+    consume: impl FnOnce(&CapturePool<'_>) -> T,
+) -> Result<T, FaseError>
+where
+    F: Fn(usize) -> SimulatedSystem + Sync,
+{
+    let pool = CapturePool::new(bands, options);
+    let mut worker_panic: Option<String> = None;
+    let out = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..pool.threads)
+            .map(|_| scope.spawn(|| pool.work(pair, factory)))
             .collect();
+        let out = consume(&pool);
+        pool.stop.store(true, Ordering::Relaxed);
         for h in handles {
             if let Err(payload) = h.join() {
                 worker_panic.get_or_insert(panic_message(payload));
             }
         }
+        out
     });
-    if let Some(msg) = worker_panic {
-        return Err(FaseError::worker(msg));
+    match worker_panic {
+        Some(msg) => Err(FaseError::worker(msg)),
+        None => Ok(out),
     }
-    results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .map(|result| {
-            // A hole in the results with a fired token is the
-            // cancellation itself, not a scheduler bug.
-            result.ok_or_else(|| {
-                if cancel.is_cancelled() {
-                    FaseError::cancelled(cancel.cause().unwrap_or("cancelled"))
-                } else {
-                    FaseError::worker("capture task never ran")
-                }
-            })
-        })
-        .collect()
 }
 
-/// Runs the capture tasks of the alternation frequencies in `alts` and
-/// reduces them in task order (worker scheduling cannot reorder this):
-/// average each segment's captures, stitch segments, trim to band, and
-/// label each spectrum with the achieved alternation frequency. An
-/// alternation frequency with an exhausted capture is dropped and
-/// recorded in the health, which is also published to the recorder.
-///
-/// Returns the surviving spectra in alternation order, the health, and
-/// the first capture failure that dropped an alternation, if any.
+/// Measures the alternation frequencies in `alts` of one campaign: a
+/// one-band pool run, reduced under the `campaign` span.
 fn measure_alternations<F>(
     config: &CampaignConfig,
     alts: Range<usize>,
@@ -421,81 +660,19 @@ fn measure_alternations<F>(
     factory: &F,
     seed: u64,
     options: &CampaignOptions,
-) -> Result<(Vec<LabeledSpectrum>, CampaignHealth, Option<FaseError>), FaseError>
+) -> Result<Reduced, FaseError>
 where
     F: Fn(usize) -> SimulatedSystem + Sync,
 {
-    let f_alts = config.alternation_frequencies();
-    let plan = SweepPlan::new(
-        config.band_lo(),
-        config.band_hi(),
-        config.resolution(),
-        options.max_fft,
-    );
-    let segments = plan.segments();
-    let averages = config.averages();
-    let recorder = &options.recorder;
-    let _campaign = span!(recorder, "campaign");
-    let results = execute_tasks(config, alts.clone(), segments, pair, factory, seed, options)?;
-
-    let _reduce = span!(recorder, "reduce");
-    let mut results = results.into_iter();
-    let mut health = CampaignHealth::new(alts.len());
-    let mut labeled = Vec::with_capacity(alts.len());
-    let mut first_failure: Option<FaseError> = None;
-    for &f_alt in &f_alts[alts] {
-        let mut segment_spectra = Vec::with_capacity(segments.len());
-        let mut period_sum = 0.0f64;
-        let mut period_count = 0usize;
-        let mut alt_failure: Option<FaseError> = None;
-        for _ in segments {
-            let mut captures = Vec::with_capacity(averages);
-            for result in results.by_ref().take(averages) {
-                if result.attempts > 1 {
-                    health.retried_tasks += 1;
-                    health.total_retries += (result.attempts - 1) as usize;
-                }
-                health.faults.extend(result.faults);
-                match result.out {
-                    Ok(out) => {
-                        period_sum += out.trace_duration / out.pairs as f64;
-                        period_count += 1;
-                        captures.push(out.spectrum);
-                    }
-                    Err(e) => {
-                        alt_failure.get_or_insert(e);
-                    }
-                }
-            }
-            if alt_failure.is_none() {
-                // Quarantine gross power outliers, then combine the
-                // survivors with a per-bin trimmed mean.
-                let survivors = quarantine(&captures);
-                health.quarantined += captures.len() - survivors.len();
-                segment_spectra.push(Spectrum::robust_average(survivors.iter().copied())?);
-            }
-        }
-        if let Some(e) = alt_failure {
-            first_failure.get_or_insert_with(|| e.clone());
-            health.dropped.push(DroppedAlternation { f_alt, error: e });
-            continue;
-        }
-        let stitched = Spectrum::stitch(segment_spectra.iter())?;
-        let spectrum = stitched.band(config.band_lo(), config.band_hi())?;
-        let measured = Hertz(period_count as f64 / period_sum);
-        labeled.push(LabeledSpectrum {
-            f_alt: measured,
-            spectrum,
-        });
-    }
-    health.surviving = labeled.len();
-    // Retries, quarantines and faults show up in `--metrics-out` next to
-    // the stage timings.
-    recorder.count_usize("specan.capture_retries", health.total_retries);
-    recorder.count_usize("specan.quarantined", health.quarantined);
-    recorder.count_usize("specan.faults_injected", health.faults.len());
-    recorder.count_usize("specan.dropped_alternations", health.dropped.len());
-    Ok((labeled, health, first_failure))
+    let _campaign = span!(options.recorder, "campaign");
+    let band = PoolBand { config, alts, seed };
+    run_pool(
+        std::slice::from_ref(&band),
+        pair,
+        factory,
+        options,
+        |pool| pool.reduce(0),
+    )?
 }
 
 /// Runs a campaign on a work-stealing pool of capture tasks.
@@ -517,7 +694,8 @@ where
 /// alternation `i_alt` measure (usually the same preset with the same
 /// seed: the EM world is one machine). It is called once per alternation
 /// frequency per campaign; that frequency's captures share the system's
-/// scene and clone its calibrated machine.
+/// scene and clone its calibrated machine. A campaign is the one-band
+/// case of the capture pool [`crate::run_sweep`] runs over all its bands.
 ///
 /// An alternation frequency whose capture retry budget is exhausted is
 /// dropped and the campaign degrades to the survivors (the heuristic needs
@@ -540,14 +718,7 @@ where
     F: Fn(usize) -> SimulatedSystem + Sync,
 {
     let alts = 0..config.alternation_count();
-    let (labeled, health, first_failure) =
-        measure_alternations(config, alts, pair, &factory, seed, &options)?;
-    if labeled.len() < 2 {
-        return Err(first_failure.unwrap_or_else(|| {
-            FaseError::invalid_spectra("fewer than two alternation frequencies survived")
-        }));
-    }
-    Ok(CampaignSpectra::new(config.clone(), labeled)?.with_health(health))
+    measure_alternations(config, alts, pair, &factory, seed, &options)?.into_campaign(config)
 }
 
 /// Measures alternation frequency `i_alt` of a campaign on the
@@ -582,8 +753,11 @@ where
             config.alternation_count()
         )));
     }
-    let (mut labeled, _, first_failure) =
-        measure_alternations(config, i_alt..i_alt + 1, pair, &factory, seed, &options)?;
+    let Reduced {
+        mut labeled,
+        first_failure,
+        ..
+    } = measure_alternations(config, i_alt..i_alt + 1, pair, &factory, seed, &options)?;
     labeled.pop().ok_or_else(|| {
         first_failure.unwrap_or_else(|| FaseError::invalid_spectra("alternation was not measured"))
     })

@@ -3,11 +3,11 @@
 //! Paper §3 sweeps the Agilent MXA across 0–4 GHz in resolution-limited
 //! steps; this module is that outer loop. [`run_sweep`] shards a span
 //! `[f_lo, f_hi]` into overlapping bands ([`crate::sweep::plan_bands`]),
-//! runs the full FASE campaign in each band through the pooled runner,
-//! analyzes each band independently, and merges the per-band reports into
-//! one span-wide [`FaseReport`] with seam-duplicate carriers deduplicated
-//! and harmonic sets regrouped across band boundaries
-//! ([`fase_core::merge_band_reports`]).
+//! runs the full FASE campaign of every band on one capture pool,
+//! analyzes each band independently as soon as its captures land, and
+//! merges the per-band reports into one span-wide [`FaseReport`] with
+//! seam-duplicate carriers deduplicated and harmonic sets regrouped
+//! across band boundaries ([`fase_core::merge_band_reports`]).
 //!
 //! Three features make multi-hour sweeps practical:
 //!
@@ -26,7 +26,7 @@
 //!   the full result.
 
 use crate::cache::{CacheKey, CacheLookup, CaptureCache};
-use crate::runner::{run_campaign_with_options, CampaignOptions};
+use crate::runner::{run_pool, CampaignOptions, CapturePool, PoolBand};
 use crate::sweep::{plan_bands, SweepBand};
 use fase_core::{
     merge_band_reports, CampaignConfig, CampaignSpectra, Fase, FaseConfig, FaseError, FaseReport,
@@ -130,6 +130,16 @@ pub struct SweepOutcome {
     pub cancelled: bool,
 }
 
+/// The bands the calling thread finished, in band order.
+#[derive(Debug, Default)]
+struct Finished {
+    outcomes: Vec<BandOutcome>,
+    reports: Vec<FaseReport>,
+    hits: usize,
+    misses: usize,
+    cancelled: bool,
+}
+
 /// Carriers closer than this across band seams (or across channel
 /// realizations) are one emitter: twice the sweep's resolution.
 pub(crate) fn seam_tolerance(resolution: Hertz) -> Hertz {
@@ -184,18 +194,45 @@ fn band_description(
     )
 }
 
+/// Where a band's spectra come from, as the probe pass found it.
+#[derive(Debug)]
+enum Source {
+    /// Read back from the capture cache.
+    Cached(Box<CampaignSpectra>),
+    /// Captured as band `job` of the sweep's capture pool, then stored
+    /// under `key`.
+    Captured { job: usize, key: CacheKey },
+    /// A miss assigned to another shard.
+    OtherShard,
+    /// Not probed: the token had fired.
+    Abandoned,
+}
+
 /// Runs a wide-band sweep: shard into bands, capture (or cache-hit) and
 /// analyze each, merge into one span-wide report.
 ///
-/// `factory(i_alt)` builds the [`SimulatedSystem`] a band's campaign
-/// measures, exactly as in [`run_campaign_with_options`]: once per
-/// alternation frequency of each captured band. `system_id` must
-/// uniquely name what the factory builds (scene + machine + scene seed),
-/// because it stands in for the opaque factory in the cache key. Each
-/// band's campaign runs with seed `mix_seed(seed, band_index)`, so band
-/// results are independent of which bands ran before them — the property
-/// that makes resumed and sharded sweeps bit-identical to monolithic
-/// ones.
+/// The sweep first probes the cache for every band, then captures all
+/// the missed bands on one work-stealing pool, their tasks queued in band
+/// order. Each band is reduced, stored and analyzed on the calling thread
+/// as soon as its last capture lands, while the workers capture the next
+/// bands; reports merge in band order.
+///
+/// `factory(i_alt)` builds the [`SimulatedSystem`] the captures of
+/// alternation `i_alt` measure, exactly as in
+/// [`crate::run_campaign_with_options`]. It is called once per
+/// alternation frequency per sweep, and every captured band shares that
+/// system; a sweep with every band cached never calls it. `system_id`
+/// must uniquely name what the factory builds (scene, machine and scene
+/// seed), because it stands in for the opaque factory in the cache key.
+/// Each band's campaign runs with seed `mix_seed(seed, band_index)`, so
+/// band results are independent of which bands ran before or beside them
+/// — the property that makes resumed and sharded sweeps bit-identical to
+/// monolithic ones.
+///
+/// Cancellation is band-granular. Bands are handed to the pool in order,
+/// so the bands whose captures all ran form a prefix: they stand and are
+/// cached, and every band from the first unfinished one on is skipped.
+/// A cached band reached after the token fired is skipped too.
 ///
 /// # Errors
 ///
@@ -204,7 +241,8 @@ fn band_description(
 /// * [`FaseError::Cache`] — the cache directory cannot be created or an
 ///   entry cannot be written. (Corrupt cache *entries* are never errors;
 ///   they are recomputed.)
-/// * Any capture error a band campaign surfaces, unchanged.
+/// * Any capture error a band campaign surfaces, unchanged, from the
+///   first failing band.
 pub fn run_sweep<F>(
     config: &SweepConfig,
     system_id: &str,
@@ -240,27 +278,15 @@ where
         .as_ref()
         .map(CaptureCache::open)
         .transpose()?;
-
-    let analyzer = Fase::default().with_recorder(recorder.clone());
     let cancel = &options.campaign.cancel;
-    let mut outcomes = Vec::with_capacity(bands.len());
-    let mut reports = Vec::with_capacity(bands.len());
-    let mut hits = 0usize;
-    let mut misses = 0usize;
-    let mut cancelled = false;
 
+    // Probe pass: key every band and read back the cached ones; the
+    // misses this shard owns become the pool's bands.
+    let mut sources = Vec::with_capacity(bands.len());
+    let mut captured: Vec<(CampaignConfig, u64)> = Vec::new();
     for band in &bands {
-        // Band-granularity cancellation: once the token fires, finished
-        // bands stand (they are cached) and everything else — cache
-        // probes included — is abandoned.
-        if cancelled || cancel.is_cancelled() {
-            cancelled = true;
-            outcomes.push(BandOutcome {
-                band: *band,
-                from_cache: false,
-                skipped: true,
-                carriers: 0,
-            });
+        if cancel.is_cancelled() {
+            sources.push(Source::Abandoned);
             continue;
         }
         let _band_span = recorder.span("specan.sweep_band");
@@ -274,75 +300,110 @@ where
             band_seed,
             &options.campaign,
         ));
-
-        let cached: Option<CampaignSpectra> = cache.as_ref().and_then(|c| {
-            match c.load(&key) {
-                // A hit whose stored config disagrees with the plan means
-                // a (vanishingly unlikely) key collision or tampering —
-                // never trust it.
-                CacheLookup::Hit(spectra) if *spectra.config() == full_config => Some(*spectra),
-                CacheLookup::Hit(_) | CacheLookup::Miss | CacheLookup::Invalid => None,
+        match cache.as_ref().map(|c| c.load(&key)) {
+            // A hit whose stored config disagrees with the plan means a
+            // (vanishingly unlikely) key collision or tampering — never
+            // trust it.
+            Some(CacheLookup::Hit(spectra)) if *spectra.config() == full_config => {
+                sources.push(Source::Cached(spectra));
             }
-        });
-        let from_cache = cached.is_some();
-
-        let spectra = match cached {
-            Some(spectra) => {
-                hits += 1;
-                spectra
+            _ if options
+                .shard
+                .is_some_and(|shard| band.index % shard.count != shard.index) =>
+            {
+                sources.push(Source::OtherShard);
             }
-            None => {
-                if let Some(shard) = options.shard {
-                    if band.index % shard.count != shard.index {
-                        outcomes.push(BandOutcome {
-                            band: *band,
-                            from_cache: false,
-                            skipped: true,
-                            carriers: 0,
-                        });
-                        continue;
-                    }
-                }
-                let spectra = match run_campaign_with_options(
-                    &full_config,
-                    pair,
-                    &factory,
-                    band_seed,
-                    options.campaign.clone(),
-                ) {
-                    Ok(spectra) => spectra,
-                    // The token fired mid-band: nothing of this band is
-                    // kept (its captures never reduced), so the sweep
-                    // degrades to the bands already finished.
-                    Err(FaseError::Cancelled(_)) => {
-                        cancelled = true;
-                        outcomes.push(BandOutcome {
-                            band: *band,
-                            from_cache: false,
-                            skipped: true,
-                            carriers: 0,
-                        });
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-                if let Some(cache) = &cache {
-                    cache.store(&key, &spectra)?;
-                }
-                misses += 1;
-                spectra
+            _ => {
+                sources.push(Source::Captured {
+                    job: captured.len(),
+                    key,
+                });
+                captured.push((full_config, band_seed));
             }
-        };
-
-        let report = analyzer.analyze(&spectra)?;
-        outcomes.push(BandOutcome {
-            band: *band,
-            from_cache,
-            skipped: false,
-            carriers: report.len(),
-        });
-        reports.push(report);
+        }
     }
+    let jobs: Vec<PoolBand<'_>> = captured
+        .iter()
+        .map(|(config, seed)| PoolBand {
+            config,
+            alts: 0..config.alternation_count(),
+            seed: *seed,
+        })
+        .collect();
+
+    let analyzer = Fase::default().with_recorder(recorder.clone());
+    let finish = |pool: &CapturePool<'_>| -> Result<Finished, FaseError> {
+        let mut done = Finished::default();
+        for (band, source) in bands.iter().zip(sources) {
+            let skipped = BandOutcome {
+                band: *band,
+                from_cache: false,
+                skipped: true,
+                carriers: 0,
+            };
+            if done.cancelled {
+                done.outcomes.push(skipped);
+                continue;
+            }
+            let _band_span = recorder.span("specan.sweep_band");
+            let (spectra, from_cache) = match source {
+                Source::OtherShard => {
+                    done.outcomes.push(skipped);
+                    continue;
+                }
+                Source::Cached(spectra) if !cancel.is_cancelled() => {
+                    done.hits += 1;
+                    (*spectra, true)
+                }
+                Source::Captured { job, key } => {
+                    let reduced = {
+                        let _campaign = recorder.span("campaign");
+                        pool.reduce(job)
+                    };
+                    match reduced.and_then(|r| r.into_campaign(jobs[job].config)) {
+                        Ok(spectra) => {
+                            if let Some(cache) = &cache {
+                                cache.store(&key, &spectra)?;
+                            }
+                            done.misses += 1;
+                            (spectra, false)
+                        }
+                        // The token fired before all of this band's
+                        // captures ran: nothing of it is kept, and the
+                        // sweep degrades to the bands before it.
+                        Err(FaseError::Cancelled(_)) => {
+                            done.cancelled = true;
+                            done.outcomes.push(skipped);
+                            continue;
+                        }
+                        Err(e) => return Err(e),
+                    }
+                }
+                // The token fired before this band was in hand.
+                Source::Cached(_) | Source::Abandoned => {
+                    done.cancelled = true;
+                    done.outcomes.push(skipped);
+                    continue;
+                }
+            };
+            let report = analyzer.analyze(&spectra)?;
+            done.outcomes.push(BandOutcome {
+                band: *band,
+                from_cache,
+                skipped: false,
+                carriers: report.len(),
+            });
+            done.reports.push(report);
+        }
+        Ok(done)
+    };
+    let Finished {
+        outcomes,
+        reports,
+        hits,
+        misses,
+        cancelled,
+    } = run_pool(&jobs, pair, &factory, &options.campaign, finish)??;
 
     recorder.count_usize("specan.cache_hits", hits);
     recorder.count_usize("specan.cache_misses", misses);
@@ -372,9 +433,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_campaign_with_options;
     use fase_emsim::SimulatedSystem;
     use fase_sysmodel::Machine;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn demo_factory(i_alt: usize) -> SimulatedSystem {
         let mut system = SimulatedSystem::intel_i7_desktop(0xFA5E + i_alt as u64);
@@ -533,53 +596,6 @@ mod tests {
 
     #[test]
     fn capture_budget_yields_partial_degraded_sweep_then_rerun_completes() {
-        let dir = temp_dir("cancel");
-        // Budget for one band's captures (5 alts × 1 segment × 3 avgs =
-        // 15) but not two: band 0 completes, band 1 is abandoned.
-        let mut limited = SweepOptions {
-            cache_dir: Some(dir.clone()),
-            ..fast_options()
-        };
-        limited.campaign.threads = Some(1);
-        limited.campaign.cancel = crate::CancelToken::new().with_capture_budget(15);
-        let partial = run_sweep(
-            &small_sweep(),
-            "demo",
-            ActivityPair::LdmLdl1,
-            demo_factory,
-            11,
-            &limited,
-        )
-        .unwrap();
-        assert!(partial.cancelled);
-        assert!(!partial.complete);
-        assert_eq!(partial.cache_misses, 1);
-        assert!(partial.bands[1].skipped);
-        // The partial report is marked degraded: abandoned alternations
-        // count as planned-but-lost.
-        assert!(partial.report.is_degraded());
-        let health = partial.report.health().unwrap();
-        assert_eq!(health.planned, 10);
-        assert_eq!(health.surviving, 5);
-
-        // A fresh run over the same cache dir picks up where the budget
-        // stopped: band 0 cache-hits, band 1 computes, and the result is
-        // bit-identical to a never-interrupted sweep.
-        let rerun = SweepOptions {
-            cache_dir: Some(dir.clone()),
-            ..fast_options()
-        };
-        let finished = run_sweep(
-            &small_sweep(),
-            "demo",
-            ActivityPair::LdmLdl1,
-            demo_factory,
-            11,
-            &rerun,
-        )
-        .unwrap();
-        assert!(finished.complete && !finished.cancelled);
-        assert_eq!((finished.cache_hits, finished.cache_misses), (1, 1));
         let whole = run_sweep(
             &small_sweep(),
             "demo",
@@ -589,7 +605,203 @@ mod tests {
             &fast_options(),
         )
         .unwrap();
-        assert_eq!(finished.report.to_json(), whole.report.to_json());
+        for threads in [1, 2] {
+            let dir = temp_dir(&format!("cancel-{threads}"));
+            // Budget for one band's captures (5 alts × 1 segment × 3 avgs
+            // = 15) but not two: band 0 completes, band 1 is abandoned.
+            let mut limited = SweepOptions {
+                cache_dir: Some(dir.clone()),
+                ..fast_options()
+            };
+            limited.campaign.threads = Some(threads);
+            limited.campaign.cancel = crate::CancelToken::new().with_capture_budget(15);
+            let partial = run_sweep(
+                &small_sweep(),
+                "demo",
+                ActivityPair::LdmLdl1,
+                demo_factory,
+                11,
+                &limited,
+            )
+            .unwrap();
+            assert!(partial.cancelled);
+            assert!(!partial.complete);
+            assert_eq!(partial.cache_misses, 1);
+            assert!(!partial.bands[0].skipped && partial.bands[1].skipped);
+            // The finished bands form a prefix, never a hole.
+            assert!(
+                partial
+                    .bands
+                    .windows(2)
+                    .all(|w| w[1].skipped >= w[0].skipped),
+                "{threads} threads: {:?}",
+                partial.bands
+            );
+            // The partial report is marked degraded: abandoned
+            // alternations count as planned-but-lost.
+            assert!(partial.report.is_degraded());
+            let health = partial.report.health().unwrap();
+            assert_eq!(health.planned, 10);
+            assert_eq!(health.surviving, 5);
+
+            // A fresh run over the same cache dir picks up where the
+            // budget stopped: band 0 cache-hits, band 1 computes, and the
+            // result is bit-identical to a never-interrupted sweep.
+            let rerun = SweepOptions {
+                cache_dir: Some(dir.clone()),
+                ..fast_options()
+            };
+            let finished = run_sweep(
+                &small_sweep(),
+                "demo",
+                ActivityPair::LdmLdl1,
+                demo_factory,
+                11,
+                &rerun,
+            )
+            .unwrap();
+            assert!(finished.complete && !finished.cancelled);
+            assert_eq!((finished.cache_hits, finished.cache_misses), (1, 1));
+            assert_eq!(finished.report.to_json(), whole.report.to_json());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Every cache entry in `dir`, as (file name, bytes), by name.
+    fn entries(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut entries: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        entries.sort();
+        entries
+    }
+
+    #[test]
+    fn the_pool_matches_per_band_campaigns_at_any_thread_count() {
+        // The reference is a sweep run band by band: one campaign per
+        // band, stored and analyzed in band order, reports merged.
+        let config = SweepConfig {
+            bands: 3,
+            ..small_sweep()
+        };
+        let pair = ActivityPair::LdmLdl1;
+        let bands = plan_bands(
+            config.lo,
+            config.hi,
+            config.resolution,
+            config.bands,
+            config.overlap,
+        )
+        .unwrap();
+        let campaign = fast_options().campaign;
+        let reference_dir = temp_dir("pool-reference");
+        let cache = CaptureCache::open(&reference_dir).unwrap();
+        let mut outcomes = Vec::new();
+        let mut reports = Vec::new();
+        for band in &bands {
+            let band_seed = mix_seed(13, band.index as u64);
+            let spectra = run_campaign_with_options(
+                &band_config(&config, band).unwrap(),
+                pair,
+                demo_factory,
+                band_seed,
+                campaign.clone(),
+            )
+            .unwrap();
+            let description = band_description(&config, band, "demo", pair, band_seed, &campaign);
+            cache
+                .store(&CacheKey::from_description(&description), &spectra)
+                .unwrap();
+            let report = Fase::default().analyze(&spectra).unwrap();
+            outcomes.push(BandOutcome {
+                band: *band,
+                from_cache: false,
+                skipped: false,
+                carriers: report.len(),
+            });
+            reports.push(report);
+        }
+        let merged = merge_band_reports(
+            &reports,
+            seam_tolerance(config.resolution),
+            FaseConfig::default().group_rel_tol,
+        );
+        let expected = entries(&reference_dir);
+        assert_eq!(expected.len(), 3);
+        for threads in [1, 2, 4] {
+            let dir = temp_dir(&format!("pool-{threads}"));
+            let mut options = SweepOptions {
+                cache_dir: Some(dir.clone()),
+                ..fast_options()
+            };
+            options.campaign.threads = Some(threads);
+            let outcome = run_sweep(&config, "demo", pair, demo_factory, 13, &options).unwrap();
+            assert_eq!(
+                outcome.report.to_json(),
+                merged.to_json(),
+                "{threads} threads"
+            );
+            assert_eq!(outcome.bands, outcomes, "{threads} threads");
+            assert_eq!(entries(&dir), expected, "{threads} threads");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        std::fs::remove_dir_all(&reference_dir).unwrap();
+    }
+
+    #[test]
+    fn the_factory_runs_once_per_alternation_frequency_per_sweep() {
+        // Both bands capture, and both share the five systems.
+        let calls = AtomicUsize::new(0);
+        let mut options = fast_options();
+        options.campaign.threads = Some(2);
+        run_sweep(
+            &small_sweep(),
+            "demo",
+            ActivityPair::LdmLdl1,
+            |i_alt| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                demo_factory(i_alt)
+            },
+            7,
+            &options,
+        )
+        .unwrap();
+        assert_eq!(calls.into_inner(), small_sweep().alternations);
+    }
+
+    #[test]
+    fn a_failed_band_fails_the_sweep_and_stores_no_band() {
+        // Four of five alternations fail in every band, so band 0 cannot
+        // form a campaign: its error ends the sweep before any band is
+        // stored, though the pool may already have captured later ones.
+        let dir = temp_dir("failed");
+        let mut plan = crate::FaultPlan::new(3);
+        for i_alt in 0..4 {
+            plan = plan.always_fail(i_alt);
+        }
+        let mut options = SweepOptions {
+            cache_dir: Some(dir.clone()),
+            ..fast_options()
+        };
+        options.campaign.threads = Some(2);
+        options.campaign.max_attempts = 1;
+        options.campaign.fault_plan = Some(plan);
+        let err = run_sweep(
+            &small_sweep(),
+            "demo",
+            ActivityPair::LdmLdl1,
+            demo_factory,
+            7,
+            &options,
+        )
+        .unwrap_err();
+        assert!(matches!(err, FaseError::CaptureFailed { .. }), "{err}");
+        assert!(entries(&dir).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -106,6 +106,11 @@ pub struct Machine {
     /// Copy-on-write: clones of a profiled machine (one per capture) and
     /// memo replays share the warmed tag arrays instead of copying them.
     hierarchy: Arc<MemoryHierarchy>,
+    /// Names the hierarchy's current state by its derivation: the fold
+    /// of the starting hierarchy for a new machine, then the memo key of
+    /// each profiling run that moved it. Equal ids mean equal states, so
+    /// a profiling key needs no re-fold of the warmed tag arrays.
+    state_id: u64,
     /// Memoized steady-state profiles keyed by `(activity, ops)`.
     ///
     /// Profiling runs the full pointer chase through the tag arrays —
@@ -117,6 +122,9 @@ pub struct Machine {
     profile_cache: std::collections::HashMap<(Activity, usize), KernelProfile>,
 }
 
+/// FNV-1a offset basis of the hierarchy-state and profiling-key folds.
+const FOLD_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// Process-wide memo of pointer-chase profiling runs, shared by every
 /// thread.
 ///
@@ -126,11 +134,13 @@ pub struct Machine {
 /// expensive — profiling pass: warming a DRAM-sized footprint walks the
 /// tag arrays about a million times (~100 ms). The outcome is a pure
 /// function of the machine config, the hierarchy's starting state, and
-/// `(activity, ops)`, all folded into the key; the value stores both the
-/// profile and the post-profiling hierarchy state so a hit replays the
-/// run bit-exactly — including the cache-warming side effect — on any
-/// identically-configured machine. It holds at most 16 entries; traffic
-/// counts into `sysmodel.profile_memo_hits` /
+/// `(activity, ops)`, all folded into the key — the state as the
+/// machine's `state_id`, so a key costs a few folds however warm the
+/// hierarchy is. The value stores both the profile and the
+/// post-profiling hierarchy state, whose id the key becomes, so a hit
+/// replays the run bit-exactly — including the cache-warming side effect
+/// — on any identically-configured machine. It holds at most 16 entries;
+/// traffic counts into `sysmodel.profile_memo_hits` /
 /// `sysmodel.profile_memo_misses`.
 static PROFILE_MEMO: Memo<u64, (KernelProfile, Arc<MemoryHierarchy>)> = Memo::new(
     16,
@@ -143,6 +153,7 @@ impl Machine {
     pub fn new(config: MachineConfig, hierarchy: MemoryHierarchy) -> Machine {
         Machine {
             config,
+            state_id: hierarchy.fold_state(FOLD_BASIS),
             hierarchy: Arc::new(hierarchy),
             profile_cache: std::collections::HashMap::new(),
         }
@@ -190,18 +201,19 @@ impl Machine {
             (profile, Arc::clone(&self.hierarchy))
         });
         self.hierarchy = end_state;
+        self.state_id = key;
         self.profile_cache.insert((activity, ops), profile);
         profile
     }
 
     /// Folds everything `profile_uncached` reads — clock, chase stride,
-    /// the full hierarchy state, and the request itself — so equal keys
-    /// guarantee equal profiling outcomes and end states.
+    /// the hierarchy state (by its id), and the request itself — so equal
+    /// keys guarantee equal profiling outcomes and end states.
     fn memo_key(&self, activity: Activity, ops: usize) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FOLD_BASIS;
         h = fnv_fold(h, self.config.clock_hz.to_bits());
         h = fnv_fold(h, self.config.chase_stride);
-        h = self.hierarchy.fold_state(h);
+        h = fnv_fold(h, self.state_id);
         for byte in format!("{activity:?}").bytes() {
             h = fnv_fold(h, byte as u64);
         }
@@ -468,6 +480,28 @@ mod tests {
         let bench_b = Alternation::calibrated(&mut b, Activity::LoadDram, Activity::LoadL1, 50e3);
         assert_eq!(bench.x_count(), bench_b.x_count());
         assert_eq!(bench.y_count(), bench_b.y_count());
+    }
+
+    #[test]
+    fn a_prewarmed_hierarchy_does_not_replay_a_fresh_machines_profile() {
+        // A fresh machine's run lands in the process-wide memo first.
+        let mut fresh = Machine::core_i7();
+        fresh.profile(Activity::LoadL2, 3000);
+        // A hierarchy warmed before the machine was built starts from
+        // another state, so the same request must run its own chase.
+        let mut warm = MemoryHierarchy::core_i7();
+        for line in 0..4096u64 {
+            warm.access(0x8000_0000 + line * 64);
+        }
+        let mut machine = Machine::new(MachineConfig::default(), warm);
+        let mut reference = machine.clone();
+        let expected = reference.profile_uncached(Activity::LoadL2, 3000);
+        assert_eq!(machine.profile(Activity::LoadL2, 3000), expected);
+        let end = machine.hierarchy.fold_state(17);
+        assert_eq!(end, reference.hierarchy.fold_state(17));
+        // The warm lines outlive the chase, so replaying the fresh entry
+        // would have left the fresh machine's end state instead.
+        assert_ne!(end, fresh.hierarchy.fold_state(17));
     }
 
     #[test]

@@ -123,18 +123,46 @@ impl ActivityTrace {
     ///
     /// Panics if `fs` is not positive.
     pub fn rasterize(&self, domain: Domain, fs: f64, n: usize) -> Vec<f64> {
-        assert!(fs > 0.0, "sample rate must be positive");
         let mut out = Vec::with_capacity(n);
+        self.sample(fs, n, |loads| out.push(loads[domain]));
+        out
+    }
+
+    /// [`ActivityTrace::rasterize`] for all three domains in one walk, in
+    /// `[core, memory interface, DRAM]` order; each waveform is
+    /// bit-identical to its own `rasterize` call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fs` is not positive.
+    pub fn rasterize_domains(&self, fs: f64, n: usize) -> [Vec<f64>; 3] {
+        let mut core = Vec::with_capacity(n);
+        let mut memory = Vec::with_capacity(n);
+        let mut dram = Vec::with_capacity(n);
+        self.sample(fs, n, |loads| {
+            core.push(loads.core);
+            memory.push(loads.memory_interface);
+            dram.push(loads.dram);
+        });
+        [core, memory, dram]
+    }
+
+    /// The walk behind both rasterizers: calls `emit` with the loads at
+    /// each `t_k = k/fs`, `k < n` (idle on an empty trace).
+    fn sample(&self, fs: f64, n: usize, mut emit: impl FnMut(&DomainLoads)) {
+        assert!(fs > 0.0, "sample rate must be positive");
         let mut seg_idx = 0usize;
         for k in 0..n {
             let t = k as f64 / fs;
             while seg_idx + 1 < self.segments.len() && self.segments[seg_idx].end() <= t {
                 seg_idx += 1;
             }
-            let load = self.segments.get(seg_idx).map_or(0.0, |s| s.loads[domain]);
-            out.push(load);
+            emit(
+                self.segments
+                    .get(seg_idx)
+                    .map_or(&DomainLoads::IDLE, |s| &s.loads),
+            );
         }
-        out
     }
 }
 
@@ -228,6 +256,32 @@ mod tests {
         // 50% duty overall.
         let mean: f64 = wave.iter().sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01);
+    }
+
+    #[test]
+    fn rasterize_domains_matches_each_rasterize_bit_for_bit() {
+        // Irregular segments and a rate that puts samples on boundaries.
+        let mut t = ActivityTrace::new();
+        for i in 0..40 {
+            let loads =
+                DomainLoads::new(0.1 * (i % 7) as f64, 0.3 / (1 + i) as f64, (i % 2) as f64);
+            t.push(1e-4 * (1.0 + 0.37 * (i % 5) as f64), loads);
+        }
+        let (fs, n) = (40_000.0, 700);
+        let [core, memory, dram] = t.rasterize_domains(fs, n);
+        for (wave, domain) in [
+            (core, Domain::Core),
+            (memory, Domain::MemoryInterface),
+            (dram, Domain::Dram),
+        ] {
+            let expected = t.rasterize(domain, fs, n);
+            assert!(wave
+                .iter()
+                .map(|x| x.to_bits())
+                .eq(expected.iter().map(|x| x.to_bits())));
+        }
+        let [idle, ..] = ActivityTrace::new().rasterize_domains(fs, 3);
+        assert_eq!(idle, vec![0.0; 3]);
     }
 
     #[test]

@@ -119,11 +119,14 @@ declare -A ab_bin=([base]="$ab_tree/$perf_pkg/target/release/perf"
   [head]="$perf_pkg/target/release/perf")
 echo "base $(git rev-parse --short "$ab_base")"
 # A traced serve run needs 25 s, or its tail percentiles lack samples and
-# it exits 2; 5 s runs of the closed-loop workloads suffice.
-declare -A ab_seconds=([campaign]=5 [sweep_warm]=5 [serve]=25)
-declare -A ab_npairs=([campaign]=5 [sweep_warm]=5 [serve]=10)
+# it exits 2; 5 s runs of the closed-loop workloads suffice. sweep_cold is
+# the only many-band workload: it gates the capture layers of the sweep's
+# capture pool.
+declare -A ab_seconds=([campaign]=5 [sweep_cold]=5 [sweep_warm]=5 [serve]=25)
+declare -A ab_npairs=([campaign]=5 [sweep_cold]=5 [sweep_warm]=5 [serve]=10)
 declare -A ab_gates=(
   [campaign]="emsim.synth_ms dsp.transform_ms core.detect_ms specan.capture_self_ms"
+  [sweep_cold]="emsim.synth_ms specan.capture_self_ms"
   [sweep_warm]="specan.cache_ms" [serve]="serve.service_ms")
 # Median of metric $3 over side $1's runs of workload $2; a result line
 # holds each metric as "name": {"value": v, "unit": u}.
@@ -137,7 +140,7 @@ ab_digest() {
   sed -n "s/.*\"seed\": $3,.*\"report_digest\": \"\([^\"]*\)\".*/\1/p" "$ab_dir/$1.$2.stamps"
 }
 ab_ok=1
-for w in campaign sweep_warm serve; do
+for w in campaign sweep_cold sweep_warm serve; do
   for side in base head; do
     : > "$ab_dir/$side.$w.jsonl"
     : > "$ab_dir/$side.$w.stamps"

@@ -63,8 +63,9 @@ impl fmt::Display for SystemAudit {
 /// Audits a simulated system over `[lo, hi]` at the given resolution.
 ///
 /// Runs both activity-pair campaigns with the paper's five-`f_alt`
-/// procedure, classifies, and quantifies leakage. The `system_factory` is
-/// called once per alternation frequency of each campaign; that
+/// procedure, classifies, and quantifies leakage. Each campaign is one
+/// capture pool, so the `system_factory` is called five times per
+/// campaign, once per alternation frequency, ten times in all; that
 /// frequency's captures share the scene and each drives a clone of the
 /// calibrated machine.
 ///
