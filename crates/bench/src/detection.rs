@@ -401,22 +401,6 @@ fn roc_json(points: &[RocPoint]) -> String {
 }
 
 impl DetectionReport {
-    /// Labeled `(score, positive)` pairs for the fused statistic.
-    pub fn fused_labeled(&self) -> Vec<(f64, bool)> {
-        self.outcomes
-            .iter()
-            .map(|o| (o.fused, o.positive))
-            .collect()
-    }
-
-    /// Labeled `(score, positive)` pairs for the channel-0 baseline.
-    pub fn single_labeled(&self) -> Vec<(f64, bool)> {
-        self.outcomes
-            .iter()
-            .map(|o| (o.single, o.positive))
-            .collect()
-    }
-
     /// Deterministic JSON — **no wall times**, so the same scenario
     /// population and channel count serialize byte-identically across
     /// thread counts and cache temperatures.

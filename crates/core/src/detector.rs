@@ -7,17 +7,20 @@ use crate::spectra::CampaignSpectra;
 use fase_dsp::peaks::{find_peaks, PeakConfig};
 use fase_dsp::{Dbm, Hertz};
 
+/// Robust peak threshold: MADs above the median of the log-score trace.
+const THRESHOLD_MADS: f64 = 7.0;
+
+/// Peak-detection neighborhood half-width in bins.
+const PEAK_HALF_WINDOW: usize = 30;
+
+/// Detections within this many bins are merged into one carrier.
+const MERGE_TOLERANCE_BINS: usize = 6;
+
 /// Detection thresholds and merge rules.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Minimum heuristic score for a peak to count as evidence.
     pub min_score: f64,
-    /// Robust threshold (MADs above the median of the log-score trace).
-    pub threshold_mads: f64,
-    /// Peak-detection neighborhood half-width in bins.
-    pub peak_half_window: usize,
-    /// Detections within this many bins are merged into one carrier.
-    pub merge_tolerance_bins: usize,
     /// Minimum number of distinct harmonics that must agree before a
     /// carrier is reported. The paper notes one is sufficient in principle;
     /// two is a robust default against lone noise spikes.
@@ -50,9 +53,6 @@ impl Default for DetectorConfig {
     fn default() -> DetectorConfig {
         DetectorConfig {
             min_score: 8.0,
-            threshold_mads: 7.0,
-            peak_half_window: 30,
-            merge_tolerance_bins: 6,
             min_harmonics: 2,
             min_support: 3,
             require_first_harmonic: true,
@@ -84,10 +84,10 @@ pub fn detect_in_trace(trace: &ScoreTrace, config: &DetectorConfig) -> Vec<Detec
     // symmetric noise, and genuine carriers are orders of magnitude up.
     let logs: Vec<f64> = trace.scores().iter().map(|&s| s.max(1e-12).ln()).collect();
     let peak_cfg = PeakConfig {
-        half_window: config.peak_half_window,
-        threshold_mads: config.threshold_mads,
+        half_window: PEAK_HALF_WINDOW,
+        threshold_mads: THRESHOLD_MADS,
         min_rise: (config.min_score.ln() * 0.5).max(0.1),
-        min_distance: config.merge_tolerance_bins.max(1),
+        min_distance: MERGE_TOLERANCE_BINS,
     };
     let need_support = config.min_support.min(trace.n_spectra()) as u8;
     find_peaks(&logs, &peak_cfg)
@@ -121,7 +121,7 @@ pub fn merge_detections(
         return Vec::new();
     }
     detections.sort_by_key(|d| d.bin);
-    let tol = config.merge_tolerance_bins.max(1);
+    let tol = MERGE_TOLERANCE_BINS;
 
     // Cluster by bin adjacency.
     let mut clusters: Vec<Vec<Detection>> = Vec::new();

@@ -2,7 +2,7 @@
 
 use crate::detector::{detect_in_trace, merge_detections, Detection, DetectorConfig};
 use crate::error::FaseError;
-use crate::heuristic::{all_harmonic_scores_recorded, par_map, HeuristicConfig};
+use crate::heuristic::{all_harmonic_scores, par_map, search_window, HeuristicConfig};
 use crate::report::FaseReport;
 use crate::spectra::CampaignSpectra;
 use fase_obs::{span, Recorder};
@@ -115,12 +115,8 @@ impl Fase {
         let _analyze = span!(self.recorder, "analyze");
         let traces = {
             let _score = span!(self.recorder, "score");
-            all_harmonic_scores_recorded(
-                spectra,
-                self.config.max_harmonic,
-                &self.config.heuristic,
-                &self.recorder,
-            )
+            self.record_scoring(spectra);
+            all_harmonic_scores(spectra, self.config.max_harmonic, &self.config.heuristic)
         };
         let detections: Vec<Detection> = {
             let _detect = span!(self.recorder, "detect");
@@ -140,6 +136,29 @@ impl Fase {
         }
         self.recorder.count_usize("core.carriers", report.len());
         Ok(report)
+    }
+
+    /// Records the scoring stage's work: one windowed-max pass per
+    /// spectrum, one bin scored per bin and harmonic, and the search-window
+    /// clamp — a counter when the configured `search_bins` had to shrink
+    /// below the f_Δ spacing, and a warning when it shrank to a point
+    /// lookup.
+    fn record_scoring(&self, spectra: &CampaignSpectra) {
+        let (search, clamped) = search_window(spectra, &self.config.heuristic);
+        if clamped {
+            self.recorder
+                .count("core.heuristic.search_window_clamped", 1);
+            if search == 0 {
+                self.recorder.warn("core.heuristic.search_window_collapsed");
+            }
+        }
+        self.recorder
+            .count_usize("core.heuristic.windowed_max_passes", spectra.len());
+        let harmonics = 2 * self.config.max_harmonic as usize;
+        self.recorder.count_usize(
+            "core.heuristic.bins_scored",
+            spectra.spectrum(0).len().saturating_mul(harmonics),
+        );
     }
 }
 

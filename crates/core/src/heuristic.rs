@@ -22,7 +22,6 @@ use crate::config::CampaignConfig;
 use crate::spectra::CampaignSpectra;
 use fase_dsp::units::bin_round;
 use fase_dsp::{Hertz, Spectrum};
-use fase_obs::Recorder;
 
 /// Stabilizing floor added to numerator and denominator, expressed as a
 /// fraction of the spectrum's median bin power.
@@ -173,38 +172,36 @@ struct ScoreContext {
     n_spectra: usize,
 }
 
+/// Half-width of the windowed-max that scoring `spectra` applies, and
+/// whether it had to be reduced from the configured `search_bins`.
+///
+/// The search window must stay below the f_Δ spacing, or a neighbour
+/// spectrum's own side-band would leak into the denominator lookup. A
+/// reduction to zero (`f_Δ < 1.5 × resolution`) collapses the windowed-max
+/// to a point lookup and loses all calibration tolerance.
+pub(crate) fn search_window(spectra: &CampaignSpectra, config: &HeuristicConfig) -> (usize, bool) {
+    let first = spectra.spectrum(0);
+    match bin_round(spectra.config().f_delta() / first.resolution(), first.len()) {
+        Some(delta_bins) => {
+            let max_search = delta_bins.saturating_sub(1) / 2;
+            (
+                config.search_bins.min(max_search),
+                config.search_bins > max_search,
+            )
+        }
+        // f_Δ at or beyond the band width: adjacent spectra cannot leak
+        // into any in-band lookup, so the configured window stands.
+        None => (config.search_bins, false),
+    }
+}
+
 impl ScoreContext {
-    fn new(
-        spectra: &CampaignSpectra,
-        config: &HeuristicConfig,
-        recorder: &Recorder,
-    ) -> ScoreContext {
+    fn new(spectra: &CampaignSpectra, config: &HeuristicConfig) -> ScoreContext {
         let n_spectra = spectra.len();
         let first = spectra.spectrum(0);
         let bins = first.len();
         let resolution = first.resolution();
-
-        // The search window must stay below the f_Δ spacing, or a neighbour
-        // spectrum's own side-band would leak into the denominator lookup.
-        let search = match bin_round(spectra.config().f_delta() / resolution, bins) {
-            Some(delta_bins) => {
-                let max_search = delta_bins.saturating_sub(1) / 2;
-                if config.search_bins > max_search {
-                    recorder.count("core.heuristic.search_window_clamped", 1);
-                    if max_search == 0 && config.search_bins > 0 {
-                        // f_Δ < 1.5 × resolution: the windowed-max collapses
-                        // to a point lookup and loses all calibration
-                        // tolerance — worth a warning, not just a counter.
-                        recorder.warn("core.heuristic.search_window_collapsed");
-                    }
-                }
-                config.search_bins.min(max_search)
-            }
-            // f_Δ at or beyond the band width: adjacent spectra cannot leak
-            // into any in-band lookup, so the configured window stands.
-            None => config.search_bins,
-        };
-        recorder.count_usize("core.heuristic.windowed_max_passes", n_spectra);
+        let (search, _) = search_window(spectra, config);
 
         let floored: Vec<Vec<f64>> = (0..n_spectra)
             .map(|i| {
@@ -291,23 +288,7 @@ impl ScoreContext {
 /// sub-score of 1 — the paper's "obscured side-band" behaviour: missing
 /// evidence weakens but does not destroy a detection.
 pub fn harmonic_scores(spectra: &CampaignSpectra, h: i32, config: &HeuristicConfig) -> ScoreTrace {
-    harmonic_scores_recorded(spectra, h, config, &Recorder::global())
-}
-
-/// [`harmonic_scores`] with an explicit metrics [`Recorder`].
-///
-/// The recorder sees one `core.heuristic.windowed_max_passes` increment
-/// per spectrum, a `core.heuristic.bins_scored` increment per candidate
-/// bin, and the search-window clamp counters (see [`all_harmonic_scores`]).
-pub fn harmonic_scores_recorded(
-    spectra: &CampaignSpectra,
-    h: i32,
-    config: &HeuristicConfig,
-    recorder: &Recorder,
-) -> ScoreTrace {
-    let ctx = ScoreContext::new(spectra, config, recorder);
-    recorder.count_usize("core.heuristic.bins_scored", ctx.column_sum.len());
-    ctx.harmonic(h)
+    ScoreContext::new(spectra, config).harmonic(h)
 }
 
 /// Computes score traces for every harmonic `±1..=±max_harmonic`.
@@ -321,29 +302,8 @@ pub fn all_harmonic_scores(
     max_harmonic: u32,
     config: &HeuristicConfig,
 ) -> Vec<ScoreTrace> {
-    all_harmonic_scores_recorded(spectra, max_harmonic, config, &Recorder::global())
-}
-
-/// [`all_harmonic_scores`] with an explicit metrics [`Recorder`].
-///
-/// Besides the per-sweep work counters (`core.heuristic.bins_scored`,
-/// `core.heuristic.windowed_max_passes`), the shared precompute records
-/// `core.heuristic.search_window_clamped` whenever the configured
-/// `search_bins` had to be reduced to respect the f_Δ spacing, and the
-/// warning `core.heuristic.search_window_collapsed` when that clamp
-/// degrades the windowed-max to a point lookup (`f_Δ < 1.5 × resolution`).
-pub fn all_harmonic_scores_recorded(
-    spectra: &CampaignSpectra,
-    max_harmonic: u32,
-    config: &HeuristicConfig,
-    recorder: &Recorder,
-) -> Vec<ScoreTrace> {
-    let ctx = ScoreContext::new(spectra, config, recorder);
+    let ctx = ScoreContext::new(spectra, config);
     let harmonics: Vec<i32> = (1..=max_harmonic as i32).flat_map(|k| [k, -k]).collect();
-    recorder.count_usize(
-        "core.heuristic.bins_scored",
-        ctx.column_sum.len().saturating_mul(harmonics.len()),
-    );
     par_map(&harmonics, |&h| ctx.harmonic(h))
 }
 
@@ -730,15 +690,23 @@ mod tests {
         }
     }
 
+    /// Analyzes `campaign` on a detached recorder and returns its metrics.
+    fn analyze_metrics(campaign: &CampaignSpectra) -> fase_obs::Snapshot {
+        let rec = fase_obs::Recorder::detached();
+        crate::Fase::default()
+            .with_recorder(rec.clone())
+            .analyze(campaign)
+            .unwrap();
+        rec.snapshot()
+    }
+
     #[test]
     fn search_window_clamp_is_recorded_not_silent() {
         // Default campaign: f_Δ = 500 Hz at 100 Hz resolution allows a
         // half-width of 2, so the configured 3 is reduced — a counter, but
         // no collapse warning.
-        let rec = Recorder::detached();
         let campaign = synthetic_campaign(50_000.0, true, None);
-        let _ = harmonic_scores_recorded(&campaign, 1, &HeuristicConfig::default(), &rec);
-        let snap = rec.snapshot();
+        let snap = analyze_metrics(&campaign);
         assert_eq!(
             snap.counters.get("core.heuristic.search_window_clamped"),
             Some(&1),
@@ -770,9 +738,7 @@ mod tests {
             .map(|_| Spectrum::new(Hertz(0.0), Hertz(100.0), vec![1e-14; bins]).unwrap())
             .collect();
         let campaign = campaign_from_spectra(config, spectra).unwrap();
-        let rec = Recorder::detached();
-        let _ = harmonic_scores_recorded(&campaign, 1, &HeuristicConfig::default(), &rec);
-        let snap = rec.snapshot();
+        let snap = analyze_metrics(&campaign);
         assert_eq!(
             snap.counters
                 .get("warn.core.heuristic.search_window_collapsed"),

@@ -127,7 +127,6 @@ pub fn attribute_peak(
             mean_ratio,
         });
     }
-    fase_obs::Recorder::global().count_usize("core.attribution.candidates", out.len());
     out.sort_by(|a, b| {
         b.consistent_spectra
             .cmp(&a.consistent_spectra)

@@ -16,9 +16,9 @@
 //! `dsp.plan_cache_hits` / `dsp.plan_cache_misses` counters.
 
 use crate::complex::Complex64;
-use std::collections::BTreeMap;
+use crate::memo::{memoize, Memo};
 use std::f64::consts::PI;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Direction of a transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -223,7 +223,16 @@ impl FftPlan {
     }
 }
 
-static PLAN_CACHE: Mutex<BTreeMap<usize, Arc<FftPlan>>> = Mutex::new(BTreeMap::new());
+/// Plans the process-wide memo holds before it starts over. Captures plan
+/// power-of-two lengths, so every workload and figure plans far fewer
+/// distinct lengths than this.
+const PLAN_MEMO_CAP: usize = 64;
+
+static PLAN_MEMO: Memo<usize, Arc<FftPlan>> = Memo::new(
+    PLAN_MEMO_CAP,
+    "dsp.plan_cache_hits",
+    "dsp.plan_cache_misses",
+);
 
 /// Fetches (or creates and caches) the process-wide plan of length `n`.
 ///
@@ -231,7 +240,7 @@ static PLAN_CACHE: Mutex<BTreeMap<usize, Arc<FftPlan>>> = Mutex::new(BTreeMap::n
 /// repeated segment captures of the same length that re-planning dwarfs the
 /// transform itself. Plans are shared by every thread and outlive the
 /// capture pool's workers, so a length is planned once per process; the
-/// lock is held only for the lookup and the insert, never while planning.
+/// memo's lock is never held while planning.
 ///
 /// # Examples
 ///
@@ -249,23 +258,7 @@ static PLAN_CACHE: Mutex<BTreeMap<usize, Arc<FftPlan>>> = Mutex::new(BTreeMap::n
 ///
 /// Panics if `n` is zero.
 pub fn cached_plan(n: usize) -> Arc<FftPlan> {
-    // Bind the lookup so the lock is released before a miss plans.
-    let hit = plan_cache().get(&n).cloned();
-    if let Some(plan) = hit {
-        fase_obs::Recorder::global().count("dsp.plan_cache_hits", 1);
-        return plan;
-    }
-    fase_obs::Recorder::global().count("dsp.plan_cache_misses", 1);
-    let plan = Arc::new(FftPlan::new(n));
-    // A thread that planned the same length meanwhile wins, so every
-    // caller shares one plan.
-    Arc::clone(plan_cache().entry(n).or_insert(plan))
-}
-
-fn plan_cache() -> MutexGuard<'static, BTreeMap<usize, Arc<FftPlan>>> {
-    // Plans are inserted whole, so a panic elsewhere cannot leave one
-    // half-written.
-    PLAN_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
+    memoize(&PLAN_MEMO, n, || Arc::new(FftPlan::new(n)))
 }
 
 fn conjugate(data: &mut [Complex64]) {

@@ -13,9 +13,9 @@
 //! the cache; the raw [`Window::coefficients`] generator stays allocation-
 //! fresh for callers that mutate or own the table (FIR design, tests).
 
-use std::collections::BTreeMap;
+use crate::memo::{memoize, Memo};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// A window function family.
 ///
@@ -168,24 +168,28 @@ impl Window {
     /// coherent-gain and ENBW scalars derived from it. Hot loops that window
     /// the same length repeatedly (every capture of a campaign) should hold
     /// the returned `Arc` instead of regenerating tables per call. The
-    /// lock is held only for the lookup and the insert, never while
-    /// building.
+    /// memo's lock is never held while building.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
     pub fn tables(self, n: usize) -> Arc<WindowTables> {
-        // Bind the lookup so the lock is released before a miss builds.
-        let hit = table_cache().get(&(self, n)).cloned();
-        if let Some(tables) = hit {
-            return tables;
-        }
-        let tables = Arc::new(WindowTables::build(self, n));
-        // A thread that built the same tables meanwhile wins, so every
-        // caller shares one bundle.
-        Arc::clone(table_cache().entry((self, n)).or_insert(tables))
+        memoize(&WINDOW_MEMO, (self, n), || {
+            Arc::new(WindowTables::build(self, n))
+        })
     }
 }
+
+/// Table bundles the process-wide memo holds before it starts over: room
+/// for every window family at far more distinct lengths than any workload
+/// or figure windows.
+const WINDOW_MEMO_CAP: usize = 64;
+
+static WINDOW_MEMO: Memo<(Window, usize), Arc<WindowTables>> = Memo::new(
+    WINDOW_MEMO_CAP,
+    "dsp.window_memo_hits",
+    "dsp.window_memo_misses",
+);
 
 /// Precomputed per-length window data: the periodic coefficient table and
 /// the two scalar calibration factors derived from it. Built once per
@@ -234,15 +238,6 @@ impl WindowTables {
     pub fn is_empty(&self) -> bool {
         false
     }
-}
-
-type TableCache = BTreeMap<(Window, usize), Arc<WindowTables>>;
-static TABLE_CACHE: Mutex<TableCache> = Mutex::new(BTreeMap::new());
-
-fn table_cache() -> MutexGuard<'static, TableCache> {
-    // Tables are inserted whole, so a panic elsewhere cannot leave one
-    // half-written.
-    TABLE_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl fmt::Display for Window {

@@ -2,7 +2,6 @@
 
 use crate::phasor::SynthMode;
 use fase_dsp::{Hertz, Seconds};
-use fase_obs::Recorder;
 use fase_sysmodel::{ActivityTrace, Domain, RefreshEvent};
 
 /// One complex-baseband capture: the receiver is tuned to `center` and
@@ -102,7 +101,6 @@ pub struct RenderCtx<'a> {
     refreshes: &'a [RefreshEvent],
     loads: [Vec<f64>; 3],
     mode: SynthMode,
-    recorder: Recorder,
 }
 
 impl<'a> RenderCtx<'a> {
@@ -120,7 +118,6 @@ impl<'a> RenderCtx<'a> {
             refreshes,
             loads,
             mode: SynthMode::Fast,
-            recorder: Recorder::global(),
         }
     }
 
@@ -129,19 +126,6 @@ impl<'a> RenderCtx<'a> {
     pub fn with_mode(mut self, mode: SynthMode) -> RenderCtx<'a> {
         self.mode = mode;
         self
-    }
-
-    /// Replaces the metrics [`Recorder`] used by scene rendering (default
-    /// is the process-wide recorder, inert unless enabled).
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Recorder) -> RenderCtx<'a> {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The metrics recorder scene rendering should report through.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// The selected synthesis path.
@@ -162,7 +146,6 @@ impl<'a> RenderCtx<'a> {
                 vec![0.0; window.len()],
             ],
             mode: SynthMode::Fast,
-            recorder: Recorder::global(),
         }
     }
 

@@ -91,10 +91,6 @@ impl Scene {
     /// receiver noise). Rendering changes nothing in the scene, so equal
     /// windows and contexts render equal samples.
     pub fn render(&self, window: &CaptureWindow, ctx: &RenderCtx<'_>) -> Vec<Complex64> {
-        let _synth = fase_obs::span!(ctx.recorder(), "synth");
-        ctx.recorder().count("emsim.renders", 1);
-        ctx.recorder()
-            .count_usize("emsim.samples_rendered", window.len());
         let mut iq = vec![Complex64::ZERO; window.len()];
         for source in &self.sources {
             source.render(window, ctx, &mut iq);

@@ -5,8 +5,8 @@
 //!
 //! - **spans** — hierarchical RAII timers ([`span!`]) whose
 //!   slash-separated paths mirror call nesting per thread;
-//! - **counters / gauges** — monotone event counts (`dsp.fft`,
-//!   `specan.capture_retries`) and last-written finite values;
+//! - **counters** — monotone event counts (`dsp.fft`,
+//!   `specan.capture_retries`);
 //! - **histograms** — power-of-two latency buckets for durations.
 //!
 //! A [`Recorder`] is a cheap cloneable handle to a shared sink. The
@@ -179,14 +179,6 @@ impl Recorder {
         }
     }
 
-    /// Set the gauge `name` to `value`. Non-finite values are dropped
-    /// (and counted under `warn.obs.nonfinite_gauge_dropped`).
-    pub fn gauge(&self, name: &str, value: f64) {
-        if let Some(sink) = self.active_sink() {
-            sink.set_gauge(name, value);
-        }
-    }
-
     /// Record one duration observation into the histogram `name`.
     pub fn observe_ns(&self, name: &str, ns: u64) {
         if let Some(sink) = self.active_sink() {
@@ -199,15 +191,6 @@ impl Recorder {
     /// paths (`campaign/capture/synth`).
     pub fn span(&self, name: &'static str) -> SpanGuard {
         SpanGuard::enter(self.sink.as_ref(), name)
-    }
-
-    /// Record a span field as the occurrence counter
-    /// `span.<span>.<key>.<value>`. The value is only formatted when the
-    /// recorder is active. Used by the [`span!`] macro.
-    pub fn label(&self, span: &str, key: &str, value: &dyn std::fmt::Display) {
-        if let Some(sink) = self.active_sink() {
-            sink.add_count(&format!("span.{span}.{key}.{value}"), 1);
-        }
     }
 
     /// Snapshot this recorder's sink (empty for [`Recorder::noop`]).
@@ -224,32 +207,18 @@ impl Recorder {
     }
 }
 
-/// Open a timing span that records on scope exit.
+/// Open a timing span on `recorder` that records on scope exit:
+/// `span!(recorder, "name")` is [`Recorder::span`] on a recorder
+/// expression or a reference to one.
 ///
-/// Two forms:
-///
-/// - `span!("name")` / `span!("name", key = value)` — records through
-///   the process-wide recorder;
-/// - `span!(recorder, "name", key = value)` — records through an
-///   explicit [`Recorder`] handle.
-///
-/// `key = value` fields become deterministic occurrence counters named
-/// `span.<name>.<key>.<value>`; values are formatted with `Display` and
-/// only when the recorder is active. Bind the result to a named guard
-/// (`let _guard = span!(...)`) so the span covers the intended scope —
-/// `let _ = span!(...)` drops it immediately.
+/// Bind the result to a named guard (`let _guard = span!(...)`) so the
+/// span covers the intended scope — `let _ = span!(...)` drops it
+/// immediately.
 #[macro_export]
 macro_rules! span {
-    ($name:literal $(, $key:ident = $value:expr)* $(,)?) => {{
-        let __fase_obs = $crate::Recorder::global();
-        $( __fase_obs.label($name, stringify!($key), &$value); )*
-        __fase_obs.span($name)
-    }};
-    ($recorder:expr, $name:literal $(, $key:ident = $value:expr)* $(,)?) => {{
-        let __fase_obs: &$crate::Recorder = &$recorder;
-        $( __fase_obs.label($name, stringify!($key), &$value); )*
-        __fase_obs.span($name)
-    }};
+    ($recorder:expr, $name:literal $(,)?) => {
+        $crate::Recorder::span(&$recorder, $name)
+    };
 }
 
 #[cfg(test)]
@@ -261,33 +230,23 @@ mod tests {
         let rec = Recorder::noop();
         assert!(!rec.is_active());
         rec.count("x", 1);
-        rec.gauge("g", 1.0);
         rec.observe_ns("h", 5);
         drop(rec.span("s"));
         assert_eq!(rec.snapshot(), Snapshot::default());
     }
 
     #[test]
-    fn counters_gauges_histograms_aggregate() {
+    fn counters_and_histograms_aggregate() {
         let rec = Recorder::detached();
         rec.count("a.events", 2);
         rec.count("a.events", 3);
         rec.count_usize("b.items", 7);
-        rec.gauge("speed", 2.5);
-        rec.gauge("speed", 3.5);
-        rec.gauge("bad", f64::NAN);
         rec.observe_ns("lat", 0);
         rec.observe_ns("lat", 1);
         rec.observe_ns("lat", 1000);
         let snap = rec.snapshot();
         assert_eq!(snap.counters.get("a.events"), Some(&5));
         assert_eq!(snap.counters.get("b.items"), Some(&7));
-        assert_eq!(snap.gauges.get("speed"), Some(&3.5));
-        assert!(!snap.gauges.contains_key("bad"));
-        assert_eq!(
-            snap.counters.get("warn.obs.nonfinite_gauge_dropped"),
-            Some(&1)
-        );
         let lat = snap.histograms.get("lat").expect("histogram exists");
         assert_eq!(lat.count, 3);
         assert_eq!(lat.sum_ns, 1001);
@@ -346,18 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn span_macro_records_fields_as_counters() {
-        let rec = Recorder::detached();
-        {
-            let _g = span!(rec, "capture", f_alt = 20_000, attempt = 1);
-        }
-        let snap = rec.snapshot();
-        assert_eq!(snap.spans.get("capture").map(|s| s.count), Some(1));
-        assert_eq!(snap.counters.get("span.capture.f_alt.20000"), Some(&1));
-        assert_eq!(snap.counters.get("span.capture.attempt.1"), Some(&1));
-    }
-
-    #[test]
     fn default_recorder_is_the_disabled_global() {
         // The global sink defaults to disabled, so a default handle is
         // inert (other tests that enable the global run in their own
@@ -371,9 +318,8 @@ mod tests {
         let rec = Recorder::detached();
         {
             let _campaign = span!(rec, "campaign");
-            let _capture = span!(rec, "capture", f_alt = 500);
+            let _capture = span!(rec, "capture");
             rec.count("dsp.fft", 42);
-            rec.gauge("core.score_peak", 12.25);
             rec.observe_ns("specan.capture_ns", 1234);
             rec.warn("core.heuristic.search_window_clamped");
         }
@@ -387,8 +333,7 @@ mod tests {
             .unwrap_or_else(|errors| panic!("export violates schema:\n{}", errors.join("\n")));
         // Stable shape: alphabetical top-level keys.
         let idx = |needle: &str| json.find(needle).expect(needle);
-        assert!(idx("\"counters\"") < idx("\"gauges\""));
-        assert!(idx("\"gauges\"") < idx("\"histograms\""));
+        assert!(idx("\"counters\"") < idx("\"histograms\""));
         assert!(idx("\"histograms\"") < idx("\"schema\""));
         assert!(idx("\"schema\"") < idx("\"spans\""));
     }

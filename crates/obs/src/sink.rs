@@ -1,7 +1,7 @@
 //! Aggregation state shared by every handle to one recorder.
 //!
-//! A [`Sink`] owns the sorted maps behind counters, gauges, histograms
-//! and span statistics. All mutation goes through a single mutex; the
+//! A [`Sink`] owns the sorted maps behind counters, histograms and span
+//! statistics. All mutation goes through a single mutex; the
 //! hot "is anything listening?" check is a lone relaxed atomic load so
 //! a disabled recorder costs next to nothing on instrumented paths.
 
@@ -16,7 +16,6 @@ const BUCKETS: usize = 64;
 #[derive(Debug, Default)]
 struct State {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
     spans: BTreeMap<String, SpanAgg>,
 }
@@ -105,16 +104,6 @@ impl Sink {
         *slot = slot.saturating_add(by);
     }
 
-    /// Non-finite values are dropped at the door so exported JSON can
-    /// guarantee it never contains NaN or infinity.
-    pub(crate) fn set_gauge(&self, name: &str, value: f64) {
-        if !value.is_finite() {
-            self.add_count("warn.obs.nonfinite_gauge_dropped", 1);
-            return;
-        }
-        self.lock().gauges.insert(name.to_owned(), value);
-    }
-
     pub(crate) fn observe_ns(&self, name: &str, ns: u64) {
         self.lock()
             .histograms
@@ -153,7 +142,6 @@ impl Sink {
         let state = self.lock();
         Snapshot {
             counters: state.counters.clone(),
-            gauges: state.gauges.clone(),
             histograms: state
                 .histograms
                 .iter()

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Version stamped into the `schema` object of every exported document.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Immutable copy of a recorder's aggregated metrics.
 ///
@@ -17,11 +17,8 @@ pub const SCHEMA_VERSION: u32 = 1;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Monotone event counts keyed by dotted name (`dsp.fft`). Names
-    /// under `warn.` are surfaced as warnings in the human report, and
-    /// `span.<name>.<key>.<value>` entries are span field occurrences.
+    /// under `warn.` are surfaced as warnings in the human report.
     pub counters: BTreeMap<String, u64>,
-    /// Last-written instantaneous values; always finite.
-    pub gauges: BTreeMap<String, f64>,
     /// Power-of-two latency histograms keyed by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Aggregated timing spans keyed by slash-separated path
@@ -57,8 +54,8 @@ pub struct SpanStat {
 impl Snapshot {
     /// Render the snapshot as deterministic JSON.
     ///
-    /// Top-level keys are `counters`, `gauges`, `histograms`, `schema`,
-    /// `spans` — alphabetical, like every nested object. Two runs of the
+    /// Top-level keys are `counters`, `histograms`, `schema`, `spans` —
+    /// alphabetical, like every nested object. Two runs of the
     /// same campaign produce the same key set in the same order; only the
     /// measured `*_ns` duration values differ.
     #[must_use]
@@ -66,9 +63,6 @@ impl Snapshot {
         let mut out = String::from("{\n");
         push_key(&mut out, 1, "counters");
         push_u64_map(&mut out, 1, &self.counters);
-        out.push_str(",\n");
-        push_key(&mut out, 1, "gauges");
-        push_f64_map(&mut out, 1, &self.gauges);
         out.push_str(",\n");
         push_key(&mut out, 1, "histograms");
         if self.histograms.is_empty() {
@@ -199,22 +193,6 @@ fn push_u64_map(out: &mut String, level: usize, map: &BTreeMap<String, u64>) {
     out.push_str("{\n");
     for (i, (key, value)) in map.iter().enumerate() {
         push_key(out, level + 1, key);
-        let _ = write!(out, "{value}");
-        out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
-    }
-    push_indent(out, level);
-    out.push('}');
-}
-
-fn push_f64_map(out: &mut String, level: usize, map: &BTreeMap<String, f64>) {
-    if map.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push_str("{\n");
-    for (i, (key, value)) in map.iter().enumerate() {
-        push_key(out, level + 1, key);
-        // Finite f64 Display output is always a valid JSON number.
         let _ = write!(out, "{value}");
         out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
     }

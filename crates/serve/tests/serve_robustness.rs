@@ -94,6 +94,11 @@ fn four_tenant_faulty_load_is_answered_within_deadlines() {
             "{metrics}"
         );
     }
+    // The captures that filled the cold cache recorded their render and
+    // transform stages on the server's own recorder.
+    for stage in ["capture/synth", "capture/transform"] {
+        assert!(metrics.contains(&format!("{stage}\":")), "{metrics}");
+    }
     server.join();
     let _ = std::fs::remove_dir_all(&cache);
 }

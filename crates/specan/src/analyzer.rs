@@ -76,7 +76,6 @@ impl SpectrumAnalyzer {
         iq: &[Complex64],
     ) -> Result<Spectrum, SpectrumError> {
         assert_eq!(iq.len(), window.len(), "capture length must match window");
-        let _transform = fase_obs::span!("transform");
         let n = iq.len();
         // Window tables (coefficients + coherent gain) come from the
         // process-wide cache, the window multiply is fused into the copy into

@@ -197,8 +197,9 @@ fn execute_capture(
         return Err(FaseError::worker("injected task failure"));
     }
     let system = &prepared.system;
-    // Set-up stages are child spans of the pool's `capture` span, beside
-    // the `synth` and `transform` spans opened further down.
+    // Every stage is a child span of the pool's `capture` span on the
+    // capture's recorder: the set-up stages here, `synth` and `transform`
+    // further down. The scene and the analyzer record nothing themselves.
     let mut machine = {
         let _setup = span!(recorder, "setup");
         system.machine.clone()
@@ -218,14 +219,22 @@ fn execute_capture(
     };
     let ctx = {
         let _render_ctx = span!(recorder, "render_ctx");
-        RenderCtx::new(&trace, &refreshes, &window).with_recorder(recorder.clone())
+        RenderCtx::new(&trace, &refreshes, &window)
     };
-    let mut iq = system.scene.render(&window, &ctx);
+    let mut iq = {
+        let _synth = span!(recorder, "synth");
+        system.scene.render(&window, &ctx)
+    };
+    recorder.count("emsim.renders", 1);
+    recorder.count_usize("emsim.samples_rendered", window.len());
     if let Some(kind) = fault {
         let mut fault_rng = SmallRng::seed_from_u64(mix_seed(stream, 0xFAB1_7FAB));
         kind.apply(&mut iq, &mut fault_rng);
     }
-    let spectrum = SpectrumAnalyzer::default().spectrum(&window, &iq)?;
+    let spectrum = {
+        let _transform = span!(recorder, "transform");
+        SpectrumAnalyzer::default().spectrum(&window, &iq)?
+    };
     Ok(CaptureOut {
         spectrum,
         pairs,
@@ -1023,7 +1032,13 @@ mod tests {
         assert_eq!(snap.counters.get("specan.captures"), Some(&15));
         // Workers run on their own threads, so captures aggregate as root
         // spans next to the reducing main thread's campaign span.
-        for path in ["campaign", "campaign/reduce", "capture", "capture/synth"] {
+        for path in [
+            "campaign",
+            "campaign/reduce",
+            "capture",
+            "capture/synth",
+            "capture/transform",
+        ] {
             assert!(snap.spans.contains_key(path), "missing span {path}");
         }
         assert_eq!(snap.spans.get("capture").unwrap().count, 15);

@@ -236,35 +236,32 @@ echo "sweep: cold ${cold_ns} ns, warm ${warm_ns} ns"
 
 echo "==> detection-quality benchmark (fused vs single-channel ROC)"
 # The labeled scenario population through 3-channel fusion, three times:
-# cold cache, warm cache, and single-threaded against a fresh cache. The
-# bench binary itself asserts fused AUC >= single-channel AUC and >= 0.9;
-# here we additionally pin that the JSON (which carries no wall times) is
+# cold cache, warm cache, and single-threaded against a fresh cache.
+# `--min-auc 0.9` fails the run when fused AUC drops below 0.9; here we
+# additionally pin that the JSON (which carries no wall times) is
 # byte-identical across cache temperature and thread count — the fusion
 # analogue of the sweep scheduler's bit-identity promise. The cold run
 # must also reproduce the checked-in BENCH_detection.json byte for byte;
 # CI never writes that file.
-# Absolute paths: cargo runs the bench binary with the package dir
-# (crates/bench) as its working directory, so relative env paths would
-# land there instead of the workspace target/.
+detect_bench() {
+  cargo run -q -p fase-cli --offline --release -- detect-bench --channels 3 \
+    --min-auc 0.9 --cache-dir target/detect-cache --out "$1" >> target/detect-bench.log
+}
 rm -rf target/detect-cache
-FASE_DETECT_OUT="$PWD/target/BENCH_detection.cold.json" FASE_DETECT_CACHE="$PWD/target/detect-cache" \
-  cargo bench --offline -p fase-bench --bench detection > target/detect-bench.log
-FASE_DETECT_OUT="$PWD/target/BENCH_detection.warm.json" FASE_DETECT_CACHE="$PWD/target/detect-cache" \
-  cargo bench --offline -p fase-bench --bench detection >> target/detect-bench.log
+: > target/detect-bench.log
+detect_bench target/BENCH_detection.cold.json
+detect_bench target/BENCH_detection.warm.json
 cmp -s target/BENCH_detection.cold.json BENCH_detection.json \
   || { echo "detection JSON differs from the checked-in BENCH_detection.json"; exit 1; }
 cmp -s target/BENCH_detection.cold.json target/BENCH_detection.warm.json \
   || { echo "detection JSON differs between cold and warm cache runs"; exit 1; }
 rm -rf target/detect-cache
-FASE_THREADS=1 FASE_DETECT_OUT="$PWD/target/BENCH_detection.t1.json" \
-  FASE_DETECT_CACHE="$PWD/target/detect-cache" \
-  cargo bench --offline -p fase-bench --bench detection >> target/detect-bench.log
+FASE_THREADS=1 detect_bench target/BENCH_detection.t1.json
 cmp -s target/BENCH_detection.cold.json target/BENCH_detection.t1.json \
   || { echo "detection JSON differs between thread counts"; exit 1; }
 rm -rf target/detect-cache
-# Belt and braces on top of the binary's own assertion: the fused
-# detector must dominate the single-channel baseline in the artifact CI
-# uploads.
+# The fused detector must dominate the single-channel baseline in the
+# artifact CI uploads.
 fused_auc=$(sed -n 's/.*"fused_auc": \([0-9.]*\).*/\1/p' target/BENCH_detection.cold.json)
 single_auc=$(sed -n 's/.*"single_auc": \([0-9.]*\).*/\1/p' target/BENCH_detection.cold.json)
 [[ -n "$fused_auc" && -n "$single_auc" ]] \

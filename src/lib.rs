@@ -26,7 +26,7 @@
 //!   campaign orchestration, carrier detection/grouping/classification.
 //! * [`baseline`] — the naive detectors the paper argues against.
 //! * [`obs`] — the observability layer: hierarchical timing spans,
-//!   counters/gauges/histograms, deterministic JSON metrics export.
+//!   counters and histograms, deterministic JSON metrics export.
 //!
 //! ## Quickstart
 //!
