@@ -2,7 +2,8 @@
 
 use crate::detector::{detect_in_trace, merge_detections, Detection, DetectorConfig};
 use crate::error::FaseError;
-use crate::heuristic::{all_harmonic_scores, par_map, search_window, HeuristicConfig};
+use crate::heuristic::{all_harmonic_scores, search_window, HeuristicConfig};
+use crate::par::par_map;
 use crate::report::FaseReport;
 use crate::spectra::CampaignSpectra;
 use fase_obs::{span, Recorder};
@@ -101,9 +102,9 @@ impl Fase {
 
     /// Runs the full FASE pipeline: score every harmonic, pick peaks,
     /// merge evidence into carriers, group harmonic sets. Scoring and
-    /// per-trace peak picking run on the worker pool; detections are
-    /// concatenated in trace order, so the report is the same for any
-    /// thread count.
+    /// per-trace peak picking share the capture pool's thread budget
+    /// ([`crate::par::par_map`]); detections are concatenated in trace
+    /// order, so the report is the same for any thread count.
     ///
     /// # Errors
     ///

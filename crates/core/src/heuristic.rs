@@ -19,6 +19,7 @@
 //! (§2.3).
 
 use crate::config::CampaignConfig;
+use crate::par::par_map;
 use crate::spectra::CampaignSpectra;
 use fase_dsp::units::bin_round;
 use fase_dsp::{Hertz, Spectrum};
@@ -294,9 +295,9 @@ pub fn harmonic_scores(spectra: &CampaignSpectra, h: i32, config: &HeuristicConf
 /// Computes score traces for every harmonic `±1..=±max_harmonic`.
 ///
 /// The harmonic-independent precompute is built once and shared; the
-/// per-harmonic evaluations then run on scoped worker threads (count from
-/// `FASE_THREADS` or the machine's parallelism). Each trace depends only
-/// on its harmonic, so the result is identical to the sequential sweep.
+/// per-harmonic evaluations then run through [`par_map`], inline when the
+/// caller leads a capture pool. Each trace depends only on its harmonic,
+/// so the result is identical to the sequential sweep.
 pub fn all_harmonic_scores(
     spectra: &CampaignSpectra,
     max_harmonic: u32,
@@ -305,67 +306,6 @@ pub fn all_harmonic_scores(
     let ctx = ScoreContext::new(spectra, config);
     let harmonics: Vec<i32> = (1..=max_harmonic as i32).flat_map(|k| [k, -k]).collect();
     par_map(&harmonics, |&h| ctx.harmonic(h))
-}
-
-/// Maps `f` over `items` on [`worker_threads`]`(None)` scoped threads and
-/// returns the results in item order. Workers claim the next index from
-/// an atomic cursor; each result depends only on its item, so the output
-/// is the sequential map's for any thread count.
-pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let threads = worker_threads(None).min(items.len()).max(1);
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<std::sync::Mutex<Option<R>>> =
-        items.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = f(item);
-                *results[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-            });
-        }
-    });
-    // The scope join guarantees every slot was written exactly once; if a
-    // slot were ever empty, recomputing it inline reproduces the worker's
-    // deterministic output instead of panicking mid-stage.
-    results
-        .into_iter()
-        .zip(items)
-        .map(|(slot, item)| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|| f(item))
-        })
-        .collect()
-}
-
-/// Resolves a worker count: `requested` if given, else `FASE_THREADS` if
-/// set to a number, else the machine's available parallelism; never 0.
-/// Every parallel stage in the workspace (the harmonic sweep and
-/// per-trace detection through `par_map`, the campaign capture pool)
-/// sizes itself here, and none of them computes different bits for a
-/// different count.
-pub fn worker_threads(requested: Option<usize>) -> usize {
-    if let Some(n) = requested {
-        return n.max(1);
-    }
-    // fase-lint: allow(D-env) -- FASE_THREADS selects the worker count only; harmonic sweeps and campaigns are bit-identical for any value (parallel-vs-sequential property tests, figure worker-count identity)
-    if let Some(n) = std::env::var("FASE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    // fase-lint: allow(D-thread) -- the machine's parallelism affects scheduling, not results; per-harmonic scores and capture-task outputs reduce in a fixed order
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Sliding maximum with half-width `w` via a monotonically decreasing

@@ -46,6 +46,7 @@ pub mod heuristic;
 pub mod leakage;
 pub mod merge;
 pub mod mitigation;
+pub mod par;
 pub mod report;
 pub mod sideband;
 pub mod spectra;
@@ -61,7 +62,7 @@ pub use fusion::{
 };
 pub use grouping::HarmonicSet;
 pub use health::{CampaignHealth, DroppedAlternation, FaultRecord};
-pub use heuristic::{worker_threads, HeuristicConfig, ScoreTrace};
+pub use heuristic::{HeuristicConfig, ScoreTrace};
 pub use leakage::{estimate_all, estimate_leakage, LeakageEstimate};
 pub use merge::merge_band_reports;
 pub use mitigation::{evaluate_mitigation, CarrierFate, MitigationOutcome};

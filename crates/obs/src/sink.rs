@@ -98,18 +98,24 @@ impl Sink {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    // Per increment, under the mutex: allocate a key only on first insert.
     pub(crate) fn add_count(&self, name: &str, by: u64) {
         let mut state = self.lock();
-        let slot = state.counters.entry(name.to_owned()).or_insert(0);
-        *slot = slot.saturating_add(by);
+        if let Some(slot) = state.counters.get_mut(name) {
+            *slot = slot.saturating_add(by);
+        } else {
+            state.counters.insert(name.to_owned(), by);
+        }
     }
 
     pub(crate) fn observe_ns(&self, name: &str, ns: u64) {
-        self.lock()
-            .histograms
-            .entry(name.to_owned())
-            .or_insert_with(Histogram::new)
-            .observe(ns);
+        let mut state = self.lock();
+        if !state.histograms.contains_key(name) {
+            state.histograms.insert(name.to_owned(), Histogram::new());
+        }
+        if let Some(hist) = state.histograms.get_mut(name) {
+            hist.observe(ns);
+        }
     }
 
     pub(crate) fn record_span(&self, path: String, ns: u64) {

@@ -9,8 +9,9 @@
 
 use crate::http::client_request;
 use crate::protocol::SweepRequest;
-use fase_core::FaseError;
+use fase_core::{par::map_on, FaseError};
 use fase_dsp::rng::mix_seed;
+use fase_dsp::stats::percentile;
 
 /// What load to offer.
 #[derive(Debug, Clone)]
@@ -21,7 +22,7 @@ pub struct LoadSpec {
     pub tenants: usize,
     /// Requests per tenant.
     pub requests: usize,
-    /// Concurrent client threads the requests are spread across.
+    /// Concurrent client threads, hence requests in flight at most.
     pub concurrency: usize,
     /// Master seed for the request mix.
     pub seed: u64,
@@ -158,19 +159,6 @@ impl LoadReport {
     }
 }
 
-/// Linearly-interpolated percentile, delegating to
-/// [`fase_dsp::stats::percentile`].
-///
-/// The previous nearest-rank variant rounded `p/100 · (n−1)` to the
-/// closest integer rank, which at small sample counts (n < 100) made p99
-/// degenerate to the maximum — or, one rank earlier, undershoot it — so
-/// a reported p99 jumped discontinuously with the request count.
-/// Interpolating between the two bracketing ranks is continuous in both
-/// `p` and `n`.
-fn percentile(latencies_ms: &[f64], p: f64) -> f64 {
-    fase_dsp::stats::percentile(latencies_ms, p)
-}
-
 /// Sends one request, following `Retry-After` when asked to.
 fn send_one(spec: &LoadSpec, body: &str) -> Sample {
     let started = fase_obs::monotonic_ns();
@@ -255,32 +243,10 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, FaseError> {
             jobs.push(spec.request_for(tenant, index).to_json());
         }
     }
+    // Each of `concurrency` client threads sends the next unsent request
+    // as soon as its previous one is answered.
     let started = fase_obs::monotonic_ns();
-    let mut handles = Vec::with_capacity(spec.concurrency);
-    // fase-lint: allow(C-cancel) -- bounded spawn loop, one lane per concurrency slot; lanes end with the run_ms wall-clock window
-    for lane in 0..spec.concurrency {
-        let bodies: Vec<String> = jobs
-            .iter()
-            .skip(lane)
-            .step_by(spec.concurrency)
-            .cloned()
-            .collect();
-        let lane_spec = spec.clone();
-        handles.push(std::thread::spawn(move || {
-            bodies
-                .iter()
-                .map(|body| send_one(&lane_spec, body))
-                .collect::<Vec<Sample>>()
-        }));
-    }
-    let mut samples = Vec::with_capacity(jobs.len());
-    let mut panicked_lanes = 0usize;
-    for handle in handles {
-        match handle.join() {
-            Ok(lane_samples) => samples.extend(lane_samples),
-            Err(_) => panicked_lanes += 1,
-        }
-    }
+    let samples = map_on(spec.concurrency, &jobs, |body| send_one(spec, body));
     let wall_ms = elapsed_ms(started);
 
     let mut latencies: Vec<f64> = samples
@@ -296,7 +262,7 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, FaseError> {
         ok: count(Outcome::Ok),
         degraded: count(Outcome::Degraded),
         rejected: count(Outcome::Rejected),
-        errors: count(Outcome::Error) + panicked_lanes,
+        errors: count(Outcome::Error),
         rejections_seen: samples.iter().map(|s| s.rejections_seen as usize).sum(),
         p50_ms: percentile(&latencies, 50.0),
         p99_ms: percentile(&latencies, 99.0),

@@ -46,7 +46,7 @@ use crate::protocol::{
     cancelled_body, error_body, pair_by_name, sweep_body, system_factory, SweepRequest,
 };
 use crate::queue::{DrrQueues, QueueCaps};
-use fase_core::FaseError;
+use fase_core::{par::panic_message, FaseError};
 use fase_obs::json::quote;
 use fase_obs::Recorder;
 use fase_specan::{CancelToken, FaultPlan, FaultRates, SweepOptions};
@@ -91,8 +91,10 @@ pub struct ServeConfig {
     /// Whole-sweep retry attempts after a capture/worker failure (the
     /// runner's own per-capture retries happen below this).
     pub max_retries: u32,
-    /// Threads each sweep campaign may use. Kept at 1 so the worker
-    /// pool, not the campaign, is the unit of parallelism.
+    /// Capture helpers per sweep. Kept at 1 so the worker pool, not the
+    /// campaign, is the unit of parallelism: a sweep's worker analyses
+    /// inline while it leads its capture pool (`fase_core::par`); only a
+    /// fully cached sweep's analysis takes `FASE_THREADS` threads.
     pub campaign_threads: usize,
     /// Metrics sink; defaults to a detached recorder so the server
     /// never pollutes (or races) the process-wide one.
@@ -572,17 +574,6 @@ fn execute_job(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
                 error_body("worker-panic", &format!("sweep panicked: {msg}"), None),
             )
         }
-    }
-}
-
-/// Best-effort panic payload extraction.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_owned()
     }
 }
 

@@ -114,26 +114,76 @@ fn queue_full_rejections_are_structural() {
             global: 2,
             quantum: 2,
         },
+        drain_deadline_ms: 200,
         ..ServeConfig::default()
     })
     .unwrap();
     let addr = server.addr().to_string();
+
+    // Another tenant's sweep, far longer than the burst takes to send,
+    // holds the single worker until the drain below cancels it. While it
+    // runs, at most one burst request can be queued.
+    let holder = {
+        let mut request = LoadSpec::default().request_for(1, 0);
+        request.tenant = "holder".to_owned();
+        request.lo = 100_000.0;
+        request.hi = 4_000_000.0;
+        request.resolution = 50.0;
+        request.bands = 16;
+        request.averages = 64;
+        request.deadline_ms = Some(60_000);
+        let body = request.to_json();
+        let addr = addr.clone();
+        std::thread::spawn(move || client_request(&addr, "POST", "/v1/sweep", &body).unwrap())
+    };
+    let started = std::time::Instant::now();
+    loop {
+        let health = client_request(&addr, "GET", "/v1/health", "").unwrap().body;
+        if health.contains("\"queued\":0,\"active\":1") {
+            break;
+        }
+        assert!(
+            started.elapsed().as_secs() < 30,
+            "holder never ran: {health}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
     let body = LoadSpec {
         deadline_ms: Some(30_000),
         ..LoadSpec::default()
     }
     .request_for(0, 0)
     .to_json();
-
-    let mut handles = Vec::new();
+    let (tx, rx) = std::sync::mpsc::channel();
     for _ in 0..6 {
         let addr = addr.clone();
         let body = body.clone();
-        handles.push(std::thread::spawn(move || {
-            client_request(&addr, "POST", "/v1/sweep", &body).unwrap()
-        }));
+        let tx = tx.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(client_request(&addr, "POST", "/v1/sweep", &body).unwrap());
+        });
     }
-    let replies: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    drop(tx);
+    // The rejections come back while the holder runs; the drain then
+    // cancels it and answers the queued request degraded.
+    let mut replies = Vec::new();
+    while replies.len() < 5 {
+        match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(reply) => replies.push(reply),
+            Err(_) => break,
+        }
+    }
+    server.drain();
+    replies.extend(rx.iter());
+    assert_eq!(replies.len(), 6);
+    // The drain, not the holder's own end, released the worker.
+    let held = holder.join().unwrap();
+    assert!(
+        held.status == 200 && held.body.contains("\"degraded\":true"),
+        "holder finished before the burst was answered: {}",
+        held.body
+    );
     let rejected: Vec<_> = replies.iter().filter(|r| r.status == 429).collect();
     let answered = replies.iter().filter(|r| r.status == 200).count();
     // At most 1 running + 1 queued can be in flight; with six

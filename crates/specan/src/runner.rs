@@ -6,9 +6,10 @@ use crate::analyzer::SpectrumAnalyzer;
 use crate::cancel::CancelToken;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::sweep::{SegmentSpec, SweepPlan};
+use fase_core::par::{panic_message, scoped, worker_threads};
 use fase_core::{
-    worker_threads, CampaignConfig, CampaignHealth, CampaignSpectra, DroppedAlternation, FaseError,
-    FaultRecord, LabeledSpectrum,
+    CampaignConfig, CampaignHealth, CampaignSpectra, DroppedAlternation, FaseError, FaultRecord,
+    LabeledSpectrum,
 };
 use fase_dsp::rng::{mix_seed, SmallRng};
 use fase_dsp::{Hertz, Spectrum};
@@ -16,6 +17,7 @@ use fase_emsim::{RenderCtx, SimulatedSystem};
 use fase_obs::{span, Recorder};
 use fase_sysmodel::{ActivityPair, Alternation};
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -146,17 +148,6 @@ struct TaskResult {
     faults: Vec<FaultRecord>,
 }
 
-/// Extracts a printable message from a worker panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker thread panicked".to_owned()
-    }
-}
-
 /// Per-alternation-frequency setup shared by that frequency's capture
 /// tasks in every band of a pool run: the system the factory built for
 /// it, whose machine the calibration warmed, and the calibrated
@@ -284,14 +275,15 @@ impl Reduced {
     }
 }
 
-/// What the pool's workers hand the caller: the landed results by task,
-/// each band's count of captures still out, and the workers still
-/// running.
+/// What the pool's helpers hand the caller: the landed results by task,
+/// each band's count of captures still out, the helpers still running,
+/// and the message of the first task that panicked.
 #[derive(Debug)]
 struct Landing {
     results: Vec<Option<TaskResult>>,
     pending: Vec<usize>,
     live: usize,
+    panic: Option<String>,
 }
 
 fn lock(landing: &Mutex<Landing>) -> MutexGuard<'_, Landing> {
@@ -303,13 +295,13 @@ fn lock(landing: &Mutex<Landing>) -> MutexGuard<'_, Landing> {
 /// A work-stealing pool of capture tasks over one or more bands.
 ///
 /// Tasks go into one queue in band-major order (then alternation,
-/// segment, average); workers pull them from a shared atomic cursor, so a
+/// segment, average); helpers pull them from a shared atomic cursor, so a
 /// slow capture never idles the rest of the pool and a band's captures
 /// all start before the next band's. Task indices are those of each
 /// band's whole campaign, so running a subset of the alternations
 /// measures exactly what the full campaign measures for them. The caller
 /// reduces the bands in order with [`CapturePool::reduce`], each as soon
-/// as its last capture lands, while the workers capture later bands.
+/// as its last capture lands, while the helpers capture later bands.
 #[derive(Debug)]
 pub(crate) struct CapturePool<'a> {
     bands: &'a [PoolBand<'a>],
@@ -322,26 +314,12 @@ pub(crate) struct CapturePool<'a> {
     options: &'a CampaignOptions,
     threads: usize,
     next: AtomicUsize,
-    /// Set when the caller has what it needs or a worker panicked:
-    /// workers claim no further task.
+    /// Set when the caller has what it needs or a task panicked:
+    /// helpers claim no further task.
     stop: AtomicBool,
     landing: Mutex<Landing>,
-    /// Signalled when a band's last capture lands or a worker exits.
+    /// Signalled when a band's last capture lands or a helper exits.
     landed: Condvar,
-}
-
-/// Marks a worker's exit, panicking or not: the caller stops waiting for
-/// captures no worker is left to run, and a panic stops the pool.
-struct WorkerExit<'p, 'a>(&'p CapturePool<'a>);
-
-impl Drop for WorkerExit<'_, '_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.stop.store(true, Ordering::Relaxed);
-        }
-        lock(&self.0.landing).live -= 1;
-        self.0.landed.notify_all();
-    }
 }
 
 impl<'a> CapturePool<'a> {
@@ -386,6 +364,7 @@ impl<'a> CapturePool<'a> {
             results: tasks.iter().map(|_| None).collect(),
             pending: ranges.iter().map(Range::len).collect(),
             live: threads,
+            panic: None,
         };
         CapturePool {
             bands,
@@ -403,13 +382,13 @@ impl<'a> CapturePool<'a> {
         }
     }
 
-    /// A worker: claims tasks in queue order until the queue is empty,
-    /// the token fires or the pool stops.
+    /// A helper: claims tasks in queue order until the queue is empty,
+    /// the token fires or the pool stops. Each task runs under
+    /// `catch_unwind`: a panic lands its message and stops the pool.
     fn work<F>(&self, pair: ActivityPair, factory: &F)
     where
         F: Fn(usize) -> SimulatedSystem + Sync,
     {
-        let _exit = WorkerExit(self);
         loop {
             // Cooperative cancellation: stop before claiming the next
             // task, so latency is bounded by one capture.
@@ -420,21 +399,35 @@ impl<'a> CapturePool<'a> {
             let Some(&task) = self.tasks.get(i) else {
                 break;
             };
-            // Later tasks of the same frequency, in any band, wait for the
-            // first one's build rather than duplicate the calibration.
-            let prep = self.prepared[task.i_alt].get_or_init(|| {
-                let mut system = factory(task.i_alt);
-                let bench = pair.calibrated(&mut system.machine, self.f_alts[task.i_alt].hz());
-                Prepared { system, bench }
-            });
-            let result = self.capture(task, prep);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                // Later tasks of the same frequency, in any band, wait for
+                // the first one's build rather than duplicate the
+                // calibration.
+                let prep = self.prepared[task.i_alt].get_or_init(|| {
+                    let mut system = factory(task.i_alt);
+                    let bench = pair.calibrated(&mut system.machine, self.f_alts[task.i_alt].hz());
+                    Prepared { system, bench }
+                });
+                self.capture(task, prep)
+            }));
             let mut landing = lock(&self.landing);
+            let result = match result {
+                Ok(result) => result,
+                Err(payload) => {
+                    landing.panic.get_or_insert(panic_message(payload.as_ref()));
+                    self.stop.store(true, Ordering::Relaxed);
+                    break;
+                }
+            };
             landing.results[i] = Some(result);
             landing.pending[task.band] -= 1;
             if landing.pending[task.band] == 0 {
                 self.landed.notify_all();
             }
         }
+        // The caller stops waiting for captures no helper is left to run.
+        lock(&self.landing).live -= 1;
+        self.landed.notify_all();
     }
 
     /// Runs one capture task with its bounded retries.
@@ -443,13 +436,13 @@ impl<'a> CapturePool<'a> {
         let cancel = &self.options.cancel;
         let max_attempts = self.options.max_attempts.max(1);
         let f_alt = self.f_alts[task.i_alt];
-        // Worker threads have their own span stack, so this aggregates as
+        // Helper threads have their own span stack, so this aggregates as
         // a root "capture" span (one entry per task, retries included).
         let _capture = span!(recorder, "capture");
         let t0 = recorder.is_active().then(fase_obs::monotonic_ns);
         // Bounded retry: each attempt draws its own fault and RNG stream
         // from the task coordinates, so the retry history is identical for
-        // any worker count.
+        // any helper count.
         let mut faults = Vec::new();
         let mut attempt = 0u32;
         let result = loop {
@@ -516,7 +509,7 @@ impl<'a> CapturePool<'a> {
     }
 
     /// Waits for every capture of band `j` to land, then reduces them in
-    /// task order (worker scheduling cannot reorder this): average each
+    /// task order (helper scheduling cannot reorder this): average each
     /// segment's captures, stitch segments, trim to band, and label each
     /// spectrum with the achieved alternation frequency. An alternation
     /// frequency with an exhausted capture is dropped and recorded in the
@@ -525,7 +518,7 @@ impl<'a> CapturePool<'a> {
     /// # Errors
     ///
     /// [`FaseError::Cancelled`] when the token fired before every capture
-    /// of the band ran, [`FaseError::Worker`] when a panicked worker left
+    /// of the band ran, [`FaseError::Worker`] when a panicked task left
     /// some unrun, and any averaging or stitching error.
     pub(crate) fn reduce(&self, j: usize) -> Result<Reduced, FaseError> {
         let results = {
@@ -621,14 +614,16 @@ impl<'a> CapturePool<'a> {
 
 /// Runs the capture tasks of `bands` on one work-stealing pool while
 /// `consume` reduces them on the calling thread, and returns what
-/// `consume` returns. The factory runs once per alternation frequency per
-/// call, however many bands share it. Once `consume` returns, workers
-/// claim no further task.
+/// `consume` returns. Its `worker_threads(options.threads)` helpers
+/// capture; the calling thread never does, and runs `consume`'s analysis
+/// inline ([`fase_core::par`]). The factory runs once per alternation
+/// frequency per call, however many bands share it. Once `consume`
+/// returns, helpers claim no further task.
 ///
 /// # Errors
 ///
-/// A panicking worker surfaces as [`FaseError::Worker`], whatever
-/// `consume` returned.
+/// A panicking task surfaces as [`FaseError::Worker`] with its message,
+/// whatever `consume` returned.
 pub(crate) fn run_pool<F, T>(
     bands: &[PoolBand<'_>],
     pair: ActivityPair,
@@ -640,24 +635,18 @@ where
     F: Fn(usize) -> SimulatedSystem + Sync,
 {
     let pool = CapturePool::new(bands, options);
-    let mut worker_panic: Option<String> = None;
-    let out = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..pool.threads)
-            .map(|_| scope.spawn(|| pool.work(pair, factory)))
-            .collect();
-        let out = consume(&pool);
-        pool.stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            if let Err(payload) = h.join() {
-                worker_panic.get_or_insert(panic_message(payload));
-            }
-        }
-        out
-    });
-    match worker_panic {
-        Some(msg) => Err(FaseError::worker(msg)),
-        None => Ok(out),
-    }
+    let out = scoped(
+        pool.threads,
+        || pool.work(pair, factory),
+        || {
+            // Panicking or not, once `consume` is done no capture is.
+            let out = catch_unwind(AssertUnwindSafe(|| consume(&pool)));
+            pool.stop.store(true, Ordering::Relaxed);
+            out.unwrap_or_else(|payload| resume_unwind(payload))
+        },
+    );
+    let panic = lock(&pool.landing).panic.take();
+    panic.map_or(Ok(out), |msg| Err(FaseError::worker(msg)))
 }
 
 /// Measures the alternation frequencies in `alts` of one campaign: a
@@ -1043,6 +1032,46 @@ mod tests {
         }
         assert_eq!(snap.spans.get("capture").unwrap().count, 15);
         assert_eq!(snap.histograms.get("specan.capture_ns").unwrap().count, 15);
+    }
+
+    #[test]
+    fn a_panicking_consumer_stops_the_pool() {
+        // One helper, five alternation frequencies. The first build waits
+        // until the caller's panic drops `release`, so the helper is still
+        // on its first task when the pool must stop.
+        let config = small_config();
+        let calls = AtomicUsize::new(0);
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let band = PoolBand {
+            config: &config,
+            alts: 0..config.alternation_count(),
+            seed: 77,
+        };
+        let options = CampaignOptions {
+            threads: Some(1),
+            ..small_fft()
+        };
+        let factory = |_| {
+            if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                let _ = gate.lock().unwrap().recv();
+            }
+            demo_system(6)
+        };
+        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_pool(
+                std::slice::from_ref(&band),
+                ActivityPair::LdmLdl1,
+                &factory,
+                &options,
+                move |_| {
+                    let _release = release;
+                    panic!("consumer failed")
+                },
+            )
+        }));
+        assert!(panicked.is_err());
+        assert!(calls.into_inner() < config.alternation_count());
     }
 
     #[test]

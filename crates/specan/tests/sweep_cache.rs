@@ -1,11 +1,13 @@
 //! End-to-end sweep/cache correctness: cold, warm, kill-and-rerun and
 //! corrupted-entry runs must all produce byte-identical reports.
 
+use fase_core::FaseError;
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
 use fase_specan::{run_sweep, Shard, SweepConfig, SweepOptions};
 use fase_sysmodel::{ActivityPair, Machine};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn factory(i_alt: usize) -> SimulatedSystem {
     let mut system = SimulatedSystem::intel_i7_desktop(0xFA5E + i_alt as u64);
@@ -153,4 +155,43 @@ fn corrupt_cache_entry_is_detected_and_recomputed() {
     .unwrap();
     assert_eq!(healed.cache_hits, 2);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn panicking_factory_fails_the_sweep_and_stores_nothing() {
+    for threads in [1, 2] {
+        let dir = temp_dir(&format!("panic-t{threads}"));
+        let mut opts = options(Some(&dir));
+        opts.campaign.threads = Some(threads);
+        // The sweep runs on its own thread so a hang fails the test
+        // instead of stalling the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = run_sweep(
+                &sweep_config(),
+                "it-demo",
+                ActivityPair::LdmLdl1,
+                |i| {
+                    assert!(i < 2, "synthetic sweep panic");
+                    factory(i)
+                },
+                SEED,
+                &opts,
+            );
+            let _ = tx.send(result.map(|outcome| outcome.report.to_json()));
+        });
+        let err = rx
+            .recv_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|_| panic!("threads={threads}: sweep did not return"))
+            .unwrap_err();
+        assert!(
+            matches!(&err, FaseError::Worker(msg) if msg.contains("synthetic sweep panic")),
+            "threads={threads}: expected Worker error, got {err:?}"
+        );
+        // Every band needs the panicking alternation, so none finished
+        // and nothing was stored.
+        let stored: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(stored.is_empty(), "threads={threads}: {stored:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -235,8 +235,10 @@ warm_ns=$(span_ns target/sweep-metrics.json 'specan\.sweep')
 echo "sweep: cold ${cold_ns} ns, warm ${warm_ns} ns"
 
 echo "==> detection-quality benchmark (fused vs single-channel ROC)"
-# The labeled scenario population through 3-channel fusion, three times:
-# cold cache, warm cache, and single-threaded against a fresh cache.
+# The labeled scenario population through 3-channel fusion, four times:
+# cold cache, warm cache, and at 1 and 4 threads against a fresh cache
+# (the thread counts cover a pool leader analysing inline beside one,
+# the default and four capture helpers).
 # `--min-auc 0.9` fails the run when fused AUC drops below 0.9; here we
 # additionally pin that the JSON (which carries no wall times) is
 # byte-identical across cache temperature and thread count — the fusion
@@ -256,10 +258,12 @@ cmp -s target/BENCH_detection.cold.json BENCH_detection.json \
 cmp -s target/BENCH_detection.cold.json target/BENCH_detection.warm.json \
   || { echo "detection JSON differs between cold and warm cache runs"; exit 1; }
 rm -rf target/detect-cache
-FASE_THREADS=1 detect_bench target/BENCH_detection.t1.json
-cmp -s target/BENCH_detection.cold.json target/BENCH_detection.t1.json \
-  || { echo "detection JSON differs between thread counts"; exit 1; }
-rm -rf target/detect-cache
+for threads in 1 4; do
+  FASE_THREADS=$threads detect_bench "target/BENCH_detection.t$threads.json"
+  cmp -s target/BENCH_detection.cold.json "target/BENCH_detection.t$threads.json" \
+    || { echo "detection JSON differs at FASE_THREADS=$threads"; exit 1; }
+  rm -rf target/detect-cache
+done
 # The fused detector must dominate the single-channel baseline in the
 # artifact CI uploads.
 fused_auc=$(sed -n 's/.*"fused_auc": \([0-9.]*\).*/\1/p' target/BENCH_detection.cold.json)
