@@ -2,7 +2,8 @@
 //! reporting it "as two separate carriers at the edges of the spread out
 //! clock signal".
 
-use fase_bench::{ascii_plot, write_csv};
+use fase_bench::experiment::{near, Expect::Is, GroundTruth};
+use fase_bench::{ascii_plot, claims, write_csv};
 use fase_core::{CampaignConfig, Fase, FaseConfig};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
@@ -58,10 +59,13 @@ fn main() {
     for c in report.carriers() {
         println!("  {c}");
     }
-    let near_low_edge = report.carrier_near(Hertz(332.7e6), Hertz(150e3)).is_some();
-    let near_high_edge = report.carrier_near(Hertz(333.0e6), Hertz(150e3)).is_some();
-    println!("\n  carrier near 332.7 MHz sweep edge: {near_low_edge}");
-    println!("  carrier near 333.0 MHz sweep edge: {near_high_edge}");
+    let edges = claims![
+        "carrier near 332.7 MHz sweep edge" => near(332.7e6, 150e3), Is(true);
+        "carrier near 333.0 MHz sweep edge" => near(333.0e6, 150e3), Is(true);
+    ];
+    println!();
+    let truth = GroundTruth::default();
+    let held = edges.iter().filter(|c| c.check(&report, &truth)).count();
     println!("  (paper: the clock is reported as two carriers at the sweep edges)");
 
     let minus = report.score_trace(-1).expect("h=-1");
@@ -77,4 +81,7 @@ fn main() {
             )
         }),
     );
+    if held < edges.len() {
+        std::process::exit(1);
+    }
 }

@@ -1,18 +1,19 @@
 //! # fase-bench — the experiment harness
 //!
-//! One binary per figure of the paper's evaluation (`fig01` … `fig17`),
-//! plus binaries for the prose claims (rejection, baseline comparison,
-//! refresh-vs-load, harmonic profiles, the refresh-randomization
-//! mitigation), and the detection-quality benchmark (see [`detection`]).
-//! Timing lives in the separate `perf` package under `examples/perf`.
+//! The campaign claims of Figs. 10, 11, 13 and 17, §1/§2.3 and §4.4 are
+//! entries of one table, run by the `experiment` binary (see
+//! [`experiment`]). Every other figure and prose claim has a binary of its
+//! own; the detection-quality benchmark is [`detection`]. Timing lives in
+//! the separate `perf` package under `examples/perf`.
 //!
-//! Every binary prints the figure's series (with a terminal plot) and
-//! writes CSV data under `target/figures/`.
+//! Every binary prints its series or carrier table and writes CSV data
+//! under `target/figures/`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod detection;
+pub mod experiment;
 
 use fase_dsp::{Hertz, Spectrum};
 use std::fs;

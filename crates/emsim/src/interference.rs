@@ -306,11 +306,6 @@ impl SpurForest {
     pub fn is_empty(&self) -> bool {
         self.spurs.is_empty()
     }
-
-    /// Spur frequencies (ground truth for rejection tests).
-    pub fn frequencies(&self) -> Vec<Hertz> {
-        self.spurs.iter().map(|&(f, _, _)| f).collect()
-    }
 }
 
 impl EmSource for SpurForest {
@@ -331,6 +326,10 @@ impl EmSource for SpurForest {
         for (o, s) in out.iter_mut().zip(block.iter()) {
             *o += *s;
         }
+    }
+
+    fn spur_frequencies(&self) -> Vec<Hertz> {
+        self.spurs.iter().map(|&(f, _, _)| f).collect()
     }
 }
 

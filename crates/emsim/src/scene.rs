@@ -82,6 +82,15 @@ impl Scene {
         self.sources.iter().map(|s| s.info()).collect()
     }
 
+    /// Ground-truth frequencies of every spur of the scene's spur forests
+    /// (never consulted by FASE; rejection audits count the flagged ones).
+    pub fn spur_frequencies(&self) -> Vec<Hertz> {
+        self.sources
+            .iter()
+            .flat_map(|s| s.spur_frequencies())
+            .collect()
+    }
+
     /// Number of sources.
     pub fn source_count(&self) -> usize {
         self.sources.len()
@@ -535,6 +544,7 @@ mod tests {
         assert_eq!(count(SourceKind::Clock), 2);
         assert_eq!(count(SourceKind::AmBroadcast), 7);
         assert_eq!(count(SourceKind::Spur), 1);
+        assert_eq!(system.scene.spur_frequencies().len(), 140);
         assert_eq!(count(SourceKind::BroadbandNoise), 1);
         // The modulated sources and their domains.
         let reg = truth

@@ -72,6 +72,12 @@ pub trait EmSource: fmt::Debug + Send + Sync {
     /// Adds this source's contribution for `window` into `out`
     /// (`out.len() == window.len()`).
     fn render(&self, window: &CaptureWindow, ctx: &RenderCtx<'_>, out: &mut [Complex64]);
+
+    /// Ground-truth frequencies of the individual unmodulated spurs this
+    /// source emits; empty for every source but a spur forest.
+    fn spur_frequencies(&self) -> Vec<Hertz> {
+        Vec::new()
+    }
 }
 
 /// A slowly drifting frequency-offset process (first-order Gauss–Markov in

@@ -1,21 +1,28 @@
 #!/usr/bin/env bash
-# Regenerates every figure/table/claim artifact of the FASE reproduction.
-# CSV output lands in target/figures/.
+# Regenerates every figure/table/claim artifact of the FASE reproduction:
+# each fase-bench binary under crates/bench/src/bin, and each entry of the
+# `experiment` binary's table. CSV output lands in target/figures/.
+# Every target runs even when an earlier one fails; the names of the
+# failed ones are printed at the end, and the script then exits 1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-BINS=(
-  fig01_ideal_am fig02_program_am fig03_jittered_carrier fig04_nonideal_am
-  fig05_realistic fig06_microbenchmark fig07_sideband_shift fig08_harmonic_map
-  fig09_heuristic_output fig10_campaigns fig11_i7_ldm fig12_core_regulator
-  fig13_i7_ldl2 fig14_ss_clock_load fig15_ss_sidebands fig16_ss_heuristic
-  fig17_amd_laptop
-  rejection_suite baseline_compare refresh_load_sweep harmonic_profile
-  mitigation_randomize modulation_probe systems_survey leakage_capacity
-  carrier_tracking ablation_heuristic campaign2_survey fivr_scenario
-  distance_sweep
-)
-for bin in "${BINS[@]}"; do
-  echo "==== $bin ===="
-  cargo run --release -p fase-bench --bin "$bin"
+cargo build --release --offline -p fase-bench
+targets=()
+for src in crates/bench/src/bin/*.rs; do
+  bin=$(basename "$src" .rs)
+  [[ $bin == experiment ]] || targets+=("$bin")
 done
-echo "all artifacts regenerated; CSVs in target/figures/"
+while read -r name; do
+  targets+=("experiment $name")
+done < <(target/release/experiment)
+failed=()
+for target in "${targets[@]}"; do
+  echo "==== $target ===="
+  read -r -a cmd <<< "$target"
+  "target/release/${cmd[0]}" "${cmd[@]:1}" || failed+=("${cmd[-1]}")
+done
+if (( ${#failed[@]} )); then
+  echo "failed: ${failed[*]}"
+  exit 1
+fi
+echo "all ${#targets[@]} artifacts regenerated; CSVs in target/figures/"
