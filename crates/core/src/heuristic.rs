@@ -153,19 +153,18 @@ impl ScoreTrace {
     }
 }
 
-/// Harmonic-independent precompute shared by every `F_h` evaluation:
-/// windowed-maxed, floored spectra and their per-bin column sums.
+/// Harmonic-independent precompute shared by every `F_h` evaluation: each
+/// spectrum's Eq. 2 sub-score at every bin.
 ///
-/// Building this costs as much as one harmonic's worth of array passes, so
-/// sharing it across the `±1..=±max_harmonic` sweep removes the dominant
-/// redundant work of the scoring stage.
+/// A sub-score depends only on the spectrum and the physical bin, never on
+/// the harmonic, so computing the rows once leaves each harmonic a shifted
+/// product over them: the dominant redundant work of the scoring stage
+/// (two divisions per bin, spectrum and harmonic) happens once.
 #[derive(Debug)]
 struct ScoreContext {
-    /// Per-spectrum windowed-max powers with the stabilizing floor added.
-    floored: Vec<Vec<f64>>,
-    /// Per-bin sum of `floored` across spectra; each denominator is then
-    /// `(sum − own)/(N−1)` in O(1).
-    column_sum: Vec<f64>,
+    /// Per-spectrum Eq. 2 sub-scores: the windowed-max, floored power over
+    /// the mean of the other spectra's at the same bin.
+    sub: Vec<Vec<f64>>,
     /// Alternation frequency of each spectrum, in bins per harmonic.
     f_alt_bins: Vec<f64>,
     start: Hertz,
@@ -200,35 +199,25 @@ impl ScoreContext {
     fn new(spectra: &CampaignSpectra, config: &HeuristicConfig) -> ScoreContext {
         let n_spectra = spectra.len();
         let first = spectra.spectrum(0);
-        let bins = first.len();
         let resolution = first.resolution();
-        let (search, _) = search_window(spectra, config);
-
-        let floored: Vec<Vec<f64>> = (0..n_spectra)
-            .map(|i| {
-                let floor =
-                    (spectra.spectrum(i).median_power() * FLOOR_FRACTION).max(f64::MIN_POSITIVE);
-                let mut maxed = windowed_max(spectra.spectrum(i).powers(), search);
-                for v in &mut maxed {
-                    *v += floor;
-                }
-                maxed
+        let floored = floored_rows(spectra, config);
+        let column_sum = column_sums(&floored);
+        let sub = floored
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .zip(&column_sum)
+                    .map(|(&own, &sum)| own / ((sum - own) / (n_spectra - 1) as f64))
+                    .collect()
             })
             .collect();
-        let mut column_sum = vec![0.0f64; bins];
-        for row in &floored {
-            for (acc, v) in column_sum.iter_mut().zip(row) {
-                *acc += v;
-            }
-        }
         let f_alt_bins = spectra
             .spectra()
             .iter()
             .map(|s| s.f_alt.hz() / resolution.hz())
             .collect();
         ScoreContext {
-            floored,
-            column_sum,
+            sub,
             f_alt_bins,
             start: first.start(),
             resolution,
@@ -236,40 +225,35 @@ impl ScoreContext {
         }
     }
 
-    /// Evaluates `F_h(f)` over the whole band for one harmonic.
+    /// Evaluates `F_h(f)` over the whole band for one harmonic: bin `b`
+    /// multiplies, spectra in ascending order, each spectrum's sub-score at
+    /// `b + shift_i`, where `shift_i = round(h · f_alt_i / f_res)`. A lookup
+    /// off the band contributes nothing, and a bin with fewer than two
+    /// lookups in band keeps score 1 and support 0.
     fn harmonic(&self, h: i32) -> ScoreTrace {
-        let bins = self.column_sum.len();
-        // Integer bin shift per spectrum: h · f_alt_i / f_res.
-        let shifts: Vec<i64> = self
-            .f_alt_bins
-            .iter()
-            .map(|&fb| (h as f64 * fb).round() as i64)
-            .collect();
-
+        let bins = self.sub.first().map_or(0, Vec::len);
         let mut scores = vec![1.0f64; bins];
         let mut support = vec![0u8; bins];
-        for b in 0..bins {
-            let mut f = 1.0;
-            let mut contributions = 0usize;
-            let mut supporters = 0u8;
-            for (shift, row) in shifts.iter().zip(&self.floored) {
-                let idx = b as i64 + shift;
-                if idx < 0 || idx >= bins as i64 {
-                    continue; // off-band lookup: neutral sub-score of 1
-                }
-                let idx = idx as usize;
-                let own = row[idx];
-                let others = (self.column_sum[idx] - own) / (self.n_spectra - 1) as f64;
-                let sub = own / others;
-                f *= sub;
-                contributions += 1;
-                if sub > SUPPORT_RATIO {
-                    supporters += 1;
-                }
+        let mut lookups = vec![0u32; bins];
+        for (&fb, row) in self.f_alt_bins.iter().zip(&self.sub) {
+            let shift = (h as f64 * fb).round() as i64;
+            // The bins `b` whose lookup `b + shift` lands in band.
+            let lo = (-shift).clamp(0, bins as i64) as usize;
+            let hi = (bins as i64 - shift).clamp(0, bins as i64) as usize;
+            if lo >= hi {
+                continue;
             }
-            if contributions >= 2 {
-                scores[b] = f;
-                support[b] = supporters;
+            let looked_up = &row[(lo as i64 + shift) as usize..(hi as i64 + shift) as usize];
+            for (b, &sub) in (lo..hi).zip(looked_up) {
+                scores[b] *= sub;
+                lookups[b] += 1;
+                support[b] += u8::from(sub > SUPPORT_RATIO);
+            }
+        }
+        for ((score, count), n) in scores.iter_mut().zip(&mut support).zip(&lookups) {
+            if *n < 2 {
+                *score = 1.0;
+                *count = 0;
             }
         }
         ScoreTrace {
@@ -281,6 +265,33 @@ impl ScoreContext {
             n_spectra: self.n_spectra,
         }
     }
+}
+
+/// Each spectrum's windowed-max powers with its stabilizing floor added.
+fn floored_rows(spectra: &CampaignSpectra, config: &HeuristicConfig) -> Vec<Vec<f64>> {
+    let (search, _) = search_window(spectra, config);
+    (0..spectra.len())
+        .map(|i| {
+            let floor =
+                (spectra.spectrum(i).median_power() * FLOOR_FRACTION).max(f64::MIN_POSITIVE);
+            let mut maxed = windowed_max(spectra.spectrum(i).powers(), search);
+            for v in &mut maxed {
+                *v += floor;
+            }
+            maxed
+        })
+        .collect()
+}
+
+/// Per-bin sum of `rows`, added in row order.
+fn column_sums(rows: &[Vec<f64>]) -> Vec<f64> {
+    let mut column_sum = vec![0.0f64; rows.first().map_or(0, Vec::len)];
+    for row in rows {
+        for (acc, v) in column_sum.iter_mut().zip(row) {
+            *acc += v;
+        }
+    }
+    column_sum
 }
 
 /// Computes `F_h(f)` for one harmonic across the whole campaign band.
@@ -694,6 +705,125 @@ mod tests {
         let cfg = HeuristicConfig::default();
         for t in &all_harmonic_scores(&campaign, 5, &cfg) {
             assert_eq!(*t, harmonic_scores(&campaign, t.harmonic(), &cfg));
+        }
+    }
+
+    /// The per-bin Eq. 1/Eq. 2 loop the sub-score rows replaced: every
+    /// bin divides afresh for each spectrum and harmonic.
+    fn reference_harmonic(
+        spectra: &CampaignSpectra,
+        h: i32,
+        config: &HeuristicConfig,
+    ) -> ScoreTrace {
+        let floored = floored_rows(spectra, config);
+        let column_sum = column_sums(&floored);
+        let n_spectra = spectra.len();
+        let first = spectra.spectrum(0);
+        let bins = column_sum.len();
+        let shifts: Vec<i64> = spectra
+            .spectra()
+            .iter()
+            .map(|s| (h as f64 * (s.f_alt.hz() / first.resolution().hz())).round() as i64)
+            .collect();
+        let mut scores = vec![1.0f64; bins];
+        let mut support = vec![0u8; bins];
+        for b in 0..bins {
+            let mut f = 1.0;
+            let mut contributions = 0usize;
+            let mut supporters = 0u8;
+            for (shift, row) in shifts.iter().zip(&floored) {
+                let idx = b as i64 + shift;
+                if idx < 0 || idx >= bins as i64 {
+                    continue;
+                }
+                let idx = idx as usize;
+                let own = row[idx];
+                let others = (column_sum[idx] - own) / (n_spectra - 1) as f64;
+                let sub = own / others;
+                f *= sub;
+                contributions += 1;
+                if sub > SUPPORT_RATIO {
+                    supporters += 1;
+                }
+            }
+            if contributions >= 2 {
+                scores[b] = f;
+                support[b] = supporters;
+            }
+        }
+        ScoreTrace {
+            harmonic: h,
+            start: first.start(),
+            resolution: first.resolution(),
+            scores,
+            support,
+            n_spectra,
+        }
+    }
+
+    #[test]
+    fn sub_score_rows_match_the_per_bin_loop_bit_for_bit() {
+        use fase_dsp::rng::{Rng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(0xE92);
+        // Alternation frequencies up to past the band width: the high
+        // harmonics of the first campaign shift some lookups off the band,
+        // and every lookup of the last one lands off it.
+        for (bins, f_alt1, n_alts) in [
+            (301usize, 2_000.0, 5usize),
+            (120, 5_000.0, 3),
+            (64, 9_000.0, 2),
+        ] {
+            let band_hi = (bins - 1) as f64 * 100.0;
+            let config = CampaignConfig::builder()
+                .band(Hertz(0.0), Hertz(band_hi))
+                .resolution(Hertz(100.0))
+                .alternation(Hertz(f_alt1), Hertz(500.0), n_alts)
+                .build()
+                .unwrap();
+            let spectra: Vec<Spectrum> = (0..n_alts)
+                .map(|_| {
+                    let powers = (0..bins)
+                        .map(|_| 1e-14 * (1.0 + 1e3 * rng.gen_f64().powi(8)))
+                        .collect();
+                    Spectrum::new(Hertz(0.0), Hertz(100.0), powers).unwrap()
+                })
+                .collect();
+            let campaign = campaign_from_spectra(config, spectra).unwrap();
+            let cfg = HeuristicConfig::default();
+            let max_harmonic = 5;
+            let traces = all_harmonic_scores(&campaign, max_harmonic, &cfg);
+            assert_eq!(traces.len(), 2 * max_harmonic as usize);
+            for trace in &traces {
+                let reference = reference_harmonic(&campaign, trace.harmonic(), &cfg);
+                let bits =
+                    |t: &ScoreTrace| t.scores().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(trace),
+                    bits(&reference),
+                    "{bins} bins, h={}",
+                    trace.harmonic()
+                );
+                assert_eq!(
+                    trace.support(),
+                    reference.support(),
+                    "{bins} bins, h={}",
+                    trace.harmonic()
+                );
+                assert_eq!(
+                    (trace.start(), trace.resolution(), trace.n_spectra()),
+                    (
+                        reference.start(),
+                        reference.resolution(),
+                        reference.n_spectra()
+                    )
+                );
+            }
+            // Bins with fewer than two lookups in band keep the neutral
+            // score and no support.
+            let neutral = traces
+                .iter()
+                .flat_map(|t| t.scores().iter().zip(t.support()));
+            assert!(neutral.filter(|&(&s, &n)| s == 1.0 && n == 0).count() > 0);
         }
     }
 

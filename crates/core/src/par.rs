@@ -4,10 +4,12 @@
 //!
 //! 1. **The caller works**: [`par_map`] runs on its calling thread plus
 //!    `worker_threads(None) − 1` helpers.
-//! 2. **No extra threads beside a live pool**: a thread leading a pool
-//!    that has helpers runs [`par_map`] inline, because the helpers
-//!    already hold the cores. A sweep's capture pool leader analyses each
-//!    band this way while its helpers capture the next bands.
+//! 2. **No extra threads beside a live pool**: a thread that is part of
+//!    a pool or map with helpers, as its lead or as one of the helpers,
+//!    runs [`par_map`] inline, because the pool already holds the cores.
+//!    A sweep's capture pool leader analyses each band this way while its
+//!    helpers capture the next bands, and each thread of a warm sweep's
+//!    map over its cached bands analyses the bands it claims.
 //!
 //! Results land in per-item slots, so no thread count changes an output.
 
@@ -18,8 +20,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 thread_local! {
-    /// Set while this thread leads a pool that has helpers.
-    static LEADING: Cell<bool> = const { Cell::new(false) };
+    /// Set while this thread leads or helps a pool that has helpers.
+    static POOLED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Resolves a worker count: `requested` if given, else `FASE_THREADS` if
@@ -42,13 +44,19 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Runs `lead` on the calling thread while `helpers` scoped threads each
 /// run `help`, and returns what `lead` returns once every helper has
-/// exited. A panic in `lead` or a helper resumes on the calling thread
-/// with its own payload.
+/// exited. With helpers, `lead` and every `help` run [`par_map`] inline.
+/// A panic in `lead` or a helper resumes on the calling thread with its
+/// own payload.
 pub fn scoped<T>(helpers: usize, help: impl Fn() + Sync, lead: impl FnOnce() -> T) -> T {
-    let outer = LEADING.replace(LEADING.get() || helpers > 0);
+    let outer = POOLED.replace(POOLED.get() || helpers > 0);
+    // A helper is a fresh thread, so its flag needs no restoring.
+    let pooled_help = || {
+        POOLED.set(true);
+        help();
+    };
     let out = catch_unwind(AssertUnwindSafe(|| {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(&help)).collect();
+            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(pooled_help)).collect();
             let out = lead();
             // Joined here, not by the scope, so a panic keeps its payload.
             for handle in handles {
@@ -59,15 +67,15 @@ pub fn scoped<T>(helpers: usize, help: impl Fn() + Sync, lead: impl FnOnce() -> 
             out
         })
     }));
-    LEADING.set(outer);
+    POOLED.set(outer);
     out.unwrap_or_else(|payload| resume_unwind(payload))
 }
 
-/// Maps `f` over `items` in item order: inline on a thread leading a
-/// pool with helpers, else on the calling thread plus
+/// Maps `f` over `items` in item order: inline on a thread that leads or
+/// helps a pool with helpers, else on the calling thread plus
 /// `worker_threads(None) − 1` helpers.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let threads = if LEADING.get() {
+    let threads = if POOLED.get() {
         1
     } else {
         worker_threads(None)
@@ -122,26 +130,51 @@ mod tests {
             || par_map(&items, |_| std::thread::current().id()),
         );
         assert!(leader_ids.iter().all(|&id| id == caller));
-        assert!(!LEADING.get(), "the flag is restored once the pool ends");
+        assert!(!POOLED.get(), "the flag is restored once the pool ends");
+    }
+
+    #[test]
+    fn par_map_inside_a_map_runs_on_the_thread_that_claimed_the_item() {
+        // Two outer items on two threads: the barrier holds each thread
+        // until the other has claimed an item, so the lead and the helper
+        // each map one. Both must be marked pooled, and each nested map
+        // must run wholly on its thread.
+        let both_claimed = std::sync::Barrier::new(2);
+        let inner: Vec<u32> = (0..8).collect();
+        let outer = map_on(2, &[0u32, 1], |_| {
+            both_claimed.wait();
+            let me = std::thread::current().id();
+            let ids = par_map(&inner, |_| std::thread::current().id());
+            (me, POOLED.get(), ids.iter().all(|&id| id == me))
+        });
+        assert_ne!(
+            outer[0].0, outer[1].0,
+            "the lead and the helper each map one item"
+        );
+        assert!(
+            outer.iter().all(|&(_, pooled, inline)| pooled && inline),
+            "{outer:?}"
+        );
+        assert!(!POOLED.get(), "the flag is restored once the map ends");
     }
 
     #[test]
     fn a_pool_without_helpers_leaves_par_map_free() {
-        scoped(0, || {}, || assert!(!LEADING.get()));
+        scoped(0, || {}, || assert!(!POOLED.get()));
     }
 
     #[test]
     fn a_helper_panic_resumes_on_the_caller_with_its_payload() {
         let payload = catch_unwind(|| scoped(1, || panic!("helper failed"), || 7)).unwrap_err();
         assert_eq!(panic_message(payload.as_ref()), "helper failed");
-        assert!(!LEADING.get());
+        assert!(!POOLED.get());
     }
 
     #[test]
     fn a_lead_panic_restores_the_flag() {
         let payload = catch_unwind(|| scoped(1, || {}, || panic!("lead failed"))).unwrap_err();
         assert_eq!(panic_message(payload.as_ref()), "lead failed");
-        assert!(!LEADING.get());
+        assert!(!POOLED.get());
     }
 
     #[test]

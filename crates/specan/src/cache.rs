@@ -58,23 +58,15 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// key/integrity hash).
 const FNV_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// FNV-1a over `bytes` from the given basis.
-fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
-    let mut h = basis;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// 128-bit hex digest of `bytes`: two independent FNV-1a passes.
+/// 128-bit hex digest of `bytes`: two independent FNV-1a chains, one from
+/// the plain basis and one from the salted basis, run in one pass.
 fn digest_hex(bytes: &[u8]) -> String {
-    format!(
-        "{:016x}{:016x}",
-        fnv1a64(bytes, FNV_BASIS),
-        fnv1a64(bytes, FNV_BASIS ^ FNV_SALT)
-    )
+    let (mut a, mut b) = (FNV_BASIS, FNV_BASIS ^ FNV_SALT);
+    for &byte in bytes {
+        a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
+    format!("{a:016x}{b:016x}")
 }
 
 /// A content-address: the 128-bit hex digest of a canonical capture
@@ -139,6 +131,12 @@ impl CaptureCache {
 
     fn entry_path(&self, key: &CacheKey) -> PathBuf {
         self.dir.join(format!("{}.entry", key.hex()))
+    }
+
+    /// True when an entry file exists under `key`; [`CaptureCache::load`]
+    /// still decides whether it is a hit.
+    pub fn has_entry(&self, key: &CacheKey) -> bool {
+        self.entry_path(key).is_file()
     }
 
     /// Probes the cache for `key`. Never fails: a missing entry is a
@@ -214,9 +212,15 @@ fn f64_hex(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-/// Parses an `f64` back from its bit-pattern hex.
+/// Parses an `f64` back from its bit-pattern hex: exactly the 16 digits
+/// [`f64_hex`] writes.
 fn hex_f64(tok: &str) -> Option<f64> {
-    u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
+    let digits: &[u8; 16] = tok.as_bytes().try_into().ok()?;
+    let mut bits = 0u64;
+    for &c in digits {
+        bits = bits << 4 | u64::from(char::from(c).to_digit(16)?);
+    }
+    Some(f64::from_bits(bits))
 }
 
 /// Escapes a free-text field (an error cause) into a single line.
@@ -366,9 +370,10 @@ fn decode_spectra(payload: &str) -> Option<CampaignSpectra> {
                 let start = hex_f64(toks.next()?)?;
                 let resolution = hex_f64(toks.next()?)?;
                 let bins: usize = toks.next()?.parse().ok()?;
+                // The encoder separates bins by single spaces.
                 let powers: Vec<f64> = lines
                     .next()?
-                    .split_whitespace()
+                    .split(' ')
                     .map(hex_f64)
                     .collect::<Option<Vec<f64>>>()?;
                 if powers.len() != bins {

@@ -28,9 +28,8 @@
 use crate::cache::{CacheKey, CacheLookup, CaptureCache};
 use crate::runner::{run_pool, CampaignOptions, CapturePool, PoolBand};
 use crate::sweep::{plan_bands, SweepBand};
-use fase_core::{
-    merge_band_reports, CampaignConfig, CampaignSpectra, Fase, FaseConfig, FaseError, FaseReport,
-};
+use fase_core::par::par_map;
+use fase_core::{merge_band_reports, CampaignConfig, Fase, FaseConfig, FaseError, FaseReport};
 use fase_dsp::rng::mix_seed;
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
@@ -194,11 +193,11 @@ fn band_description(
     )
 }
 
-/// Where a band's spectra come from, as the probe pass found it.
+/// Where a band's report comes from, as the probe pass found it.
 #[derive(Debug)]
 enum Source {
-    /// Read back from the capture cache.
-    Cached(Box<CampaignSpectra>),
+    /// Read back from the capture cache and analysed.
+    Cached(Result<FaseReport, FaseError>),
     /// Captured as band `job` of the sweep's capture pool, then stored
     /// under `key`.
     Captured { job: usize, key: CacheKey },
@@ -208,14 +207,25 @@ enum Source {
     Abandoned,
 }
 
+/// One band as the probe pass keyed it.
+#[derive(Debug)]
+struct Keyed {
+    config: CampaignConfig,
+    seed: u64,
+    key: CacheKey,
+    /// An entry file exists under `key`.
+    stored: bool,
+}
+
 /// Runs a wide-band sweep: shard into bands, capture (or cache-hit) and
 /// analyze each, merge into one span-wide report.
 ///
-/// The sweep first probes the cache for every band, then captures all
-/// the missed bands on one work-stealing pool, their tasks queued in band
-/// order. Each band is reduced, stored and analyzed on the calling thread
-/// as soon as its last capture lands, while the workers capture the next
-/// bands; reports merge in band order.
+/// The sweep first keys every band, then loads, verifies and analyzes
+/// the bands that have a cache entry in one [`par_map`] over them, then
+/// captures all the missed bands on one work-stealing pool, their tasks
+/// queued in band order. Each captured band is reduced, stored and
+/// analyzed on the calling thread as soon as its last capture lands,
+/// while the workers capture the next bands; reports merge in band order.
 ///
 /// `factory(i_alt)` builds the [`SimulatedSystem`] the captures of
 /// alternation `i_alt` measure, exactly as in
@@ -280,17 +290,14 @@ where
         .transpose()?;
     let cancel = &options.campaign.cancel;
 
-    // Probe pass: key every band and read back the cached ones; the
-    // misses this shard owns become the pool's bands.
-    let mut sources = Vec::with_capacity(bands.len());
-    let mut captured: Vec<(CampaignConfig, u64)> = Vec::new();
+    // Probe pass: key every band and note which have an entry file.
+    let mut keyed = Vec::with_capacity(bands.len());
     for band in &bands {
         if cancel.is_cancelled() {
-            sources.push(Source::Abandoned);
+            keyed.push(None);
             continue;
         }
         let _band_span = recorder.span("specan.sweep_band");
-        let full_config = band_config(config, band)?;
         let band_seed = mix_seed(seed, band.index as u64);
         let key = CacheKey::from_description(&band_description(
             config,
@@ -300,26 +307,58 @@ where
             band_seed,
             &options.campaign,
         ));
-        match cache.as_ref().map(|c| c.load(&key)) {
+        keyed.push(Some(Keyed {
+            config: band_config(config, band)?,
+            seed: band_seed,
+            stored: cache.as_ref().is_some_and(|c| c.has_entry(&key)),
+            key,
+        }));
+    }
+
+    // One map over the bands with an entry: load, verify and analyze each
+    // on the thread budget. A band that is not a hit there is a miss.
+    let analyzer = Fase::default().with_recorder(recorder.clone());
+    let stored: Vec<&Keyed> = keyed.iter().flatten().filter(|k| k.stored).collect();
+    let mut loaded = par_map(&stored, |k| {
+        let _band_span = recorder.span("specan.sweep_band");
+        match cache.as_ref().map(|c| c.load(&k.key)) {
             // A hit whose stored config disagrees with the plan means a
             // (vanishingly unlikely) key collision or tampering — never
             // trust it.
-            Some(CacheLookup::Hit(spectra)) if *spectra.config() == full_config => {
-                sources.push(Source::Cached(spectra));
+            Some(CacheLookup::Hit(spectra)) if *spectra.config() == k.config => {
+                Some(analyzer.analyze(&spectra))
             }
-            _ if options
-                .shard
-                .is_some_and(|shard| band.index % shard.count != shard.index) =>
-            {
-                sources.push(Source::OtherShard);
-            }
-            _ => {
-                sources.push(Source::Captured {
-                    job: captured.len(),
-                    key,
-                });
-                captured.push((full_config, band_seed));
-            }
+            _ => None,
+        }
+    })
+    .into_iter();
+
+    // The misses this shard owns become the pool's bands.
+    let mut sources = Vec::with_capacity(bands.len());
+    let mut captured: Vec<(CampaignConfig, u64)> = Vec::new();
+    for (band, keyed) in bands.iter().zip(keyed) {
+        let Some(keyed) = keyed else {
+            sources.push(Source::Abandoned);
+            continue;
+        };
+        let hit = if keyed.stored {
+            loaded.next().flatten()
+        } else {
+            None
+        };
+        if let Some(report) = hit {
+            sources.push(Source::Cached(report));
+        } else if options
+            .shard
+            .is_some_and(|shard| band.index % shard.count != shard.index)
+        {
+            sources.push(Source::OtherShard);
+        } else {
+            sources.push(Source::Captured {
+                job: captured.len(),
+                key: keyed.key,
+            });
+            captured.push((keyed.config, keyed.seed));
         }
     }
     let jobs: Vec<PoolBand<'_>> = captured
@@ -331,7 +370,6 @@ where
         })
         .collect();
 
-    let analyzer = Fase::default().with_recorder(recorder.clone());
     let finish = |pool: &CapturePool<'_>| -> Result<Finished, FaseError> {
         let mut done = Finished::default();
         for (band, source) in bands.iter().zip(sources) {
@@ -346,14 +384,14 @@ where
                 continue;
             }
             let _band_span = recorder.span("specan.sweep_band");
-            let (spectra, from_cache) = match source {
+            let (report, from_cache) = match source {
                 Source::OtherShard => {
                     done.outcomes.push(skipped);
                     continue;
                 }
-                Source::Cached(spectra) if !cancel.is_cancelled() => {
+                Source::Cached(report) if !cancel.is_cancelled() => {
                     done.hits += 1;
-                    (*spectra, true)
+                    (report, true)
                 }
                 Source::Captured { job, key } => {
                     let reduced = {
@@ -366,7 +404,7 @@ where
                                 cache.store(&key, &spectra)?;
                             }
                             done.misses += 1;
-                            (spectra, false)
+                            (analyzer.analyze(&spectra), false)
                         }
                         // The token fired before all of this band's
                         // captures ran: nothing of it is kept, and the
@@ -386,7 +424,7 @@ where
                     continue;
                 }
             };
-            let report = analyzer.analyze(&spectra)?;
+            let report = report?;
             done.outcomes.push(BandOutcome {
                 band: *band,
                 from_cache,
@@ -807,22 +845,42 @@ mod tests {
 
     #[test]
     fn pre_cancelled_sweep_skips_every_band() {
-        let mut options = fast_options();
-        options.campaign.cancel = crate::CancelToken::new();
-        options.campaign.cancel.cancel();
-        let outcome = run_sweep(
-            &small_sweep(),
-            "demo",
-            ActivityPair::LdmLdl1,
-            demo_factory,
-            7,
-            &options,
-        )
-        .unwrap();
-        assert!(outcome.cancelled && !outcome.complete);
-        assert!(outcome.bands.iter().all(|b| b.skipped));
-        assert!(outcome.report.is_empty());
-        assert!(outcome.report.is_degraded());
+        // Uncached, and over a warm cache: no band is probed or analysed.
+        let dir = temp_dir("cancel");
+        let warm = SweepOptions {
+            cache_dir: Some(dir.clone()),
+            ..fast_options()
+        };
+        let sweep = |options: &SweepOptions| {
+            run_sweep(
+                &small_sweep(),
+                "demo",
+                ActivityPair::LdmLdl1,
+                demo_factory,
+                7,
+                options,
+            )
+            .unwrap()
+        };
+        sweep(&warm);
+        for mut options in [fast_options(), warm] {
+            let recorder = fase_obs::Recorder::detached();
+            options.campaign.recorder = recorder.clone();
+            options.campaign.cancel = crate::CancelToken::new();
+            options.campaign.cancel.cancel();
+            let outcome = sweep(&options);
+            assert!(outcome.cancelled && !outcome.complete);
+            assert!(outcome.bands.iter().all(|b| b.skipped));
+            assert_eq!((outcome.cache_hits, outcome.cache_misses), (0, 0));
+            assert!(outcome.report.is_empty());
+            assert!(outcome.report.is_degraded());
+            let spans = recorder.snapshot().spans;
+            assert!(
+                !spans.keys().any(|path| path.contains("analyze")),
+                "{spans:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -195,3 +195,69 @@ fn panicking_factory_fails_the_sweep_and_stores_nothing() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// The `.entry` files in `dir`, by name.
+fn entry_files(dir: &PathBuf) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "entry"))
+        .collect();
+    entries.sort();
+    entries
+}
+
+#[test]
+fn a_mixed_cache_gives_the_uncached_report_at_any_thread_count() {
+    // Three bands: band 0 cached, band 1 missing, band 2 corrupt.
+    let config = SweepConfig {
+        bands: 3,
+        ..sweep_config()
+    };
+    let sweep = |opts: &SweepOptions| {
+        run_sweep(
+            &config,
+            "it-demo",
+            ActivityPair::LdmLdl1,
+            factory,
+            SEED,
+            opts,
+        )
+        .unwrap()
+    };
+    let reference = sweep(&options(None)).report.to_json();
+
+    let mixed = temp_dir("mixed");
+    let mut shard = options(Some(&mixed));
+    shard.shard = Some(Shard { index: 0, count: 3 });
+    sweep(&shard);
+    let band0 = entry_files(&mixed);
+    shard.shard = Some(Shard { index: 2, count: 3 });
+    sweep(&shard);
+    let band2: Vec<PathBuf> = entry_files(&mixed)
+        .into_iter()
+        .filter(|p| !band0.contains(p))
+        .collect();
+    assert_eq!((band0.len(), band2.len()), (1, 1));
+    let mut bytes = std::fs::read(&band2[0]).unwrap();
+    let at = bytes.len() - 10;
+    bytes[at] = bytes[at].wrapping_add(1);
+    std::fs::write(&band2[0], &bytes).unwrap();
+
+    for threads in [1, 2, 4] {
+        let dir = temp_dir(&format!("mixed-t{threads}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in entry_files(&mixed) {
+            std::fs::copy(&entry, dir.join(entry.file_name().unwrap())).unwrap();
+        }
+        let mut opts = options(Some(&dir));
+        opts.campaign.threads = Some(threads);
+        let outcome = sweep(&opts);
+        assert_eq!(outcome.report.to_json(), reference, "threads={threads}");
+        assert_eq!((outcome.cache_hits, outcome.cache_misses), (1, 2));
+        let from_cache: Vec<bool> = outcome.bands.iter().map(|b| b.from_cache).collect();
+        assert_eq!(from_cache, [true, false, false], "threads={threads}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(&mixed).unwrap();
+}

@@ -286,10 +286,12 @@ echo "==> serve smoke (seeded load twice, warm speedup, clean drain)"
 # small deterministic multi-tenant load at it twice: the first run fills
 # the cache, the second is served from it. Both runs must answer every
 # request without errors, under a generous p99 bound, and the warm run's
-# p50 must be at most half the cold run's. The second run then drains:
-# the server must exit cleanly on its own. A load with another seed goes
-# first, so the process-wide memos and FFT plans are warm before the
-# cold run and the speedup measures the capture cache alone.
+# p50 must be at most half the cold run's. Each run sends 32 requests
+# per tenant, so each p50 is the median of 64 latencies (with 2 requests
+# a run, the verdict flipped on an unchanged tree). The second run then
+# drains: the server must exit cleanly on its own. A load with another
+# seed goes first, so the process-wide memos and FFT plans are warm
+# before the cold run and the speedup measures the capture cache alone.
 rm -f target/serve.port target/serve.log
 rm -rf target/serve-cache
 cargo run -p fase-cli --offline --release -- \
@@ -303,7 +305,7 @@ for _ in $(seq 1 100); do
 done
 [[ -s target/serve.port ]] \
   || { echo "server never wrote its port file"; cat target/serve.log; exit 1; }
-load_args=(load --addr "$(cat target/serve.port)" --tenants 2 --requests 1
+load_args=(load --addr "$(cat target/serve.port)" --tenants 2 --requests 32
   --concurrency 4 --max-p99-ms 60000 --json)
 cargo run -p fase-cli --offline --release -- "${load_args[@]}" --seed 8 > /dev/null
 cargo run -p fase-cli --offline --release -- "${load_args[@]}" --seed 7 > target/serve-load-cold.json
