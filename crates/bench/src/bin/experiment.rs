@@ -1,6 +1,7 @@
-//! Runs one campaign experiment of `fase_bench::experiment` by name:
-//! `experiment <name>` prints its carrier table and claim verdicts and
-//! exits 1 if a claim fails. With no argument it lists the names, one per
+//! Runs one figure or claim target of `fase_bench::experiment` by name:
+//! `experiment <name>` prints its series, table or claim verdicts and
+//! exits 0 when every claim holds, 1 when a claim fails and 101 when an
+//! `assert!`ed claim panics. With no argument it lists the names, one per
 //! line. An unknown name exits 2.
 
 use fase_bench::experiment::{experiments, run};

@@ -1,13 +1,17 @@
-//! Campaign experiments as data.
+//! Every figure and claim target as one table.
 //!
-//! Each entry of [`experiments`] names a simulated system, an activity
-//! pair, a campaign and the paper's claims about which carriers FASE
-//! reports and which it rejects. [`run`] executes any entry the same way:
-//! run the campaign and analyse it, print the carrier table, print each
-//! claim as `label: value ✓` (or `✗ (want …)`), print a PASS/FAIL line and
-//! write the carriers CSV. The `experiment` binary runs an entry by name.
+//! Each entry of [`experiments`] is named and is one of two kinds. A
+//! *campaign* entry names a simulated system, an activity pair, a campaign
+//! and the paper's claims about which carriers FASE reports and which it
+//! rejects; [`run`] executes every campaign entry the same way: run the
+//! campaign and analyse it, print the carrier table, print each claim as
+//! `label: value ✓` (or `✗ (want …)`), print a PASS/FAIL line and write
+//! the carriers CSV. A *script* entry is a figure or prose claim with a
+//! printout of its own, one module of `crate::figures` each. The
+//! `experiment` binary runs an entry by name.
 
-use crate::{fmt_freq, print_table, write_csv};
+use crate::I7_MEMORY_FAMILIES;
+use crate::{figures, fmt_freq, near_harmonic, paper_campaign, print_table, write_csv};
 use fase_core::{CampaignConfig, Carrier, Fase, FaseReport};
 use fase_dsp::Hertz;
 use fase_emsim::{SimulatedSystem, SourceKind};
@@ -15,13 +19,28 @@ use fase_specan::run_campaign_with_options;
 use fase_sysmodel::ActivityPair;
 use std::fmt;
 
-/// One campaign experiment: a system preset and the seed it is built
-/// with, the modulating activity pair, the campaign and the seed of its
-/// capture tasks, and the paper's claims about the report.
+/// One named target of the `experiment` binary.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     /// Name on the `experiment` command line (`[a-z0-9_]+`).
     pub name: &'static str,
+    kind: Kind,
+}
+
+/// What an [`Experiment`] runs.
+#[derive(Debug, Clone)]
+enum Kind {
+    /// A campaign with the paper's claims about its report.
+    Campaign(Campaign),
+    /// A figure or claim script that returns whether its claims hold.
+    Script(fn() -> bool),
+}
+
+/// A system preset and the seed it is built with, the modulating
+/// activity pair, the campaign and the seed of its capture tasks, and the
+/// paper's claims about the report.
+#[derive(Debug, Clone)]
+struct Campaign {
     system: fn(u64) -> SimulatedSystem,
     system_seed: u64,
     pair: ActivityPair,
@@ -125,12 +144,7 @@ impl Measure {
         let audit = |of: &[Hertz], flagged: &dyn Fn(Hertz) -> bool| {
             Value::Audit(of.iter().filter(|&&f| flagged(f)).count(), of.len())
         };
-        let near_genuine = |f: Hertz| {
-            [315_660.0, 522_070.0, 128_000.0].iter().any(|&base| {
-                let k = (f.hz() / base).round().max(1.0);
-                (f.hz() - k * base).abs() < 2_000.0 && k <= 32.0
-            })
-        };
+        let near_genuine = |f: Hertz| near_harmonic(&I7_MEMORY_FAMILIES, f.hz(), 2_000.0);
         match *self {
             Measure::CarrierNear(f, tol) => Value::Bool(near(f, tol)),
             Measure::Family(base, n, tol) => Value::Bool(family(base, n, tol)),
@@ -202,16 +216,11 @@ macro_rules! claims {
     };
 }
 
-/// The narrow §4.4 campaign: 60 kHz to `hi_mhz`, 43.3 kHz first
-/// alternation in 500 Hz steps, 5 alternations × 4 averages.
-fn narrow(hi_mhz: f64, resolution_hz: f64) -> CampaignConfig {
-    CampaignConfig::builder()
-        .band(Hertz::from_khz(60.0), Hertz::from_mhz(hi_mhz))
-        .resolution(Hertz(resolution_hz))
-        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
-        .averages(4)
-        .build()
-        .expect("config")
+/// Script entries named after their `crate::figures` module.
+macro_rules! scripts {
+    ($($module:ident),* $(,)?) => {
+        [$(Experiment { name: stringify!($module), kind: Kind::Script(figures::$module::run) }),*]
+    };
 }
 
 fn entry(
@@ -223,18 +232,22 @@ fn entry(
     capture_seed: u64,
     claims: &[Claim],
 ) -> Experiment {
-    Experiment {
-        name,
+    let campaign = Campaign {
         system,
         system_seed,
         pair,
         config: config.clone(),
         capture_seed,
         claims: claims.to_vec(),
+    };
+    Experiment {
+        name,
+        kind: Kind::Campaign(campaign),
     }
 }
 
-/// Every campaign experiment, in the order `experiment` lists them.
+/// Every target, in the order `experiment` lists them: the scripts, then
+/// the campaign entries.
 pub fn experiments() -> Vec<Experiment> {
     use Expect::{AtLeast, Exactly, Is};
     use Measure::{Carriers, CarriersAbove, SpursFlagged, StationsFlagged, TruthFamily};
@@ -245,7 +258,10 @@ pub fn experiments() -> Vec<Experiment> {
     let (ldm, ldl2) = (ActivityPair::LdmLdl1, ActivityPair::Ldl2Ldl1);
     let to_4m = CampaignConfig::paper_0_4mhz();
     let to_120m = CampaignConfig::paper_0_120mhz();
-    let (to_1m1, to_1m2, to_2m) = (narrow(1.1, 50.0), narrow(1.2, 100.0), narrow(2.0, 100.0));
+    let narrow =
+        |hi_mhz, res| paper_campaign(Hertz::from_khz(60.0), Hertz::from_mhz(hi_mhz), res, 4);
+    let (to_1m1, to_1m2) = (narrow(1.1, Hertz(50.0)), narrow(1.2, Hertz(100.0)));
+    let to_2m = narrow(2.0, Hertz(100.0));
     let fig11 = claims![
         "DRAM memory regulator family (315 kHz)" => family(315_000.0, 30, 2_500.0), Is(true);
         "memory-interface regulator family (522 kHz)" => family(522_070.0, 30, 2_500.0), Is(true);
@@ -279,7 +295,33 @@ pub fn experiments() -> Vec<Experiment> {
         "refresh family (ground truth)" => TruthFamily(SourceKind::MemoryRefresh), Is(true);
         "broadcast stations flagged" => StationsFlagged(Hertz(5_000.0)), Exactly(0);
     ];
-    vec![
+    let scripts = scripts![
+        ablation_heuristic,
+        baseline_compare,
+        carrier_tracking,
+        distance_sweep,
+        fig01_ideal_am,
+        fig02_program_am,
+        fig03_jittered_carrier,
+        fig04_nonideal_am,
+        fig05_realistic,
+        fig06_microbenchmark,
+        fig07_sideband_shift,
+        fig08_harmonic_map,
+        fig09_heuristic_output,
+        fig10_campaigns,
+        fig12_core_regulator,
+        fig14_ss_clock_load,
+        fig15_ss_sidebands,
+        fig16_ss_heuristic,
+        fivr_scenario,
+        harmonic_profile,
+        leakage_capacity,
+        mitigation_randomize,
+        modulation_probe,
+        refresh_load_sweep,
+    ];
+    let campaigns = [
         entry("fig11_i7_ldm", i7, 42, ldm, &to_4m, 110, &fig11),
         entry("fig13_i7_ldl2", i7, 42, ldl2, &to_4m, 130, &fig13),
         entry("fig17_amd_laptop", turion, 2007, ldm, &to_1m1, 170, &fig17),
@@ -289,23 +331,32 @@ pub fn experiments() -> Vec<Experiment> {
         entry("survey_i3", i3, 2010, ldm, &to_1m2, 401, &survey),
         entry("survey_turion", turion, 2007, ldm, &to_1m2, 402, &survey),
         entry("survey_p3m", p3m, 2002, ldm, &to_1m2, 403, &survey),
-    ]
+    ];
+    scripts.into_iter().chain(campaigns).collect()
 }
 
-/// Runs `experiment`: the campaign and its analysis, the carrier table,
-/// one line per claim, a PASS/FAIL line and the carriers CSV. Returns
-/// whether every claim holds.
+/// Runs `experiment` and returns whether every claim holds. A campaign
+/// entry prints the campaign's carrier table, one line per claim and a
+/// PASS/FAIL line, and writes the carriers CSV; a script prints what its
+/// figure or claim needs.
 ///
 /// # Panics
 ///
-/// Panics if the campaign or its analysis fails, or on I/O errors (this
-/// is an experiment script).
+/// Panics if a campaign or its analysis fails, on I/O errors (this is an
+/// experiment script), or when a script's `assert!`ed claim fails.
 pub fn run(experiment: &Experiment) -> bool {
-    let (name, pair, config) = (experiment.name, experiment.pair, &experiment.config);
+    match &experiment.kind {
+        Kind::Campaign(campaign) => run_campaign(experiment.name, campaign),
+        Kind::Script(script) => script(),
+    }
+}
+
+fn run_campaign(name: &str, campaign: &Campaign) -> bool {
+    let (pair, config) = (campaign.pair, &campaign.config);
     println!("running {config} (pooled capture tasks)…");
-    let build = || (experiment.system)(experiment.system_seed);
+    let build = || (campaign.system)(campaign.system_seed);
     let truth = GroundTruth::new(&build(), config);
-    let seed = experiment.capture_seed;
+    let seed = campaign.capture_seed;
     let spectra = run_campaign_with_options(config, pair, |_| build(), seed, Default::default())
         .expect("campaign");
     let report = Fase::default().analyze(&spectra).expect("analysis");
@@ -341,7 +392,7 @@ pub fn run(experiment: &Experiment) -> bool {
     print_table(&title, &columns, &rows);
 
     println!();
-    let (claims, total, carriers) = (&experiment.claims, experiment.claims.len(), report.len());
+    let (claims, total, carriers) = (&campaign.claims, campaign.claims.len(), report.len());
     let held = claims.iter().filter(|c| c.check(&report, &truth)).count();
     let verdict = if held == total { "PASS" } else { "FAIL" };
     println!("{verdict}: {held} of {total} claims hold; {carriers} carriers reported");
@@ -446,7 +497,8 @@ mod tests {
     #[test]
     fn ground_truth_keeps_stations_and_spurs_in_the_band() {
         let i7 = SimulatedSystem::intel_i7_desktop(42);
-        let t = GroundTruth::new(&i7, &narrow(2.0, 100.0));
+        let to_2m = paper_campaign(Hertz::from_khz(60.0), Hertz::from_mhz(2.0), Hertz(100.0), 4);
+        let t = GroundTruth::new(&i7, &to_2m);
         assert_eq!((t.stations.len(), t.spurs.len()), (7, 73));
         let t = GroundTruth::new(&i7, &CampaignConfig::paper_0_4mhz());
         assert_eq!(t.spurs.len(), 140);
@@ -472,10 +524,20 @@ mod tests {
         assert!(!Expect::Exactly(1).holds(Value::Bool(true)));
     }
 
+    /// The campaign entries of the table.
+    fn campaigns() -> Vec<(&'static str, Campaign)> {
+        let table = experiments().into_iter();
+        let campaign = |e: Experiment| match e.kind {
+            Kind::Campaign(c) => Some((e.name, c)),
+            Kind::Script(_) => None,
+        };
+        table.filter_map(campaign).collect()
+    }
+
     #[test]
-    fn table_names_are_unique_and_every_entry_claims_something() {
+    fn names_are_unique_across_scripts_and_campaigns() {
         let table = experiments();
-        assert_eq!(table.len(), 9);
+        assert_eq!(table.len(), 33);
         let mut names: Vec<&str> = table.iter().map(|e| e.name).collect();
         for name in &names {
             let ok = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_';
@@ -487,19 +549,25 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), table.len(), "duplicate experiment names");
-        for e in &table {
-            assert!(!e.claims.is_empty(), "{} has no claims", e.name);
+    }
+
+    #[test]
+    fn every_campaign_entry_claims_something() {
+        let campaigns = campaigns();
+        assert_eq!(campaigns.len(), 9);
+        for (name, c) in &campaigns {
+            assert!(!c.claims.is_empty(), "{name} has no claims");
         }
     }
 
     #[test]
     fn every_claim_expects_the_kind_its_measure_yields() {
         let (t, r) = (GroundTruth::default(), report(&[]));
-        for e in experiments() {
+        for (name, e) in campaigns() {
             for c in &e.claims {
                 let counts = !matches!(c.measure.of(&r, &t), Value::Bool(_));
                 let wants_count = !matches!(c.expect, Expect::Is(_));
-                assert_eq!(counts, wants_count, "{}: {}", e.name, c.label);
+                assert_eq!(counts, wants_count, "{name}: {}", c.label);
             }
         }
     }

@@ -6,12 +6,10 @@
 //! Knobs: the heuristic's windowed-max search, the multi-spectrum support
 //! gate, the first-harmonic requirement, and the side-band-excess filter.
 
-use fase_bench::print_table;
+use crate::{near_harmonic, paper_campaign, print_table, run_i7, I7_MEMORY_FAMILIES};
 use fase_core::detector::DetectorConfig;
-use fase_core::{CampaignConfig, Fase, FaseConfig, FaseReport, HeuristicConfig};
+use fase_core::{Fase, FaseConfig, FaseReport, HeuristicConfig};
 use fase_dsp::Hertz;
-use fase_emsim::SimulatedSystem;
-use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 struct Variant {
@@ -24,13 +22,7 @@ struct Variant {
 
 fn score(report: &FaseReport) -> (usize, usize) {
     // Genuine memory-modulated families on the i7 under LDM/LDL1.
-    let bases = [315_660.0, 522_070.0, 128_000.0];
-    let is_genuine = |f: f64| {
-        bases.iter().any(|&base| {
-            let k = (f / base).round().max(1.0);
-            (f - k * base).abs() < 1_500.0 && k <= 32.0
-        })
-    };
+    let is_genuine = |f: f64| near_harmonic(&I7_MEMORY_FAMILIES, f, 1_500.0);
     let genuine = report
         .carriers()
         .iter()
@@ -40,23 +32,10 @@ fn score(report: &FaseReport) -> (usize, usize) {
     (genuine, false_carriers)
 }
 
-fn main() {
-    let config = CampaignConfig::builder()
-        .band(Hertz::from_khz(60.0), Hertz::from_mhz(2.0))
-        .resolution(Hertz(100.0))
-        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
-        .averages(4)
-        .build()
-        .expect("config");
+pub fn run() -> bool {
+    let config = paper_campaign(Hertz::from_khz(60.0), Hertz::from_mhz(2.0), Hertz(100.0), 4);
     // One shared campaign: the ablations differ only in analysis.
-    let spectra = run_campaign_with_options(
-        &config,
-        ActivityPair::LdmLdl1,
-        |_| SimulatedSystem::intel_i7_desktop(42),
-        810,
-        CampaignOptions::default(),
-    )
-    .expect("campaign");
+    let spectra = run_i7(&config, ActivityPair::LdmLdl1, 810);
 
     let variants = [
         Variant {
@@ -144,4 +123,5 @@ fn main() {
     if worst_false > 0 {
         println!("The safeguards earn their keep: removing them admits false carriers.");
     }
+    true
 }

@@ -2,32 +2,18 @@
 //! generic AM classifier versus FASE, on the same captured spectra, scored
 //! against scene ground truth.
 
+use crate::{near_harmonic, paper_campaign, print_table, run_i7};
 use fase_baseline::{classify_am, find_pairs, AmcConfig, PairFinderConfig};
-use fase_bench::print_table;
-use fase_core::{CampaignConfig, Fase};
+use fase_core::Fase;
 use fase_dsp::Hertz;
 use fase_emsim::{SimulatedSystem, SourceKind};
-use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-fn main() {
+pub fn run() -> bool {
     let system = SimulatedSystem::intel_i7_desktop(42);
     let truth = system.scene.ground_truth();
-    let config = CampaignConfig::builder()
-        .band(Hertz::from_khz(60.0), Hertz::from_mhz(2.0))
-        .resolution(Hertz(100.0))
-        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
-        .averages(4)
-        .build()
-        .expect("config");
-    let spectra = run_campaign_with_options(
-        &config,
-        ActivityPair::LdmLdl1,
-        |_| SimulatedSystem::intel_i7_desktop(42),
-        210,
-        CampaignOptions::default(),
-    )
-    .expect("campaign");
+    let config = paper_campaign(Hertz::from_khz(60.0), Hertz::from_mhz(2.0), Hertz(100.0), 4);
+    let spectra = run_i7(&config, ActivityPair::LdmLdl1, 210);
 
     // Ground truth: frequencies genuinely modulated by memory activity
     // (any harmonic of a memory-domain source counts as a hit).
@@ -43,12 +29,7 @@ fn main() {
         })
         .map(|s| s.fundamental.hz())
         .collect();
-    let is_genuine = |f: Hertz| {
-        modulated_bases.iter().any(|&base| {
-            let k = (f.hz() / base).round().max(1.0);
-            (f.hz() - k * base).abs() < 1_500.0 && k <= 32.0
-        })
-    };
+    let is_genuine = |f: Hertz| near_harmonic(&modulated_bases, f.hz(), 1_500.0);
 
     // FASE.
     let report = Fase::default().analyze(&spectra).expect("analysis");
@@ -106,4 +87,5 @@ fn main() {
         "baselines were expected to misfire"
     );
     println!("PASS: FASE clean; baselines misfire as the paper describes.");
+    true
 }

@@ -2,14 +2,14 @@
 //! information leakage" — track the swept DRAM clock's ridge through a
 //! spectrogram and demodulate the memory-activity square wave riding on it.
 
-use fase_bench::{ascii_plot, write_csv};
+use crate::{ascii_plot, write_csv};
 use fase_dsp::demod::ridge_track_in_band;
 use fase_dsp::{stats, Hertz, Window};
 use fase_emsim::SimulatedSystem;
 use fase_specan::capture_iq;
 use fase_sysmodel::ActivityPair;
 
-fn main() {
+pub fn run() -> bool {
     // Alternate memory activity at 2 kHz and watch the 332.7-333.0 MHz
     // spread clock.
     let f_alt = Hertz::from_khz(2.0);
@@ -95,4 +95,5 @@ fn main() {
             )
         }),
     );
+    true
 }

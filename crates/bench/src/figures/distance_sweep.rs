@@ -3,8 +3,8 @@
 //! (near-field magnetic coupling falls ~60 dB per decade, 1/r³ amplitude)
 //! and find where FASE loses each carrier.
 
-use fase_bench::{print_table, write_csv};
-use fase_core::{CampaignConfig, Fase};
+use crate::{paper_campaign, print_table, write_csv};
+use fase_core::Fase;
 use fase_dsp::Hertz;
 use fase_emsim::channel::Channel;
 use fase_emsim::SimulatedSystem;
@@ -25,14 +25,9 @@ fn system_at(loss_db: f64) -> SimulatedSystem {
     system
 }
 
-fn main() {
-    let config = CampaignConfig::builder()
-        .band(Hertz::from_khz(250.0), Hertz::from_khz(700.0))
-        .resolution(Hertz(100.0))
-        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
-        .averages(4)
-        .build()
-        .expect("config");
+pub fn run() -> bool {
+    let (lo, hi) = (Hertz::from_khz(250.0), Hertz::from_khz(700.0));
+    let config = paper_campaign(lo, hi, Hertz(100.0), 4);
     let distances = [0.3, 0.6, 1.0, 1.5, 2.0, 3.0];
     let mut rows = Vec::new();
     let mut csv = Vec::new();
@@ -92,4 +87,5 @@ fn main() {
         "distance_m,extra_loss_db,dram_regulator,memif_regulator,refresh",
         csv,
     );
+    true
 }

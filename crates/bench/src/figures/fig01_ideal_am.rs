@@ -1,12 +1,12 @@
 //! Figure 1: an ideal sinusoidal carrier modulated by an ideal sinusoid —
 //! the textbook AM spectrum: carrier at f_c plus side-bands at f_c ± f_alt.
 
-use fase_bench::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
+use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
 use fase_dsp::Hertz;
 use fase_emsim::CaptureWindow;
 use fase_specan::SpectrumAnalyzer;
 
-fn main() {
+pub fn run() -> bool {
     let fc = Hertz::from_khz(500.0);
     let f_alt = Hertz::from_khz(10.0);
     let n = 1 << 14;
@@ -44,4 +44,5 @@ fn main() {
         upper - carrier
     );
     write_spectra_csv("fig01_ideal_am.csv", &["spectrum"], &[&spectrum]);
+    true
 }

@@ -3,13 +3,13 @@
 //! several common values (contention), so each side-band becomes a main
 //! spike with smaller "bumps".
 
-use fase_bench::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
+use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
 use fase_dsp::Hertz;
 use fase_emsim::CaptureWindow;
 use fase_specan::SpectrumAnalyzer;
 use fase_sysmodel::{ActivityPair, Domain, Machine};
 
-fn main() {
+pub fn run() -> bool {
     let fc = Hertz::from_khz(500.0);
     let f_alt = 10_000.0;
     let n = 1 << 16;
@@ -42,4 +42,5 @@ fn main() {
     println!("\nside-bands now carry the activity spectrum: a dominant spike at");
     println!("f_c ± f_alt plus bumps from the other commonly-occurring repetition times.");
     write_spectra_csv("fig02_program_am.csv", &["spectrum"], &[&spectrum]);
+    true
 }

@@ -1,12 +1,12 @@
 //! Figure 3: a non-ideal (RC-oscillator) carrier modulated by an ideal
 //! sinusoid. The carrier's spread is inherited by both side-bands.
 
-use fase_bench::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
+use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
 use fase_dsp::Hertz;
 use fase_emsim::CaptureWindow;
 use fase_specan::SpectrumAnalyzer;
 
-fn main() {
+pub fn run() -> bool {
     let fc = Hertz::from_khz(500.0);
     let f_alt = Hertz::from_khz(10.0);
     let n = 1 << 16;
@@ -31,4 +31,5 @@ fn main() {
     println!("\nthe side-bands at f_c ± f_alt inherit the carrier's spread even though");
     println!("f_alt itself is perfectly stable (paper §2.1).");
     write_spectra_csv("fig03_jittered_carrier.csv", &["spectrum"], &[&spectrum]);
+    true
 }

@@ -2,13 +2,13 @@
 //! the convolution of Figure 2's side-band structure with Figure 3's
 //! carrier spread.
 
-use fase_bench::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
+use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
 use fase_dsp::Hertz;
 use fase_emsim::CaptureWindow;
 use fase_specan::SpectrumAnalyzer;
 use fase_sysmodel::{ActivityPair, Domain, Machine};
 
-fn main() {
+pub fn run() -> bool {
     let fc = Hertz::from_khz(500.0);
     let n = 1 << 16;
     let fs = 100e3;
@@ -35,4 +35,5 @@ fn main() {
         12,
     );
     write_spectra_csv("fig04_nonideal_am.csv", &["spectrum"], &[&spectrum]);
+    true
 }

@@ -1,13 +1,13 @@
 //! Figure 6: the X/Y alternation micro-benchmark. Not a spectrum — the
-//! paper shows pseudo-code — so this binary demonstrates the mechanism:
+//! paper shows pseudo-code — so this script demonstrates the mechanism:
 //! the same pointer-chase kernel, differing only in the mask, is served by
 //! the intended cache level, and the calibrated counts hit the requested
 //! alternation frequency with a 50% duty cycle.
 
-use fase_bench::print_table;
+use crate::print_table;
 use fase_sysmodel::{Activity, ActivityPair, Machine};
 
-fn main() {
+pub fn run() -> bool {
     println!("Figure 6 (paper pseudo-code):");
     println!("  while(true) {{");
     println!("    for(i=0;i<inst_x_count;i++) {{ ptr1=(ptr1&~mask1)|((ptr1+offset)&mask1); value=*ptr1; }}");
@@ -62,4 +62,5 @@ fn main() {
     println!(
         "\n(The LDM and LDL1 loops are the same code; only the pointer-chase mask differs — §3.)"
     );
+    true
 }

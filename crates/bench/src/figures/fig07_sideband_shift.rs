@@ -6,45 +6,20 @@
 //! The paper plots a 1.0235 MHz carrier; our i7 scene's equivalent
 //! memory-modulated carrier is the 315 kHz DRAM regulator.
 
-use fase_bench::{ascii_plot, fmt_freq, print_table, write_spectra_csv};
-use fase_core::CampaignConfig;
+use crate::{ascii_plot, fmt_freq, measure_i7, paper_campaign, print_table, write_spectra_csv};
 use fase_dsp::{Hertz, Spectrum};
-use fase_emsim::SimulatedSystem;
-use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-/// Five alternation frequencies 0.5 kHz apart around the DRAM regulator.
-fn campaign() -> CampaignConfig {
-    CampaignConfig::builder()
-        .band(Hertz::from_khz(260.0), Hertz::from_khz(370.0))
-        .resolution(Hertz(50.0))
-        .alternation(Hertz(43_300.0), Hertz(500.0), 5)
-        .averages(4)
-        .build()
-        .expect("config")
-}
-
-fn capture(pair: ActivityPair, i_alt: usize, seed: u64) -> Spectrum {
-    measure_alternation(
-        &campaign(),
-        i_alt,
-        pair,
-        |_| SimulatedSystem::intel_i7_desktop(42),
-        seed,
-        CampaignOptions::default(),
-    )
-    .expect("capture")
-    .spectrum
-}
-
-fn main() {
+pub fn run() -> bool {
+    // Five alternation frequencies 0.5 kHz apart around the DRAM regulator.
+    let (lo, hi) = (Hertz::from_khz(260.0), Hertz::from_khz(370.0));
+    let campaign = paper_campaign(lo, hi, Hertz(50.0), 4);
     let fc = Hertz::from_khz(315.66); // the DRAM regulator's actual (off-nominal) frequency
-    let f_alts = campaign().alternation_frequencies();
-    let mut spectra = Vec::new();
-    for i in 0..f_alts.len() {
-        spectra.push(capture(ActivityPair::LdmLdl1, i, 70 + i as u64));
-    }
-    let control = capture(ActivityPair::Ldl1Ldl1, 0, 99);
+    let f_alts = campaign.alternation_frequencies();
+    let spectra: Vec<Spectrum> = (0..f_alts.len())
+        .map(|i| measure_i7(&campaign, i, ActivityPair::LdmLdl1, 70 + i as u64))
+        .collect();
+    let control = measure_i7(&campaign, 0, ActivityPair::Ldl1Ldl1, 99);
 
     // Where is the upper side-band peak in each measurement?
     let mut rows = Vec::new();
@@ -104,4 +79,5 @@ fn main() {
         ],
         &all,
     );
+    true
 }

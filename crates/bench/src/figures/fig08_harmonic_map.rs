@@ -3,29 +3,14 @@
 //! harmonics (h = ±1, ±3, ±5, …) that interleave across the spectrum and
 //! make manual interpretation hopeless.
 
-use fase_bench::{fmt_freq, print_table, write_csv};
-use fase_core::{CampaignConfig, Fase};
+use crate::{fmt_freq, paper_campaign, print_table, run_i7, write_csv};
+use fase_core::Fase;
 use fase_dsp::Hertz;
-use fase_emsim::SimulatedSystem;
-use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-fn main() {
-    let campaign = CampaignConfig::builder()
-        .band(Hertz::from_khz(60.0), Hertz::from_mhz(1.8))
-        .resolution(Hertz(100.0))
-        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
-        .averages(3)
-        .build()
-        .expect("config");
-    let spectra = run_campaign_with_options(
-        &campaign,
-        ActivityPair::Ldl2Ldl1,
-        |_| SimulatedSystem::intel_i7_desktop(42),
-        80,
-        CampaignOptions::default(),
-    )
-    .expect("campaign");
+pub fn run() -> bool {
+    let campaign = paper_campaign(Hertz::from_khz(60.0), Hertz::from_mhz(1.8), Hertz(100.0), 3);
+    let spectra = run_i7(&campaign, ActivityPair::Ldl2Ldl1, 80);
     let report = Fase::default().analyze(&spectra).expect("analysis");
 
     let f_alt = spectra.spectra()[0].f_alt;
@@ -68,4 +53,5 @@ fn main() {
         "carrier,fc_hz,harmonic,sideband_hz",
         csv_rows,
     );
+    true
 }

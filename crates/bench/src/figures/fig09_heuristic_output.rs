@@ -3,29 +3,14 @@
 //! regulator) and the on-chip carrier of Figure 12 (core regulator).
 //! Large spikes at the carrier frequency, ≈ flat at 1 elsewhere.
 
-use fase_bench::{ascii_plot, write_csv};
-use fase_core::{CampaignConfig, Fase};
+use crate::{ascii_plot, paper_campaign, run_i7, write_csv};
+use fase_core::Fase;
 use fase_dsp::Hertz;
-use fase_emsim::SimulatedSystem;
-use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn trace_around(pair: ActivityPair, fc: Hertz, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let campaign = CampaignConfig::builder()
-        .band(Hertz(fc.hz() - 60_000.0), Hertz(fc.hz() + 60_000.0))
-        .resolution(Hertz(50.0))
-        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
-        .averages(4)
-        .build()
-        .expect("config");
-    let spectra = run_campaign_with_options(
-        &campaign,
-        pair,
-        |_| SimulatedSystem::intel_i7_desktop(42),
-        seed,
-        CampaignOptions::default(),
-    )
-    .expect("campaign");
+    let (lo, hi) = (Hertz(fc.hz() - 60_000.0), Hertz(fc.hz() + 60_000.0));
+    let spectra = run_i7(&paper_campaign(lo, hi, Hertz(50.0), 4), pair, seed);
     let report = Fase::default().analyze(&spectra).expect("analysis");
     let plus = report.score_trace(1).expect("h=+1");
     let minus = report.score_trace(-1).expect("h=-1");
@@ -43,7 +28,7 @@ fn trace_around(pair: ActivityPair, fc: Hertz, seed: u64) -> (Vec<f64>, Vec<f64>
     (offsets, p, m)
 }
 
-fn main() {
+pub fn run() -> bool {
     let (off_a, p_a, m_a) = trace_around(ActivityPair::LdmLdl1, Hertz::from_khz(315.0), 90);
     let (off_b, p_b, m_b) = trace_around(ActivityPair::Ldl2Ldl1, Hertz::from_khz(332.0), 91);
 
@@ -87,4 +72,5 @@ fn main() {
         "offset_hz,dram_reg_h_plus1,dram_reg_h_minus1,core_reg_h_plus1,core_reg_h_minus1",
         rows,
     );
+    true
 }

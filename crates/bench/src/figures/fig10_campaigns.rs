@@ -1,9 +1,9 @@
 //! Figure 10: the FASE measurement parameters (the paper's only table).
 
-use fase_bench::print_table;
+use crate::print_table;
 use fase_core::CampaignConfig;
 
-fn main() {
+pub fn run() -> bool {
     let campaigns = [
         CampaignConfig::paper_0_4mhz(),
         CampaignConfig::paper_0_120mhz(),
@@ -35,4 +35,5 @@ fn main() {
         &rows,
     );
     println!("\n(The paper's 0-4 MHz campaign: \"4MHz/50Hz = 80,000 data points\".)");
+    true
 }

@@ -3,44 +3,20 @@
 //! the LDL1/LDL1 control. The carrier's RC-oscillator line gives the
 //! characteristic Gaussian-looking shape.
 
-use fase_bench::{ascii_plot, print_table, write_spectra_csv};
-use fase_core::CampaignConfig;
+use crate::{ascii_plot, measure_i7, paper_campaign, print_table, write_spectra_csv};
 use fase_dsp::{Hertz, Spectrum};
-use fase_emsim::SimulatedSystem;
-use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-/// Five alternation frequencies 0.5 kHz apart around the core regulator.
-fn campaign() -> CampaignConfig {
-    CampaignConfig::builder()
-        .band(Hertz::from_khz(280.0), Hertz::from_khz(385.0))
-        .resolution(Hertz(50.0))
-        .alternation(Hertz(43_300.0), Hertz(500.0), 5)
-        .averages(4)
-        .build()
-        .expect("config")
-}
-
-fn capture(pair: ActivityPair, i_alt: usize, seed: u64) -> Spectrum {
-    measure_alternation(
-        &campaign(),
-        i_alt,
-        pair,
-        |_| SimulatedSystem::intel_i7_desktop(42),
-        seed,
-        CampaignOptions::default(),
-    )
-    .expect("capture")
-    .spectrum
-}
-
-fn main() {
+pub fn run() -> bool {
+    // Five alternation frequencies 0.5 kHz apart around the core regulator.
+    let (lo, hi) = (Hertz::from_khz(280.0), Hertz::from_khz(385.0));
+    let campaign = paper_campaign(lo, hi, Hertz(50.0), 4);
     let fc = 332_530.0; // the core regulator's actual (off-nominal) frequency
-    let f_alts = campaign().alternation_frequencies();
+    let f_alts = campaign.alternation_frequencies();
     let spectra: Vec<Spectrum> = (0..f_alts.len())
-        .map(|i| capture(ActivityPair::Ldl2Ldl1, i, 120 + i as u64))
+        .map(|i| measure_i7(&campaign, i, ActivityPair::Ldl2Ldl1, 120 + i as u64))
         .collect();
-    let control = capture(ActivityPair::Ldl1Ldl1, 0, 129);
+    let control = measure_i7(&campaign, 0, ActivityPair::Ldl1Ldl1, 129);
 
     // Carrier shape (Gaussian-ish from the RC oscillator).
     let around = spectra[0]
@@ -98,4 +74,5 @@ fn main() {
         ],
         &all,
     );
+    true
 }

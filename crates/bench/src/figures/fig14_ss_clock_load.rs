@@ -2,38 +2,16 @@
 //! (LDL1/LDL1) and 100% (LDM/LDM) memory activity — the whole spread
 //! spectrum rises bodily with DRAM activity.
 
-use fase_bench::{plot_spectrum, write_spectra_csv};
-use fase_core::CampaignConfig;
+use crate::{measure_i7, plot_spectrum, ss_clock_campaign, write_spectra_csv};
 use fase_dsp::{Hertz, Spectrum};
-use fase_emsim::SimulatedSystem;
-use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-/// One spectrum of the DRAM clock band with the benchmark alternating at
-/// 180 kHz (the first alternation of the Figure 15 family).
-fn capture(pair: ActivityPair, seed: u64) -> Spectrum {
-    let campaign = CampaignConfig::builder()
-        .band(Hertz::from_mhz(329.0), Hertz::from_mhz(336.0))
-        .resolution(Hertz(2_000.0))
-        .alternation(Hertz::from_khz(180.0), Hertz(10_000.0), 5)
-        .averages(4)
-        .build()
-        .expect("config");
-    measure_alternation(
-        &campaign,
-        0,
-        pair,
-        |_| SimulatedSystem::intel_i7_desktop(42),
-        seed,
-        CampaignOptions::default(),
-    )
-    .expect("capture")
-    .spectrum
-}
-
-fn main() {
-    let idle = capture(ActivityPair::Ldl1Ldl1, 140);
-    let busy = capture(ActivityPair::LdmLdm, 141);
+pub fn run() -> bool {
+    // The DRAM clock band with the benchmark alternating at 180 kHz (the
+    // first alternation of the Figure 15 family).
+    let campaign = ss_clock_campaign();
+    let idle = measure_i7(&campaign, 0, ActivityPair::Ldl1Ldl1, 140);
+    let busy = measure_i7(&campaign, 0, ActivityPair::LdmLdm, 141);
     plot_spectrum(
         "Figure 14a: DRAM clock, 0% memory activity (dBm)",
         &idle,
@@ -60,4 +38,5 @@ fn main() {
         &["idle_0pct", "busy_100pct"],
         &[&idle, &busy],
     );
+    true
 }

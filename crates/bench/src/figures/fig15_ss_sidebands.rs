@@ -2,35 +2,15 @@
 //! alternation frequencies large enough (180–220 kHz) to push the
 //! side-band images outside the 1 MHz-wide carrier spread.
 
-use fase_bench::{plot_spectrum, write_spectra_csv};
-use fase_core::CampaignConfig;
+use crate::{measure_i7, plot_spectrum, ss_clock_campaign, write_spectra_csv};
 use fase_dsp::{Hertz, Spectrum};
-use fase_emsim::SimulatedSystem;
-use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-fn main() {
-    let campaign = CampaignConfig::builder()
-        .band(Hertz::from_mhz(329.0), Hertz::from_mhz(336.0))
-        .resolution(Hertz(2_000.0))
-        .alternation(Hertz(180_000.0), Hertz(10_000.0), 5)
-        .averages(4)
-        .build()
-        .expect("config");
+pub fn run() -> bool {
+    let campaign = ss_clock_campaign();
     let f_alts = campaign.alternation_frequencies();
     let spectra: Vec<Spectrum> = (0..f_alts.len())
-        .map(|i| {
-            measure_alternation(
-                &campaign,
-                i,
-                ActivityPair::LdmLdl1,
-                |_| SimulatedSystem::intel_i7_desktop(42),
-                150 + i as u64,
-                CampaignOptions::default(),
-            )
-            .expect("capture")
-            .spectrum
-        })
+        .map(|i| measure_i7(&campaign, i, ActivityPair::LdmLdl1, 150 + i as u64))
         .collect();
     plot_spectrum(
         "Figure 15: DRAM clock, 50% memory activity, f_alt = 180 kHz (dBm)",
@@ -65,4 +45,5 @@ fn main() {
         ],
         &refs,
     );
+    true
 }

@@ -2,30 +2,13 @@
 //! reporting it "as two separate carriers at the edges of the spread out
 //! clock signal".
 
-use fase_bench::experiment::{near, Expect::Is, GroundTruth};
-use fase_bench::{ascii_plot, claims, write_csv};
-use fase_core::{CampaignConfig, Fase, FaseConfig};
-use fase_dsp::Hertz;
-use fase_emsim::SimulatedSystem;
-use fase_specan::{run_campaign_with_options, CampaignOptions};
+use crate::experiment::{near, Expect::Is, GroundTruth};
+use crate::{ascii_plot, claims, run_i7, ss_clock_campaign, write_csv};
+use fase_core::{Fase, FaseConfig};
 use fase_sysmodel::ActivityPair;
 
-fn main() {
-    let config = CampaignConfig::builder()
-        .band(Hertz::from_mhz(329.0), Hertz::from_mhz(336.0))
-        .resolution(Hertz(2_000.0))
-        .alternation(Hertz::from_khz(180.0), Hertz::from_khz(10.0), 5)
-        .averages(4)
-        .build()
-        .expect("config");
-    let spectra = run_campaign_with_options(
-        &config,
-        ActivityPair::LdmLdl1,
-        |_| SimulatedSystem::intel_i7_desktop(42),
-        160,
-        CampaignOptions::default(),
-    )
-    .expect("campaign");
+pub fn run() -> bool {
+    let spectra = run_i7(&ss_clock_campaign(), ActivityPair::LdmLdl1, 160);
     // A spread carrier is only "uncovered" at a sweep edge by the largest
     // one or two alternation frequencies, and each edge appears in a
     // single harmonic sign (+1 at the upper edge, -1 at the lower). The
@@ -35,7 +18,6 @@ fn main() {
         detector: fase_core::detector::DetectorConfig {
             min_harmonics: 1,
             min_support: 2,
-            single_harmonic_min_score: 50.0,
             single_harmonic_min_support: 2,
             max_sideband_excess_db: 10.0,
             ..Default::default()
@@ -81,7 +63,5 @@ fn main() {
             )
         }),
     );
-    if held < edges.len() {
-        std::process::exit(1);
-    }
+    held == edges.len()
 }

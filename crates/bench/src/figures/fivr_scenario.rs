@@ -8,7 +8,7 @@
 //! it with the campaign-3 parameters, and that the leakage *bandwidth* is
 //! an order of magnitude above the legacy regulator's.
 
-use fase_bench::print_table;
+use crate::print_table;
 use fase_core::{estimate_all, CampaignConfig, Fase};
 use fase_dsp::Hertz;
 use fase_emsim::channel::Channel;
@@ -44,7 +44,7 @@ fn fivr_system(seed: u64) -> SimulatedSystem {
     }
 }
 
-fn main() {
+pub fn run() -> bool {
     // Campaign-3 style parameters: f_alt = 1.8 MHz steps of 100 kHz — the
     // alternation itself must be fast to exercise the fast regulator.
     let config = CampaignConfig::builder()
@@ -106,4 +106,5 @@ fn main() {
          'higher bandwidth readout of power consumption' concern, quantified.",
         fivr.bandwidth
     );
+    true
 }

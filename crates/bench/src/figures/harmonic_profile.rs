@@ -2,7 +2,7 @@
 //! even harmonics vanish; at small duty the first harmonics are all of
 //! similar strength; duty-cycle modulation changes *every* harmonic.
 
-use fase_bench::{print_table, write_csv};
+use crate::{print_table, write_csv};
 use fase_dsp::fft::{fft, fft_shift};
 use fase_dsp::{Complex64, Hertz, Window};
 use fase_emsim::regulator::SwitchingRegulator;
@@ -43,7 +43,7 @@ fn harmonic_levels(duty: f64, n_harmonics: u32) -> Vec<f64> {
         .collect()
 }
 
-fn main() {
+pub fn run() -> bool {
     let duties = [0.05, 0.25, 0.5];
     let n_harmonics = 6u32;
     let mut rows = Vec::new();
@@ -97,4 +97,5 @@ fn main() {
         "duty,h1_dbm,h2_dbm,h3_dbm,h4_dbm,h5_dbm,h6_dbm",
         csv,
     );
+    true
 }

@@ -1,29 +1,14 @@
 //! Leakage quantification (§6): how many bits per second could an attacker
 //! demodulate from each carrier FASE reports on the i7 desktop?
 
-use fase_bench::{fmt_freq, print_table, write_csv};
-use fase_core::{estimate_all, CampaignConfig, Fase};
+use crate::{fmt_freq, paper_campaign, print_table, run_i7, write_csv};
+use fase_core::{estimate_all, Fase};
 use fase_dsp::Hertz;
-use fase_emsim::SimulatedSystem;
-use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
-fn main() {
-    let campaign = CampaignConfig::builder()
-        .band(Hertz::from_khz(60.0), Hertz::from_mhz(2.0))
-        .resolution(Hertz(100.0))
-        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
-        .averages(4)
-        .build()
-        .expect("config");
-    let spectra = run_campaign_with_options(
-        &campaign,
-        ActivityPair::LdmLdl1,
-        |_| SimulatedSystem::intel_i7_desktop(42),
-        500,
-        CampaignOptions::default(),
-    )
-    .expect("campaign");
+pub fn run() -> bool {
+    let campaign = paper_campaign(Hertz::from_khz(60.0), Hertz::from_mhz(2.0), Hertz(100.0), 4);
+    let spectra = run_i7(&campaign, ActivityPair::LdmLdl1, 500);
     let report = Fase::default().analyze(&spectra).expect("analysis");
     let estimates = estimate_all(&spectra, &report, Hertz::from_khz(5.0));
 
@@ -70,4 +55,5 @@ fn main() {
             )
         }),
     );
+    true
 }

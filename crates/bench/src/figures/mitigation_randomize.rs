@@ -3,21 +3,16 @@
 //! standards and would greatly reduce the modulation of refresh activity."
 //! Measure the refresh comb and FASE's detection before and after.
 
-use fase_bench::{print_table, write_csv};
-use fase_core::{evaluate_mitigation, CampaignConfig, Fase, FaseReport};
+use crate::{paper_campaign, print_table, write_csv};
+use fase_core::{evaluate_mitigation, Fase, FaseReport};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
 use fase_specan::{run_campaign_with_options, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn measure(make: impl Fn() -> SimulatedSystem + Sync, seed: u64) -> (f64, usize, FaseReport) {
-    let config = CampaignConfig::builder()
-        .band(Hertz::from_khz(100.0), Hertz::from_mhz(2.0))
-        .resolution(Hertz(100.0))
-        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
-        .averages(4)
-        .build()
-        .expect("config");
+    let (lo, hi) = (Hertz::from_khz(100.0), Hertz::from_mhz(2.0));
+    let config = paper_campaign(lo, hi, Hertz(100.0), 4);
     let spectra = run_campaign_with_options(
         &config,
         ActivityPair::LdmLdl1,
@@ -45,7 +40,7 @@ fn measure(make: impl Fn() -> SimulatedSystem + Sync, seed: u64) -> (f64, usize,
     (comb_dbm, refresh_carriers, report)
 }
 
-fn main() {
+pub fn run() -> bool {
     let (base_dbm, base_found, base_report) =
         measure(|| SimulatedSystem::intel_i7_desktop(42), 230);
     let (mit_dbm, mit_found, mit_report) =
@@ -98,4 +93,5 @@ fn main() {
             format!("randomized,{mit_dbm:.2},{mit_found}"),
         ],
     );
+    true
 }

@@ -3,7 +3,7 @@
 //! probe as AM; the constant-on-time regulator FASE rejects probes as FM —
 //! "we confirmed this with a spectrogram of the modulation".
 
-use fase_bench::print_table;
+use crate::print_table;
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
 use fase_specan::{probe_modulation, ProbeConfig};
@@ -20,7 +20,7 @@ type ProbeCase = (
     &'static str,
 );
 
-fn main() {
+pub fn run() -> bool {
     let probes: [ProbeCase; 4] = [
         (
             "i7 DRAM regulator 315.66 kHz",
@@ -89,4 +89,5 @@ fn main() {
     );
     assert!(all_ok, "a probe verdict disagreed with the paper");
     println!("\nPASS: AM carriers probe as AM; the constant-on-time regulator probes as FM.");
+    true
 }

@@ -3,36 +3,19 @@
 //! activity signal, because postponed refreshes lose their periodicity.
 //! Sweep memory activity 0% → 50% → 100% and read the 128 kHz fundamental.
 
-use fase_bench::{print_table, write_csv};
-use fase_core::CampaignConfig;
+use crate::{measure_i7, paper_campaign, print_table, write_csv};
 use fase_dsp::Hertz;
-use fase_emsim::SimulatedSystem;
-use fase_specan::{measure_alternation, CampaignOptions};
 use fase_sysmodel::ActivityPair;
 
 fn refresh_level(pair: ActivityPair, seed: u64) -> f64 {
     // f_alt = 43.3 kHz, the first alternation of the paper's campaign family.
-    let campaign = CampaignConfig::builder()
-        .band(Hertz::from_khz(120.0), Hertz::from_khz(136.0))
-        .resolution(Hertz(100.0))
-        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
-        .averages(4)
-        .build()
-        .expect("config");
-    let s = measure_alternation(
-        &campaign,
-        0,
-        pair,
-        |_| SimulatedSystem::intel_i7_desktop(42),
-        seed,
-        CampaignOptions::default(),
-    )
-    .expect("capture")
-    .spectrum;
+    let (lo, hi) = (Hertz::from_khz(120.0), Hertz::from_khz(136.0));
+    let campaign = paper_campaign(lo, hi, Hertz(100.0), 4);
+    let s = measure_i7(&campaign, 0, pair, seed);
     10.0 * s.sample(Hertz(128_000.0)).expect("in band").log10()
 }
 
-fn main() {
+pub fn run() -> bool {
     let points = [
         (0.0, ActivityPair::Ldl1Ldl1, "0% (LDL1/LDL1)"),
         (0.5, ActivityPair::LdmLdl1, "50% (LDM/LDL1)"),
@@ -62,4 +45,5 @@ fn main() {
     );
     println!("PASS: refresh carrier weakens monotonically with memory activity.");
     write_csv("refresh_load_sweep.csv", "memory_fraction,refresh_dbm", csv);
+    true
 }

@@ -1,12 +1,13 @@
 //! # fase-bench — the experiment harness
 //!
-//! The campaign claims of Figs. 10, 11, 13 and 17, §1/§2.3 and §4.4 are
-//! entries of one table, run by the `experiment` binary (see
-//! [`experiment`]). Every other figure and prose claim has a binary of its
-//! own; the detection-quality benchmark is [`detection`]. Timing lives in
-//! the separate `perf` package under `examples/perf`.
+//! Every figure and prose claim of the paper is a named entry of one
+//! table, run by the `experiment` binary (see [`experiment`]): the
+//! campaign claims of Figs. 10, 11, 13 and 17, §1/§2.3 and §4.4 as data,
+//! every other figure or claim as a script of its own. The
+//! detection-quality benchmark is [`detection`]. Timing lives in the
+//! separate `perf` package under `examples/perf`.
 //!
-//! Every binary prints its series or carrier table and writes CSV data
+//! Every entry prints its series or carrier table and writes CSV data
 //! under `target/figures/`.
 
 #![warn(missing_docs)]
@@ -14,11 +15,84 @@
 
 pub mod detection;
 pub mod experiment;
+mod figures;
 
+use fase_core::{CampaignConfig, CampaignSpectra};
 use fase_dsp::{Hertz, Spectrum};
+use fase_emsim::SimulatedSystem;
+use fase_specan::{measure_alternation, run_campaign_with_options, CampaignOptions};
+use fase_sysmodel::ActivityPair;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+
+/// Fundamentals of the i7 desktop's genuinely memory-modulated carrier
+/// families under LDM/LDL1: the DRAM regulator (315.66 kHz), the
+/// memory-interface regulator (522.07 kHz) and the refresh comb (128 kHz).
+pub(crate) const I7_MEMORY_FAMILIES: [f64; 3] = [315_660.0, 522_070.0, 128_000.0];
+
+/// True if `f_hz` lies within `tol_hz` of a harmonic `k ≤ 32` of one of
+/// `bases` (in Hz).
+pub(crate) fn near_harmonic(bases: &[f64], f_hz: f64, tol_hz: f64) -> bool {
+    bases.iter().any(|&base| {
+        let k = (f_hz / base).round().max(1.0);
+        (f_hz - k * base).abs() < tol_hz && k <= 32.0
+    })
+}
+
+/// The paper's §4.4 campaign over `lo..hi`: a 43.3 kHz first alternation
+/// in 500 Hz steps, 5 alternations, at `resolution` with `averages`
+/// captures per alternation. Panics if the band or resolution is invalid.
+pub(crate) fn paper_campaign(
+    lo: Hertz,
+    hi: Hertz,
+    resolution: Hertz,
+    averages: usize,
+) -> CampaignConfig {
+    CampaignConfig::builder()
+        .band(lo, hi)
+        .resolution(resolution)
+        .alternation(Hertz::from_khz(43.3), Hertz(500.0), 5)
+        .averages(averages)
+        .build()
+        .expect("config")
+}
+
+/// The spread-spectrum DRAM clock campaign of Figs. 14–16: 329–336 MHz at
+/// 2 kHz, a 180 kHz first alternation in 10 kHz steps, 5 alternations × 4
+/// averages.
+pub(crate) fn ss_clock_campaign() -> CampaignConfig {
+    CampaignConfig::builder()
+        .band(Hertz::from_mhz(329.0), Hertz::from_mhz(336.0))
+        .resolution(Hertz(2_000.0))
+        .alternation(Hertz::from_khz(180.0), Hertz::from_khz(10.0), 5)
+        .averages(4)
+        .build()
+        .expect("config")
+}
+
+/// Runs `config` for `pair` on the i7 desktop preset (seed 42) with
+/// default options; `seed` seeds the capture tasks. Panics if the
+/// campaign fails.
+pub(crate) fn run_i7(config: &CampaignConfig, pair: ActivityPair, seed: u64) -> CampaignSpectra {
+    let system = |_: usize| SimulatedSystem::intel_i7_desktop(42);
+    run_campaign_with_options(config, pair, system, seed, CampaignOptions::default())
+        .expect("campaign")
+}
+
+/// The spectrum of alternation `i` of `config` for `pair` on the i7
+/// desktop preset (seed 42) with default options. Panics if the capture
+/// fails.
+pub(crate) fn measure_i7(
+    config: &CampaignConfig,
+    i: usize,
+    pair: ActivityPair,
+    seed: u64,
+) -> Spectrum {
+    let system = |_: usize| SimulatedSystem::intel_i7_desktop(42);
+    let spectrum = measure_alternation(config, i, pair, system, seed, CampaignOptions::default());
+    spectrum.expect("capture").spectrum
+}
 
 /// Directory where figure CSVs are written.
 pub fn figures_dir() -> PathBuf {
@@ -31,7 +105,7 @@ pub fn figures_dir() -> PathBuf {
 ///
 /// # Panics
 ///
-/// Panics on I/O errors (these binaries are experiment scripts).
+/// Panics on I/O errors (these are experiment scripts).
 pub fn write_csv(name: &str, header: &str, rows: impl IntoIterator<Item = String>) {
     let path = figures_dir().join(name);
     let mut file = fs::File::create(&path).expect("create CSV file");

@@ -427,12 +427,12 @@ fn leakage(parsed: &ParsedArgs) -> Result<String, CliError> {
 }
 
 fn attribute(parsed: &ParsedArgs) -> Result<String, CliError> {
-    use fase_core::{attribute_peak, AttributionConfig};
+    use fase_core::attribute_peak;
     let pair = pair_by_name(parsed.get("pair").unwrap_or("ldm-ldl1"))?;
     let peak = Hertz(parsed.frequency("peak")?);
     let config = campaign_from(parsed)?;
     let spectra = campaign_spectra(parsed, pair, &config)?;
-    let ranked = attribute_peak(&spectra, peak, &AttributionConfig::default());
+    let ranked = attribute_peak(&spectra, peak);
     let mut out = format!(
         "attributions of the peak at {peak}:
 "

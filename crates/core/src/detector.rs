@@ -16,11 +16,19 @@ const PEAK_HALF_WINDOW: usize = 30;
 /// Detections within this many bins are merged into one carrier.
 const MERGE_TOLERANCE_BINS: usize = 6;
 
+/// Minimum heuristic score for a peak to count as evidence.
+const MIN_SCORE: f64 = 8.0;
+
+/// Alternative acceptance path for clusters with evidence from only one
+/// harmonic — §2.3: "detection of a single harmonic of f_alt in a single
+/// side-band is sufficient". The lone harmonic must be this strong, and
+/// supported by at least [`DetectorConfig::single_harmonic_min_support`]
+/// spectra.
+const SINGLE_HARMONIC_MIN_SCORE: f64 = 50.0;
+
 /// Detection thresholds and merge rules.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
-    /// Minimum heuristic score for a peak to count as evidence.
-    pub min_score: f64,
     /// Minimum number of distinct harmonics that must agree before a
     /// carrier is reported. The paper notes one is sufficient in principle;
     /// two is a robust default against lone noise spikes.
@@ -41,23 +49,18 @@ pub struct DetectorConfig {
     /// hunt buried carriers.
     pub max_sideband_excess_db: f64,
     /// Alternative acceptance path for clusters with evidence from only
-    /// one harmonic — §2.3: "detection of a single harmonic of f_alt in a
-    /// single side-band is sufficient". The lone harmonic must be this
-    /// strong…
-    pub single_harmonic_min_score: f64,
-    /// …and supported by at least this many spectra.
+    /// one harmonic (§2.3): the lone harmonic must score at least 50 and
+    /// be supported by at least this many spectra.
     pub single_harmonic_min_support: usize,
 }
 
 impl Default for DetectorConfig {
     fn default() -> DetectorConfig {
         DetectorConfig {
-            min_score: 8.0,
             min_harmonics: 2,
             min_support: 3,
             require_first_harmonic: true,
             max_sideband_excess_db: 3.0,
-            single_harmonic_min_score: 50.0,
             single_harmonic_min_support: 4,
         }
     }
@@ -86,13 +89,13 @@ pub fn detect_in_trace(trace: &ScoreTrace, config: &DetectorConfig) -> Vec<Detec
     let peak_cfg = PeakConfig {
         half_window: PEAK_HALF_WINDOW,
         threshold_mads: THRESHOLD_MADS,
-        min_rise: (config.min_score.ln() * 0.5).max(0.1),
+        min_rise: (MIN_SCORE.ln() * 0.5).max(0.1),
         min_distance: MERGE_TOLERANCE_BINS,
     };
     let need_support = config.min_support.min(trace.n_spectra()) as u8;
     find_peaks(&logs, &peak_cfg)
         .into_iter()
-        .filter(|p| trace.scores()[p.index] >= config.min_score)
+        .filter(|p| trace.scores()[p.index] >= MIN_SCORE)
         .filter(|p| trace.support()[p.index] >= need_support)
         .map(|p| {
             // The heuristic's windowed-max creates flat-topped plateaus;
@@ -152,7 +155,7 @@ pub fn merge_detections(
                 // Single-harmonic path: exceptionally strong, well-
                 // supported evidence stands on its own (§2.3).
                 let strong_single = cluster.iter().any(|d| {
-                    d.score >= config.single_harmonic_min_score
+                    d.score >= SINGLE_HARMONIC_MIN_SCORE
                         && d.support as usize >= config.single_harmonic_min_support
                 });
                 if !strong_single {
@@ -340,7 +343,7 @@ mod tests {
         let cfg = DetectorConfig {
             min_harmonics: 3,
             // Disable the single-harmonic escape hatch for this test.
-            single_harmonic_min_score: f64::INFINITY,
+            single_harmonic_min_support: usize::MAX,
             ..DetectorConfig::default()
         };
         let detections: Vec<Detection> = traces

@@ -67,5 +67,5 @@ pub use leakage::{estimate_all, estimate_leakage, LeakageEstimate};
 pub use merge::merge_band_reports;
 pub use mitigation::{evaluate_mitigation, CarrierFate, MitigationOutcome};
 pub use report::FaseReport;
-pub use sideband::{attribute_peak, Attribution, AttributionConfig};
+pub use sideband::{attribute_peak, Attribution};
 pub use spectra::{CampaignSpectra, LabeledSpectrum};

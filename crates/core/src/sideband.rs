@@ -45,23 +45,11 @@ impl fmt::Display for Attribution {
 /// consistent.
 const MIN_RATIO: f64 = 2.0;
 
-/// Configuration for [`attribute_peak`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AttributionConfig {
-    /// Highest |h| to consider.
-    pub max_harmonic: u32,
-    /// Search half-width (bins) around each expected peak position.
-    pub search_bins: usize,
-}
+/// Highest |h| to consider.
+const MAX_HARMONIC: i32 = 5;
 
-impl Default for AttributionConfig {
-    fn default() -> AttributionConfig {
-        AttributionConfig {
-            max_harmonic: 5,
-            search_bins: 3,
-        }
-    }
-}
+/// Search half-width (bins) around each expected peak position.
+const SEARCH_BINS: usize = 3;
 
 /// Ranks harmonic attributions of a peak observed at `f_peak` in the
 /// campaign's **first** spectrum (`f_alt_1`).
@@ -72,11 +60,7 @@ impl Default for AttributionConfig {
 /// frequency. Candidates are returned sorted by consistency, then ratio;
 /// interpretations whose implied carrier falls outside the band are
 /// skipped.
-pub fn attribute_peak(
-    spectra: &CampaignSpectra,
-    f_peak: Hertz,
-    config: &AttributionConfig,
-) -> Vec<Attribution> {
+pub fn attribute_peak(spectra: &CampaignSpectra, f_peak: Hertz) -> Vec<Attribution> {
     let f_alts: Vec<f64> = spectra.spectra().iter().map(|s| s.f_alt.hz()).collect();
     // CampaignSpectra::new guarantees at least two spectra; the guard keeps
     // the lookups below panic-free.
@@ -87,7 +71,7 @@ pub fn attribute_peak(
     let first = spectra.spectrum(0);
     let res = first.resolution().hz();
     let mut out = Vec::new();
-    for h in (1..=config.max_harmonic as i32).flat_map(|k| [k, -k]) {
+    for h in (1..=MAX_HARMONIC).flat_map(|k| [k, -k]) {
         let carrier = Hertz(f_peak.hz() - h as f64 * f_alt1);
         if carrier.hz() < first.start().hz() || carrier.hz() > first.stop().hz() {
             continue;
@@ -97,10 +81,10 @@ pub fn attribute_peak(
         let mut evaluated = 0usize;
         for (i, &f_alt_i) in f_alts.iter().enumerate() {
             let expected = Hertz(carrier.hz() + h as f64 * f_alt_i);
-            let own = local_max(spectra, i, expected, config.search_bins, res);
+            let own = local_max(spectra, i, expected, SEARCH_BINS, res);
             let others: f64 = (0..n)
                 .filter(|&j| j != i)
-                .map(|j| local_max(spectra, j, expected, config.search_bins, res))
+                .map(|j| local_max(spectra, j, expected, SEARCH_BINS, res))
                 .sum::<f64>()
                 / (n - 1) as f64;
             if others > 0.0 {
@@ -184,7 +168,7 @@ mod tests {
     fn first_harmonic_peak_attributes_correctly() {
         let c = campaign();
         // The upper first-harmonic side-band of f_alt_1 sits at 120 kHz.
-        let ranked = attribute_peak(&c, Hertz(120_000.0), &AttributionConfig::default());
+        let ranked = attribute_peak(&c, Hertz(120_000.0));
         let best = ranked[0];
         assert_eq!(best.harmonic, 1, "{ranked:?}");
         assert!((best.carrier.hz() - 100_000.0).abs() < 1.0);
@@ -195,7 +179,7 @@ mod tests {
     fn third_harmonic_peak_attributes_correctly() {
         let c = campaign();
         // 100 kHz + 3·20 kHz = 160 kHz.
-        let ranked = attribute_peak(&c, Hertz(160_000.0), &AttributionConfig::default());
+        let ranked = attribute_peak(&c, Hertz(160_000.0));
         let best = ranked[0];
         assert_eq!(best.harmonic, 3);
         assert!((best.carrier.hz() - 100_000.0).abs() < 1.0);
@@ -206,7 +190,7 @@ mod tests {
     fn lower_sideband_attributes_with_negative_harmonic() {
         let c = campaign();
         // 100 kHz − 20 kHz = 80 kHz.
-        let ranked = attribute_peak(&c, Hertz(80_000.0), &AttributionConfig::default());
+        let ranked = attribute_peak(&c, Hertz(80_000.0));
         let best = ranked[0];
         assert_eq!(best.harmonic, -1);
         assert!((best.carrier.hz() - 100_000.0).abs() < 1.0);
@@ -229,7 +213,7 @@ mod tests {
             })
             .collect();
         let c = campaign_from_spectra(config, spectra).unwrap();
-        let ranked = attribute_peak(&c, Hertz(120_000.0), &AttributionConfig::default());
+        let ranked = attribute_peak(&c, Hertz(120_000.0));
         assert!(
             ranked.iter().all(|a| a.consistent_spectra <= 1),
             "a stationary spur must not attribute: {ranked:?}"
@@ -241,7 +225,7 @@ mod tests {
         let c = campaign();
         // A peak near the band's lower edge: h = +5 would imply a negative
         // carrier frequency, which must not be offered.
-        let ranked = attribute_peak(&c, Hertz(30_000.0), &AttributionConfig::default());
+        let ranked = attribute_peak(&c, Hertz(30_000.0));
         assert!(ranked.iter().all(|a| a.carrier.hz() >= 0.0));
     }
 
@@ -265,7 +249,7 @@ mod tests {
     #[test]
     fn mean_ratio_averages_only_evaluated_spectra() {
         let c = campaign();
-        let ranked = attribute_peak(&c, Hertz(120_000.0), &AttributionConfig::default());
+        let ranked = attribute_peak(&c, Hertz(120_000.0));
         let best = ranked[0];
         assert_eq!(best.n_spectra, 5);
         // Every spectrum in the synthetic campaign has a nonzero floor, so

@@ -4,9 +4,7 @@
 //! campaigns that kept only 3 or 4 of the 5 spectra.
 
 use fase_core::heuristic::{all_harmonic_scores, campaign_from_spectra};
-use fase_core::{
-    attribute_peak, AttributionConfig, CampaignConfig, CampaignSpectra, HeuristicConfig,
-};
+use fase_core::{attribute_peak, CampaignConfig, CampaignSpectra, HeuristicConfig};
 use fase_dsp::{Hertz, Spectrum};
 
 const F_CARRIER: f64 = 100_000.0;
@@ -87,7 +85,7 @@ fn assert_agreement(campaign: &CampaignSpectra) {
         );
         // The side-band this harmonic actually produced in spectrum 0.
         let f_peak = Hertz(F_CARRIER + f64::from(h) * f_alt1);
-        let ranked = attribute_peak(campaign, f_peak, &AttributionConfig::default());
+        let ranked = attribute_peak(campaign, f_peak);
         let best = ranked.first().unwrap_or_else(|| {
             panic!("no attribution for the h = {h} side-band at {f_peak} (n = {n})")
         });

@@ -63,37 +63,32 @@ echo "==> benchmark package tests"
 cargo test --offline -q --manifest-path crates/bench/examples/perf/Cargo.toml
 
 echo "==> figures (worker-count identity, claim verdicts)"
-# Every fase-bench figure/claim binary, and every entry of the
-# `experiment` binary's table, runs twice, with one and with two capture
-# workers: stdout and exit status must match byte for byte, the campaign
-# pool's promise that output never depends on the worker count. Each
-# target's claim verdict (exit 0 and no ✗ line) is printed but not gated:
-# a failing claim is a modelling result recorded in EXPERIMENTS.md.
+# Every figure/claim target that the `experiment` binary lists runs
+# twice, with one and with two capture workers: stdout and exit status
+# must match byte for byte, the campaign pool's promise that output never
+# depends on the worker count. Each target's claim verdict (exit 0 and no
+# ✗ line) is printed but not gated: a failing claim is a modelling result
+# recorded in EXPERIMENTS.md.
 mkdir -p target/figures-ci
 figures_ok=1
-# check_figure <label> <binary> [args…]
+# check_figure <name>
 check_figure() {
-  local label=$1 out1="target/figures-ci/$1.threads1.out" out2="target/figures-ci/$1.threads2.out"
-  shift
+  local out1="target/figures-ci/$1.threads1.out" out2="target/figures-ci/$1.threads2.out"
   local status1=0 status2=0
-  FASE_THREADS=1 "target/release/$1" "${@:2}" > "$out1" 2> /dev/null || status1=$?
-  FASE_THREADS=2 "target/release/$1" "${@:2}" > "$out2" 2> /dev/null || status2=$?
+  FASE_THREADS=1 target/release/experiment "$1" > "$out1" 2> /dev/null || status1=$?
+  FASE_THREADS=2 target/release/experiment "$1" > "$out2" 2> /dev/null || status2=$?
   if [[ $status1 -ne $status2 ]] || ! cmp -s "$out1" "$out2"; then
-    echo "  $label: output differs between FASE_THREADS=1 and FASE_THREADS=2"
+    echo "  $1: output differs between FASE_THREADS=1 and FASE_THREADS=2"
     figures_ok=0
   fi
   if [[ $status1 -eq 0 ]] && ! grep -q '✗' "$out1"; then
-    echo "  $label: claims hold"
+    echo "  $1: claims hold"
   else
-    echo "  $label: claim fails (exit $status1)"
+    echo "  $1: claim fails (exit $status1)"
   fi
 }
-for src in crates/bench/src/bin/*.rs; do
-  bin=$(basename "$src" .rs)
-  [[ $bin == experiment ]] || check_figure "$bin" "$bin"
-done
 for name in $(target/release/experiment); do
-  check_figure "experiment.$name" experiment "$name"
+  check_figure "$name"
 done
 [[ $figures_ok -eq 1 ]] || { echo "figure output depends on the worker count"; exit 1; }
 

@@ -51,7 +51,7 @@
 //! ```
 //!
 //! See `examples/` for realistic end-to-end campaigns and the `fase-bench`
-//! crate for the binaries that regenerate every figure of the paper.
+//! crate's `experiment` binary, which regenerates every figure of the paper.
 
 pub mod audit;
 
