@@ -26,15 +26,13 @@
 //! same scenarios, seeds and channel count serialize byte-identically
 //! regardless of thread count or cache temperature — CI pins this.
 
-use fase_core::{average_precision, roc_auc, roc_points, RocPoint};
+use fase_core::{average_precision, roc_auc, roc_points, single_channel_statistic, RocPoint};
 use fase_dsp::rng::mix_seed;
 use fase_dsp::Hertz;
 use fase_emsim::channel::Channel;
 use fase_emsim::interference::{AmBroadcast, RollingNoise, SpurForest};
 use fase_emsim::{RefreshPolicy, Scene, SimulatedSystem};
-use fase_specan::{
-    run_multichannel_sweep, ChannelPlan, FaultPlan, FaultRates, SweepConfig, SweepOptions,
-};
+use fase_specan::{run_multichannel_sweep, FaultPlan, FaultRates, SweepConfig, SweepOptions};
 use fase_sysmodel::controller::RefreshConfig;
 use fase_sysmodel::{ActivityPair, Machine};
 use std::fmt::Write as _;
@@ -456,7 +454,6 @@ pub fn run_detection_benchmark(
     cache_dir: Option<&Path>,
 ) -> DetectionReport {
     let config = detection_sweep_config();
-    let plan = ChannelPlan::new(channels, 0xC4A2);
     let mut outcomes = Vec::with_capacity(scenarios.len());
     for s in scenarios {
         let mut options = SweepOptions::default();
@@ -470,16 +467,20 @@ pub fn run_detection_benchmark(
             |i_alt| s.build_system(i_alt),
             s.seed,
             &options,
-            &plan,
+            channels,
         )
         .unwrap_or_else(|e| panic!("scenario {} failed: {e}", s.name));
-        let per_channel = outcome.single_channel_statistics();
+        let per_channel: Vec<f64> = outcome
+            .per_channel
+            .iter()
+            .map(|o| single_channel_statistic(&o.report))
+            .collect();
         outcomes.push(ScenarioOutcome {
             name: s.name.clone(),
             positive: s.positive,
-            fused: outcome.detection_statistic(),
+            fused: outcome.fused.fused,
             single: per_channel.first().copied().unwrap_or(0.0),
-            best_single: outcome.best_single_statistic(),
+            best_single: outcome.fused.best_single,
             per_channel,
         });
     }

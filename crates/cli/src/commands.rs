@@ -6,6 +6,7 @@ use fase_core::{
 };
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
+use fase_serve::protocol::sweep_seeds;
 use fase_specan::{
     probe_modulation, run_campaign_with_options, CampaignOptions, FaultPlan, FaultRates,
     ProbeConfig,
@@ -297,8 +298,8 @@ fn campaign_from(parsed: &ParsedArgs) -> Result<CampaignConfig, CliError> {
 }
 
 /// Builds the fault-injection schedule requested on the command line,
-/// or `None` for a clean run.
-fn fault_plan_from(parsed: &ParsedArgs, seed: u64) -> Result<Option<FaultPlan>, CliError> {
+/// or `None` for a clean run; `--fault-seed` defaults to `default_seed`.
+fn fault_plan_from(parsed: &ParsedArgs, default_seed: u64) -> Result<Option<FaultPlan>, CliError> {
     let rate = parsed.float_or("fault-rate", 0.0)?;
     if !(0.0..=1.0).contains(&rate) {
         return Err(CliError::Invalid(format!(
@@ -309,7 +310,7 @@ fn fault_plan_from(parsed: &ParsedArgs, seed: u64) -> Result<Option<FaultPlan>, 
     if rate == 0.0 && fail_alt.is_none() {
         return Ok(None);
     }
-    let fault_seed = parsed.integer_or("fault-seed", seed.wrapping_mul(0x9E37).wrapping_add(1))?;
+    let fault_seed = parsed.integer_or("fault-seed", default_seed)?;
     let mut plan = FaultPlan::new(fault_seed).with_rates(FaultRates::uniform(rate));
     if let Some(i) = fail_alt {
         plan = plan.always_fail(i as usize);
@@ -318,34 +319,40 @@ fn fault_plan_from(parsed: &ParsedArgs, seed: u64) -> Result<Option<FaultPlan>, 
 }
 
 /// The capture options the command line asks for: the retry budget and
-/// any fault-injection schedule.
-fn campaign_options_from(parsed: &ParsedArgs, seed: u64) -> Result<CampaignOptions, CliError> {
+/// any fault-injection schedule (seeded `default_fault_seed` unless
+/// `--fault-seed` is given).
+fn campaign_options_from(
+    parsed: &ParsedArgs,
+    default_fault_seed: u64,
+) -> Result<CampaignOptions, CliError> {
     let retries = parsed
         .integer_or("retries", 2)?
         .min(u64::from(u32::MAX) - 1) as u32;
     Ok(CampaignOptions {
         max_attempts: retries + 1,
-        fault_plan: fault_plan_from(parsed, seed)?,
+        fault_plan: fault_plan_from(parsed, default_fault_seed)?,
         ..CampaignOptions::default()
     })
 }
 
 /// Runs `config` with `pair` on the named system, honoring the seed,
 /// fault and retry options. The scene seed builds the system; the
-/// campaign itself runs under a distinct seed stream.
+/// campaign itself runs under the seeds [`sweep_seeds`] derives from it.
 fn campaign_spectra(
     parsed: &ParsedArgs,
     pair: ActivityPair,
     config: &CampaignConfig,
 ) -> Result<CampaignSpectra, CliError> {
     let seed = parsed.integer_or("seed", 42)?;
-    let make = system_factory(parsed.required("system")?)?;
-    let options = campaign_options_from(parsed, seed)?;
+    let name = parsed.required("system")?;
+    let make = system_factory(name)?;
+    let seeds = sweep_seeds(name, seed);
+    let options = campaign_options_from(parsed, seeds.fault_seed)?;
     Ok(run_campaign_with_options(
         config,
         pair,
         |_| make(seed),
-        seed.wrapping_add(1),
+        seeds.capture_seed,
         options,
     )?)
 }
@@ -490,23 +497,22 @@ fn sweep(parsed: &ParsedArgs) -> Result<String, CliError> {
         alternations: parsed.integer_or("alts", 5)? as usize,
         averages: parsed.integer_or("avg", 4)? as usize,
     };
+    // The same seeds and cache identity a server request derives, so
+    // the two share a cache directory band for band.
+    let seeds = sweep_seeds(name, seed);
     let mut options = SweepOptions {
-        campaign: campaign_options_from(parsed, seed)?,
+        campaign: campaign_options_from(parsed, seeds.fault_seed)?,
         ..SweepOptions::default()
     };
     options.campaign.threads = parsed.integer_opt("threads")?.map(|n| n as usize);
     options.cache_dir = parsed.get("cache-dir").map(std::path::PathBuf::from);
     options.shard = shard_from(parsed)?;
-    // The scene seed is part of the system's cache identity; the campaign
-    // itself runs under a distinct seed stream (same convention as
-    // `campaign_spectra`).
-    let system_id = format!("{name}#{seed:016x}");
     let outcome = run_sweep(
         &config,
-        &system_id,
+        &seeds.system_id,
         pair,
         |_| make(seed),
-        seed.wrapping_add(1),
+        seeds.capture_seed,
         &options,
     )?;
     let mut out = String::new();
@@ -867,6 +873,47 @@ mod tests {
             tail(&cold).map(|t| t.replace("0 hit(s), 2 miss(es)", "")),
             tail(&warm).map(|t| t.replace("2 hit(s), 0 miss(es)", "")),
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sweep_reuses_every_band_a_server_request_cached() {
+        use fase_serve::http::client_request;
+        use fase_serve::{ServeConfig, Server};
+        let dir =
+            std::env::temp_dir().join(format!("fase_cli_shared_cache_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        // A fault rate without a fault seed: the default fault seed and
+        // the capture seed both enter each band's cache key.
+        let served = client_request(
+            &server.addr().to_string(),
+            "POST",
+            "/v1/sweep",
+            r#"{"tenant":"t","system":"i7","lo":250000,"hi":400000,"res":200,"bands":2,
+                "overlap":2000,"falt":30000,"fdelta":2000,"alts":5,"avg":3,"seed":11,
+                "fault_rate":0.05,"deadline_ms":120000}"#,
+        )
+        .unwrap();
+        server.join();
+        assert_eq!(served.status, 200, "{}", served.body);
+        assert!(
+            served.body.contains("\"cache_hits\":0,\"cache_misses\":2"),
+            "{}",
+            served.body
+        );
+        let out = run(&argv(&format!(
+            "sweep --system i7 --lo 250k --hi 400k --res 200 --bands 2 --overlap 2k \
+             --falt 30k --fdelta 2k --alts 5 --avg 3 --seed 11 --fault-rate 0.05 --cache-dir {}",
+            dir.display()
+        )))
+        .unwrap();
+        assert!(out.contains("cache: 2 hit(s), 0 miss(es)"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -98,8 +98,9 @@ impl HarmonicSet {
     /// [`Carrier::total_log_score`]. The harmonics of one physical
     /// source are independent looks at the same alternation activity,
     /// so their log-evidence adds — the "across the harmonic set" axis
-    /// of the fusion module, which the "across channels" axis of
-    /// [`fuse_reports`](crate::fusion::fuse_reports) then stacks on top.
+    /// of the fusion module, which
+    /// [`fuse_reports`](crate::fusion::fuse_reports) then also sums
+    /// across channels.
     pub fn total_log_score(&self) -> f64 {
         self.members.iter().map(Carrier::total_log_score).sum()
     }

@@ -16,6 +16,10 @@
 //!    clues, modulation depth, differential classification by activity
 //!    pair ([`classify`]), and information-leakage quantification
 //!    ([`leakage`]).
+//! 5. **Fusion and detection quality** ([`fusion`]): K channels' reports
+//!    fused into two per-scene statistics ([`fuse_reports`]), and the
+//!    ROC/precision-recall helpers that score them over a labeled
+//!    population.
 //!
 //! This crate is measurement-agnostic: it consumes [`fase_dsp::Spectrum`]
 //! values and never references the simulator, so it can analyze real
@@ -57,8 +61,8 @@ pub use config::{CampaignConfig, CampaignConfigBuilder};
 pub use error::FaseError;
 pub use fase::{Fase, FaseConfig};
 pub use fusion::{
-    average_precision, fuse_reports, roc_auc, roc_points, single_channel_statistic, FusedCarrier,
-    FusedSet, FusionReport, RocPoint,
+    average_precision, fuse_reports, roc_auc, roc_points, single_channel_statistic,
+    FusedStatistics, RocPoint,
 };
 pub use grouping::HarmonicSet;
 pub use health::{CampaignHealth, DroppedAlternation, FaultRecord};

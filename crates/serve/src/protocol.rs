@@ -49,8 +49,8 @@ pub struct SweepRequest {
     pub alternations: usize,
     /// Captures power-averaged per spectrum.
     pub averages: usize,
-    /// Scene/campaign seed (same convention as the CLI: the scene uses
-    /// `seed`, the campaign stream `seed + 1`).
+    /// Scene seed; the campaign's other seeds derive from it through
+    /// [`sweep_seeds`], as on the CLI.
     pub seed: u64,
     /// Per-class capture impairment probability, `[0, 1]`.
     pub fault_rate: f64,
@@ -75,6 +75,32 @@ fn num_or(obj: &Value, key: &str, default: f64) -> Result<f64, String> {
             Some(n) if n.is_finite() => Ok(n),
             _ => Err(format!("field '{key}' must be a finite number")),
         },
+    }
+}
+
+/// What a scene seed stands for in a sweep: the seeds the campaign
+/// derives from it and the scene's cache identity.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepSeeds {
+    /// Cache identity of the simulated scene:
+    /// `<system>#<seed as 16 hex digits>`.
+    pub system_id: String,
+    /// The campaign's capture stream, `seed + 1`, distinct from the
+    /// scene's own.
+    pub capture_seed: u64,
+    /// The fault schedule's seed when none is given, `seed·0x9E37 + 1`.
+    pub fault_seed: u64,
+}
+
+/// The seeds and cache identity of `system` built from `seed`. The
+/// server and `fase-cli` both derive them here, so a sweep served over
+/// a cache directory and the same sweep run from the command line share
+/// every cached band.
+pub fn sweep_seeds(system: &str, seed: u64) -> SweepSeeds {
+    SweepSeeds {
+        system_id: format!("{system}#{seed:016x}"),
+        capture_seed: seed.wrapping_add(1),
+        fault_seed: seed.wrapping_mul(0x9E37).wrapping_add(1),
     }
 }
 
@@ -202,12 +228,6 @@ impl SweepRequest {
             alternations: self.alternations,
             averages: self.averages,
         }
-    }
-
-    /// Cache identity of the simulated scene, CLI-compatible:
-    /// `<system>#<seed as 16 hex digits>`.
-    pub fn system_id(&self) -> String {
-        format!("{}#{:016x}", self.system, self.seed)
     }
 
     /// Queue cost of the request: one unit per band, so fairness is
@@ -362,7 +382,10 @@ mod tests {
         assert_eq!(req.retries, 2);
         assert!(req.deadline_ms.is_none());
         assert_eq!(req.cost(), 2);
-        assert_eq!(req.system_id(), "i7#000000000000002a");
+        let seeds = sweep_seeds(&req.system, req.seed);
+        assert_eq!(seeds.system_id, "i7#000000000000002a");
+        assert_eq!(seeds.capture_seed, 43);
+        assert_eq!(seeds.fault_seed, 42 * 0x9E37 + 1);
     }
 
     #[test]

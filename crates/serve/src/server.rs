@@ -43,7 +43,7 @@
 
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::protocol::{
-    cancelled_body, error_body, pair_by_name, sweep_body, system_factory, SweepRequest,
+    cancelled_body, error_body, pair_by_name, sweep_body, sweep_seeds, system_factory, SweepRequest,
 };
 use crate::queue::{DrrQueues, QueueCaps};
 use fase_core::{par::panic_message, FaseError};
@@ -590,8 +590,8 @@ fn run_with_retries(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
         return Response::json(400, error_body("bad-request", "unknown pair", None));
     };
     let config = request.sweep_config();
-    let system_id = request.system_id();
     let seed = request.seed;
+    let seeds = sweep_seeds(&request.system, seed);
 
     let mut attempt: u32 = 0;
     loop {
@@ -608,9 +608,7 @@ fn run_with_retries(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
             // and cache keys are reproducible); later service-level
             // attempts perturb it — the deterministic stand-in for "the
             // environment glitched, capture again".
-            let base = request
-                .fault_seed
-                .unwrap_or(seed.wrapping_mul(0x9E37).wrapping_add(1));
+            let base = request.fault_seed.unwrap_or(seeds.fault_seed);
             let fault_seed = base.wrapping_add(u64::from(attempt));
             options.campaign.fault_plan = Some(
                 FaultPlan::new(fault_seed).with_rates(FaultRates::uniform(request.fault_rate)),
@@ -620,10 +618,10 @@ fn run_with_retries(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
 
         match fase_specan::run_sweep(
             &config,
-            &system_id,
+            &seeds.system_id,
             pair,
             |_| make(seed),
-            seed.wrapping_add(1),
+            seeds.capture_seed,
             &options,
         ) {
             Ok(outcome) => {

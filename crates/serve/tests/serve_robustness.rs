@@ -338,12 +338,13 @@ fn restarted_server_resumes_an_interrupted_sweep_byte_identically() {
     options.campaign.threads = Some(1);
     options.campaign.max_attempts = request.retries + 1;
     options.campaign.max_fft = 1 << 12;
+    let seeds = fase_serve::protocol::sweep_seeds(&request.system, request.seed);
     let reference = fase_specan::run_sweep(
         &config,
-        &request.system_id(),
+        &seeds.system_id,
         fase_sysmodel::ActivityPair::LdmLdl1,
         |_| fase_emsim::SimulatedSystem::intel_i7_desktop(request.seed),
-        request.seed.wrapping_add(1),
+        seeds.capture_seed,
         &options,
     )
     .unwrap();

@@ -25,6 +25,8 @@
 //! capture pool, runs a campaign's reduce and analysis per band and
 //! merges the reports, and [`CaptureCache`] persists reduced band captures
 //! content-addressed so interrupted or repeated sweeps skip synthesis.
+//! [`run_multichannel_sweep`] runs one sweep through K receiver-noise
+//! realizations and fuses them with [`fase_core::fuse_reports`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -45,7 +47,7 @@ pub use antenna::AntennaResponse;
 pub use cache::{CacheKey, CacheLookup, CaptureCache};
 pub use cancel::CancelToken;
 pub use fault::{FaultKind, FaultPlan, FaultRates};
-pub use multichannel::{run_multichannel_sweep, ChannelPlan, MultiSweepOutcome};
+pub use multichannel::{run_multichannel_sweep, MultiSweepOutcome};
 pub use probe::{capture_iq, probe_modulation, IqCapture, ProbeConfig};
 pub use runner::{
     measure_alternation, run_campaign_with_options, CampaignOptions, DEFAULT_MAX_ATTEMPTS,

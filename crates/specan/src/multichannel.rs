@@ -1,122 +1,62 @@
 //! Multi-channel sweep campaigns: one machine, K receiver positions.
 //!
 //! The paper measures each machine once, from one antenna position. A
-//! real assessment moves the antenna (or uses several), because a
-//! genuine emanation is present in *every* receiver realization while
+//! genuine emanation is present in *every* receiver realization, while
 //! noise spikes and narrow-band interference are not coherent across
-//! positions. This module runs the same [`run_sweep`] campaign through
-//! `K` independent channel realizations of the *same* simulated machine
-//! and fuses the per-channel reports into one
-//! [`fase_core::FusionReport`]:
+//! positions. [`run_multichannel_sweep`] runs the same [`run_sweep`]
+//! campaign through `K` channel realizations of the *same* simulated
+//! machine and fuses the per-channel reports into one
+//! [`fase_core::FusedStatistics`]:
 //!
-//! * The machine (its activity execution and emitter behavior) is
-//!   shared: every channel runs the caller's factory with the same
-//!   sweep seed, so the transmitted spectrum is bit-identical across
-//!   channels. Only the propagation channel differs.
+//! * Every channel runs the caller's factory with the same sweep seed,
+//!   so the transmitted spectrum is bit-identical across channels.
 //! * Channel `k` replaces the factory's channel with one seeded
-//!   `mix_seed(plan.seed, k)` at the same noise density and gain.
+//!   `mix_seed(CHANNEL_SEED, k)` at the same noise density and gain.
 //! * Each channel caches under its own `system_id` suffix (`#ch{k}`),
-//!   so warm multi-channel re-runs are pure cache hits per channel and
-//!   byte-identical to cold ones.
-//!
-//! Channels run sequentially and are fused in index order; the fused
-//! report is a deterministic function of (config, factory, seed, plan).
+//!   so warm re-runs are pure cache hits, byte-identical to cold ones.
 
 use crate::scheduler::{run_sweep, seam_tolerance, SweepConfig, SweepOptions, SweepOutcome};
-use fase_core::{
-    fuse_reports, single_channel_statistic, FaseConfig, FaseError, FaseReport, FusionReport,
-};
+use fase_core::{fuse_reports, FaseConfig, FaseError, FaseReport, FusedStatistics};
 use fase_dsp::rng::mix_seed;
 use fase_emsim::channel::Channel;
 use fase_emsim::SimulatedSystem;
 use fase_sysmodel::ActivityPair;
 
-/// How many receiver realizations to run and how they differ.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChannelPlan {
-    /// Number of independent channel realizations (`K`). Must be ≥ 1.
-    pub channels: usize,
-    /// Seed stream for the per-channel RNGs: channel `k` is seeded
-    /// `mix_seed(seed, k)`, so channels are independent of each other
-    /// and of the sweep's own capture seed.
-    pub seed: u64,
-}
-
-impl ChannelPlan {
-    /// A `K`-position plan at the factory's gain, channels seeded from
-    /// `seed`.
-    pub fn new(channels: usize, seed: u64) -> ChannelPlan {
-        ChannelPlan { channels, seed }
-    }
-}
-
-impl Default for ChannelPlan {
-    fn default() -> ChannelPlan {
-        ChannelPlan::new(3, 0xC4A2)
-    }
-}
+/// Seed stream of the per-channel receiver noise. The cache key names a
+/// channel only by its index, so this must stay one constant.
+const CHANNEL_SEED: u64 = 0xC4A2;
 
 /// The result of a multi-channel sweep: every channel's full outcome
-/// plus the fused cross-channel report.
+/// plus the fused cross-channel statistics.
 #[derive(Debug)]
 pub struct MultiSweepOutcome {
-    /// Per-channel sweep outcomes, in channel order (index `k` of this
-    /// vector is the channel seeded `mix_seed(plan.seed, k)`).
+    /// Per-channel sweep outcomes, in channel order.
     pub per_channel: Vec<SweepOutcome>,
     /// Cross-channel fusion of the per-channel reports.
-    pub fused: FusionReport,
+    pub fused: FusedStatistics,
 }
 
-impl MultiSweepOutcome {
-    /// The fused detection statistic (see
-    /// [`FusionReport::detection_statistic`]).
-    pub fn detection_statistic(&self) -> f64 {
-        self.fused.detection_statistic()
-    }
-
-    /// The best statistic any single channel achieves on its own —
-    /// the baseline fusion must beat.
-    pub fn best_single_statistic(&self) -> f64 {
-        self.fused.best_single_statistic()
-    }
-
-    /// Each channel's standalone detection statistic, in channel order.
-    pub fn single_channel_statistics(&self) -> Vec<f64> {
-        self.per_channel
-            .iter()
-            .map(|o| single_channel_statistic(&o.report))
-            .collect()
-    }
-}
-
-/// Replaces `system`'s propagation channel with realization `k` of the
-/// plan: same noise density and gain, fresh RNG stream.
-fn apply_channel(system: &mut SimulatedSystem, plan: &ChannelPlan, k: usize) {
+/// Replaces `system`'s propagation channel with realization `k`: same
+/// noise density and gain, fresh RNG stream.
+fn apply_channel(system: &mut SimulatedSystem, k: usize) {
     let base = system.scene.channel();
-    let realized = Channel::new(base.noise_density(), mix_seed(plan.seed, k as u64))
+    let realized = Channel::new(base.noise_density(), mix_seed(CHANNEL_SEED, k as u64))
         .with_gain_db(base.gain().db());
     system.scene.set_channel(realized);
 }
 
-/// Runs the same sweep campaign through `plan.channels` channel
-/// realizations of the machine `factory` builds, and fuses the
-/// per-channel reports. The factory is called as in [`run_sweep`]: each
-/// channel's sweep calls it once per alternation frequency if it
-/// captures any band.
-///
-/// `system_id` names what the factory builds exactly as in
-/// [`run_sweep`]; each channel's captures cache under
-/// `{system_id}#ch{k}`, so a channel realization never collides with
-/// the single-channel sweep of the same machine. The carrier match
-/// tolerance for fusion is `2 × config.resolution` — the same tolerance
-/// the sweep itself uses to deduplicate seam carriers.
+/// Runs the same sweep campaign through `channels` channel realizations
+/// of the machine `factory` builds, one after another, and fuses the
+/// per-channel reports in channel order. Each channel's sweep calls the
+/// factory as [`run_sweep`] does and caches under `{system_id}#ch{k}`,
+/// so a channel never collides with the single-channel sweep of the same
+/// machine. Carriers match across channels within the sweep's own seam
+/// tolerance, `2 × config.resolution`.
 ///
 /// # Errors
 ///
-/// * [`FaseError::InvalidConfig`] — a plan with zero channels, or any
-///   plan error [`run_sweep`] itself reports.
-/// * Everything [`run_sweep`] can return, unchanged, from the first
-///   channel that fails.
+/// [`FaseError::InvalidConfig`] for zero `channels`; otherwise whatever
+/// [`run_sweep`] returns for the first channel that fails.
 pub fn run_multichannel_sweep<F>(
     config: &SweepConfig,
     system_id: &str,
@@ -124,49 +64,40 @@ pub fn run_multichannel_sweep<F>(
     factory: F,
     seed: u64,
     options: &SweepOptions,
-    plan: &ChannelPlan,
+    channels: usize,
 ) -> Result<MultiSweepOutcome, FaseError>
 where
     F: Fn(usize) -> SimulatedSystem + Sync,
 {
-    if plan.channels == 0 {
+    if channels == 0 {
         return Err(FaseError::invalid_config(
-            "a channel plan needs at least one channel",
+            "a multi-channel sweep needs at least one channel",
         ));
     }
-    let match_tol = seam_tolerance(config.resolution);
-
-    let mut per_channel = Vec::with_capacity(plan.channels);
-    for k in 0..plan.channels {
-        // Channel-granularity cancellation: once the token fires,
-        // finished channels stand (their bands are cached) and remaining
-        // realizations are abandoned; the fused report then covers only
-        // the completed channels.
-        if options.campaign.cancel.is_cancelled() {
-            break;
-        }
-        let channel_factory = |i_alt: usize| {
-            let mut system = factory(i_alt);
-            apply_channel(&mut system, plan, k);
-            system
-        };
-        let channel_id = format!("{system_id}#ch{k}");
-        let outcome = run_sweep(config, &channel_id, pair, channel_factory, seed, options)?;
-        let cancelled = outcome.cancelled;
-        per_channel.push(outcome);
-        if cancelled {
-            break;
-        }
-    }
-
+    let per_channel = (0..channels)
+        .map(|k| {
+            let channel_factory = |i_alt: usize| {
+                let mut system = factory(i_alt);
+                apply_channel(&mut system, k);
+                system
+            };
+            let channel_id = format!("{system_id}#ch{k}");
+            run_sweep(config, &channel_id, pair, channel_factory, seed, options)
+        })
+        .collect::<Result<Vec<SweepOutcome>, FaseError>>()?;
     let reports: Vec<FaseReport> = per_channel.iter().map(|o| o.report.clone()).collect();
-    let fused = fuse_reports(&reports, match_tol, FaseConfig::default().group_rel_tol);
+    let fused = fuse_reports(
+        &reports,
+        seam_tolerance(config.resolution),
+        FaseConfig::default().group_rel_tol,
+    );
     Ok(MultiSweepOutcome { per_channel, fused })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fase_core::single_channel_statistic;
     use fase_dsp::Hertz;
     use fase_sysmodel::Machine;
 
@@ -207,7 +138,7 @@ mod tests {
             demo_factory,
             7,
             &fast_options(),
-            &ChannelPlan::new(0, 1),
+            0,
         )
         .unwrap_err();
         assert!(matches!(err, FaseError::InvalidConfig(_)), "{err}");
@@ -215,7 +146,6 @@ mod tests {
 
     #[test]
     fn fusion_dominates_every_single_channel() {
-        let plan = ChannelPlan::new(3, 0xBEEF);
         let outcome = run_multichannel_sweep(
             &small_sweep(),
             "demo",
@@ -223,24 +153,24 @@ mod tests {
             demo_factory,
             7,
             &fast_options(),
-            &plan,
+            3,
         )
         .unwrap();
         assert_eq!(outcome.per_channel.len(), 3);
-        let fused = outcome.detection_statistic();
+        let fused = outcome.fused.fused;
         assert!(fused > 0.0, "the i7 regulator must be detected somewhere");
-        for (k, single) in outcome.single_channel_statistics().iter().enumerate() {
+        for (k, channel) in outcome.per_channel.iter().enumerate() {
+            let single = single_channel_statistic(&channel.report);
             assert!(
-                fused >= *single,
+                fused >= single,
                 "channel {k}: fused {fused} < single {single}"
             );
         }
-        assert!(outcome.best_single_statistic() <= fused);
+        assert!(outcome.fused.best_single <= fused);
     }
 
     #[test]
     fn channel_realizations_differ_but_the_campaign_is_deterministic() {
-        let plan = ChannelPlan::new(2, 0xBEEF);
         let run = || {
             run_multichannel_sweep(
                 &small_sweep(),
@@ -249,14 +179,17 @@ mod tests {
                 demo_factory,
                 7,
                 &fast_options(),
-                &plan,
+                2,
             )
             .unwrap()
         };
         let a = run();
         let b = run();
         // Bit-identical across repeated runs…
-        assert_eq!(a.fused.to_json(), b.fused.to_json());
+        assert_eq!(a.fused, b.fused);
+        for (x, y) in a.per_channel.iter().zip(&b.per_channel) {
+            assert_eq!(x.report.to_json(), y.report.to_json());
+        }
         // …but the two channels see different noise realizations.
         assert_ne!(
             a.per_channel[0].report.to_json(),
@@ -273,7 +206,6 @@ mod tests {
             cache_dir: Some(dir.clone()),
             ..fast_options()
         };
-        let plan = ChannelPlan::new(2, 0xBEEF);
         let cold = run_multichannel_sweep(
             &small_sweep(),
             "demo",
@@ -281,7 +213,7 @@ mod tests {
             demo_factory,
             7,
             &options,
-            &plan,
+            2,
         )
         .unwrap();
         let misses: usize = cold.per_channel.iter().map(|o| o.cache_misses).sum();
@@ -294,12 +226,15 @@ mod tests {
             demo_factory,
             7,
             &options,
-            &plan,
+            2,
         )
         .unwrap();
         let hits: usize = warm.per_channel.iter().map(|o| o.cache_hits).sum();
         assert_eq!(hits, 4, "warm run must be served entirely from cache");
-        assert_eq!(warm.fused.to_json(), cold.fused.to_json());
+        assert_eq!(warm.fused, cold.fused);
+        for (w, c) in warm.per_channel.iter().zip(&cold.per_channel) {
+            assert_eq!(w.report.to_json(), c.report.to_json());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -307,7 +242,7 @@ mod tests {
     fn every_position_keeps_the_factory_gain() {
         let mut system = demo_factory(0);
         let base_gain = system.scene.channel().gain().db();
-        apply_channel(&mut system, &ChannelPlan::new(3, 1), 2);
+        apply_channel(&mut system, 2);
         assert_eq!(system.scene.channel().gain().db(), base_gain);
     }
 }

@@ -62,35 +62,32 @@ echo "==> benchmark package tests"
 # benchmark before the benchmark itself runs.
 cargo test --offline -q --manifest-path crates/bench/examples/perf/Cargo.toml
 
-echo "==> figures (worker-count identity, claim verdicts)"
-# Every figure/claim target that the `experiment` binary lists runs
-# twice, with one and with two capture workers: stdout and exit status
-# must match byte for byte, the campaign pool's promise that output never
-# depends on the worker count. Each target's claim verdict (exit 0 and no
-# ✗ line) is printed but not gated: a failing claim is a modelling result
-# recorded in EXPERIMENTS.md.
-mkdir -p target/figures-ci
-figures_ok=1
-# check_figure <name>
-check_figure() {
-  local out1="target/figures-ci/$1.threads1.out" out2="target/figures-ci/$1.threads2.out"
-  local status1=0 status2=0
-  FASE_THREADS=1 target/release/experiment "$1" > "$out1" 2> /dev/null || status1=$?
-  FASE_THREADS=2 target/release/experiment "$1" > "$out2" 2> /dev/null || status2=$?
-  if [[ $status1 -ne $status2 ]] || ! cmp -s "$out1" "$out2"; then
-    echo "  $1: output differs between FASE_THREADS=1 and FASE_THREADS=2"
-    figures_ok=0
-  fi
-  if [[ $status1 -eq 0 ]] && ! grep -q '✗' "$out1"; then
-    echo "  $1: claims hold"
-  else
-    echo "  $1: claim fails (exit $status1)"
-  fi
-}
-for name in $(target/release/experiment); do
-  check_figure "$name"
+echo "==> figures (pinned digests at 1 and 2 workers, claim verdicts)"
+# Every entry that the `experiment` binary lists runs twice, with one and
+# with two capture workers, each in an empty directory: its exit status
+# and the sha256 of its stdout and of every CSV it writes must equal
+# FIGURES.sha256 line for line (scripts/figure_digests.sh says how to
+# regenerate that file). That pins each figure's numbers, and through
+# both runs the campaign pool's promise that output never depends on the
+# worker count. Each entry's claim verdict (exit 0 and no ✗ line) is
+# printed but not gated: a failing claim is a modelling result recorded
+# in EXPERIMENTS.md.
+for threads in 1 2; do
+  FASE_THREADS=$threads scripts/figure_digests.sh target/release/experiment \
+    "target/figures-ci/t$threads" > "target/figures-ci.t$threads.sha256"
+  cmp -s FIGURES.sha256 "target/figures-ci.t$threads.sha256" || {
+    echo "figure output at FASE_THREADS=$threads differs from FIGURES.sha256:"
+    diff FIGURES.sha256 "target/figures-ci.t$threads.sha256" || true
+    exit 1
+  }
 done
-[[ $figures_ok -eq 1 ]] || { echo "figure output depends on the worker count"; exit 1; }
+for name in $(target/release/experiment); do
+  if grep -qx "$name exit 0" FIGURES.sha256 && ! grep -q '✗' "target/figures-ci/t1/$name.out"; then
+    echo "  $name: claims hold"
+  else
+    echo "  $name: claim fails ($(grep "^$name exit " FIGURES.sha256 | cut -d' ' -f2-))"
+  fi
+done
 
 echo "==> per-layer perf A/B gate (base build vs this tree, same host)"
 # The benchmark package (crates/bench/examples/perf) is built twice: at a
