@@ -94,7 +94,6 @@ pub fn run() -> bool {
                 max_sideband_excess_db: v.max_sideband_excess_db,
                 ..Default::default()
             },
-            ..FaseConfig::default()
         });
         let report = fase.analyze(&spectra).expect("analysis");
         let (genuine, false_carriers) = score(&report);

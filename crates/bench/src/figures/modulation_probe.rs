@@ -6,7 +6,7 @@
 use crate::print_table;
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_specan::{probe_modulation, ProbeConfig};
+use fase_specan::probe_modulation;
 use fase_sysmodel::ActivityPair;
 
 /// One probe definition: label, system builder, carrier Hz, span Hz,
@@ -59,17 +59,13 @@ pub fn run() -> bool {
     let mut all_ok = true;
     for (i, (name, make, carrier, span, pair, expected)) in probes.iter().enumerate() {
         let mut system = make(if name.starts_with("i7") { 42 } else { 2007 });
-        let config = ProbeConfig {
-            span: *span,
-            ..ProbeConfig::default()
-        };
         let (stats, kind) = probe_modulation(
             &mut system,
             *pair,
             600 + i as u64,
             Hertz(*carrier),
             Hertz::from_khz(5.0),
-            &config,
+            *span,
         );
         let verdict = format!("{kind:?}");
         let ok = verdict == *expected;

@@ -7,10 +7,7 @@ use fase_core::{
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
 use fase_serve::protocol::sweep_seeds;
-use fase_specan::{
-    probe_modulation, run_campaign_with_options, CampaignOptions, FaultPlan, FaultRates,
-    ProbeConfig,
-};
+use fase_specan::{probe_modulation, run_campaign_with_options, CampaignOptions, FaultPlan};
 use fase_sysmodel::ActivityPair;
 use std::fmt;
 use std::fmt::Write as _;
@@ -311,7 +308,7 @@ fn fault_plan_from(parsed: &ParsedArgs, default_seed: u64) -> Result<Option<Faul
         return Ok(None);
     }
     let fault_seed = parsed.integer_or("fault-seed", default_seed)?;
-    let mut plan = FaultPlan::new(fault_seed).with_rates(FaultRates::uniform(rate));
+    let mut plan = FaultPlan::new(fault_seed).with_rate(rate);
     if let Some(i) = fail_alt {
         plan = plan.always_fail(i as usize);
     }
@@ -402,18 +399,16 @@ fn probe(parsed: &ParsedArgs) -> Result<String, CliError> {
     let mut system = system_factory(parsed.required("system")?)?(seed);
     let carrier = Hertz(parsed.frequency("carrier")?);
     let falt = Hertz(parsed.frequency_or("falt", 5_000.0)?);
+    // Narrow enough to exclude neighbouring carriers, wide enough for
+    // several harmonics of the default 5 kHz alternation.
     let span = parsed.frequency_or("span", 24_000.0)?;
-    let config = ProbeConfig {
-        span,
-        ..ProbeConfig::default()
-    };
     let (stats, kind) = probe_modulation(
         &mut system,
         ActivityPair::LdmLdl1,
         seed.wrapping_add(1),
         carrier,
         falt,
-        &config,
+        span,
     );
     Ok(format!(
         "carrier {carrier}: {kind:?} (AM depth {:.3}, FM deviation {:.0} Hz)\n",

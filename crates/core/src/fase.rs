@@ -8,29 +8,20 @@ use crate::report::FaseReport;
 use crate::spectra::CampaignSpectra;
 use fase_obs::{span, Recorder};
 
+/// Highest harmonic of `f_alt` FASE scores: the paper detects the
+/// 1st–5th positive and negative harmonics.
+pub const MAX_HARMONIC: u32 = 5;
+
+/// Relative frequency tolerance when grouping carriers into harmonic sets.
+pub const GROUP_REL_TOL: f64 = 0.003;
+
 /// Tunables of a FASE analysis.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaseConfig {
-    /// Highest harmonic of `f_alt` to score (the paper detects the 1st–5th
-    /// positive and negative harmonics).
-    pub max_harmonic: u32,
     /// Heuristic evaluation parameters.
     pub heuristic: HeuristicConfig,
     /// Peak detection and evidence-merging parameters.
     pub detector: DetectorConfig,
-    /// Relative tolerance when grouping carriers into harmonic sets.
-    pub group_rel_tol: f64,
-}
-
-impl Default for FaseConfig {
-    fn default() -> FaseConfig {
-        FaseConfig {
-            max_harmonic: 5,
-            heuristic: HeuristicConfig::default(),
-            detector: DetectorConfig::default(),
-            group_rel_tol: 0.003,
-        }
-    }
 }
 
 /// The FASE analyzer: consumes campaign spectra, produces a report of
@@ -108,16 +99,14 @@ impl Fase {
     ///
     /// # Errors
     ///
-    /// Returns [`FaseError::InvalidConfig`] if `max_harmonic` is zero.
+    /// None at present: every campaign [`CampaignSpectra`] admits can be
+    /// analysed.
     pub fn analyze(&self, spectra: &CampaignSpectra) -> Result<FaseReport, FaseError> {
-        if self.config.max_harmonic == 0 {
-            return Err(FaseError::invalid_config("max_harmonic must be at least 1"));
-        }
         let _analyze = span!(self.recorder, "analyze");
         let traces = {
             let _score = span!(self.recorder, "score");
             self.record_scoring(spectra);
-            all_harmonic_scores(spectra, self.config.max_harmonic, &self.config.heuristic)
+            all_harmonic_scores(spectra, MAX_HARMONIC, &self.config.heuristic)
         };
         let detections: Vec<Detection> = {
             let _detect = span!(self.recorder, "detect");
@@ -130,8 +119,7 @@ impl Fase {
             .count_usize("core.detections", detections.len());
         let _group = span!(self.recorder, "group");
         let carriers = merge_detections(spectra, detections, &self.config.detector);
-        let mut report =
-            FaseReport::from_carriers(carriers, self.config.group_rel_tol).with_traces(traces);
+        let mut report = FaseReport::from_carriers(carriers, GROUP_REL_TOL).with_traces(traces);
         if let Some(health) = spectra.health() {
             report = report.with_health(health.clone());
         }
@@ -155,7 +143,7 @@ impl Fase {
         }
         self.recorder
             .count_usize("core.heuristic.windowed_max_passes", spectra.len());
-        let harmonics = 2 * self.config.max_harmonic as usize;
+        let harmonics = 2 * MAX_HARMONIC as usize;
         self.recorder.count_usize(
             "core.heuristic.bins_scored",
             spectra.spectrum(0).len().saturating_mul(harmonics),
@@ -233,31 +221,15 @@ mod tests {
         let report = Fase::new(config).analyze(&campaign).unwrap();
         assert!(report.len() >= 2, "carriers: {}", report.len());
 
-        let traces = crate::heuristic::all_harmonic_scores(
-            &campaign,
-            config.max_harmonic,
-            &config.heuristic,
-        );
+        let traces =
+            crate::heuristic::all_harmonic_scores(&campaign, MAX_HARMONIC, &config.heuristic);
         let mut detections = Vec::new();
         for trace in &traces {
             detections.extend(detect_in_trace(trace, &config.detector));
         }
         let carriers = merge_detections(&campaign, detections, &config.detector);
-        let serial = FaseReport::from_carriers(carriers, config.group_rel_tol).with_traces(traces);
+        let serial = FaseReport::from_carriers(carriers, GROUP_REL_TOL).with_traces(traces);
         assert_eq!(report.to_json(), serial.to_json());
-    }
-
-    #[test]
-    fn zero_harmonics_rejected() {
-        let campaign = modulated_campaign(&[100_000.0]);
-        let fase = Fase::new(FaseConfig {
-            max_harmonic: 0,
-            ..FaseConfig::default()
-        });
-        assert!(matches!(
-            fase.analyze(&campaign),
-            Err(FaseError::InvalidConfig(_))
-        ));
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!    sums member-carrier evidence within one channel's report.
 //! 2. **Across channels** — [`fuse_reports`] matches carriers between K
 //!    per-channel [`FaseReport`]s by frequency, sums their evidence per
-//!    harmonic family and returns the scene's two [`FusedStatistics`]:
-//!    the fused statistic and the best single channel's.
+//!    harmonic family and returns the scene's fused statistic.
 //!
 //! True emitters score consistently in every channel, so their fused
 //! evidence grows ~K-fold; a noise spike or interferer artifact that
@@ -23,25 +22,15 @@
 //! separation for the detection-quality benchmark.
 
 use crate::carrier::Carrier;
+use crate::fase::GROUP_REL_TOL;
 use crate::grouping::group_harmonic_sets;
 use crate::report::FaseReport;
 use fase_dsp::Hertz;
 use std::collections::BTreeMap;
 
-/// The two detection statistics of one scene seen through K channels.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FusedStatistics {
-    /// The fused statistic: the strongest harmonic family's evidence,
-    /// summed over its members and over every channel (0.0 when no
-    /// channel detected anything).
-    pub fused: f64,
-    /// The best any *single* channel scores a family on its own (its
-    /// sum over the members it detected) — what the best fixed-position
-    /// receiver alone would have reported.
-    pub best_single: f64,
-}
-
-/// Fuses per-channel reports into the scene's [`FusedStatistics`].
+/// Fuses per-channel reports into the scene's fused statistic: the
+/// strongest harmonic family's evidence, summed over its members and over
+/// every channel (0.0 when no channel detected anything).
 ///
 /// Carriers from different channels within `match_tol` of each other
 /// (chained, like seam dedup in
@@ -49,15 +38,11 @@ pub struct FusedStatistics {
 /// physical emitter: their evidence *sums*, because distinct channels
 /// are independent observations rather than redundant ones. Each such
 /// cluster's strongest member stands for it when the clusters are
-/// regrouped into harmonic families with `group_rel_tol`, and each
-/// family's evidence is summed per channel over its clusters. Both
-/// statistics are maxima over the families. The result depends only on
-/// the reports and their order (which fixes the order of float sums).
-pub fn fuse_reports(
-    reports: &[FaseReport],
-    match_tol: Hertz,
-    group_rel_tol: f64,
-) -> FusedStatistics {
+/// regrouped into harmonic families with [`GROUP_REL_TOL`], and each
+/// family's evidence is summed per channel over its clusters. The result
+/// depends only on the reports and their order (which fixes the order of
+/// float sums).
+pub fn fuse_reports(reports: &[&FaseReport], match_tol: Hertz) -> f64 {
     let channels = reports.len();
     // (frequency, channel, carrier) rows, ascending frequency; channel
     // index breaks exact-frequency ties deterministically.
@@ -116,11 +101,8 @@ pub fn fuse_reports(
 
     // Harmonic families over the representatives, then family-level
     // sums over the member clusters.
-    let mut stats = FusedStatistics {
-        fused: 0.0,
-        best_single: 0.0,
-    };
-    for set in group_harmonic_sets(&representatives, group_rel_tol) {
+    let mut fused = 0.0f64;
+    for set in group_harmonic_sets(&representatives, GROUP_REL_TOL) {
         let mut per_channel = vec![0.0f64; channels];
         for member in set.members() {
             let Some(cluster) = cluster_of
@@ -133,13 +115,9 @@ pub fn fuse_reports(
                 *total += e;
             }
         }
-        stats.fused = stats.fused.max(per_channel.iter().sum());
-        stats.best_single = per_channel
-            .iter()
-            .copied()
-            .fold(stats.best_single, f64::max);
+        fused = fused.max(per_channel.iter().sum());
     }
-    stats
+    fused
 }
 
 /// The single-channel detection statistic of one report: its strongest
@@ -283,13 +261,9 @@ mod tests {
             report(vec![]),
             report(vec![carrier(315_120.0, 80.0)]),
         ];
-        let stats = fuse_reports(&reports, Hertz(500.0), 0.003);
+        let fused = fuse_reports(&reports.each_ref(), Hertz(500.0));
         let expected = 101.0f64.ln() + 81.0f64.ln();
-        assert!((stats.fused - expected).abs() < 1e-9, "{stats:?}");
-        assert!(
-            (stats.best_single - 101.0f64.ln()).abs() < 1e-9,
-            "{stats:?}"
-        );
+        assert!((fused - expected).abs() < 1e-9, "{fused}");
     }
 
     #[test]
@@ -302,48 +276,37 @@ mod tests {
             report(vec![carrier(315_000.0, 100.0), carrier(430_000.0, 60.0)]),
             report(vec![carrier(315_050.0, 90.0)]),
         ];
-        let stats = fuse_reports(&reports, Hertz(500.0), 0.003);
+        let fused = fuse_reports(&reports.each_ref(), Hertz(500.0));
         let regulator = 101.0f64.ln() + 91.0f64.ln();
-        assert!((stats.fused - regulator).abs() < 1e-9, "{stats:?}");
-        assert!(
-            (stats.best_single - 101.0f64.ln()).abs() < 1e-9,
-            "{stats:?}"
-        );
+        assert!((fused - regulator).abs() < 1e-9, "{fused}");
         // A match tolerance that bridges the gap would merge them.
-        let bridged = fuse_reports(&reports, Hertz(200_000.0), 0.003);
-        assert!(bridged.fused > stats.fused, "{bridged:?}");
+        let bridged = fuse_reports(&reports.each_ref(), Hertz(200_000.0));
+        assert!(bridged > fused, "{bridged}");
     }
 
     #[test]
     fn harmonic_families_fuse_across_members_and_channels() {
         // Fundamental and 2nd harmonic, each seen by both channels: the
-        // set statistic sums all four looks; the best single channel
-        // only ever saw its own two.
+        // set statistic sums all four looks.
         let reports = [
             report(vec![carrier(315_000.0, 50.0), carrier(630_000.0, 20.0)]),
             report(vec![carrier(315_080.0, 40.0), carrier(630_160.0, 30.0)]),
         ];
-        let stats = fuse_reports(&reports, Hertz(500.0), 0.003);
+        let fused = fuse_reports(&reports.each_ref(), Hertz(500.0));
         let ch0 = 51.0f64.ln() + 21.0f64.ln();
         let ch1 = 41.0f64.ln() + 31.0f64.ln();
-        assert!((stats.fused - (ch0 + ch1)).abs() < 1e-9, "{stats:?}");
-        assert!((stats.best_single - ch0.max(ch1)).abs() < 1e-9, "{stats:?}");
-        assert!(stats.fused >= stats.best_single);
+        assert!((fused - (ch0 + ch1)).abs() < 1e-9, "{fused}");
     }
 
     #[test]
-    fn channel_order_does_not_change_the_statistics() {
+    fn channel_order_does_not_change_the_statistic() {
         let a = report(vec![carrier(315_000.0, 100.0), carrier(630_000.0, 10.0)]);
         let b = report(vec![carrier(315_100.0, 40.0)]);
         let c = report(vec![carrier(630_050.0, 70.0)]);
-        let abc = fuse_reports(&[a.clone(), b.clone(), c.clone()], Hertz(500.0), 0.003);
-        let cba = fuse_reports(&[c, b, a], Hertz(500.0), 0.003);
-        assert!(abc.fused > 0.0 && abc.best_single > 0.0, "{abc:?}");
-        assert!((abc.fused - cba.fused).abs() < 1e-12, "{abc:?} vs {cba:?}");
-        assert!(
-            (abc.best_single - cba.best_single).abs() < 1e-12,
-            "{abc:?} vs {cba:?}"
-        );
+        let abc = fuse_reports(&[&a, &b, &c], Hertz(500.0));
+        let cba = fuse_reports(&[&c, &b, &a], Hertz(500.0));
+        assert!(abc > 0.0, "{abc}");
+        assert!((abc - cba).abs() < 1e-12, "{abc} vs {cba}");
     }
 
     #[test]
@@ -365,26 +328,22 @@ mod tests {
                     report(cs)
                 })
                 .collect();
-            let stats = fuse_reports(&reports, Hertz(500.0), 0.003);
+            let borrowed: Vec<&FaseReport> = reports.iter().collect();
+            let fused = fuse_reports(&borrowed, Hertz(500.0));
             for single in &reports {
                 assert!(
-                    stats.fused >= single_channel_statistic(single) - 1e-9,
+                    fused >= single_channel_statistic(single) - 1e-9,
                     "fusion lost to a single channel on trial {trial}"
                 );
             }
-            assert!(stats.fused >= stats.best_single - 1e-12);
         }
     }
 
     #[test]
-    fn empty_input_gives_zero_statistics() {
-        let zero = FusedStatistics {
-            fused: 0.0,
-            best_single: 0.0,
-        };
-        assert_eq!(fuse_reports(&[], Hertz(500.0), 0.003), zero);
-        let no_detections = fuse_reports(&[report(vec![]), report(vec![])], Hertz(500.0), 0.003);
-        assert_eq!(no_detections, zero);
+    fn empty_input_gives_a_zero_statistic() {
+        assert_eq!(fuse_reports(&[], Hertz(500.0)), 0.0);
+        let empty = report(vec![]);
+        assert_eq!(fuse_reports(&[&empty, &empty], Hertz(500.0)), 0.0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    pair ([`classify`]), and information-leakage quantification
 //!    ([`leakage`]).
 //! 5. **Fusion and detection quality** ([`fusion`]): K channels' reports
-//!    fused into two per-scene statistics ([`fuse_reports`]), and the
+//!    fused into one per-scene statistic ([`fuse_reports`]), and the
 //!    ROC/precision-recall helpers that score them over a labeled
 //!    population.
 //!
@@ -26,12 +26,10 @@
 //! spectrum-analyzer or SDR captures unchanged.
 //!
 //! ```
-//! use fase_core::{CampaignConfig, Fase};
-//! use fase_dsp::Hertz;
+//! use fase_core::{CampaignConfig, MAX_HARMONIC};
 //! let config = CampaignConfig::paper_0_4mhz();
 //! assert_eq!(config.alternation_frequencies().len(), 5);
-//! let analyzer = Fase::default();
-//! assert_eq!(analyzer.config().max_harmonic, 5);
+//! assert_eq!(MAX_HARMONIC, 5);
 //! ```
 
 #![warn(missing_docs)]
@@ -59,10 +57,9 @@ pub use carrier::{Carrier, Harmonic};
 pub use classify::{classify_by_pairs, ClassifiedCarrier, ModulationClass};
 pub use config::{CampaignConfig, CampaignConfigBuilder};
 pub use error::FaseError;
-pub use fase::{Fase, FaseConfig};
+pub use fase::{Fase, FaseConfig, GROUP_REL_TOL, MAX_HARMONIC};
 pub use fusion::{
-    average_precision, fuse_reports, roc_auc, roc_points, single_channel_statistic,
-    FusedStatistics, RocPoint,
+    average_precision, fuse_reports, roc_auc, roc_points, single_channel_statistic, RocPoint,
 };
 pub use grouping::HarmonicSet;
 pub use health::{CampaignHealth, DroppedAlternation, FaultRecord};

@@ -12,6 +12,7 @@
 //! health records.
 
 use crate::carrier::Carrier;
+use crate::fase::GROUP_REL_TOL;
 use crate::health::CampaignHealth;
 use crate::report::FaseReport;
 use fase_dsp::Hertz;
@@ -24,19 +25,15 @@ use fase_dsp::Hertz;
 /// with the strongest combined evidence (`total_log_score`) survives, so
 /// the band that saw the carrier away from its filter edge wins over the
 /// band that clipped it. Survivors are re-grouped into harmonic sets with
-/// `group_rel_tol` (the same tolerance [`FaseReport::from_carriers`]
-/// uses), and the per-band health records are summed — `planned`,
-/// `surviving`, retry/quarantine counts add up; fault and drop lists
-/// concatenate in band order.
+/// [`GROUP_REL_TOL`], the tolerance [`Fase::analyze`](crate::Fase::analyze)
+/// groups each band with, and the per-band health records are summed —
+/// `planned`, `surviving`, retry/quarantine counts add up; fault and drop
+/// lists concatenate in band order.
 ///
 /// Merging is deterministic: ties in evidence break toward the lower
 /// frequency, and the output order is the analyzer's strongest-first
 /// convention.
-pub fn merge_band_reports(
-    reports: &[FaseReport],
-    seam_tol: Hertz,
-    group_rel_tol: f64,
-) -> FaseReport {
+pub fn merge_band_reports(reports: &[FaseReport], seam_tol: Hertz) -> FaseReport {
     let mut carriers: Vec<Carrier> = reports
         .iter()
         .flat_map(|r| r.carriers().iter().cloned())
@@ -74,7 +71,7 @@ pub fn merge_band_reports(
             .then(a.frequency().hz().total_cmp(&b.frequency().hz()))
     });
 
-    let mut merged = FaseReport::from_carriers(deduped, group_rel_tol);
+    let mut merged = FaseReport::from_carriers(deduped, GROUP_REL_TOL);
     if let Some(health) = merge_health(reports) {
         merged = merged.with_health(health);
     }
@@ -122,7 +119,7 @@ mod tests {
         // band 1 sees it cleanly. The merged report keeps band 1's copy.
         let a = report(vec![carrier(400_050.0, 20.0)]);
         let b = report(vec![carrier(400_120.0, 300.0)]);
-        let merged = merge_band_reports(&[a, b], Hertz(500.0), 0.003);
+        let merged = merge_band_reports(&[a, b], Hertz(500.0));
         assert_eq!(merged.len(), 1);
         let kept = merged.carriers().first().unwrap();
         assert_eq!(kept.frequency(), Hertz(400_120.0));
@@ -143,7 +140,7 @@ mod tests {
             [report(vec![weak_lo.clone()]), report(vec![weak_hi.clone()])],
             [report(vec![weak_hi.clone()]), report(vec![weak_lo.clone()])],
         ] {
-            let merged = merge_band_reports(&reports, Hertz(500.0), 0.003);
+            let merged = merge_band_reports(&reports, Hertz(500.0));
             assert_eq!(merged.len(), 1);
             let kept = merged.carriers().first().unwrap();
             assert_eq!(kept.frequency(), Hertz(400_300.0), "stronger copy");
@@ -154,7 +151,7 @@ mod tests {
     fn distinct_carriers_survive_and_sort_by_evidence() {
         let a = report(vec![carrier(100_000.0, 50.0)]);
         let b = report(vec![carrier(900_000.0, 800.0)]);
-        let merged = merge_band_reports(&[a, b], Hertz(500.0), 0.003);
+        let merged = merge_band_reports(&[a, b], Hertz(500.0));
         assert_eq!(merged.len(), 2);
         let freqs: Vec<f64> = merged
             .carriers()
@@ -169,7 +166,7 @@ mod tests {
         // Fundamental in one band, 2nd harmonic in the next: one set.
         let a = report(vec![carrier(315_000.0, 100.0)]);
         let b = report(vec![carrier(630_000.0, 90.0)]);
-        let merged = merge_band_reports(&[a, b], Hertz(500.0), 0.003);
+        let merged = merge_band_reports(&[a, b], Hertz(500.0));
         assert_eq!(merged.len(), 2);
         assert_eq!(merged.harmonic_sets().len(), 1, "{merged}");
         let set = merged.harmonic_sets().first().unwrap();
@@ -185,7 +182,7 @@ mod tests {
             report(vec![carrier(500_300.0, 400.0)]),
             report(vec![carrier(500_600.0, 30.0)]),
         ];
-        let merged = merge_band_reports(&reports, Hertz(400.0), 0.003);
+        let merged = merge_band_reports(&reports, Hertz(400.0));
         assert_eq!(merged.len(), 1);
         assert_eq!(
             merged.carriers().first().unwrap().frequency(),
@@ -210,7 +207,7 @@ mod tests {
         h1.quarantined = 3;
         let a = report(vec![carrier(100_000.0, 10.0)]).with_health(h0);
         let b = report(vec![carrier(900_000.0, 10.0)]).with_health(h1);
-        let merged = merge_band_reports(&[a, b], Hertz(500.0), 0.003);
+        let merged = merge_band_reports(&[a, b], Hertz(500.0));
         let health = merged.health().expect("merged health");
         assert_eq!(health.planned, 10);
         assert_eq!(health.surviving, 9);
@@ -225,7 +222,6 @@ mod tests {
         let merged = merge_band_reports(
             &[report(vec![carrier(100_000.0, 10.0)]), report(vec![])],
             Hertz(500.0),
-            0.003,
         );
         assert!(merged.health().is_none());
         assert!(!merged.is_degraded());
@@ -233,7 +229,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_report() {
-        let merged = merge_band_reports(&[], Hertz(500.0), 0.003);
+        let merged = merge_band_reports(&[], Hertz(500.0));
         assert!(merged.is_empty());
         assert!(merged.health().is_none());
     }
@@ -242,8 +238,8 @@ mod tests {
     fn zero_band_merge_is_byte_stable() {
         // The degenerate server case — a sweep cancelled before any band
         // finished — must serialize identically on every merge.
-        let a = merge_band_reports(&[], Hertz(500.0), 0.003);
-        let b = merge_band_reports(&[], Hertz(500.0), 0.003);
+        let a = merge_band_reports(&[], Hertz(500.0));
+        let b = merge_band_reports(&[], Hertz(500.0));
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.to_json().contains("\"carriers\": []"), "{}", a.to_json());
     }
@@ -259,11 +255,11 @@ mod tests {
             report(vec![carrier(f, 50.0)]).with_health(h)
         };
         let bands = [band(100_000.0, 5), band(500_000.0, 6), band(900_000.0, 7)];
-        let merged = merge_band_reports(&bands, Hertz(500.0), 0.003);
+        let merged = merge_band_reports(&bands, Hertz(500.0));
         let health = merged.health().expect("merged health");
         assert_eq!((health.planned, health.surviving), (24, 18));
         assert!(merged.is_degraded());
-        let again = merge_band_reports(&bands, Hertz(500.0), 0.003);
+        let again = merge_band_reports(&bands, Hertz(500.0));
         assert_eq!(merged.to_json(), again.to_json());
     }
 
@@ -276,7 +272,7 @@ mod tests {
         // surviving copies.
         let a = report(vec![carrier(200_000.0, 120.0), carrier(400_000.0, 80.0)]);
         let b = report(vec![carrier(400_500.0, 90.0)]);
-        let merged = merge_band_reports(&[a, b], Hertz(500.0), 0.003);
+        let merged = merge_band_reports(&[a, b], Hertz(500.0));
         assert_eq!(merged.len(), 2, "{merged}");
         assert_eq!(merged.harmonic_sets().len(), 1, "{merged}");
         assert_eq!(

@@ -49,7 +49,7 @@ use crate::queue::{DrrQueues, QueueCaps};
 use fase_core::{par::panic_message, FaseError};
 use fase_obs::json::quote;
 use fase_obs::Recorder;
-use fase_specan::{CancelToken, FaultPlan, FaultRates, SweepOptions};
+use fase_specan::{CancelToken, FaultPlan, SweepOptions};
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,6 +70,10 @@ const NO_DEADLINE_REPLY_MS: u64 = 600_000;
 /// Pause after a failed `accept`, so a persistent `EMFILE` cannot spin.
 const ACCEPT_ERROR_BACKOFF_MS: u64 = 20;
 
+/// Whole-sweep retry attempts after a capture/worker failure (the
+/// runner's own per-capture retries happen below this).
+const MAX_RETRIES: u32 = 2;
+
 /// Everything configurable about a server instance.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -88,9 +92,6 @@ pub struct ServeConfig {
     /// How long a drain lets accepted work run before cancelling every
     /// outstanding token, milliseconds.
     pub drain_deadline_ms: u64,
-    /// Whole-sweep retry attempts after a capture/worker failure (the
-    /// runner's own per-capture retries happen below this).
-    pub max_retries: u32,
     /// Capture helpers per sweep. Kept at 1 so the worker pool, not the
     /// campaign, is the unit of parallelism: a sweep's worker analyses
     /// inline while it leads its capture pool (`fase_core::par`); only a
@@ -110,7 +111,6 @@ impl Default for ServeConfig {
             cache_dir: None,
             default_deadline_ms: 60_000,
             drain_deadline_ms: 10_000,
-            max_retries: 2,
             campaign_threads: 1,
             recorder: Recorder::detached(),
         }
@@ -610,9 +610,8 @@ fn run_with_retries(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
             // environment glitched, capture again".
             let base = request.fault_seed.unwrap_or(seeds.fault_seed);
             let fault_seed = base.wrapping_add(u64::from(attempt));
-            options.campaign.fault_plan = Some(
-                FaultPlan::new(fault_seed).with_rates(FaultRates::uniform(request.fault_rate)),
-            );
+            options.campaign.fault_plan =
+                Some(FaultPlan::new(fault_seed).with_rate(request.fault_rate));
         }
         options.cache_dir = shared.config.cache_dir.clone();
 
@@ -643,7 +642,7 @@ fn run_with_retries(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
             Err(
                 e @ (FaseError::Worker(_) | FaseError::CaptureFailed { .. } | FaseError::Cache(_)),
             ) => {
-                if attempt < shared.config.max_retries && !job.token.is_cancelled() {
+                if attempt < MAX_RETRIES && !job.token.is_cancelled() {
                     recorder.count_labeled("serve.retries", &request.tenant, 1);
                     backoff(shared, attempt, &job.token);
                     attempt += 1;
@@ -794,11 +793,7 @@ mod tests {
     /// A server whose cache directory is a regular file, so every sweep
     /// attempt fails with `FaseError::Cache` before capturing anything.
     /// Returns the server and the file to remove afterwards.
-    fn broken_cache_server(
-        tag: &str,
-        max_retries: u32,
-        drain_deadline_ms: u64,
-    ) -> (Server, PathBuf) {
+    fn broken_cache_server(tag: &str, drain_deadline_ms: u64) -> (Server, PathBuf) {
         let file = std::env::temp_dir().join(format!(
             "fase-serve-broken-cache-{tag}-{}",
             std::process::id()
@@ -807,7 +802,6 @@ mod tests {
         let server = Server::start(ServeConfig {
             workers: 1,
             cache_dir: Some(file.clone()),
-            max_retries,
             drain_deadline_ms,
             ..ServeConfig::default()
         })
@@ -824,12 +818,12 @@ mod tests {
 
     #[test]
     fn cache_failures_are_retried_then_answered_500() {
-        let (server, file) = broken_cache_server("retries", 2, 10_000);
+        let (server, file) = broken_cache_server("retries", 10_000);
         let addr = server.addr().to_string();
         let reply = client_request(&addr, "POST", "/v1/sweep", SWEEP).unwrap();
         assert_eq!(reply.status, 500, "{}", reply.body);
         assert!(reply.body.contains("\"error\":\"cache\""), "{}", reply.body);
-        assert_eq!(counter(&server, "serve.retries.a"), 2);
+        assert_eq!(counter(&server, "serve.retries.a"), u64::from(MAX_RETRIES));
         assert_eq!(counter(&server, "serve.failed.a"), 1);
         server.join();
         let _ = std::fs::remove_file(file);
@@ -837,30 +831,32 @@ mod tests {
 
     #[test]
     fn drain_deadline_cuts_a_retry_backoff_short() {
-        // Ten retries back off 50 + 100 + 200 + 400 + 6 × 800 ms ≈ 5.5 s.
-        let (server, file) = broken_cache_server("drain", 10, 100);
+        // A zero drain deadline cancels the job as soon as the drain
+        // begins, inside the 50 ms backoff after the first retry; left
+        // alone, the job would retry again and back off another 100 ms.
+        let (server, file) = broken_cache_server("drain", 0);
         let addr = server.addr().to_string();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let _ = tx.send(client_request(&addr, "POST", "/v1/sweep", SWEEP));
         });
         // The first retry has been counted: the job is backing off.
-        let mut waited_ms = 0;
+        let started = std::time::Instant::now();
         while counter(&server, "serve.retries.a") == 0 {
-            assert!(waited_ms < 10_000, "the sweep never retried");
-            std::thread::sleep(Duration::from_millis(5));
-            waited_ms += 5;
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "the sweep never retried"
+            );
+            std::thread::sleep(Duration::from_millis(1));
         }
-        let drained = std::time::Instant::now();
         server.drain();
         let reply = rx
             .recv_timeout(Duration::from_secs(2))
             .expect("no reply within 2 s of the drain")
             .unwrap();
-        assert!(drained.elapsed() < Duration::from_secs(2));
         assert_eq!(reply.status, 500, "{}", reply.body);
         assert!(reply.body.contains("\"error\":\"cache\""), "{}", reply.body);
-        assert!(counter(&server, "serve.retries.a") < 10);
+        assert_eq!(counter(&server, "serve.retries.a"), 1, "backoff not cut");
         assert_eq!(counter(&server, "serve.drain_cancels"), 1);
         server.join();
         let _ = std::fs::remove_file(file);

@@ -108,53 +108,6 @@ impl FaultKind {
     }
 }
 
-/// Per-class probabilities that a capture attempt suffers each impairment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultRates {
-    /// Probability of [`FaultKind::AdcClip`].
-    pub adc_clip: f64,
-    /// Probability of [`FaultKind::SegmentDropout`].
-    pub segment_dropout: f64,
-    /// Probability of [`FaultKind::InterferenceBurst`].
-    pub interference_burst: f64,
-    /// Probability of [`FaultKind::GainGlitch`].
-    pub gain_glitch: f64,
-    /// Probability of [`FaultKind::TaskFailure`].
-    pub task_failure: f64,
-}
-
-impl FaultRates {
-    /// No random faults at all.
-    pub const NONE: FaultRates = FaultRates {
-        adc_clip: 0.0,
-        segment_dropout: 0.0,
-        interference_burst: 0.0,
-        gain_glitch: 0.0,
-        task_failure: 0.0,
-    };
-
-    /// The same probability for every fault class.
-    pub fn uniform(p: f64) -> FaultRates {
-        FaultRates {
-            adc_clip: p,
-            segment_dropout: p,
-            interference_burst: p,
-            gain_glitch: p,
-            task_failure: p,
-        }
-    }
-
-    fn rate_of(&self, kind: FaultKind) -> f64 {
-        match kind {
-            FaultKind::AdcClip => self.adc_clip,
-            FaultKind::SegmentDropout => self.segment_dropout,
-            FaultKind::InterferenceBurst => self.interference_burst,
-            FaultKind::GainGlitch => self.gain_glitch,
-            FaultKind::TaskFailure => self.task_failure,
-        }
-    }
-}
-
 /// A fault pinned to specific capture coordinates (for tests and
 /// reproductions). `None` coordinates match any value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,9 +125,9 @@ struct ForcedFault {
 /// # Examples
 ///
 /// ```
-/// use fase_specan::fault::{FaultKind, FaultPlan, FaultRates};
+/// use fase_specan::fault::{FaultKind, FaultPlan};
 /// let plan = FaultPlan::new(9)
-///     .with_rates(FaultRates::uniform(0.01))
+///     .with_rate(0.01)
 ///     .force(0, Some(0), Some(0), 1, FaultKind::AdcClip);
 /// // Forced faults fire exactly where they were pinned…
 /// assert_eq!(plan.draw(0, 0, 0, 0), Some(FaultKind::AdcClip));
@@ -184,24 +137,27 @@ struct ForcedFault {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
-    rates: FaultRates,
+    /// Probability that a capture attempt suffers each fault class,
+    /// drawn class by class in [`FaultKind::ALL`] order.
+    rate: f64,
     forced: Vec<ForcedFault>,
 }
 
 impl FaultPlan {
-    /// A plan with no random faults; add rates or forced faults with the
+    /// A plan with no random faults; add a rate or forced faults with the
     /// builder methods.
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            rates: FaultRates::NONE,
+            rate: 0.0,
             forced: Vec::new(),
         }
     }
 
-    /// Sets the per-class random fault probabilities.
-    pub fn with_rates(mut self, rates: FaultRates) -> FaultPlan {
-        self.rates = rates;
+    /// Sets the probability that a capture attempt suffers each fault
+    /// class.
+    pub fn with_rate(mut self, rate: f64) -> FaultPlan {
+        self.rate = rate;
         self
     }
 
@@ -235,18 +191,16 @@ impl FaultPlan {
     /// A canonical textual token identifying this plan for capture-cache
     /// keys. Two plans with equal tokens draw identical fault schedules at
     /// every capture coordinate, so a cached capture produced under one
-    /// can stand in for the other; any difference in seed, rates, or
-    /// forced faults changes the token and therefore the cache key.
+    /// can stand in for the other; any difference in seed, rate, or
+    /// forced faults changes the token and therefore the cache key. The
+    /// rate is written once per fault class: existing cache keys hold
+    /// that format.
     pub fn cache_token(&self) -> String {
         use std::fmt::Write as _;
+        let rate = self.rate;
         let mut out = format!(
-            "seed={:016x};rates={:?},{:?},{:?},{:?},{:?};forced=",
-            self.seed,
-            self.rates.adc_clip,
-            self.rates.segment_dropout,
-            self.rates.interference_burst,
-            self.rates.gain_glitch,
-            self.rates.task_failure,
+            "seed={:016x};rates={rate:?},{rate:?},{rate:?},{rate:?},{rate:?};forced=",
+            self.seed
         );
         for f in &self.forced {
             let _ = write!(
@@ -283,13 +237,11 @@ impl FaultPlan {
         let key =
             (i_alt as u64) | (i_seg as u64) << 16 | (i_avg as u64) << 32 | (attempt as u64) << 48;
         let mut rng = SmallRng::seed_from_u64(mix_seed(self.seed ^ 0xFA17_FA17_FA17_FA17, key));
-        for kind in FaultKind::ALL {
-            let rate = self.rates.rate_of(kind);
-            if rate > 0.0 && rng.gen_f64() < rate {
-                return Some(kind);
-            }
-        }
-        None
+        // One draw per class in `FaultKind::ALL` order, stopping at the
+        // first hit: cached faulty captures were made under this schedule.
+        FaultKind::ALL
+            .into_iter()
+            .find(|_| self.rate > 0.0 && rng.gen_f64() < self.rate)
     }
 }
 
@@ -314,14 +266,14 @@ mod tests {
 
     #[test]
     fn draw_is_deterministic_and_seed_sensitive() {
-        let plan = FaultPlan::new(3).with_rates(FaultRates::uniform(0.3));
+        let plan = FaultPlan::new(3).with_rate(0.3);
         let draws: Vec<Option<FaultKind>> =
             (0..64).map(|i| plan.draw(i % 5, i % 3, i % 4, 0)).collect();
         let again: Vec<Option<FaultKind>> =
             (0..64).map(|i| plan.draw(i % 5, i % 3, i % 4, 0)).collect();
         assert_eq!(draws, again);
         assert!(draws.iter().any(Option::is_some), "rate 0.3 drew nothing");
-        let other = FaultPlan::new(4).with_rates(FaultRates::uniform(0.3));
+        let other = FaultPlan::new(4).with_rate(0.3);
         let other_draws: Vec<Option<FaultKind>> = (0..64)
             .map(|i| other.draw(i % 5, i % 3, i % 4, 0))
             .collect();
@@ -330,7 +282,7 @@ mod tests {
 
     #[test]
     fn attempts_draw_independently() {
-        let plan = FaultPlan::new(11).with_rates(FaultRates::uniform(0.5));
+        let plan = FaultPlan::new(11).with_rate(0.5);
         let per_attempt: Vec<Option<FaultKind>> = (0..16).map(|a| plan.draw(0, 0, 0, a)).collect();
         // With p = 0.5 per class, 16 attempts cannot plausibly all agree.
         assert!(
@@ -351,17 +303,71 @@ mod tests {
 
     #[test]
     fn cache_token_distinguishes_plans() {
-        let a = FaultPlan::new(9).with_rates(FaultRates::uniform(0.01));
-        let b = FaultPlan::new(10).with_rates(FaultRates::uniform(0.01));
-        let c = FaultPlan::new(9).with_rates(FaultRates::uniform(0.02));
+        let a = FaultPlan::new(9).with_rate(0.01);
+        let b = FaultPlan::new(10).with_rate(0.01);
+        let c = FaultPlan::new(9).with_rate(0.02);
         let d = FaultPlan::new(9)
-            .with_rates(FaultRates::uniform(0.01))
+            .with_rate(0.01)
             .force(0, Some(1), None, 2, FaultKind::AdcClip);
         assert_eq!(a.cache_token(), a.clone().cache_token());
         assert_ne!(a.cache_token(), b.cache_token(), "seed ignored");
-        assert_ne!(a.cache_token(), c.cache_token(), "rates ignored");
+        assert_ne!(a.cache_token(), c.cache_token(), "rate ignored");
         assert_ne!(a.cache_token(), d.cache_token(), "forced faults ignored");
         assert!(d.cache_token().contains("adc-clip"));
+    }
+
+    /// The schedule and the cache token are pinned to recorded values: a
+    /// change to the draw loop or the token would silently change every
+    /// faulty campaign or re-key every cached faulty capture.
+    #[test]
+    fn schedule_and_cache_token_are_pinned() {
+        // One row per (i_alt, i_seg); within a row, i_avg-major groups of
+        // attempts 0..3. '.' is no fault.
+        const TABLE: [&str; 12] = [
+            "F.. DB. .BD",
+            "BCD FCF CF.",
+            ".C. FCG FBF",
+            "DG. CDC D..",
+            "FCB GCD .FB",
+            "CD. ... DDG",
+            ".B. .DC BDD",
+            ".CG C.F D..",
+            "CDD C.. ..B",
+            "C.B ..F BC.",
+            "G.. CDG CD.",
+            "..C DF. BC.",
+        ];
+        let plan = FaultPlan::new(0x5EED).with_rate(0.2);
+        for (row, expected) in TABLE.iter().enumerate() {
+            let (i_alt, i_seg) = (row / 3, row % 3);
+            let drawn: Vec<String> = (0..3)
+                .map(|i_avg| {
+                    (0..3)
+                        .map(|attempt| match plan.draw(i_alt, i_seg, i_avg, attempt) {
+                            None => '.',
+                            Some(FaultKind::AdcClip) => 'C',
+                            Some(FaultKind::SegmentDropout) => 'D',
+                            Some(FaultKind::InterferenceBurst) => 'B',
+                            Some(FaultKind::GainGlitch) => 'G',
+                            Some(FaultKind::TaskFailure) => 'F',
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(drawn.join(" "), *expected, "i_alt {i_alt}, i_seg {i_seg}");
+        }
+        let forced =
+            FaultPlan::new(9)
+                .with_rate(0.2)
+                .force(0, Some(1), None, 2, FaultKind::AdcClip);
+        assert_eq!(
+            forced.cache_token(),
+            "seed=0000000000000009;rates=0.2,0.2,0.2,0.2,0.2;forced=[0:Some(1):None:2:adc-clip]"
+        );
+        assert_eq!(
+            FaultPlan::new(9).always_fail(3).cache_token(),
+            "seed=0000000000000009;rates=0.0,0.0,0.0,0.0,0.0;forced=[3:None:None:4294967295:task-failure]"
+        );
     }
 
     #[test]

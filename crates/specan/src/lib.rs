@@ -46,9 +46,9 @@ pub use analyzer::SpectrumAnalyzer;
 pub use antenna::AntennaResponse;
 pub use cache::{CacheKey, CacheLookup, CaptureCache};
 pub use cancel::CancelToken;
-pub use fault::{FaultKind, FaultPlan, FaultRates};
+pub use fault::{FaultKind, FaultPlan};
 pub use multichannel::{run_multichannel_sweep, MultiSweepOutcome};
-pub use probe::{capture_iq, probe_modulation, IqCapture, ProbeConfig};
+pub use probe::{capture_iq, probe_modulation, IqCapture};
 pub use runner::{
     measure_alternation, run_campaign_with_options, CampaignOptions, DEFAULT_MAX_ATTEMPTS,
     DEFAULT_MAX_FFT,

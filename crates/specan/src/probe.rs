@@ -10,7 +10,7 @@ use fase_dsp::demod::{classify_modulation, ModulationKind, ModulationStats};
 use fase_dsp::fir::Fir;
 use fase_dsp::rng::SmallRng;
 use fase_dsp::{Complex64, Hertz};
-use fase_emsim::{CaptureWindow, RenderCtx, SimulatedSystem, SynthMode};
+use fase_emsim::{CaptureWindow, RenderCtx, SimulatedSystem};
 use fase_sysmodel::ActivityPair;
 
 /// A raw IQ capture taken while the micro-benchmark ran.
@@ -26,31 +26,12 @@ pub struct IqCapture {
     pub f_alt: Hertz,
 }
 
-/// Probe thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeConfig {
-    /// Captured span (and IQ sample rate) in Hz.
-    pub span: f64,
-    /// Number of IQ samples.
-    pub samples: usize,
-    /// Minimum relative envelope depth to call a carrier AM.
-    pub am_threshold: f64,
-    /// Minimum instantaneous-frequency deviation (Hz) to call it FM.
-    pub fm_threshold_hz: f64,
-}
-
-impl Default for ProbeConfig {
-    fn default() -> ProbeConfig {
-        ProbeConfig {
-            // Narrow enough to exclude neighbouring carriers, wide enough
-            // for several harmonics of a ~5 kHz probe alternation.
-            span: 24_000.0,
-            samples: 1 << 14,
-            am_threshold: 0.06,
-            fm_threshold_hz: 1_500.0,
-        }
-    }
-}
+/// IQ samples per probe capture.
+const PROBE_SAMPLES: usize = 1 << 14;
+/// Minimum relative envelope depth to call a carrier AM.
+const AM_THRESHOLD: f64 = 0.06;
+/// Minimum instantaneous-frequency deviation (Hz) to call a carrier FM.
+const FM_THRESHOLD_HZ: f64 = 1_500.0;
 
 /// Captures raw IQ at `center` while `pair` alternates at `f_alt` on
 /// `system` — the attacker's (and auditor's) tap into the air interface,
@@ -78,7 +59,7 @@ pub fn capture_iq(
     let window = CaptureWindow::new(center, wide_fs, samples * OVERSAMPLE, 0.0);
     let trace = system.machine.run_alternation(&bench, duration, &mut rng);
     let refreshes = system.refresh.schedule(&trace, &mut rng);
-    let ctx = RenderCtx::new(&trace, &refreshes, &window).with_mode(SynthMode::Fast);
+    let ctx = RenderCtx::new(&trace, &refreshes, &window);
     let wide = system.scene.render(&window, &ctx);
     // Anti-alias: pass ±0.4·span, stop by the decimated Nyquist.
     let fir = Fir::lowpass(161, 0.4 * span, wide_fs, fase_dsp::Window::Hann);
@@ -98,36 +79,29 @@ pub fn capture_iq(
 
 /// Tunes to a reported carrier, drives `pair` at `f_alt` on `system`, and
 /// classifies the carrier's modulation (AM / FM / unmodulated) from one
-/// [`capture_iq`] capture seeded with `seed`.
+/// [`capture_iq`] capture of `span` Hz seeded with `seed`.
 ///
-/// The alternation frequency should be small relative to the span so the
-/// modulation side-bands stay inside the capture.
+/// The span should be narrow enough to exclude neighbouring carriers, and
+/// the alternation frequency small relative to it so the modulation
+/// side-bands stay inside the capture.
 pub fn probe_modulation(
     system: &mut SimulatedSystem,
     pair: ActivityPair,
     seed: u64,
     carrier: Hertz,
     f_alt: Hertz,
-    config: &ProbeConfig,
+    span: f64,
 ) -> (ModulationStats, ModulationKind) {
-    let capture = capture_iq(
-        system,
-        pair,
-        seed,
-        carrier,
-        config.span,
-        config.samples,
-        f_alt,
-    );
+    let capture = capture_iq(system, pair, seed, carrier, span, PROBE_SAMPLES, f_alt);
     // Smooth over ≈ 1/8 of the alternation period (at least 3
     // samples) to suppress noise without erasing the modulation.
-    let smooth = ((config.span / f_alt.hz() / 8.0).round() as usize).max(3);
+    let smooth = ((span / f_alt.hz() / 8.0).round() as usize).max(3);
     classify_modulation(
         &capture.samples,
         capture.sample_rate,
         smooth,
-        config.am_threshold,
-        config.fm_threshold_hz,
+        AM_THRESHOLD,
+        FM_THRESHOLD_HZ,
     )
 }
 
@@ -139,16 +113,16 @@ mod tests {
     #[test]
     fn dram_regulator_probes_as_am() {
         let mut system = SimulatedSystem::intel_i7_desktop(42);
-        // Probe at 2 kHz: at the default 24 kHz span that leaves 12
-        // samples per modulation period, so the envelope smoothing keeps
-        // the (genuine) amplitude modulation intact.
+        // Probe at 2 kHz: at a 24 kHz span that leaves 12 samples per
+        // modulation period, so the envelope smoothing keeps the
+        // (genuine) amplitude modulation intact.
         let (stats, kind) = probe_modulation(
             &mut system,
             ActivityPair::LdmLdl1,
             300,
             Hertz::from_khz(315.66),
             Hertz::from_khz(2.0),
-            &ProbeConfig::default(),
+            24_000.0,
         );
         assert_eq!(kind, ModulationKind::Am, "{stats:?}");
         assert!(stats.am_depth > 0.1, "{stats:?}");
@@ -159,17 +133,13 @@ mod tests {
         let mut system = SimulatedSystem::amd_turion_laptop(2007);
         // The constant-on-time regulator deviates ~6% of 281 kHz ≈ 17 kHz:
         // widen the span to keep the swing in-band.
-        let config = ProbeConfig {
-            span: 120_000.0,
-            ..ProbeConfig::default()
-        };
         let (stats, kind) = probe_modulation(
             &mut system,
             ActivityPair::Ldl2Ldl1,
             301,
             Hertz::from_khz(280.87),
             Hertz::from_khz(5.0),
-            &config,
+            120_000.0,
         );
         assert_eq!(kind, ModulationKind::Fm, "{stats:?}");
         assert!(stats.fm_deviation_hz > 2_000.0, "{stats:?}");

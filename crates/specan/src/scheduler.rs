@@ -29,7 +29,7 @@ use crate::cache::{CacheKey, CacheLookup, CaptureCache};
 use crate::runner::{run_pool, CampaignOptions, CapturePool, PoolBand};
 use crate::sweep::{plan_bands, SweepBand};
 use fase_core::par::par_map;
-use fase_core::{merge_band_reports, CampaignConfig, Fase, FaseConfig, FaseError, FaseReport};
+use fase_core::{merge_band_reports, CampaignConfig, Fase, FaseError, FaseReport};
 use fase_dsp::rng::mix_seed;
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
@@ -448,7 +448,7 @@ where
 
     let seam = seam_tolerance(config.resolution);
     let complete = outcomes.iter().all(|o| !o.skipped);
-    let mut report = merge_band_reports(&reports, seam, FaseConfig::default().group_rel_tol);
+    let mut report = merge_band_reports(&reports, seam);
     if cancelled {
         // Count the abandoned bands' alternations as planned-but-lost so
         // the partial report carries the degraded mark (PR 2 semantics):
@@ -764,11 +764,7 @@ mod tests {
             });
             reports.push(report);
         }
-        let merged = merge_band_reports(
-            &reports,
-            seam_tolerance(config.resolution),
-            FaseConfig::default().group_rel_tol,
-        );
+        let merged = merge_band_reports(&reports, seam_tolerance(config.resolution));
         let expected = entries(&reference_dir);
         assert_eq!(expected.len(), 3);
         for threads in [1, 2, 4] {

@@ -11,8 +11,7 @@ use fase_core::{CampaignConfig, Fase, FaseError, FaseReport};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
 use fase_specan::{
-    run_campaign_with_options, CampaignOptions, FaultKind, FaultPlan, FaultRates,
-    DEFAULT_MAX_ATTEMPTS,
+    run_campaign_with_options, CampaignOptions, FaultKind, FaultPlan, DEFAULT_MAX_ATTEMPTS,
 };
 use fase_sysmodel::ActivityPair;
 
@@ -188,7 +187,7 @@ fn faulty_campaign_is_thread_count_invariant() {
     // quarantines all fire, yet the outcome — spectra *and* health — must
     // be a pure function of the seed, not of worker scheduling.
     let run = |threads: usize| {
-        let plan = FaultPlan::new(7).with_rates(FaultRates::uniform(0.2));
+        let plan = FaultPlan::new(7).with_rate(0.2);
         run_campaign_with_options(
             &small_config(),
             ActivityPair::LdmLdl1,

@@ -55,6 +55,18 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> examples (each builds and runs to a zero exit)"
+# The root package's examples are the README's entry points, and the
+# workspace test run only compiles them. Together they run in about a
+# second.
+cargo build --release --offline --examples
+for src in examples/*.rs; do
+  name=$(basename "$src" .rs)
+  "target/release/examples/$name" > "target/example-$name.out" 2>&1 \
+    || { echo "example $name failed:"; cat "target/example-$name.out"; exit 1; }
+  echo "  $name: ok"
+done
+
 echo "==> benchmark package tests"
 # crates/bench/examples/perf is a package of its own, outside the
 # workspace, so the workspace test run never compiles it. Building and

@@ -249,7 +249,7 @@ fn heuristic_flat_for_identical_spectra() {
         let campaign = campaign_of(spectra);
         let lo = ((1.0 - EPS) / (1.0 + EPS)).powi(n_spectra as i32);
         let hi = ((1.0 + EPS) / (1.0 - EPS)).powi(n_spectra as i32);
-        let max_h = FaseConfig::default().max_harmonic as i32;
+        let max_h = fase_core::MAX_HARMONIC as i32;
         for h in (-max_h..=max_h).filter(|&h| h != 0) {
             let trace = harmonic_scores(&campaign, h, &HeuristicConfig::default());
             for (b, &score) in trace.scores().iter().enumerate() {
