@@ -4,7 +4,7 @@
 use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
 use fase_dsp::Hertz;
 use fase_emsim::CaptureWindow;
-use fase_specan::SpectrumAnalyzer;
+use fase_specan::capture_spectrum;
 
 pub fn run() -> bool {
     let fc = Hertz::from_khz(500.0);
@@ -20,9 +20,7 @@ pub fn run() -> bool {
         0.0,
         1,
     );
-    let spectrum = SpectrumAnalyzer::default()
-        .spectrum(&window, &iq)
-        .expect("spectrum");
+    let spectrum = capture_spectrum(&window, &iq).expect("spectrum");
     plot_spectrum(
         "Figure 1: ideal carrier, sinusoidal modulation (dBm)",
         &spectrum,

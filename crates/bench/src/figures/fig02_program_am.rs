@@ -6,7 +6,7 @@
 use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
 use fase_dsp::Hertz;
 use fase_emsim::CaptureWindow;
-use fase_specan::SpectrumAnalyzer;
+use fase_specan::capture_spectrum;
 use fase_sysmodel::{ActivityPair, Domain, Machine};
 
 pub fn run() -> bool {
@@ -30,9 +30,7 @@ pub fn run() -> bool {
         0.0,
         3,
     );
-    let spectrum = SpectrumAnalyzer::default()
-        .spectrum(&window, &iq)
-        .expect("spectrum");
+    let spectrum = capture_spectrum(&window, &iq).expect("spectrum");
     plot_spectrum(
         "Figure 2: ideal carrier, program-activity modulation (dBm)",
         &spectrum,

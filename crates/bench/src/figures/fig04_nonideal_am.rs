@@ -5,7 +5,7 @@
 use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
 use fase_dsp::Hertz;
 use fase_emsim::CaptureWindow;
-use fase_specan::SpectrumAnalyzer;
+use fase_specan::capture_spectrum;
 use fase_sysmodel::{ActivityPair, Domain, Machine};
 
 pub fn run() -> bool {
@@ -25,9 +25,7 @@ pub fn run() -> bool {
         300.0,
         6,
     );
-    let spectrum = SpectrumAnalyzer::default()
-        .spectrum(&window, &iq)
-        .expect("spectrum");
+    let spectrum = capture_spectrum(&window, &iq).expect("spectrum");
     plot_spectrum(
         "Figure 4: non-ideal carrier, program-activity modulation (dBm)",
         &spectrum,

@@ -4,16 +4,15 @@
 //! Large spikes at the carrier frequency, ≈ flat at 1 elsewhere.
 
 use crate::{ascii_plot, paper_campaign, run_i7, write_csv};
-use fase_core::Fase;
+use fase_core::heuristic::{harmonic_scores, HeuristicConfig};
 use fase_dsp::Hertz;
 use fase_sysmodel::ActivityPair;
 
 fn trace_around(pair: ActivityPair, fc: Hertz, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let (lo, hi) = (Hertz(fc.hz() - 60_000.0), Hertz(fc.hz() + 60_000.0));
     let spectra = run_i7(&paper_campaign(lo, hi, Hertz(50.0), 4), pair, seed);
-    let report = Fase::default().analyze(&spectra).expect("analysis");
-    let plus = report.score_trace(1).expect("h=+1");
-    let minus = report.score_trace(-1).expect("h=-1");
+    let plus = harmonic_scores(&spectra, 1, &HeuristicConfig::default());
+    let minus = harmonic_scores(&spectra, -1, &HeuristicConfig::default());
     let mut offsets = Vec::new();
     let mut p = Vec::new();
     let mut m = Vec::new();

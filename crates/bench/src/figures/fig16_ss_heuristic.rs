@@ -4,6 +4,7 @@
 
 use crate::experiment::{near, Expect::Is, GroundTruth};
 use crate::{ascii_plot, claims, run_i7, ss_clock_campaign, write_csv};
+use fase_core::heuristic::harmonic_scores;
 use fase_core::{Fase, FaseConfig};
 use fase_sysmodel::ActivityPair;
 
@@ -26,7 +27,7 @@ pub fn run() -> bool {
     };
     let report = Fase::new(fase_config).analyze(&spectra).expect("analysis");
 
-    let plus = report.score_trace(1).expect("h=+1");
+    let plus = harmonic_scores(&spectra, 1, &fase_config.heuristic);
     let xs: Vec<f64> = (0..plus.len()).map(|b| plus.frequency_at(b).hz()).collect();
     let logs: Vec<f64> = plus.scores().iter().map(|s| s.log10()).collect();
     ascii_plot(
@@ -50,7 +51,7 @@ pub fn run() -> bool {
     let held = edges.iter().filter(|c| c.check(&report, &truth)).count();
     println!("  (paper: the clock is reported as two carriers at the sweep edges)");
 
-    let minus = report.score_trace(-1).expect("h=-1");
+    let minus = harmonic_scores(&spectra, -1, &fase_config.heuristic);
     write_csv(
         "fig16_ss_heuristic.csv",
         "frequency_hz,f_plus1,f_minus1",

@@ -93,7 +93,7 @@ exit codes:
   0 success                 2 usage / invalid configuration
   3 capture cache           4 capture failed
   5 worker failed           6 invalid spectra / spectrum
-  7 cancelled               8 busy (queue at capacity)";
+  7 cancelled";
 
 /// Errors surfaced to the user.
 #[derive(Debug)]
@@ -131,7 +131,6 @@ impl CliError {
     /// | 5    | a campaign worker failed (panic/abort)              |
     /// | 6    | invalid spectra or spectrum-level failure           |
     /// | 7    | cancelled (deadline, budget, or explicit)           |
-    /// | 8    | busy — an admission queue was at capacity           |
     pub fn exit_code(&self) -> i32 {
         match self {
             CliError::Args(_) | CliError::Invalid(_) => 2,
@@ -142,7 +141,6 @@ impl CliError {
                 FaseError::Worker(_) => 5,
                 FaseError::InvalidSpectra(_) | FaseError::Spectrum(_) => 6,
                 FaseError::Cancelled(_) => 7,
-                FaseError::Busy { .. } => 8,
             },
         }
     }
@@ -1010,7 +1008,7 @@ mod tests {
     #[test]
     fn exit_codes_are_a_stable_contract() {
         use crate::args::ArgError;
-        let cases: [(CliError, i32); 9] = [
+        let cases: [(CliError, i32); 8] = [
             (CliError::Args(ArgError::MissingCommand), 2),
             (CliError::Invalid("x".into()), 2),
             (CliError::Fase(FaseError::invalid_config("x")), 2),
@@ -1022,7 +1020,6 @@ mod tests {
             (CliError::Fase(FaseError::worker("x")), 5),
             (CliError::Fase(FaseError::invalid_spectra("x")), 6),
             (CliError::Fase(FaseError::cancelled("x")), 7),
-            (CliError::Fase(FaseError::busy("q", 250)), 8),
         ];
         for (err, code) in cases {
             assert_eq!(err.exit_code(), code, "{err}");

@@ -42,17 +42,6 @@ pub enum FaseError {
     /// result instead, and this variant surfaces only where nothing
     /// partial exists to return.
     Cancelled(String),
-    /// A bounded queue or admission controller refused the work because
-    /// the system is at capacity. Carries a retry hint so callers (and the
-    /// serving layer's `Retry-After` header) can back off instead of
-    /// spinning.
-    Busy {
-        /// Which capacity limit rejected the work (e.g. `"tenant queue"`,
-        /// `"global queue"`).
-        scope: String,
-        /// Suggested wait before retrying, in milliseconds.
-        retry_after_ms: u64,
-    },
 }
 
 impl FaseError {
@@ -102,15 +91,6 @@ impl FaseError {
     pub fn cancelled(reason: impl Into<String>) -> FaseError {
         FaseError::Cancelled(reason.into())
     }
-
-    /// Builds an [`FaseError::Busy`] rejection for the capacity limit
-    /// named by `scope`, hinting the caller retry after `retry_after_ms`.
-    pub fn busy(scope: impl Into<String>, retry_after_ms: u64) -> FaseError {
-        FaseError::Busy {
-            scope: scope.into(),
-            retry_after_ms,
-        }
-    }
 }
 
 impl fmt::Display for FaseError {
@@ -131,10 +111,6 @@ impl fmt::Display for FaseError {
             ),
             FaseError::Cache(msg) => write!(f, "capture cache: {msg}"),
             FaseError::Cancelled(reason) => write!(f, "cancelled: {reason}"),
-            FaseError::Busy {
-                scope,
-                retry_after_ms,
-            } => write!(f, "busy: {scope} full, retry after {retry_after_ms} ms"),
         }
     }
 }
@@ -172,7 +148,5 @@ mod tests {
         assert!(e.source().is_none());
         let e = FaseError::cancelled("deadline exceeded");
         assert!(format!("{e}").contains("cancelled: deadline exceeded"));
-        let e = FaseError::busy("tenant queue", 250);
-        assert!(format!("{e}").contains("tenant queue full, retry after 250 ms"));
     }
 }

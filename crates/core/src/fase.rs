@@ -6,7 +6,7 @@ use crate::heuristic::{all_harmonic_scores, search_window, HeuristicConfig};
 use crate::par::par_map;
 use crate::report::FaseReport;
 use crate::spectra::CampaignSpectra;
-use fase_obs::{span, Recorder};
+use fase_obs::Recorder;
 
 /// Highest harmonic of `f_alt` FASE scores: the paper detects the
 /// 1st–5th positive and negative harmonics.
@@ -92,7 +92,8 @@ impl Fase {
     }
 
     /// Runs the full FASE pipeline: score every harmonic, pick peaks,
-    /// merge evidence into carriers, group harmonic sets. Scoring and
+    /// merge evidence into carriers, group harmonic sets. The score traces
+    /// are dropped once their peaks are picked. Scoring and
     /// per-trace peak picking share the capture pool's thread budget
     /// ([`crate::par::par_map`]); detections are concatenated in trace
     /// order, so the report is the same for any thread count.
@@ -102,14 +103,14 @@ impl Fase {
     /// None at present: every campaign [`CampaignSpectra`] admits can be
     /// analysed.
     pub fn analyze(&self, spectra: &CampaignSpectra) -> Result<FaseReport, FaseError> {
-        let _analyze = span!(self.recorder, "analyze");
+        let _analyze = self.recorder.span("analyze");
         let traces = {
-            let _score = span!(self.recorder, "score");
+            let _score = self.recorder.span("score");
             self.record_scoring(spectra);
             all_harmonic_scores(spectra, MAX_HARMONIC, &self.config.heuristic)
         };
         let detections: Vec<Detection> = {
-            let _detect = span!(self.recorder, "detect");
+            let _detect = self.recorder.span("detect");
             par_map(&traces, |t| detect_in_trace(t, &self.config.detector))
                 .into_iter()
                 .flatten()
@@ -117,9 +118,9 @@ impl Fase {
         };
         self.recorder
             .count_usize("core.detections", detections.len());
-        let _group = span!(self.recorder, "group");
+        let _group = self.recorder.span("group");
         let carriers = merge_detections(spectra, detections, &self.config.detector);
-        let mut report = FaseReport::from_carriers(carriers, GROUP_REL_TOL).with_traces(traces);
+        let mut report = FaseReport::from_carriers(carriers, GROUP_REL_TOL);
         if let Some(health) = spectra.health() {
             report = report.with_health(health.clone());
         }
@@ -197,10 +198,6 @@ mod tests {
         let c = &report.carriers()[0];
         assert!((c.frequency().hz() - 100_000.0).abs() < 200.0);
         assert!(c.has_harmonic(1) && c.has_harmonic(-1));
-        assert_eq!(report.score_traces().len(), 10);
-        assert!(report.score_trace(1).is_some());
-        assert!(report.score_trace(-5).is_some());
-        assert!(report.score_trace(6).is_none());
     }
 
     #[test]
@@ -228,7 +225,7 @@ mod tests {
             detections.extend(detect_in_trace(trace, &config.detector));
         }
         let carriers = merge_detections(&campaign, detections, &config.detector);
-        let serial = FaseReport::from_carriers(carriers, GROUP_REL_TOL).with_traces(traces);
+        let serial = FaseReport::from_carriers(carriers, GROUP_REL_TOL);
         assert_eq!(report.to_json(), serial.to_json());
     }
 

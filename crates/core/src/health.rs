@@ -38,14 +38,27 @@ impl fmt::Display for FaultRecord {
     }
 }
 
-/// An alternation frequency dropped from the campaign after its retry
-/// budget was exhausted.
+/// An alternation frequency dropped from the campaign after one of its
+/// captures exhausted its retry budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DroppedAlternation {
     /// The planned alternation frequency that produced no usable spectrum.
     pub f_alt: Hertz,
-    /// The terminal capture error.
-    pub error: FaseError,
+    /// Sweep-segment index of the capture that gave up.
+    pub segment: usize,
+    /// Attempts made before giving up.
+    pub attempts: u32,
+    /// Description of the final attempt's failure.
+    pub cause: String,
+}
+
+impl DroppedAlternation {
+    /// The [`FaseError::CaptureFailed`] this drop records: what a campaign
+    /// returns when fewer than two alternation frequencies survive, and
+    /// the text the health record prints for the drop.
+    pub fn error(&self) -> FaseError {
+        FaseError::capture_failed(self.f_alt, self.segment, self.attempts, self.cause.clone())
+    }
 }
 
 /// Health report of one measurement campaign: retries spent, captures
@@ -126,7 +139,7 @@ impl fmt::Display for CampaignHealth {
         if self.degraded() {
             write!(f, " [DEGRADED]")?;
             for d in &self.dropped {
-                write!(f, "\n  dropped f_alt {}: {}", d.f_alt, d.error)?;
+                write!(f, "\n  dropped f_alt {}: {}", d.f_alt, d.error())?;
             }
         }
         Ok(())
@@ -153,12 +166,9 @@ mod tests {
         h.retried_tasks = 2;
         h.dropped.push(DroppedAlternation {
             f_alt: Hertz(43_300.0),
-            error: FaseError::CaptureFailed {
-                f_alt: Hertz(43_300.0),
-                segment: 0,
-                attempts: 3,
-                cause: "injected task failure".into(),
-            },
+            segment: 0,
+            attempts: 3,
+            cause: "injected task failure".into(),
         });
         assert!(h.degraded());
         assert!(!h.is_clean());

@@ -3,14 +3,14 @@
 use crate::carrier::Carrier;
 use crate::grouping::{group_harmonic_sets, HarmonicSet};
 use crate::health::CampaignHealth;
-use crate::heuristic::ScoreTrace;
 use fase_dsp::Hertz;
 use fase_obs::json::quote as json_str;
 use std::fmt;
 
 /// Everything a FASE run produces: detected carriers (strongest evidence
-/// first), their harmonic-set grouping, and the per-harmonic heuristic
-/// score traces (for plotting figures like the paper's Fig. 9 and Fig. 16).
+/// first), their harmonic-set grouping, and the campaign's capture health.
+/// The per-harmonic score traces that a figure plots come from
+/// [`crate::heuristic::harmonic_scores`].
 ///
 /// # Examples
 ///
@@ -33,7 +33,6 @@ use std::fmt;
 pub struct FaseReport {
     carriers: Vec<Carrier>,
     sets: Vec<HarmonicSet>,
-    traces: Vec<ScoreTrace>,
     health: Option<CampaignHealth>,
 }
 
@@ -45,15 +44,8 @@ impl FaseReport {
         FaseReport {
             carriers,
             sets,
-            traces: Vec::new(),
             health: None,
         }
-    }
-
-    /// Attaches the heuristic score traces.
-    pub fn with_traces(mut self, traces: Vec<ScoreTrace>) -> FaseReport {
-        self.traces = traces;
-        self
     }
 
     /// Attaches the campaign's capture-health record.
@@ -81,16 +73,6 @@ impl FaseReport {
     /// Carriers grouped into harmonic sets.
     pub fn harmonic_sets(&self) -> &[HarmonicSet] {
         &self.sets
-    }
-
-    /// All computed score traces (`h = 1, −1, 2, −2, …`).
-    pub fn score_traces(&self) -> &[ScoreTrace] {
-        &self.traces
-    }
-
-    /// The score trace for harmonic `h`, if it was computed.
-    pub fn score_trace(&self, h: i32) -> Option<&ScoreTrace> {
-        self.traces.iter().find(|t| t.harmonic() == h)
     }
 
     /// The carrier nearest to `f` within `tolerance`, if any.
@@ -121,9 +103,7 @@ impl FaseReport {
     /// Two reports that compare equal produce byte-identical JSON — floats
     /// are rendered with Rust's shortest-roundtrip formatting — which is
     /// what the sweep scheduler's resumability guarantee is asserted
-    /// against. Score traces are *not* serialized: they are plotting data,
-    /// proportional to the campaign's bin count, and excluded so report
-    /// JSON stays diff-sized.
+    /// against.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"carriers\": [");
         let carriers: Vec<String> = self.carriers.iter().map(carrier_json).collect();
@@ -210,7 +190,7 @@ fn health_json(h: &CampaignHealth) -> String {
             format!(
                 "{{\"f_alt_hz\": {}, \"error\": {}}}",
                 json_f64(d.f_alt.hz()),
-                json_str(&d.error.to_string())
+                json_str(&d.error().to_string())
             )
         })
         .collect();
@@ -296,7 +276,6 @@ mod tests {
     fn empty_report() {
         let report = FaseReport::from_carriers(vec![], 0.002);
         assert!(report.is_empty());
-        assert!(report.score_trace(1).is_none());
         assert!(format!("{report}").contains("0 carrier"));
     }
 
@@ -321,7 +300,9 @@ mod tests {
         });
         health.dropped.push(crate::health::DroppedAlternation {
             f_alt: Hertz(44_300.0),
-            error: crate::FaseError::capture_failed(Hertz(44_300.0), 0, 3, "said \"no\""),
+            segment: 0,
+            attempts: 3,
+            cause: "said \"no\"".into(),
         });
         let report = FaseReport::from_carriers(vec![carrier(315_000.0), carrier(630_000.0)], 0.003)
             .with_health(health);

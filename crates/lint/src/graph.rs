@@ -16,7 +16,7 @@
 //! * **C-cancel** — loops in `crates/specan` / `crates/serve` that perform
 //!   captures or blocking waits (directly or transitively) must mention a
 //!   cancellation check (`is_cancelled` or the server's `phase` gate)
-//!   somewhere in the loop, so a fired [`CancelToken`] stops the loop
+//!   somewhere in the loop, so a fired `CancelToken` stops the loop
 //!   within one iteration. `CancelToken` lives in `fase_specan::cancel`.
 //!
 //! Lock identity is lexical: the final field/receiver identifier of the

@@ -91,7 +91,7 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 
 /// Parses every function item in the file. `test_regions` are inclusive
 /// token ranges of `#[test]`/`#[cfg(test)]` items (from
-/// [`crate::rules::test_regions`]).
+/// `rules::test_regions`).
 pub fn parse(lexed: &Lexed, test_regions: &[(usize, usize)]) -> Vec<ParsedFn> {
     let tokens = &lexed.tokens;
     let in_test = |i: usize| test_regions.iter().any(|&(a, b)| i >= a && i <= b);

@@ -3,7 +3,7 @@
 //! The campaign pipeline (synthesize → capture → average → score →
 //! group → report) is instrumented with three primitives:
 //!
-//! - **spans** — hierarchical RAII timers ([`span!`]) whose
+//! - **spans** — hierarchical RAII timers ([`Recorder::span`]) whose
 //!   slash-separated paths mirror call nesting per thread;
 //! - **counters** — monotone event counts (`dsp.fft`,
 //!   `specan.capture_retries`);
@@ -207,20 +207,6 @@ impl Recorder {
     }
 }
 
-/// Open a timing span on `recorder` that records on scope exit:
-/// `span!(recorder, "name")` is [`Recorder::span`] on a recorder
-/// expression or a reference to one.
-///
-/// Bind the result to a named guard (`let _guard = span!(...)`) so the
-/// span covers the intended scope — `let _ = span!(...)` drops it
-/// immediately.
-#[macro_export]
-macro_rules! span {
-    ($recorder:expr, $name:literal $(,)?) => {
-        $crate::Recorder::span(&$recorder, $name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,8 +303,8 @@ mod tests {
     fn exported_json_passes_the_checked_in_schema() {
         let rec = Recorder::detached();
         {
-            let _campaign = span!(rec, "campaign");
-            let _capture = span!(rec, "capture");
+            let _campaign = rec.span("campaign");
+            let _capture = rec.span("capture");
             rec.count("dsp.fft", 42);
             rec.observe_ns("specan.capture_ns", 1234);
             rec.warn("core.heuristic.search_window_clamped");

@@ -18,9 +18,9 @@ thread_local! {
 
 /// RAII guard for one timing span; records its duration when dropped.
 ///
-/// Created via [`Recorder::span`](crate::Recorder::span) or the
-/// [`span!`](crate::span) macro. Bind it to a named `_guard` so it lives
-/// for the scope being timed — `let _ = span!(...)` drops immediately.
+/// Created via [`Recorder::span`](crate::Recorder::span). Bind it to a
+/// named `_guard` so it lives for the scope being timed —
+/// `let _ = recorder.span(...)` drops immediately.
 #[derive(Debug)]
 #[must_use = "a span records when dropped; bind it (`let _guard = ...`) so it covers the scope"]
 pub struct SpanGuard {

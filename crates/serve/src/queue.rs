@@ -17,6 +17,7 @@
 
 use fase_dsp::rng::mix_seed;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
 /// Queue capacity limits and the DRR quantum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +72,18 @@ impl AdmissionError {
             AdmissionError::TenantFull { retry_after_ms }
             | AdmissionError::GlobalFull { retry_after_ms } => *retry_after_ms,
         }
+    }
+}
+
+impl fmt::Display for AdmissionError {
+    /// The message of the server's 429 reply.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "busy: {} full, retry after {} ms",
+            self.scope(),
+            self.retry_after_ms()
+        )
     }
 }
 
@@ -140,8 +153,8 @@ impl<T> DrrQueues<T> {
         });
     }
 
-    /// The current per-job service-time estimate, milliseconds
-    /// ([`DEFAULT_SERVICE_MS`] until a job has completed).
+    /// The current per-job service-time estimate, milliseconds (a fixed
+    /// default until a job has completed).
     pub fn estimated_service_ms(&self) -> u64 {
         self.service_ewma_ms.unwrap_or(DEFAULT_SERVICE_MS)
     }
@@ -348,6 +361,11 @@ mod tests {
         q.admit("a", 1, 1).unwrap();
         let err = q.admit("a", 1, 2).unwrap_err();
         assert_eq!(err.scope(), "tenant queue");
+        let hint = err.retry_after_ms();
+        assert_eq!(
+            err.to_string(),
+            format!("busy: tenant queue full, retry after {hint} ms")
+        );
         // No job has finished yet: the hint uses the default service cost
         // and the tenant's depth of 2.
         assert_hint_in_window(err.retry_after_ms(), 2, 250);
@@ -363,6 +381,11 @@ mod tests {
         q.admit("c", 1, 0).unwrap();
         let err = q.admit("d", 1, 0).unwrap_err();
         assert_eq!(err.scope(), "global queue");
+        let hint = err.retry_after_ms();
+        assert_eq!(
+            err.to_string(),
+            format!("busy: global queue full, retry after {hint} ms")
+        );
         assert_hint_in_window(err.retry_after_ms(), 3, 250);
         // Draining one job reopens admission.
         let _ = q.pop().unwrap();

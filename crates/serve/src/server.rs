@@ -45,7 +45,7 @@ use crate::http::{read_request, HttpError, Request, Response};
 use crate::protocol::{
     cancelled_body, error_body, pair_by_name, sweep_body, sweep_seeds, system_factory, SweepRequest,
 };
-use crate::queue::{DrrQueues, QueueCaps};
+use crate::queue::{AdmissionError, DrrQueues, QueueCaps};
 use fase_core::{par::panic_message, FaseError};
 use fase_obs::json::quote;
 use fase_obs::Recorder;
@@ -482,11 +482,11 @@ fn handle_sweep(body: &str, shared: &Arc<Shared>) -> Response {
         if let Err(rejection) = state.queues.admit(&tenant, cost, job) {
             recorder.count_labeled("serve.rejected", &tenant, 1);
             let retry_ms = rejection.retry_after_ms();
-            let kind = match rejection.scope() {
-                "tenant queue" => "tenant-queue-full",
-                _ => "global-queue-full",
+            let kind = match rejection {
+                AdmissionError::TenantFull { .. } => "tenant-queue-full",
+                AdmissionError::GlobalFull { .. } => "global-queue-full",
             };
-            let message = FaseError::busy(rejection.scope(), retry_ms).to_string();
+            let message = rejection.to_string();
             return Response::json(429, error_body(kind, &message, Some(retry_ms)))
                 .with_header("Retry-After", retry_ms.div_ceil(1_000).max(1).to_string());
         }
@@ -678,7 +678,6 @@ fn error_kind(e: &FaseError) -> &'static str {
         FaseError::CaptureFailed { .. } => "capture-failed",
         FaseError::Cache(_) => "cache",
         FaseError::Cancelled(_) => "cancelled",
-        FaseError::Busy { .. } => "busy",
     }
 }
 
@@ -878,6 +877,5 @@ mod tests {
         assert_eq!(error_kind(&FaseError::worker("x")), "worker");
         assert_eq!(error_kind(&FaseError::cache("x")), "cache");
         assert_eq!(error_kind(&FaseError::cancelled("x")), "cancelled");
-        assert_eq!(error_kind(&FaseError::busy("q", 1)), "busy");
     }
 }

@@ -13,18 +13,22 @@ thread_local! {
     static FFT_BUF: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A calibrated FFT spectrum analyzer.
+/// The calibrated power spectrum of one capture, through a
+/// Blackman–Harris window: the high-dynamic-range window FASE needs to
+/// see weak side-bands next to strong carriers.
 ///
 /// Bin powers are normalized so a CW tone of complex-envelope magnitude `a`
 /// reads `|a|²` milliwatts at its bin — matching the `dBm ↔ envelope`
 /// convention of the simulator ([`fase_emsim::ctx::dbm_to_amplitude`]).
+/// The spectrum covers `[center − fs/2, center + fs/2)` with resolution
+/// `fs / n`.
 ///
 /// # Examples
 ///
 /// ```
 /// use fase_dsp::{Complex64, Hertz};
 /// use fase_emsim::CaptureWindow;
-/// use fase_specan::SpectrumAnalyzer;
+/// use fase_specan::capture_spectrum;
 ///
 /// // A -90 dBm tone 1 kHz above the center frequency.
 /// let n = 4096;
@@ -34,67 +38,43 @@ thread_local! {
 /// let iq: Vec<Complex64> = (0..n)
 ///     .map(|t| Complex64::from_polar(amp, std::f64::consts::TAU * 1024.0 * t as f64 / fs))
 ///     .collect();
-/// let analyzer = SpectrumAnalyzer::default();
-/// let spectrum = analyzer.spectrum(&window, &iq)?;
+/// let spectrum = capture_spectrum(&window, &iq)?;
 /// let peak = spectrum.peak_bin();
 /// assert_eq!(spectrum.frequency_at(peak.0), Hertz(101_024.0));
 /// assert!((spectrum.dbm_at(peak.0).dbm() - -90.0).abs() < 0.5);
 /// # Ok::<(), fase_dsp::SpectrumError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct SpectrumAnalyzer {
-    window: Window,
-}
-
-impl SpectrumAnalyzer {
-    /// Creates an analyzer using the given FFT window.
-    pub fn new(window: Window) -> SpectrumAnalyzer {
-        SpectrumAnalyzer { window }
-    }
-
-    /// The FFT window in use.
-    pub fn window(&self) -> Window {
-        self.window
-    }
-
-    /// Computes the calibrated power spectrum of one capture.
-    ///
-    /// The returned spectrum covers `[center − fs/2, center + fs/2)` with
-    /// resolution `fs / n`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpectrumError`] if the capture length does not match the
-    /// window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iq.len() != window.len()` (caller bug).
-    pub fn spectrum(
-        &self,
-        window: &CaptureWindow,
-        iq: &[Complex64],
-    ) -> Result<Spectrum, SpectrumError> {
-        assert_eq!(iq.len(), window.len(), "capture length must match window");
-        let n = iq.len();
-        // Window tables (coefficients + coherent gain) come from the
-        // process-wide cache, the window multiply is fused into the copy into
-        // the reused FFT workspace, and bin powers use norm_sqr with a
-        // squared scale — no per-bin hypot, no per-capture allocation
-        // beyond the power vector the Spectrum owns.
-        let tables = self.window.tables(n);
-        let scale = 1.0 / (n as f64 * tables.coherent_gain());
-        let scale_sq = scale * scale;
-        let power = FFT_BUF.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut buf) => windowed_power(iq, tables.coefficients(), scale_sq, &mut buf),
-            // Reentrancy (analyzer called inside an analyzer call on this
-            // thread) cannot share the workspace; fall back to a local one.
-            Err(_) => windowed_power(iq, tables.coefficients(), scale_sq, &mut Vec::new()),
-        });
-        let resolution = Hertz(window.sample_rate() / n as f64);
-        let start = Spectrum::centered_start(window.center(), resolution, n);
-        Spectrum::new(start, resolution, power)
-    }
+///
+/// # Errors
+///
+/// Returns a [`SpectrumError`] if the spectrum cannot be built.
+///
+/// # Panics
+///
+/// Panics if `iq.len() != window.len()` (caller bug).
+pub fn capture_spectrum(
+    window: &CaptureWindow,
+    iq: &[Complex64],
+) -> Result<Spectrum, SpectrumError> {
+    assert_eq!(iq.len(), window.len(), "capture length must match window");
+    let n = iq.len();
+    // Window tables (coefficients + coherent gain) come from the
+    // process-wide cache, the window multiply is fused into the copy into
+    // the reused FFT workspace, and bin powers use norm_sqr with a
+    // squared scale — no per-bin hypot, no per-capture allocation
+    // beyond the power vector the Spectrum owns.
+    let tables = Window::BlackmanHarris.tables(n);
+    let scale = 1.0 / (n as f64 * tables.coherent_gain());
+    let scale_sq = scale * scale;
+    let power = FFT_BUF.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut buf) => windowed_power(iq, tables.coefficients(), scale_sq, &mut buf),
+        // Reentrancy (a transform called inside a transform on this
+        // thread) cannot share the workspace; fall back to a local one.
+        Err(_) => windowed_power(iq, tables.coefficients(), scale_sq, &mut Vec::new()),
+    });
+    let resolution = Hertz(window.sample_rate() / n as f64);
+    let start = Spectrum::centered_start(window.center(), resolution, n);
+    Spectrum::new(start, resolution, power)
 }
 
 /// Windowed FFT power of one capture: fused window-multiply copy into
@@ -115,14 +95,6 @@ fn windowed_power(
     buf.iter().map(|z| z.norm_sqr() * scale_sq).collect()
 }
 
-impl Default for SpectrumAnalyzer {
-    /// Blackman–Harris: the high-dynamic-range window FASE needs to see
-    /// weak side-bands next to strong carriers.
-    fn default() -> SpectrumAnalyzer {
-        SpectrumAnalyzer::new(Window::BlackmanHarris)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,19 +110,16 @@ mod tests {
     }
 
     #[test]
-    fn tone_level_is_calibrated_across_windows() {
+    fn tone_level_is_calibrated() {
         let n = 8192;
         let fs = 819_200.0;
         let cw = CaptureWindow::new(Hertz(0.0), fs, n, 0.0);
         // Exactly bin-centered tone.
         let iq = tone(n, fs, 10.0 * fs / n as f64, -75.0);
-        for w in Window::ALL {
-            let analyzer = SpectrumAnalyzer::new(w);
-            let spectrum = analyzer.spectrum(&cw, &iq).unwrap();
-            let (b, _) = spectrum.peak_bin();
-            let dbm = spectrum.dbm_at(b).dbm();
-            assert!((dbm - -75.0).abs() < 0.1, "{w}: {dbm} dBm");
-        }
+        let spectrum = capture_spectrum(&cw, &iq).unwrap();
+        let (b, _) = spectrum.peak_bin();
+        let dbm = spectrum.dbm_at(b).dbm();
+        assert!((dbm - -75.0).abs() < 0.1, "{dbm} dBm");
     }
 
     #[test]
@@ -158,14 +127,13 @@ mod tests {
         let n = 1024;
         let fs = 102_400.0;
         let cw = CaptureWindow::new(Hertz::from_mhz(1.0), fs, n, 0.0);
-        let analyzer = SpectrumAnalyzer::default();
-        let spectrum = analyzer.spectrum(&cw, &vec![Complex64::ZERO; n]).unwrap();
+        let spectrum = capture_spectrum(&cw, &vec![Complex64::ZERO; n]).unwrap();
         assert_eq!(spectrum.len(), n);
         assert_eq!(spectrum.start(), Hertz(1.0e6 - 51_200.0));
         assert_eq!(spectrum.resolution(), Hertz(100.0));
         // Negative baseband tone lands below center.
         let iq = tone(n, fs, -20.0 * 100.0, -80.0);
-        let spectrum = analyzer.spectrum(&cw, &iq).unwrap();
+        let spectrum = capture_spectrum(&cw, &iq).unwrap();
         let (b, _) = spectrum.peak_bin();
         assert_eq!(spectrum.frequency_at(b), Hertz(1.0e6 - 2_000.0));
     }
@@ -180,8 +148,7 @@ mod tests {
         // → density = -60 − 10·log10(fs) dBm/Hz = -120 dBm/Hz.
         let sigma = 10f64.powf(-60.0 / 20.0);
         let iq: Vec<Complex64> = (0..n).map(|_| complex_normal(&mut rng, sigma)).collect();
-        let analyzer = SpectrumAnalyzer::default();
-        let spectrum = analyzer.spectrum(&cw, &iq).unwrap();
+        let spectrum = capture_spectrum(&cw, &iq).unwrap();
         let mean_bin = spectrum.total_power() / n as f64;
         let density = 10f64.powf(-120.0 / 10.0);
         let expected = density * spectrum.resolution().hz() * Window::BlackmanHarris.enbw_bins(n);
@@ -195,11 +162,10 @@ mod tests {
         let fs = 409_600.0;
         let cw = CaptureWindow::new(Hertz(0.0), fs, n, 0.0);
         let mut rng = SmallRng::seed_from_u64(2);
-        let analyzer = SpectrumAnalyzer::default();
         let captures: Vec<Spectrum> = (0..4)
             .map(|_| {
                 let iq: Vec<Complex64> = (0..n).map(|_| complex_normal(&mut rng, 1e-6)).collect();
-                analyzer.spectrum(&cw, &iq).unwrap()
+                capture_spectrum(&cw, &iq).unwrap()
             })
             .collect();
         let avg = Spectrum::average(captures.iter()).unwrap();
@@ -217,7 +183,7 @@ mod tests {
         let fs = 1.0e6;
         let cw = CaptureWindow::new(Hertz::from_mhz(2.0), fs, n, 0.0);
         let iq = vec![Complex64::new(1e-6, 0.0); n];
-        let flat = SpectrumAnalyzer::default().spectrum(&cw, &iq).unwrap();
+        let flat = capture_spectrum(&cw, &iq).unwrap();
         let shaped = crate::AntennaResponse::aor_la400().shape_spectrum(&flat);
         assert!(flat.same_grid(&shaped));
         // At the loop's resonance (2 MHz = capture center) the gain is
@@ -232,6 +198,6 @@ mod tests {
     #[should_panic(expected = "must match window")]
     fn mismatched_length_panics() {
         let cw = CaptureWindow::new(Hertz(0.0), 1e6, 64, 0.0);
-        let _ = SpectrumAnalyzer::default().spectrum(&cw, &[Complex64::ZERO; 32]);
+        let _ = capture_spectrum(&cw, &[Complex64::ZERO; 32]);
     }
 }

@@ -10,12 +10,11 @@
 //! description; see [`CacheKey::from_description`]).
 //!
 //! Entries carry an FNV-based integrity hash over their payload: a
-//! corrupted or truncated entry fails verification and reads as
-//! [`CacheLookup::Invalid`], which the scheduler treats exactly like a
-//! miss — recompute and overwrite, never trust. Spectra round-trip
-//! **bit-exactly** (every `f64` is stored as its IEEE-754 bit pattern),
-//! which is what makes warm-cache and resumed sweeps byte-identical to
-//! cold ones.
+//! corrupted or truncated entry fails verification and loads as `None`,
+//! exactly like a miss — recompute and overwrite, never trust. Spectra
+//! round-trip **bit-exactly** (every `f64` is stored as its IEEE-754 bit
+//! pattern), which is what makes warm-cache and resumed sweeps
+//! byte-identical to cold ones.
 //!
 //! The entries are the sweep's only state: an interrupted sweep resumes by
 //! re-running it over the same directory, because every finished band is
@@ -96,19 +95,6 @@ impl fmt::Display for CacheKey {
     }
 }
 
-/// Outcome of a cache probe.
-#[derive(Debug)]
-pub enum CacheLookup {
-    /// The entry exists, its integrity hash verified, and its spectra
-    /// reconstructed bit-exactly.
-    Hit(Box<CampaignSpectra>),
-    /// No entry under this key.
-    Miss,
-    /// An entry exists but is corrupt (hash mismatch, unreadable, or
-    /// unparsable). Treat as a miss: recompute and overwrite.
-    Invalid,
-}
-
 /// An on-disk store of reduced band campaigns, one file per
 /// [`CacheKey`].
 #[derive(Debug)]
@@ -139,38 +125,22 @@ impl CaptureCache {
         self.entry_path(key).is_file()
     }
 
-    /// Probes the cache for `key`. Never fails: a missing entry is a
-    /// [`CacheLookup::Miss`], and *any* defect — I/O error, wrong magic,
+    /// Probes the cache for `key`: the stored spectra, or `None`. Never
+    /// fails: a missing entry and *any* defect — I/O error, wrong magic,
     /// key mismatch, integrity-hash mismatch, parse failure, campaign
-    /// re-validation failure — is a [`CacheLookup::Invalid`] that the
-    /// caller recomputes and overwrites.
-    pub fn load(&self, key: &CacheKey) -> CacheLookup {
-        let path = self.entry_path(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheLookup::Miss,
-            Err(_) => return CacheLookup::Invalid,
-        };
-        let Some((header, payload)) = text.split_once("---\n") else {
-            return CacheLookup::Invalid;
-        };
+    /// re-validation failure — both read as `None`, which the caller
+    /// recomputes and overwrites.
+    pub fn load(&self, key: &CacheKey) -> Option<CampaignSpectra> {
+        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
+        let (header, payload) = text.split_once("---\n")?;
         let mut lines = header.lines();
-        if lines.next() != Some(ENTRY_MAGIC) {
-            return CacheLookup::Invalid;
+        if lines.next() != Some(ENTRY_MAGIC)
+            || lines.next() != Some(format!("key {}", key.hex()).as_str())
+            || lines.next() != Some(format!("hash {}", digest_hex(payload.as_bytes())).as_str())
+        {
+            return None;
         }
-        if lines.next() != Some(format!("key {}", key.hex()).as_str()) {
-            return CacheLookup::Invalid;
-        }
-        let Some(hash_line) = lines.next() else {
-            return CacheLookup::Invalid;
-        };
-        if hash_line != format!("hash {}", digest_hex(payload.as_bytes())) {
-            return CacheLookup::Invalid;
-        }
-        match decode_spectra(payload) {
-            Some(spectra) => CacheLookup::Hit(Box::new(spectra)),
-            None => CacheLookup::Invalid,
-        }
+        decode_spectra(payload)
     }
 
     /// Persists a reduced band campaign under `key`. The entry is written
@@ -300,36 +270,17 @@ fn encode_spectra(spectra: &CampaignSpectra) -> String {
             );
         }
         for d in &h.dropped {
-            // The runner only ever drops an alternation on a terminal
-            // CaptureFailed; encode its fields so the reconstruction is
-            // exact. Any other variant (impossible today) degrades to a
-            // worker-error message.
-            match &d.error {
-                FaseError::CaptureFailed {
-                    f_alt,
-                    segment,
-                    attempts,
-                    cause,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "drop {} {} {} {} {}",
-                        f64_hex(d.f_alt.hz()),
-                        f64_hex(f_alt.hz()),
-                        segment,
-                        attempts,
-                        escape(cause)
-                    );
-                }
-                other => {
-                    let _ = writeln!(
-                        out,
-                        "dropmsg {} {}",
-                        f64_hex(d.f_alt.hz()),
-                        escape(&other.to_string())
-                    );
-                }
-            }
+            // f_alt is written twice, as when a drop also carried it in
+            // its capture error, so an entry keeps the bytes (and the
+            // integrity hash) that earlier versions wrote and read back.
+            let f_alt = f64_hex(d.f_alt.hz());
+            let _ = writeln!(
+                out,
+                "drop {f_alt} {f_alt} {} {} {}",
+                d.segment,
+                d.attempts,
+                escape(&d.cause)
+            );
         }
     }
     out
@@ -410,24 +361,19 @@ fn decode_spectra(payload: &str) -> Option<CampaignSpectra> {
             "drop" => {
                 let mut fields = line.splitn(6, ' ');
                 let _tag = fields.next()?;
-                let planned = hex_f64(fields.next()?)?;
-                let err_f_alt = hex_f64(fields.next()?)?;
+                let f_alt = fields.next()?;
+                if fields.next()? != f_alt {
+                    return None;
+                }
+                let f_alt = hex_f64(f_alt)?;
                 let segment: usize = fields.next()?.parse().ok()?;
                 let attempts: u32 = fields.next()?.parse().ok()?;
                 let cause = unescape(fields.next().unwrap_or(""));
                 health.as_mut()?.dropped.push(DroppedAlternation {
-                    f_alt: Hertz(planned),
-                    error: FaseError::capture_failed(Hertz(err_f_alt), segment, attempts, cause),
-                });
-            }
-            "dropmsg" => {
-                let mut fields = line.splitn(3, ' ');
-                let _tag = fields.next()?;
-                let planned = hex_f64(fields.next()?)?;
-                let message = unescape(fields.next().unwrap_or(""));
-                health.as_mut()?.dropped.push(DroppedAlternation {
-                    f_alt: Hertz(planned),
-                    error: FaseError::worker(message),
+                    f_alt: Hertz(f_alt),
+                    segment,
+                    attempts,
+                    cause,
                 });
             }
             _ => return None,
@@ -487,7 +433,9 @@ mod tests {
             });
             h.dropped.push(DroppedAlternation {
                 f_alt: Hertz(210.0),
-                error: FaseError::capture_failed(Hertz(210.0), 0, 3, "injected\ntask failure"),
+                segment: 0,
+                attempts: 3,
+                cause: "injected\ntask failure".into(),
             });
             h.surviving = 2;
             spectra.with_health(h)
@@ -529,12 +477,10 @@ mod tests {
             let cache = CaptureCache::open(&dir).unwrap();
             let spectra = sample_spectra(with_health);
             let key = CacheKey::from_description("roundtrip");
-            assert!(matches!(cache.load(&key), CacheLookup::Miss));
+            assert!(!cache.has_entry(&key));
+            assert_eq!(cache.load(&key), None);
             cache.store(&key, &spectra).unwrap();
-            match cache.load(&key) {
-                CacheLookup::Hit(loaded) => assert_eq!(*loaded, spectra),
-                other => panic!("expected hit, got {other:?}"),
-            }
+            assert_eq!(cache.load(&key), Some(spectra));
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -552,13 +498,15 @@ mod tests {
         let i = bytes.len() - 20;
         bytes[i] = bytes[i].wrapping_add(1);
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(cache.load(&key), CacheLookup::Invalid));
+        assert!(cache.has_entry(&key));
+        assert_eq!(cache.load(&key), None);
         // Truncation is also caught.
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(matches!(cache.load(&key), CacheLookup::Invalid));
+        assert!(cache.has_entry(&key));
+        assert_eq!(cache.load(&key), None);
         // Recompute-and-overwrite heals the entry.
         cache.store(&key, &spectra).unwrap();
-        assert!(matches!(cache.load(&key), CacheLookup::Hit(_)));
+        assert_eq!(cache.load(&key), Some(spectra));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -572,7 +520,8 @@ mod tests {
         cache.store(&key_a, &spectra).unwrap();
         // Copy a's entry file under b's name: content-address mismatch.
         std::fs::copy(cache.entry_path(&key_a), cache.entry_path(&key_b)).unwrap();
-        assert!(matches!(cache.load(&key_b), CacheLookup::Invalid));
+        assert!(cache.has_entry(&key_b));
+        assert_eq!(cache.load(&key_b), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -605,11 +554,14 @@ mod tests {
                 while !writers_done.load(Ordering::SeqCst) || loads == 0 {
                     for (key, was_stored) in keys.iter().zip(&stored) {
                         let stored_before = was_stored.load(Ordering::SeqCst);
+                        // Entries are only ever replaced whole, so one
+                        // seen before the load must load.
+                        let existed = cache.has_entry(key);
                         match cache.load(key) {
-                            CacheLookup::Hit(loaded) => assert_eq!(*loaded, spectra),
-                            CacheLookup::Miss => assert!(!stored_before, "{key} vanished"),
-                            CacheLookup::Invalid => panic!("{key} read as invalid"),
+                            Some(loaded) => assert_eq!(loaded, spectra),
+                            None => assert!(!existed, "{key} read as invalid"),
                         }
+                        assert!(existed || !stored_before, "{key} vanished");
                         loads += 1;
                     }
                 }
@@ -641,10 +593,11 @@ mod tests {
             }
         });
         for key in &keys {
-            match cache.load(key) {
-                CacheLookup::Hit(loaded) => assert_eq!(*loaded, spectra),
-                other => panic!("entry {key} unreadable after hammer: {other:?}"),
-            }
+            assert_eq!(
+                cache.load(key).as_ref(),
+                Some(&spectra),
+                "entry {key} after hammer"
+            );
         }
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()

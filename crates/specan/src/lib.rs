@@ -2,8 +2,8 @@
 //!
 //! Stands in for the paper's Agilent MXA N9020A (§3):
 //!
-//! * [`SpectrumAnalyzer`] — windowed-FFT power spectra of complex-baseband
-//!   captures, calibrated in dBm.
+//! * [`capture_spectrum`] — the Blackman–Harris windowed-FFT power
+//!   spectrum of a complex-baseband capture, calibrated in dBm.
 //! * [`SweepPlan`] — tiles a wide band into FFT-sized capture segments
 //!   whose spectra stitch seamlessly.
 //! * [`run_campaign_with_options`] — drives the full §3 procedure against
@@ -42,9 +42,9 @@ pub mod runner;
 pub mod scheduler;
 pub mod sweep;
 
-pub use analyzer::SpectrumAnalyzer;
+pub use analyzer::capture_spectrum;
 pub use antenna::AntennaResponse;
-pub use cache::{CacheKey, CacheLookup, CaptureCache};
+pub use cache::{CacheKey, CaptureCache};
 pub use cancel::CancelToken;
 pub use fault::{FaultKind, FaultPlan};
 pub use multichannel::{run_multichannel_sweep, MultiSweepOutcome};

@@ -2,7 +2,7 @@
 //! micro-benchmark execution, EM rendering, capture, averaging and
 //! stitching for a full FASE campaign.
 
-use crate::analyzer::SpectrumAnalyzer;
+use crate::analyzer::capture_spectrum;
 use crate::cancel::CancelToken;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::sweep::{SegmentSpec, SweepPlan};
@@ -14,7 +14,7 @@ use fase_core::{
 use fase_dsp::rng::{mix_seed, SmallRng};
 use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::{RenderCtx, SimulatedSystem};
-use fase_obs::{span, Recorder};
+use fase_obs::Recorder;
 use fase_sysmodel::{ActivityPair, Alternation};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -139,11 +139,11 @@ struct CaptureOut {
     trace_duration: f64,
 }
 
-/// Everything a capture task reports back: the capture (or the terminal
-/// error after retry exhaustion), attempts spent, impairments suffered.
+/// Everything a capture task reports back: the capture (or, after retry
+/// exhaustion, the drop it causes), attempts spent, impairments suffered.
 #[derive(Debug)]
 struct TaskResult {
-    out: Result<CaptureOut, FaseError>,
+    out: Result<CaptureOut, DroppedAlternation>,
     attempts: u32,
     faults: Vec<FaultRecord>,
 }
@@ -192,28 +192,28 @@ fn execute_capture(
     // capture's recorder: the set-up stages here, `synth` and `transform`
     // further down. The scene and the analyzer record nothing themselves.
     let mut machine = {
-        let _setup = span!(recorder, "setup");
+        let _setup = recorder.span("setup");
         system.machine.clone()
     };
     let stream = attempt_seed(seed, task.index, attempt);
     let mut rng = SmallRng::seed_from_u64(stream);
     let window = segment.window(task.index as f64 * segment.duration());
     let trace = {
-        let _alternation = span!(recorder, "alternation");
+        let _alternation = recorder.span("alternation");
         machine.run_alternation(&prepared.bench, segment.duration(), &mut rng)
     };
     let pairs = (trace.len() / 2).max(1);
     let trace_duration = trace.duration();
     let refreshes = {
-        let _refresh = span!(recorder, "refresh");
+        let _refresh = recorder.span("refresh");
         system.refresh.schedule(&trace, &mut rng)
     };
     let ctx = {
-        let _render_ctx = span!(recorder, "render_ctx");
+        let _render_ctx = recorder.span("render_ctx");
         RenderCtx::new(&trace, &refreshes, &window)
     };
     let mut iq = {
-        let _synth = span!(recorder, "synth");
+        let _synth = recorder.span("synth");
         system.scene.render(&window, &ctx)
     };
     recorder.count("emsim.renders", 1);
@@ -223,8 +223,8 @@ fn execute_capture(
         kind.apply(&mut iq, &mut fault_rng);
     }
     let spectrum = {
-        let _transform = span!(recorder, "transform");
-        SpectrumAnalyzer::default().spectrum(&window, &iq)?
+        let _transform = recorder.span("transform");
+        capture_spectrum(&window, &iq)?
     };
     Ok(CaptureOut {
         spectrum,
@@ -246,13 +246,11 @@ pub(crate) struct PoolBand<'a> {
 }
 
 /// A band's reduced captures: the surviving spectra in alternation
-/// order, the health, and the first capture failure that dropped an
-/// alternation, if any.
+/// order and the health, which lists the dropped alternations.
 #[derive(Debug)]
 pub(crate) struct Reduced {
     labeled: Vec<LabeledSpectrum>,
     health: CampaignHealth,
-    first_failure: Option<FaseError>,
 }
 
 impl Reduced {
@@ -260,16 +258,18 @@ impl Reduced {
     ///
     /// # Errors
     ///
-    /// The first capture failure (or [`FaseError::InvalidSpectra`]) when
-    /// fewer than two alternation frequencies survived.
+    /// The first dropped alternation's capture failure (or
+    /// [`FaseError::InvalidSpectra`]) when fewer than two alternation
+    /// frequencies survived.
     pub(crate) fn into_campaign(
         self,
         config: &CampaignConfig,
     ) -> Result<CampaignSpectra, FaseError> {
         if self.labeled.len() < 2 {
-            return Err(self.first_failure.unwrap_or_else(|| {
-                FaseError::invalid_spectra("fewer than two alternation frequencies survived")
-            }));
+            return Err(self.health.dropped.first().map_or_else(
+                || FaseError::invalid_spectra("fewer than two alternation frequencies survived"),
+                DroppedAlternation::error,
+            ));
         }
         Ok(CampaignSpectra::new(config.clone(), self.labeled)?.with_health(self.health))
     }
@@ -438,7 +438,7 @@ impl<'a> CapturePool<'a> {
         let f_alt = self.f_alts[task.i_alt];
         // Helper threads have their own span stack, so this aggregates as
         // a root "capture" span (one entry per task, retries included).
-        let _capture = span!(recorder, "capture");
+        let _capture = recorder.span("capture");
         let t0 = recorder.is_active().then(fase_obs::monotonic_ns);
         // Bounded retry: each attempt draws its own fault and RNG stream
         // from the task coordinates, so the retry history is identical for
@@ -485,12 +485,12 @@ impl<'a> CapturePool<'a> {
                     // the alternation degrades.
                     if attempt >= max_attempts || cancel.is_cancelled() {
                         break TaskResult {
-                            out: Err(FaseError::capture_failed(
+                            out: Err(DroppedAlternation {
                                 f_alt,
-                                task.i_seg,
-                                attempt,
-                                e.to_string(),
-                            )),
+                                segment: task.i_seg,
+                                attempts: attempt,
+                                cause: e.to_string(),
+                            }),
                             attempts: attempt,
                             faults,
                         };
@@ -543,7 +543,7 @@ impl<'a> CapturePool<'a> {
             });
         };
         let recorder = &self.options.recorder;
-        let _reduce = span!(recorder, "reduce");
+        let _reduce = recorder.span("reduce");
         let band = &self.bands[j];
         let config = band.config;
         let segments = self.plans[j].segments();
@@ -551,12 +551,11 @@ impl<'a> CapturePool<'a> {
         let mut results = results.into_iter();
         let mut health = CampaignHealth::new(band.alts.len());
         let mut labeled = Vec::with_capacity(band.alts.len());
-        let mut first_failure: Option<FaseError> = None;
-        for &f_alt in &self.f_alts[band.alts.clone()] {
+        for _ in band.alts.clone() {
             let mut segment_spectra = Vec::with_capacity(segments.len());
             let mut period_sum = 0.0f64;
             let mut period_count = 0usize;
-            let mut alt_failure: Option<FaseError> = None;
+            let mut alt_failure: Option<DroppedAlternation> = None;
             for _ in segments {
                 let mut captures = Vec::with_capacity(averages);
                 for result in results.by_ref().take(averages) {
@@ -571,8 +570,8 @@ impl<'a> CapturePool<'a> {
                             period_count += 1;
                             captures.push(out.spectrum);
                         }
-                        Err(e) => {
-                            alt_failure.get_or_insert(e);
+                        Err(dropped) => {
+                            alt_failure.get_or_insert(dropped);
                         }
                     }
                 }
@@ -584,9 +583,8 @@ impl<'a> CapturePool<'a> {
                     segment_spectra.push(Spectrum::robust_average(survivors.iter().copied())?);
                 }
             }
-            if let Some(e) = alt_failure {
-                first_failure.get_or_insert_with(|| e.clone());
-                health.dropped.push(DroppedAlternation { f_alt, error: e });
+            if let Some(dropped) = alt_failure {
+                health.dropped.push(dropped);
                 continue;
             }
             let stitched = Spectrum::stitch(segment_spectra.iter())?;
@@ -604,11 +602,7 @@ impl<'a> CapturePool<'a> {
         recorder.count_usize("specan.quarantined", health.quarantined);
         recorder.count_usize("specan.faults_injected", health.faults.len());
         recorder.count_usize("specan.dropped_alternations", health.dropped.len());
-        Ok(Reduced {
-            labeled,
-            health,
-            first_failure,
-        })
+        Ok(Reduced { labeled, health })
     }
 }
 
@@ -662,7 +656,7 @@ fn measure_alternations<F>(
 where
     F: Fn(usize) -> SimulatedSystem + Sync,
 {
-    let _campaign = span!(options.recorder, "campaign");
+    let _campaign = options.recorder.span("campaign");
     let band = PoolBand { config, alts, seed };
     run_pool(
         std::slice::from_ref(&band),
@@ -753,11 +747,13 @@ where
     }
     let Reduced {
         mut labeled,
-        first_failure,
-        ..
+        health,
     } = measure_alternations(config, i_alt..i_alt + 1, pair, &factory, seed, &options)?;
     labeled.pop().ok_or_else(|| {
-        first_failure.unwrap_or_else(|| FaseError::invalid_spectra("alternation was not measured"))
+        health.dropped.first().map_or_else(
+            || FaseError::invalid_spectra("alternation was not measured"),
+            DroppedAlternation::error,
+        )
     })
 }
 

@@ -12,7 +12,7 @@
 //! Three features make multi-hour sweeps practical:
 //!
 //! * **Capture cache** — with [`SweepOptions::cache_dir`] set, each band's
-//!   reduced [`CampaignSpectra`] is stored content-addressed
+//!   reduced [`fase_core::CampaignSpectra`] is stored content-addressed
 //!   ([`crate::cache`]); a warm re-run skips synthesis entirely and is
 //!   byte-identical to the cold run.
 //! * **Resume** — the cache is the sweep's only state: re-running an
@@ -25,7 +25,7 @@
 //!   cache directory can split a span and any one of them can later merge
 //!   the full result.
 
-use crate::cache::{CacheKey, CacheLookup, CaptureCache};
+use crate::cache::{CacheKey, CaptureCache};
 use crate::runner::{run_pool, CampaignOptions, CapturePool, PoolBand};
 use crate::sweep::{plan_bands, SweepBand};
 use fase_core::par::par_map;
@@ -321,15 +321,14 @@ where
     let stored: Vec<&Keyed> = keyed.iter().flatten().filter(|k| k.stored).collect();
     let mut loaded = par_map(&stored, |k| {
         let _band_span = recorder.span("specan.sweep_band");
-        match cache.as_ref().map(|c| c.load(&k.key)) {
-            // A hit whose stored config disagrees with the plan means a
-            // (vanishingly unlikely) key collision or tampering — never
-            // trust it.
-            Some(CacheLookup::Hit(spectra)) if *spectra.config() == k.config => {
-                Some(analyzer.analyze(&spectra))
-            }
-            _ => None,
-        }
+        // A hit whose stored config disagrees with the plan means a
+        // (vanishingly unlikely) key collision or tampering — never trust
+        // it.
+        cache
+            .as_ref()
+            .and_then(|c| c.load(&k.key))
+            .filter(|spectra| *spectra.config() == k.config)
+            .map(|spectra| analyzer.analyze(&spectra))
     })
     .into_iter();
 

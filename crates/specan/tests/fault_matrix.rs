@@ -11,7 +11,8 @@ use fase_core::{CampaignConfig, Fase, FaseError, FaseReport};
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
 use fase_specan::{
-    run_campaign_with_options, CampaignOptions, FaultKind, FaultPlan, DEFAULT_MAX_ATTEMPTS,
+    run_campaign_with_options, CacheKey, CampaignOptions, CaptureCache, FaultKind, FaultPlan,
+    DEFAULT_MAX_ATTEMPTS,
 };
 use fase_sysmodel::ActivityPair;
 
@@ -124,19 +125,58 @@ fn exhausted_alternation_degrades_the_campaign() {
     assert!(health.degraded());
     assert_eq!(health.surviving, 4);
     assert_eq!(health.dropped.len(), 1);
-    assert!(
-        matches!(
-            &health.dropped[0].error,
-            FaseError::CaptureFailed { attempts, .. } if *attempts == DEFAULT_MAX_ATTEMPTS
-        ),
-        "unexpected drop cause: {}",
-        health.dropped[0].error
+    assert_eq!(
+        health.dropped[0].attempts, DEFAULT_MAX_ATTEMPTS,
+        "unexpected drop: {:?}",
+        health.dropped[0]
     );
     // Eq. 1 renormalizes over the surviving spectra; the carrier must
     // still win.
     let report = Fase::default().analyze(&spectra).unwrap();
     assert!(report.is_degraded());
     assert_dram_carrier_top(&report);
+
+    // The report, the health text and the stored cache entry are pinned
+    // byte for byte: an entry written by an earlier version must stay
+    // readable, and the report JSON is what sweeps and the server emit.
+    assert_eq!(report.to_json(), DEGRADED_REPORT_JSON);
+    assert_eq!(health.to_string(), DEGRADED_HEALTH);
+    let dir = std::env::temp_dir().join(format!("fase-fault-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = CaptureCache::open(&dir).unwrap();
+    let key = CacheKey::from_description("exhausted alternation");
+    cache.store(&key, &spectra).unwrap();
+    let entry = std::fs::read(dir.join(format!("{}.entry", key.hex()))).unwrap();
+    assert_eq!(fnv1a_hex(&entry), DEGRADED_ENTRY_FNV1A);
+    assert_eq!(cache.load(&key).as_ref(), Some(&spectra));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `exhausted_alternation_degrades_the_campaign`'s report JSON.
+const DEGRADED_REPORT_JSON: &str = r#"{
+  "carriers": [{"frequency_hz": 315400.0, "magnitude_dbm": -101.98118514091755, "sideband_dbm": -117.58981700913208, "total_log_score": 29.991859460451344, "harmonics": [{"h": 1, "score": 2620879.7350505004}, {"h": -1, "score": 4044377.63182109}]}],
+  "harmonic_sets": [{"fundamental_hz": 315400.0, "harmonic_numbers": [1], "member_frequencies_hz": [315400.0]}],
+  "degraded": true,
+  "health": {"planned": 5, "surviving": 4, "retried_tasks": 3, "total_retries": 6, "quarantined": 0, "faults": [{"f_alt_hz": 34000.0, "segment": 0, "average": 0, "attempt": 0, "tag": "task-failure"}, {"f_alt_hz": 34000.0, "segment": 0, "average": 0, "attempt": 1, "tag": "task-failure"}, {"f_alt_hz": 34000.0, "segment": 0, "average": 0, "attempt": 2, "tag": "task-failure"}, {"f_alt_hz": 34000.0, "segment": 0, "average": 1, "attempt": 0, "tag": "task-failure"}, {"f_alt_hz": 34000.0, "segment": 0, "average": 1, "attempt": 1, "tag": "task-failure"}, {"f_alt_hz": 34000.0, "segment": 0, "average": 1, "attempt": 2, "tag": "task-failure"}, {"f_alt_hz": 34000.0, "segment": 0, "average": 2, "attempt": 0, "tag": "task-failure"}, {"f_alt_hz": 34000.0, "segment": 0, "average": 2, "attempt": 1, "tag": "task-failure"}, {"f_alt_hz": 34000.0, "segment": 0, "average": 2, "attempt": 2, "tag": "task-failure"}], "dropped": [{"f_alt_hz": 34000.0, "error": "capture at f_alt 34.000 kHz (segment 0) failed after 3 attempt(s): campaign worker failed: injected task failure"}]}
+}
+"#;
+
+/// `exhausted_alternation_degrades_the_campaign`'s health text.
+const DEGRADED_HEALTH: &str = concat!(
+    "capture health: 4/5 spectra, 3 task(s) retried (6 extra attempt(s)), 0 capture(s) quarantined, 9 fault(s) [DEGRADED]\n",
+    "  dropped f_alt 34.000 kHz: capture at f_alt 34.000 kHz (segment 0) failed after 3 attempt(s): campaign worker failed: injected task failure",
+);
+
+/// FNV-1a 64 of the cache entry `exhausted_alternation_degrades_the_campaign`
+/// stores.
+const DEGRADED_ENTRY_FNV1A: &str = "33194d0c79ab7136";
+
+/// FNV-1a 64 of `bytes`, as 16 hex digits.
+fn fnv1a_hex(bytes: &[u8]) -> String {
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}")
 }
 
 #[test]

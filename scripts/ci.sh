@@ -27,6 +27,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (warnings are errors)"
+# Broken and private intra-doc links fail here, not only in a rendered
+# page nobody opens.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> fase-lint --strict (baseline-checked)"
 cargo run -p fase-lint --offline -- --strict --quiet \
   --baseline lint-baseline.json --json target/fase-lint.json \

@@ -74,8 +74,6 @@ pub mod prelude {
     pub use fase_dsp::{Dbm, Decibels, Hertz, Seconds, Spectrum};
     pub use fase_emsim::{RefreshPolicy, Scene, SimulatedSystem};
     pub use fase_obs::Recorder;
-    pub use fase_specan::{
-        measure_alternation, run_campaign_with_options, CampaignOptions, SpectrumAnalyzer,
-    };
+    pub use fase_specan::{measure_alternation, run_campaign_with_options, CampaignOptions};
     pub use fase_sysmodel::{Activity, ActivityPair, Machine};
 }
