@@ -4,7 +4,7 @@
 
 use crate::{ascii_plot, write_csv};
 use fase_dsp::demod::ridge_track_in_band;
-use fase_dsp::{stats, Hertz, Window};
+use fase_dsp::{stats, Hertz};
 use fase_emsim::SimulatedSystem;
 use fase_specan::capture_iq;
 use fase_sysmodel::ActivityPair;
@@ -29,14 +29,7 @@ pub fn run() -> bool {
     // Track the sweeping carrier: 64-sample frames (64 µs, 15.6 kHz bins).
     // The receiver knows the clock's nominal sweep band (±170 kHz around
     // the tuned center).
-    let ridge = ridge_track_in_band(
-        &capture.samples,
-        span,
-        64,
-        32,
-        Window::Hann,
-        Some((-170e3, 170e3)),
-    );
+    let ridge = ridge_track_in_band(&capture.samples, span, 64, 32, Some((-170e3, 170e3)));
     println!(
         "tracked {} frames; carrier wanders {:.0}..{:.0} kHz around 332.85 MHz",
         ridge.len(),

@@ -2,9 +2,8 @@
 //! the textbook AM spectrum: carrier at f_c plus side-bands at f_c ± f_alt.
 
 use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
-use fase_dsp::Hertz;
+use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::CaptureWindow;
-use fase_specan::capture_spectrum;
 
 pub fn run() -> bool {
     let fc = Hertz::from_khz(500.0);
@@ -20,7 +19,8 @@ pub fn run() -> bool {
         0.0,
         1,
     );
-    let spectrum = capture_spectrum(&window, &iq).expect("spectrum");
+    let spectrum =
+        Spectrum::from_capture(window.center(), window.sample_rate(), &iq).expect("spectrum");
     plot_spectrum(
         "Figure 1: ideal carrier, sinusoidal modulation (dBm)",
         &spectrum,

@@ -4,9 +4,8 @@
 //! spike with smaller "bumps".
 
 use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
-use fase_dsp::Hertz;
+use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::CaptureWindow;
-use fase_specan::capture_spectrum;
 use fase_sysmodel::{ActivityPair, Domain, Machine};
 
 pub fn run() -> bool {
@@ -30,7 +29,8 @@ pub fn run() -> bool {
         0.0,
         3,
     );
-    let spectrum = capture_spectrum(&window, &iq).expect("spectrum");
+    let spectrum =
+        Spectrum::from_capture(window.center(), window.sample_rate(), &iq).expect("spectrum");
     plot_spectrum(
         "Figure 2: ideal carrier, program-activity modulation (dBm)",
         &spectrum,

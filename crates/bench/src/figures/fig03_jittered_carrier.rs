@@ -2,9 +2,8 @@
 //! sinusoid. The carrier's spread is inherited by both side-bands.
 
 use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
-use fase_dsp::Hertz;
+use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::CaptureWindow;
-use fase_specan::capture_spectrum;
 
 pub fn run() -> bool {
     let fc = Hertz::from_khz(500.0);
@@ -19,7 +18,8 @@ pub fn run() -> bool {
         300.0, // RC-oscillator line width
         4,
     );
-    let spectrum = capture_spectrum(&window, &iq).expect("spectrum");
+    let spectrum =
+        Spectrum::from_capture(window.center(), window.sample_rate(), &iq).expect("spectrum");
     plot_spectrum(
         "Figure 3: non-ideal carrier, sinusoidal modulation (dBm)",
         &spectrum,

@@ -3,9 +3,8 @@
 //! carrier spread.
 
 use crate::{plot_spectrum, synthetic_carrier_capture, write_spectra_csv};
-use fase_dsp::Hertz;
+use fase_dsp::{Hertz, Spectrum};
 use fase_emsim::CaptureWindow;
-use fase_specan::capture_spectrum;
 use fase_sysmodel::{ActivityPair, Domain, Machine};
 
 pub fn run() -> bool {
@@ -25,7 +24,8 @@ pub fn run() -> bool {
         300.0,
         6,
     );
-    let spectrum = capture_spectrum(&window, &iq).expect("spectrum");
+    let spectrum =
+        Spectrum::from_capture(window.center(), window.sample_rate(), &iq).expect("spectrum");
     plot_spectrum(
         "Figure 4: non-ideal carrier, program-activity modulation (dBm)",
         &spectrum,

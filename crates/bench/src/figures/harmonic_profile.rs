@@ -3,8 +3,7 @@
 //! similar strength; duty-cycle modulation changes *every* harmonic.
 
 use crate::{print_table, write_csv};
-use fase_dsp::fft::{fft, fft_shift};
-use fase_dsp::{Complex64, Hertz, Window};
+use fase_dsp::{Complex64, Hertz, Spectrum};
 use fase_emsim::regulator::SwitchingRegulator;
 use fase_emsim::source::EmSource;
 use fase_emsim::{CaptureWindow, RenderCtx};
@@ -25,14 +24,9 @@ fn harmonic_levels(duty: f64, n_harmonics: u32) -> Vec<f64> {
     let ctx = RenderCtx::new(&trace, &[], &window);
     let mut iq = vec![Complex64::ZERO; n];
     reg.render(&window, &ctx, &mut iq);
-    Window::BlackmanHarris.apply_complex(&mut iq);
-    let cg = Window::BlackmanHarris.coherent_gain(n);
-    let mut bins = fft(&iq);
-    fft_shift(&mut bins);
-    let power: Vec<f64> = bins
-        .iter()
-        .map(|z| (z.norm() / (n as f64 * cg)).powi(2))
-        .collect();
+    let spectrum =
+        Spectrum::from_capture(window.center(), window.sample_rate(), &iq).expect("spectrum");
+    let power = spectrum.powers();
     (1..=n_harmonics)
         .map(|k| {
             let f = fsw.hz() * k as f64 - 2.0e6;

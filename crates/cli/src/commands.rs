@@ -6,7 +6,7 @@ use fase_core::{
 };
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_serve::protocol::sweep_seeds;
+use fase_serve::protocol::{sweep_seeds, DEFAULT_SWEEP_BANDS};
 use fase_specan::{probe_modulation, run_campaign_with_options, CampaignOptions, FaultPlan};
 use fase_sysmodel::ActivityPair;
 use std::fmt;
@@ -48,12 +48,13 @@ systems: i7 | i3 | turion | p3m | i7-mitigated
 frequencies accept k/M/G suffixes (e.g. 43.3k, 2M). A subcommand refuses
 any option it does not list.
 
-sweep: shards [lo, hi] into --bands overlapping bands, runs a campaign per
-band, and merges the per-band reports (seam duplicates deduplicated,
-harmonic sets regrouped across bands). With --cache-dir, each band's
-captures are cached content-addressed: a re-run is served from disk and
-recomputes only the bands with no valid entry, so re-running an
-interrupted sweep finishes it — bit-identical to an uninterrupted run.
+sweep: shards [lo, hi] into --bands overlapping bands (default 2, as for a
+served sweep), runs a campaign per band, and merges the per-band reports
+(seam duplicates deduplicated, harmonic sets regrouped across bands).
+With --cache-dir, each band's captures are cached content-addressed: a
+re-run is served from disk and recomputes only the bands with no valid
+entry, so re-running an interrupted sweep finishes it — bit-identical to
+an uninterrupted run.
 --shard k/n computes only bands with index % n == k, so several hosts
 sharing a cache directory can split one span.
 
@@ -483,7 +484,7 @@ fn sweep(parsed: &ParsedArgs) -> Result<String, CliError> {
         lo: Hertz(parsed.frequency("lo")?),
         hi: Hertz(parsed.frequency("hi")?),
         resolution: Hertz(res),
-        bands: parsed.integer_or("bands", 4)? as usize,
+        bands: parsed.integer_or("bands", DEFAULT_SWEEP_BANDS)? as usize,
         overlap: Hertz(parsed.frequency_or("overlap", 20.0 * res)?),
         f_alt1: Hertz(parsed.frequency_or("falt", 43_300.0)?),
         f_delta: Hertz(parsed.frequency_or("fdelta", 500.0)?),
@@ -869,12 +870,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn sweep_reuses_every_band_a_server_request_cached() {
+    /// Serves `body` on a fresh server over an empty cache directory,
+    /// then runs `fase-cli sweep <cli>` over the same directory: every
+    /// one of the `bands` bands the server cached must be a CLI hit.
+    fn assert_cli_sweep_reuses_served_bands(tag: &str, body: &str, cli: &str, bands: u64) {
         use fase_serve::http::client_request;
         use fase_serve::{ServeConfig, Server};
-        let dir =
-            std::env::temp_dir().join(format!("fase_cli_shared_cache_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("fase_cli_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let server = Server::start(ServeConfig {
             workers: 1,
@@ -882,32 +884,45 @@ mod tests {
             ..ServeConfig::default()
         })
         .unwrap();
+        let served = client_request(&server.addr().to_string(), "POST", "/v1/sweep", body).unwrap();
+        server.join();
+        assert_eq!(served.status, 200, "{}", served.body);
+        let misses = format!("\"cache_hits\":0,\"cache_misses\":{bands}");
+        assert!(served.body.contains(&misses), "{}", served.body);
+        let out = run(&argv(&format!("sweep {cli} --cache-dir {}", dir.display()))).unwrap();
+        let hits = format!("cache: {bands} hit(s), 0 miss(es)");
+        assert!(out.contains(&hits), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sweep_reuses_every_band_a_server_request_cached() {
         // A fault rate without a fault seed: the default fault seed and
         // the capture seed both enter each band's cache key.
-        let served = client_request(
-            &server.addr().to_string(),
-            "POST",
-            "/v1/sweep",
+        assert_cli_sweep_reuses_served_bands(
+            "shared_cache",
             r#"{"tenant":"t","system":"i7","lo":250000,"hi":400000,"res":200,"bands":2,
                 "overlap":2000,"falt":30000,"fdelta":2000,"alts":5,"avg":3,"seed":11,
                 "fault_rate":0.05,"deadline_ms":120000}"#,
-        )
-        .unwrap();
-        server.join();
-        assert_eq!(served.status, 200, "{}", served.body);
-        assert!(
-            served.body.contains("\"cache_hits\":0,\"cache_misses\":2"),
-            "{}",
-            served.body
+            "--system i7 --lo 250k --hi 400k --res 200 --bands 2 --overlap 2k \
+             --falt 30k --fdelta 2k --alts 5 --avg 3 --seed 11 --fault-rate 0.05",
+            2,
         );
-        let out = run(&argv(&format!(
-            "sweep --system i7 --lo 250k --hi 400k --res 200 --bands 2 --overlap 2k \
-             --falt 30k --fdelta 2k --alts 5 --avg 3 --seed 11 --fault-rate 0.05 --cache-dir {}",
-            dir.display()
-        )))
-        .unwrap();
-        assert!(out.contains("cache: 2 hit(s), 0 miss(es)"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sweep_default_bands_reuse_every_band_a_server_request_cached() {
+        // Neither side names `bands`: both must shard into the same
+        // default number of bands.
+        assert_cli_sweep_reuses_served_bands(
+            "default_bands",
+            r#"{"tenant":"t","system":"i7","lo":250000,"hi":400000,"res":200,
+                "overlap":2000,"falt":30000,"fdelta":2000,"alts":5,"avg":3,"seed":11,
+                "deadline_ms":120000}"#,
+            "--system i7 --lo 250k --hi 400k --res 200 --overlap 2k \
+             --falt 30k --fdelta 2k --alts 5 --avg 3 --seed 11",
+            DEFAULT_SWEEP_BANDS,
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::complex::Complex64;
 use crate::stats::safe_sqrt;
-use crate::window::Window;
+use crate::window::hann;
 
 /// AM (envelope) demodulation: the magnitude of the complex baseband
 /// signal, optionally smoothed by a moving average of `smooth` samples.
@@ -119,25 +119,20 @@ pub fn moving_average(xs: &[f64], len: usize) -> Vec<f64> {
 
 /// A short-time Fourier transform (spectrogram): power per (frame, bin).
 ///
-/// Frames of `frame_len` samples advance by `hop`; each is windowed and
-/// transformed; bins are in FFT order (DC first). Returns an empty vector
+/// Frames of `frame_len` samples advance by `hop`; each is Hann-windowed
+/// and transformed; bins are in FFT order (DC first). Returns an empty vector
 /// when the signal is shorter than one frame.
 ///
 /// # Panics
 ///
 /// Panics if `frame_len` or `hop` is zero.
-pub fn spectrogram(
-    iq: &[Complex64],
-    frame_len: usize,
-    hop: usize,
-    window: Window,
-) -> Vec<Vec<f64>> {
+pub fn spectrogram(iq: &[Complex64], frame_len: usize, hop: usize) -> Vec<Vec<f64>> {
     assert!(frame_len > 0 && hop > 0, "frame and hop must be non-zero");
     if iq.len() < frame_len {
         return Vec::new();
     }
     let plan = crate::fft::cached_plan(frame_len);
-    let coeffs = window.coefficients(frame_len);
+    let coeffs = hann(frame_len);
     let mut frames = Vec::new();
     let mut start = 0usize;
     while start + frame_len <= iq.len() {
@@ -187,11 +182,11 @@ pub fn ridge_track_in_band(
     sample_rate: f64,
     frame_len: usize,
     hop: usize,
-    window: Window,
     band: Option<(f64, f64)>,
 ) -> Vec<RidgePoint> {
-    let frames = spectrogram(iq, frame_len, hop, window);
-    let cg = window.coherent_gain(frame_len);
+    let frames = spectrogram(iq, frame_len, hop);
+    // The Hann window's coherent gain (the mean of its coefficients).
+    let cg = hann(frame_len).iter().sum::<f64>() / frame_len as f64;
     let bin_offset = |bin: usize| -> f64 {
         (if bin <= frame_len / 2 {
             bin as f64
@@ -428,7 +423,7 @@ mod tests {
                 Complex64::cis(TAU * f * i as f64 / fs)
             })
             .collect();
-        let frames = spectrogram(&iq, frame, frame, Window::Hann);
+        let frames = spectrogram(&iq, frame, frame);
         assert_eq!(frames.len(), n / frame);
         let early = fase_argmax(&frames[2]);
         let late = fase_argmax(&frames[frames.len() - 3]);
@@ -469,7 +464,7 @@ mod tests {
                 Complex64::from_polar(amp, phase)
             })
             .collect();
-        let ridge = ridge_track_in_band(&iq, fs, 32, 16, Window::Hann, None);
+        let ridge = ridge_track_in_band(&iq, fs, 32, 16, None);
         assert!(ridge.len() > 500);
         // The tracked offsets span most of the ±100 kHz sweep.
         let max_off = ridge
@@ -513,7 +508,7 @@ mod tests {
         let iq: Vec<Complex64> = (0..4096)
             .map(|i| Complex64::from_polar(2.5, TAU * 12_500.0 * i as f64 / fs))
             .collect();
-        let ridge = ridge_track_in_band(&iq, fs, 64, 64, Window::Hann, None);
+        let ridge = ridge_track_in_band(&iq, fs, 64, 64, None);
         for p in &ridge {
             assert!((p.frequency_offset - 12_500.0).abs() < fs / 64.0);
             assert!((p.amplitude - 2.5).abs() < 0.1, "amp {}", p.amplitude);
@@ -522,6 +517,6 @@ mod tests {
 
     #[test]
     fn spectrogram_short_input() {
-        assert!(spectrogram(&[Complex64::ONE; 10], 64, 32, Window::Hann).is_empty());
+        assert!(spectrogram(&[Complex64::ONE; 10], 64, 32).is_empty());
     }
 }

@@ -343,7 +343,7 @@ pub fn ifft(spectrum: &[Complex64]) -> Vec<Complex64> {
 /// `numpy.fft.fftshift`. Odd lengths therefore rotate by `n - n/2 =
 /// (n + 1) / 2`, NOT by `n / 2` — the off-by-one the even-only formula
 /// would hide. Frequency axes built for shifted spectra must use the same
-/// midpoint; see `Spectrum` construction in the analyzers.
+/// midpoint, as `Spectrum::from_capture` does.
 pub fn fft_shift<T: Copy>(bins: &mut [T]) {
     let n = bins.len();
     bins.rotate_left(n - n / 2);

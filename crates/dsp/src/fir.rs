@@ -2,11 +2,11 @@
 //!
 //! The receiver side of the pipeline (demodulation, covert-channel
 //! extraction) needs real channel filters: the boxcar in [`crate::demod`]
-//! is cheap but leaks; these windowed-sinc designs give controlled
-//! passbands with the stop-band of the chosen window.
+//! is cheap but leaks; these Hann-windowed sinc designs give controlled
+//! passbands with a deep stop-band.
 
 use crate::complex::Complex64;
-use crate::window::Window;
+use crate::window::symmetric_hann;
 
 /// A finite-impulse-response filter (real, linear-phase taps).
 ///
@@ -14,9 +14,8 @@ use crate::window::Window;
 ///
 /// ```
 /// use fase_dsp::fir::Fir;
-/// use fase_dsp::Window;
 /// // 200 Hz-wide lowpass at 10 kS/s.
-/// let fir = Fir::lowpass(201, 200.0, 10_000.0, Window::BlackmanHarris);
+/// let fir = Fir::lowpass(201, 200.0, 10_000.0);
 /// assert_eq!(fir.len(), 201);
 /// // Unity DC gain by construction.
 /// assert!((fir.taps().iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -28,13 +27,14 @@ pub struct Fir {
 
 impl Fir {
     /// Designs a lowpass with cutoff `cutoff_hz` (−6 dB point) at sample
-    /// rate `fs`, using `taps` coefficients shaped by `window`.
+    /// rate `fs`, using `taps` coefficients shaped by a symmetric Hann
+    /// window.
     ///
     /// # Panics
     ///
     /// Panics if `taps` is even or zero, or the cutoff is not in
     /// `(0, fs/2)`.
-    pub fn lowpass(taps: usize, cutoff_hz: f64, fs: f64, window: Window) -> Fir {
+    pub fn lowpass(taps: usize, cutoff_hz: f64, fs: f64) -> Fir {
         assert!(taps % 2 == 1 && taps > 0, "tap count must be odd");
         assert!(
             cutoff_hz > 0.0 && cutoff_hz < fs / 2.0,
@@ -42,7 +42,7 @@ impl Fir {
         );
         let fc = cutoff_hz / fs;
         let mid = (taps / 2) as f64;
-        let win = window.symmetric_coefficients(taps);
+        let win = symmetric_hann(taps);
         let mut h: Vec<f64> = (0..taps)
             .map(|n| {
                 let x = n as f64 - mid;
@@ -59,37 +59,6 @@ impl Fir {
             *t /= sum;
         }
         Fir { taps: h }
-    }
-
-    /// Designs a bandpass centered at `center_hz` with half-width
-    /// `half_width_hz`, by modulating a lowpass prototype.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Fir::lowpass`], or when the
-    /// band extends past Nyquist.
-    pub fn bandpass(
-        taps: usize,
-        center_hz: f64,
-        half_width_hz: f64,
-        fs: f64,
-        window: Window,
-    ) -> Fir {
-        assert!(
-            center_hz - half_width_hz > 0.0 && center_hz + half_width_hz < fs / 2.0,
-            "band must fit within (0, fs/2)"
-        );
-        let proto = Fir::lowpass(taps, half_width_hz, fs, window);
-        let mid = (taps / 2) as f64;
-        let taps_v: Vec<f64> = proto
-            .taps
-            .iter()
-            .enumerate()
-            .map(|(n, &t)| {
-                2.0 * t * (std::f64::consts::TAU * center_hz / fs * (n as f64 - mid)).cos()
-            })
-            .collect();
-        Fir { taps: taps_v }
     }
 
     /// Number of taps.
@@ -169,7 +138,7 @@ mod tests {
     #[test]
     fn lowpass_response_shape() {
         let fs = 48_000.0;
-        let fir = Fir::lowpass(257, 2_000.0, fs, Window::BlackmanHarris);
+        let fir = Fir::lowpass(257, 2_000.0, fs);
         assert!((fir.response_at(0.0, fs) - 1.0).abs() < 1e-9);
         assert!(fir.response_at(500.0, fs) > 0.99);
         // −6 dB near the cutoff.
@@ -181,20 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn bandpass_selects_band() {
-        let fs = 48_000.0;
-        let fir = Fir::bandpass(301, 8_000.0, 1_000.0, fs, Window::BlackmanHarris);
-        let pass = fir.response_at(8_000.0, fs);
-        assert!((pass - 1.0).abs() < 0.05, "passband {pass}");
-        assert!(fir.response_at(4_000.0, fs) < 1e-2);
-        assert!(fir.response_at(12_000.0, fs) < 1e-2);
-        assert!(fir.response_at(0.0, fs) < 1e-3);
-    }
-
-    #[test]
     fn apply_attenuates_out_of_band_tone() {
         let fs = 10_000.0;
-        let fir = Fir::lowpass(101, 500.0, fs, Window::Hann);
+        let fir = Fir::lowpass(101, 500.0, fs);
         let n = 2_000;
         let low: Vec<f64> = (0..n)
             .map(|i| (TAU * 100.0 * i as f64 / fs).sin())
@@ -213,7 +171,7 @@ mod tests {
 
     #[test]
     fn complex_apply_matches_real_on_real_input() {
-        let fir = Fir::lowpass(51, 1_000.0, 10_000.0, Window::Hamming);
+        let fir = Fir::lowpass(51, 1_000.0, 10_000.0);
         let xs: Vec<f64> = (0..256).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
         let zs: Vec<Complex64> = xs.iter().map(|&x| Complex64::new(x, 0.0)).collect();
         let real = fir.apply(&xs);
@@ -227,7 +185,7 @@ mod tests {
     fn delay_compensation_keeps_alignment() {
         // A step at index 500 stays near index 500 after filtering.
         let fs = 10_000.0;
-        let fir = Fir::lowpass(101, 1_000.0, fs, Window::Hann);
+        let fir = Fir::lowpass(101, 1_000.0, fs);
         let mut xs = vec![0.0; 1000];
         for x in xs.iter_mut().skip(500) {
             *x = 1.0;
@@ -242,12 +200,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "odd")]
     fn even_taps_panic() {
-        let _ = Fir::lowpass(100, 1_000.0, 10_000.0, Window::Hann);
+        let _ = Fir::lowpass(100, 1_000.0, 10_000.0);
     }
 
     #[test]
     #[should_panic(expected = "within (0, fs/2)")]
     fn cutoff_beyond_nyquist_panics() {
-        let _ = Fir::lowpass(101, 6_000.0, 10_000.0, Window::Hann);
+        let _ = Fir::lowpass(101, 6_000.0, 10_000.0);
     }
 }

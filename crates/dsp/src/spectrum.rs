@@ -1,12 +1,17 @@
 //! The [`Spectrum`] type: a uniformly sampled power spectrum.
 //!
 //! Every stage of the FASE pipeline communicates through this type — the
-//! spectrum analyzer produces them, the heuristic consumes them, figures are
-//! printed from them. Bin values are stored as **linear power in
-//! milliwatts** so that averaging (the analyzer averages four captures) and
-//! the Eq. (2) ratio are physically meaningful; dBm is a view.
+//! calibrated estimator [`Spectrum::from_capture`] produces them, the
+//! heuristic consumes them, figures are printed from them. Bin values are
+//! stored as **linear power in milliwatts** so that averaging (the
+//! analyzer averages four captures) and the Eq. (2) ratio are physically
+//! meaningful; dBm is a view.
 
+use crate::complex::Complex64;
+use crate::fft::{cached_plan, fft_shift};
 use crate::units::{Dbm, Hertz};
+use crate::window;
+use std::cell::RefCell;
 use std::fmt;
 
 /// Error type for [`Spectrum`] construction and combination.
@@ -109,11 +114,71 @@ impl Spectrum {
     /// For even `n` this equals `center − n·resolution/2`. For odd `n` the
     /// DC bin still sits at integer index `n / 2`, so the axis starts
     /// `(n/2)·resolution` below center — using `center − span/2` there
-    /// would place every bin label half a bin low. The analyzers build
-    /// their frequency axes through this one helper so the even and odd
-    /// cases cannot drift apart.
-    pub fn centered_start(center: Hertz, resolution: Hertz, n: usize) -> Hertz {
+    /// would place every bin label half a bin low.
+    fn centered_start(center: Hertz, resolution: Hertz, n: usize) -> Hertz {
         Hertz(center.hz() - (n / 2) as f64 * resolution.hz())
+    }
+
+    /// The calibrated power spectrum of one complex-baseband capture taken
+    /// at `sample_rate` around `center`, read through a Blackman–Harris
+    /// window: the high-dynamic-range window FASE needs to see weak
+    /// side-bands next to strong carriers. This is the workspace's one
+    /// spectrum estimator, the stand-in for the paper's spectrum analyzer.
+    ///
+    /// Bin powers are normalized so a CW tone of complex-envelope
+    /// magnitude `a` reads `|a|²` milliwatts at its bin. The spectrum
+    /// covers `[center − fs/2, center + fs/2)` with resolution `fs / n`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fase_dsp::{Complex64, Hertz, Spectrum};
+    ///
+    /// // A -90 dBm tone 1 kHz above the center frequency.
+    /// let n = 4096;
+    /// let fs = 65_536.0;
+    /// let amp = 10f64.powf(-90.0 / 20.0);
+    /// let iq: Vec<Complex64> = (0..n)
+    ///     .map(|t| Complex64::from_polar(amp, std::f64::consts::TAU * 1024.0 * t as f64 / fs))
+    ///     .collect();
+    /// let spectrum = Spectrum::from_capture(Hertz::from_khz(100.0), fs, &iq)?;
+    /// let peak = spectrum.peak_bin();
+    /// assert_eq!(spectrum.frequency_at(peak.0), Hertz(101_024.0));
+    /// assert!((spectrum.dbm_at(peak.0).dbm() - -90.0).abs() < 0.5);
+    /// # Ok::<(), fase_dsp::SpectrumError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpectrumError::Empty`] for an empty capture, and the
+    /// validation errors of [`Spectrum::new`] for a non-positive sample
+    /// rate or non-finite samples.
+    pub fn from_capture(
+        center: Hertz,
+        sample_rate: f64,
+        iq: &[Complex64],
+    ) -> Result<Spectrum, SpectrumError> {
+        if iq.is_empty() {
+            return Err(SpectrumError::Empty);
+        }
+        let n = iq.len();
+        // Window tables (coefficients + coherent gain) come from the
+        // process-wide cache, the window multiply is fused into the copy
+        // into the reused FFT workspace, and bin powers use norm_sqr with
+        // a squared scale — no per-bin hypot, no per-capture allocation
+        // beyond the power vector the Spectrum owns.
+        let tables = window::blackman_harris(n);
+        let scale = 1.0 / (n as f64 * tables.coherent_gain());
+        let scale_sq = scale * scale;
+        let power = FFT_BUF.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut buf) => windowed_power(iq, tables.coefficients(), scale_sq, &mut buf),
+            // Reentrancy (a transform called inside a transform on this
+            // thread) cannot share the workspace; fall back to a local one.
+            Err(_) => windowed_power(iq, tables.coefficients(), scale_sq, &mut Vec::new()),
+        });
+        let resolution = Hertz(sample_rate / n as f64);
+        let start = Spectrum::centered_start(center, resolution, n);
+        Spectrum::new(start, resolution, power)
     }
 
     /// Creates a spectrum from dBm bin values.
@@ -411,6 +476,31 @@ impl Spectrum {
     }
 }
 
+thread_local! {
+    /// Reused FFT workspace: campaigns transform thousands of equal-length
+    /// captures per worker thread, and the windowed copy of the capture
+    /// does not need a fresh allocation each time.
+    static FFT_BUF: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Windowed FFT power of one capture: fused window-multiply copy into
+/// `buf`, in-place transform through the process-wide plan cache, centered
+/// bin order, and `|z|²·scale²` readout.
+fn windowed_power(
+    iq: &[Complex64],
+    coeffs: &[f64],
+    scale_sq: f64,
+    buf: &mut Vec<Complex64>,
+) -> Vec<f64> {
+    buf.clear();
+    buf.extend(iq.iter().zip(coeffs).map(|(z, &c)| z.scale(c)));
+    // Campaigns transform thousands of equal-length captures; the
+    // process-wide plan cache pays the twiddle setup once per length.
+    cached_plan(iq.len()).forward(buf);
+    fft_shift(buf);
+    buf.iter().map(|z| z.norm_sqr() * scale_sq).collect()
+}
+
 impl fmt::Display for Spectrum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -622,5 +712,90 @@ mod tests {
         let s = ramp(3);
         let text = format!("{s}");
         assert!(text.contains("3 bins"), "{text}");
+    }
+
+    fn tone(n: usize, fs: f64, f_offset: f64, dbm: f64) -> Vec<Complex64> {
+        let amp = 10f64.powf(dbm / 20.0);
+        (0..n)
+            .map(|t| Complex64::from_polar(amp, std::f64::consts::TAU * f_offset * t as f64 / fs))
+            .collect()
+    }
+
+    #[test]
+    fn capture_tone_level_is_calibrated() {
+        let n = 8192;
+        let fs = 819_200.0;
+        // Exactly bin-centered tone.
+        let iq = tone(n, fs, 10.0 * fs / n as f64, -75.0);
+        let spectrum = Spectrum::from_capture(Hertz(0.0), fs, &iq).unwrap();
+        let (b, _) = spectrum.peak_bin();
+        let dbm = spectrum.dbm_at(b).dbm();
+        assert!((dbm - -75.0).abs() < 0.1, "{dbm} dBm");
+    }
+
+    #[test]
+    fn capture_frequency_mapping_covers_rf_span() {
+        let n = 1024;
+        let fs = 102_400.0;
+        let center = Hertz::from_mhz(1.0);
+        let spectrum = Spectrum::from_capture(center, fs, &vec![Complex64::ZERO; n]).unwrap();
+        assert_eq!(spectrum.len(), n);
+        assert_eq!(spectrum.start(), Hertz(1.0e6 - 51_200.0));
+        assert_eq!(spectrum.resolution(), Hertz(100.0));
+        // Negative baseband tone lands below center.
+        let iq = tone(n, fs, -20.0 * 100.0, -80.0);
+        let spectrum = Spectrum::from_capture(center, fs, &iq).unwrap();
+        let (b, _) = spectrum.peak_bin();
+        assert_eq!(spectrum.frequency_at(b), Hertz(1.0e6 - 2_000.0));
+    }
+
+    #[test]
+    fn capture_noise_floor_reads_density_times_enbw() {
+        use crate::noise::complex_normal;
+        use crate::rng::SmallRng;
+        let n = 1 << 15;
+        let fs = 1.0e6;
+        let mut rng = SmallRng::seed_from_u64(1);
+        // Complex noise with total power over the span = -60 dBm
+        // → density = -60 − 10·log10(fs) dBm/Hz = -120 dBm/Hz.
+        let sigma = 10f64.powf(-60.0 / 20.0);
+        let iq: Vec<Complex64> = (0..n).map(|_| complex_normal(&mut rng, sigma)).collect();
+        let spectrum = Spectrum::from_capture(Hertz(0.0), fs, &iq).unwrap();
+        let mean_bin = spectrum.total_power() / n as f64;
+        let density = 10f64.powf(-120.0 / 10.0);
+        let expected =
+            density * spectrum.resolution().hz() * window::blackman_harris(n).enbw_bins();
+        let err_db = 10.0 * (mean_bin / expected).log10();
+        assert!(err_db.abs() < 0.3, "floor error {err_db} dB");
+    }
+
+    #[test]
+    fn averaging_four_captures_reduces_variance() {
+        use crate::noise::complex_normal;
+        use crate::rng::SmallRng;
+        let n = 4096;
+        let fs = 409_600.0;
+        let mut rng = SmallRng::seed_from_u64(2);
+        let captures: Vec<Spectrum> = (0..4)
+            .map(|_| {
+                let iq: Vec<Complex64> = (0..n).map(|_| complex_normal(&mut rng, 1e-6)).collect();
+                Spectrum::from_capture(Hertz(0.0), fs, &iq).unwrap()
+            })
+            .collect();
+        let avg = Spectrum::average(captures.iter()).unwrap();
+        let var_single = crate::stats::variance(captures[0].powers());
+        let var_avg = crate::stats::variance(avg.powers());
+        assert!(
+            var_avg < 0.5 * var_single,
+            "averaging did not reduce variance: {var_single} -> {var_avg}"
+        );
+    }
+
+    #[test]
+    fn empty_capture_is_rejected() {
+        assert_eq!(
+            Spectrum::from_capture(Hertz(0.0), 1e6, &[]),
+            Err(SpectrumError::Empty)
+        );
     }
 }

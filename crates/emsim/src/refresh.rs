@@ -174,8 +174,7 @@ fn lanczos(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fase_dsp::fft::{fft, fft_shift};
-    use fase_dsp::Window as Win;
+    use fase_dsp::Spectrum;
     use fase_sysmodel::{ActivityTrace, RefreshEvent};
 
     fn periodic_events(rate: f64, width: f64, duration: f64) -> Vec<RefreshEvent> {
@@ -200,13 +199,10 @@ mod tests {
         let ctx = RenderCtx::new(&trace, events, &window);
         let mut iq = vec![Complex64::ZERO; n];
         src.render(&window, &ctx, &mut iq);
-        Win::BlackmanHarris.apply_complex(&mut iq);
-        let cg = Win::BlackmanHarris.coherent_gain(n);
-        let mut bins = fft(&iq);
-        fft_shift(&mut bins);
-        bins.iter()
-            .map(|z| (z.norm() / (n as f64 * cg)).powi(2))
-            .collect()
+        Spectrum::from_capture(center, fs, &iq)
+            .unwrap()
+            .powers()
+            .to_vec()
     }
 
     fn band_power(spec: &[f64], fs: f64, n: usize, f_offset: f64, half_bins: usize) -> f64 {

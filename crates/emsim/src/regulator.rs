@@ -368,7 +368,8 @@ impl EmSource for FmRegulator {
 mod tests {
     use super::*;
     use fase_dsp::fft::{fft, fft_shift};
-    use fase_dsp::Window as Win;
+    use fase_dsp::window::blackman_harris;
+    use fase_dsp::Spectrum;
     use fase_sysmodel::{ActivityTrace, DomainLoads};
 
     /// Renders a source over a window with the given constant DRAM load and
@@ -389,13 +390,10 @@ mod tests {
         let ctx = RenderCtx::new(&trace, &[], &window);
         let mut iq = vec![Complex64::ZERO; n];
         source.render(&window, &ctx, &mut iq);
-        Win::BlackmanHarris.apply_complex(&mut iq);
-        let cg = Win::BlackmanHarris.coherent_gain(n);
-        let mut bins = fft(&iq);
-        fft_shift(&mut bins);
-        bins.iter()
-            .map(|z| (z.norm() / (n as f64 * cg)).powi(2))
-            .collect()
+        Spectrum::from_capture(center, fs, &iq)
+            .unwrap()
+            .powers()
+            .to_vec()
     }
 
     fn bin_of(freq_offset: f64, fs: f64, n: usize) -> usize {
@@ -434,7 +432,7 @@ mod tests {
         // equivalent noise bandwidth.
         let b = n / 2;
         let total: f64 =
-            spec[b - 200..b + 200].iter().sum::<f64>() / Win::BlackmanHarris.enbw_bins(n);
+            spec[b - 200..b + 200].iter().sum::<f64>() / blackman_harris(n).enbw_bins();
         let dbm = 10.0 * total.log10();
         assert!((dbm - -100.0).abs() < 1.5, "measured {dbm} dBm");
     }

@@ -92,20 +92,15 @@ pub fn downconvert_pwm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fase_dsp::fft::{fft, fft_shift};
-    use fase_dsp::Window;
+    use fase_dsp::{Hertz, Spectrum};
 
     fn peak_power_dbm(iq: &[Complex64], fs: f64, offset: f64) -> f64 {
         let n = iq.len();
-        let mut buf = iq.to_vec();
-        Window::BlackmanHarris.apply_complex(&mut buf);
-        let cg = Window::BlackmanHarris.coherent_gain(n);
-        let mut bins = fft(&buf);
-        fft_shift(&mut bins);
+        let spectrum = Spectrum::from_capture(Hertz(0.0), fs, iq).unwrap();
         let b = ((n / 2) as i64 + (offset / (fs / n as f64)).round() as i64) as usize;
-        let p = bins[b.saturating_sub(2)..=(b + 2).min(n - 1)]
+        let p = spectrum.powers()[b.saturating_sub(2)..=(b + 2).min(n - 1)]
             .iter()
-            .map(|z| (z.norm() / (n as f64 * cg)).powi(2))
+            .copied()
             .fold(0.0, f64::max);
         10.0 * p.log10()
     }

@@ -5,8 +5,7 @@
 //! This pins the Fourier bookkeeping (harmonic amplitudes vs. duty cycle,
 //! absolute dBm calibration) to first principles.
 
-use fase_dsp::fft::{fft, fft_shift};
-use fase_dsp::{Complex64, Hertz, Window};
+use fase_dsp::{Complex64, Hertz, Spectrum};
 use fase_emsim::regulator::SwitchingRegulator;
 use fase_emsim::source::EmSource;
 use fase_emsim::timedomain::downconvert_pwm as brute_force_pwm;
@@ -15,17 +14,13 @@ use fase_sysmodel::{ActivityTrace, Domain, DomainLoads};
 
 fn harmonic_power_dbm(iq: &[Complex64], fs: f64, offset_hz: f64) -> f64 {
     let n = iq.len();
-    let mut buf = iq.to_vec();
-    Window::BlackmanHarris.apply_complex(&mut buf);
-    let cg = Window::BlackmanHarris.coherent_gain(n);
-    let mut bins = fft(&buf);
-    fft_shift(&mut bins);
+    let spectrum = Spectrum::from_capture(Hertz(0.0), fs, iq).unwrap();
     let b = ((n / 2) as i64 + (offset_hz / (fs / n as f64)).round() as i64) as usize;
     // Peak bin: for a bin-centered stable tone the peak reads the tone's
     // power exactly (summing the main lobe would overcount by the ENBW).
-    let p: f64 = bins[b - 3..=b + 3]
+    let p: f64 = spectrum.powers()[b - 3..=b + 3]
         .iter()
-        .map(|z| (z.norm() / (n as f64 * cg)).powi(2))
+        .copied()
         .fold(0.0, f64::max);
     10.0 * p.log10()
 }

@@ -199,6 +199,27 @@ mod tests {
     }
 
     #[test]
+    fn named_paths_exist_in_the_workspace() {
+        // A renamed or deleted file would silently drop out of the rules
+        // that name it; every named path must be a file the walk visits.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .expect("crates/lint sits two levels below the workspace root");
+        let walked: Vec<String> = workspace_files(root)
+            .expect("walk the workspace")
+            .into_iter()
+            .map(|(rel, _)| rel)
+            .collect();
+        for rel in HOT_PATHS.iter().chain([&ERRCTOR_DESIGNATED]) {
+            assert!(
+                walked.iter().any(|w| w == rel),
+                "{rel} is not in the workspace"
+            );
+        }
+    }
+
+    #[test]
     fn exemptions() {
         assert!(classify("crates/bench/src/detection.rs").is_none());
         assert!(classify("crates/lint/src/rules.rs").is_none());

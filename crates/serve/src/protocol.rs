@@ -16,6 +16,11 @@ use fase_sysmodel::ActivityPair;
 /// time so queue keys and metric labels stay bounded.
 pub const MAX_TENANT_LEN: usize = 64;
 
+/// Bands a sweep shards its span into when neither a request body nor a
+/// `fase-cli sweep` command line sets `bands`: one default, so the two
+/// run the same sweep and share cache entries.
+pub const DEFAULT_SWEEP_BANDS: u64 = 2;
+
 /// One tenant's sweep request, as decoded from `POST /v1/sweep`.
 ///
 /// The measurement fields mirror `fase-cli sweep` exactly, so a request
@@ -171,7 +176,7 @@ impl SweepRequest {
             lo,
             hi,
             resolution,
-            bands: uint_or(&root, "bands", 2)? as usize,
+            bands: uint_or(&root, "bands", DEFAULT_SWEEP_BANDS)? as usize,
             overlap: num_or(&root, "overlap", 20.0 * resolution)?,
             f_alt1: num_or(&root, "falt", 43_300.0)?,
             f_delta: num_or(&root, "fdelta", 500.0)?,

@@ -1,9 +1,10 @@
 //! # fase-specan — the spectrum-analyzer model and campaign engine
 //!
-//! Stands in for the paper's Agilent MXA N9020A (§3):
+//! Stands in for the paper's Agilent MXA N9020A (§3). Each capture is read
+//! through the one calibrated estimator, [`fase_dsp::Spectrum::from_capture`]
+//! (Blackman–Harris windowed FFT, dBm-calibrated bins); this crate adds
+//! the instrument around it:
 //!
-//! * [`capture_spectrum`] — the Blackman–Harris windowed-FFT power
-//!   spectrum of a complex-baseband capture, calibrated in dBm.
 //! * [`SweepPlan`] — tiles a wide band into FFT-sized capture segments
 //!   whose spectra stitch seamlessly.
 //! * [`run_campaign_with_options`] — drives the full §3 procedure against
@@ -31,8 +32,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod analyzer;
-pub mod antenna;
 pub mod cache;
 pub mod cancel;
 pub mod fault;
@@ -42,8 +41,6 @@ pub mod runner;
 pub mod scheduler;
 pub mod sweep;
 
-pub use analyzer::capture_spectrum;
-pub use antenna::AntennaResponse;
 pub use cache::{CacheKey, CaptureCache};
 pub use cancel::CancelToken;
 pub use fault::{FaultKind, FaultPlan};

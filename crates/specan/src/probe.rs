@@ -62,7 +62,7 @@ pub fn capture_iq(
     let ctx = RenderCtx::new(&trace, &refreshes, &window);
     let wide = system.scene.render(&window, &ctx);
     // Anti-alias: pass ±0.4·span, stop by the decimated Nyquist.
-    let fir = Fir::lowpass(161, 0.4 * span, wide_fs, fase_dsp::Window::Hann);
+    let fir = Fir::lowpass(161, 0.4 * span, wide_fs);
     let iq: Vec<_> = fir
         .apply_complex(&wide)
         .into_iter()

@@ -2,7 +2,6 @@
 //! micro-benchmark execution, EM rendering, capture, averaging and
 //! stitching for a full FASE campaign.
 
-use crate::analyzer::capture_spectrum;
 use crate::cancel::CancelToken;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::sweep::{SegmentSpec, SweepPlan};
@@ -222,9 +221,10 @@ fn execute_capture(
         let mut fault_rng = SmallRng::seed_from_u64(mix_seed(stream, 0xFAB1_7FAB));
         kind.apply(&mut iq, &mut fault_rng);
     }
+    assert_eq!(iq.len(), window.len(), "capture length must match window");
     let spectrum = {
         let _transform = recorder.span("transform");
-        capture_spectrum(&window, &iq)?
+        Spectrum::from_capture(window.center(), window.sample_rate(), &iq)?
     };
     Ok(CaptureOut {
         spectrum,

@@ -161,16 +161,26 @@ fn fm_regulator_not_reported_on_laptop() {
 #[test]
 fn detection_is_insensitive_to_antenna_response() {
     // Eq. (2) compares the same frequency across measurements, so any
-    // smooth antenna response cancels out of the sub-scores.
-    use fase::specan::AntennaResponse;
+    // smooth antenna response cancels out of the sub-scores. The response
+    // here is an AOR LA400-style magnetic loop: the series-RLC voltage
+    // response |H| = x / sqrt((1 − x²)² + (x/Q)²), x = f/f0, resonant at
+    // f0 = 2 MHz with Q = 2, as power gain normalized to 1 at its peak.
+    let loop_gain = |f: Hertz| {
+        let (x, q) = (f.hz() / 2.0e6, 2.0);
+        x * x / ((1.0 - x * x).powi(2) + (x / q).powi(2)) / (q * q)
+    };
     let flat = run(&narrow_campaign(), ActivityPair::LdmLdl1, i7, 12);
-    let antenna = AntennaResponse::aor_la400();
     let shaped = flat
         .spectra()
         .iter()
         .map(|s| LabeledSpectrum {
             f_alt: s.f_alt,
-            spectrum: antenna.shape_spectrum(&s.spectrum),
+            spectrum: Spectrum::new(
+                s.spectrum.start(),
+                s.spectrum.resolution(),
+                s.spectrum.iter().map(|(f, p)| p * loop_gain(f)).collect(),
+            )
+            .expect("shaped spectrum"),
         })
         .collect();
     let spectra = CampaignSpectra::new(narrow_campaign(), shaped).expect("spectra");

@@ -375,7 +375,7 @@ fn fir_lowpass_invariants() {
         let cutoff_frac = rng.gen_range(0.02, 0.45);
         let taps = 2 * taps_half + 1;
         let fs = 48_000.0;
-        let fir = Fir::lowpass(taps, cutoff_frac * fs, fs, fase::dsp::Window::Hann);
+        let fir = Fir::lowpass(taps, cutoff_frac * fs, fs);
         assert!((fir.taps().iter().sum::<f64>() - 1.0).abs() < 1e-9);
         for k in 0..taps / 2 {
             assert!((fir.taps()[k] - fir.taps()[taps - 1 - k]).abs() < 1e-12);
