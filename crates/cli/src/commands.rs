@@ -6,7 +6,11 @@ use fase_core::{
 };
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
-use fase_serve::protocol::{sweep_seeds, DEFAULT_SWEEP_BANDS};
+use fase_serve::protocol::{
+    retries_from, sweep_seeds, SweepRequest, DEFAULT_ALTERNATIONS, DEFAULT_AVERAGES,
+    DEFAULT_F_ALT1_HZ, DEFAULT_F_DELTA_HZ, DEFAULT_OVERLAP_RESOLUTIONS, DEFAULT_PAIR,
+    DEFAULT_RESOLUTION_HZ, DEFAULT_RETRIES, DEFAULT_SEED, DEFAULT_SWEEP_BANDS,
+};
 use fase_specan::{probe_modulation, run_campaign_with_options, CampaignOptions, FaultPlan};
 use fase_sysmodel::ActivityPair;
 use std::fmt;
@@ -32,7 +36,7 @@ usage:
   fase-cli sweep     --system <name> --lo <freq> --hi <freq> [--res <freq>]
                      [--bands <n>] [--overlap <freq>] [--shard <k/n>]
                      [--cache-dir <path>] [--threads <n>]
-                     [scan options except --csv]
+                     [scan options except --csv and --fail-alt]
   fase-cli serve     [--addr 127.0.0.1:0] [--port-file <path>] [--cache-dir <path>]
                      [--workers <n>] [--tenant-cap <n>] [--global-cap <n>]
                      [--quantum <n>] [--default-deadline-ms <n>]
@@ -48,9 +52,11 @@ systems: i7 | i3 | turion | p3m | i7-mitigated
 frequencies accept k/M/G suffixes (e.g. 43.3k, 2M). A subcommand refuses
 any option it does not list.
 
-sweep: shards [lo, hi] into --bands overlapping bands (default 2, as for a
-served sweep), runs a campaign per band, and merges the per-band reports
-(seam duplicates deduplicated, harmonic sets regrouped across bands).
+sweep: shards [lo, hi] into --bands overlapping bands, runs a campaign per
+band, and merges the per-band reports (seam duplicates deduplicated,
+harmonic sets regrouped across bands). It runs the sweep a POST /v1/sweep
+body with the same fields runs, with the same defaults (2 bands), and
+fails where that request fails.
 With --cache-dir, each band's captures are cached content-addressed: a
 re-run is served from disk and recomputes only the bands with no valid
 entry, so re-running an interrupted sweep finishes it — bit-identical to
@@ -71,6 +77,7 @@ fault injection (scan/classify/leakage/attribute/report/sweep):
   --retries <n>      retries per failed capture before giving up (default 2)
   --fail-alt <i>     force every capture of alternation index <i> to fail;
                      the campaign degrades to the surviving frequencies
+                     (not sweep: no /v1/sweep request can ask for it)
 
 serve: runs the multi-tenant sweep service (admission control, DRR
 fairness, deadlines, graceful drain). --run-ms drains and exits after
@@ -160,9 +167,9 @@ impl From<FaseError> for CliError {
 }
 
 /// Options every campaign-running subcommand reads: the scene, the
-/// campaign grid, and the fault and retry settings.
-const CAMPAIGN: &str =
-    "system lo hi res falt fdelta alts avg seed fault-rate fault-seed retries fail-alt";
+/// campaign grid, and the fault and retry settings a sweep request
+/// carries.
+const CAMPAIGN: &str = "system lo hi res falt fdelta alts avg seed fault-rate fault-seed retries";
 
 /// Options `sweep` reads besides [`CAMPAIGN`].
 const SWEEP: &str = "pair bands overlap shard cache-dir threads metrics-out";
@@ -184,11 +191,11 @@ type Body = fn(&ParsedArgs) -> Result<String, CliError>;
 #[rustfmt::skip]
 const COMMANDS: &[(&str, &[&str], &str, Body)] = &[
     ("list-systems", &[], "", |_| Ok(list_systems())),
-    ("scan report", &[CAMPAIGN, "pair csv metrics-out"], "timings", scan),
-    ("classify", &[CAMPAIGN, "metrics-out"], "timings", classify),
+    ("scan report", &[CAMPAIGN, "fail-alt pair csv metrics-out"], "timings", scan),
+    ("classify", &[CAMPAIGN, "fail-alt metrics-out"], "timings", classify),
     ("probe", &["system carrier falt span seed"], "", probe),
-    ("leakage", &[CAMPAIGN, "pair metrics-out"], "timings", leakage),
-    ("attribute", &[CAMPAIGN, "pair peak metrics-out"], "timings", attribute),
+    ("leakage", &[CAMPAIGN, "fail-alt pair metrics-out"], "timings", leakage),
+    ("attribute", &[CAMPAIGN, "fail-alt pair peak metrics-out"], "timings", attribute),
     ("sweep", &[CAMPAIGN, SWEEP], "timings", sweep),
     ("serve", &[SERVE], "", serve),
     ("load", &[LOAD], "json drain no-retry", load),
@@ -277,75 +284,82 @@ fn pair_by_name(name: &str) -> Result<ActivityPair, CliError> {
     })
 }
 
-fn campaign_from(parsed: &ParsedArgs) -> Result<CampaignConfig, CliError> {
-    let lo = parsed.frequency("lo")?;
-    let hi = parsed.frequency("hi")?;
-    let res = parsed.frequency_or("res", 100.0)?;
-    let falt = parsed.frequency_or("falt", 43_300.0)?;
-    let fdelta = parsed.frequency_or("fdelta", 500.0)?;
-    let alts = parsed.integer_or("alts", 5)? as usize;
-    let avg = parsed.integer_or("avg", 4)? as usize;
-    Ok(CampaignConfig::builder()
-        .band(Hertz(lo), Hertz(hi))
-        .resolution(Hertz(res))
-        .alternation(Hertz(falt), Hertz(fdelta), alts)
-        .averages(avg)
-        .build()?)
-}
-
-/// Builds the fault-injection schedule requested on the command line,
-/// or `None` for a clean run; `--fault-seed` defaults to `default_seed`.
-fn fault_plan_from(parsed: &ParsedArgs, default_seed: u64) -> Result<Option<FaultPlan>, CliError> {
-    let rate = parsed.float_or("fault-rate", 0.0)?;
-    if !(0.0..=1.0).contains(&rate) {
+/// The sweep request a command line describes: the fields a `/v1/sweep`
+/// body sets, with the same defaults. Every campaign-running subcommand
+/// reads its scene, grid, retry and fault settings here.
+fn request_from(parsed: &ParsedArgs) -> Result<SweepRequest, CliError> {
+    let pair = parsed.get("pair").unwrap_or(DEFAULT_PAIR);
+    pair_by_name(pair)?;
+    let system = parsed.required("system")?;
+    system_factory(system)?;
+    let resolution = parsed.frequency_or("res", DEFAULT_RESOLUTION_HZ)?;
+    let fault_rate = parsed.float_or("fault-rate", 0.0)?;
+    if !(0.0..=1.0).contains(&fault_rate) {
         return Err(CliError::Invalid(format!(
-            "--fault-rate {rate} is not a probability in [0, 1]"
+            "--fault-rate {fault_rate} is not a probability in [0, 1]"
         )));
     }
-    let fail_alt = parsed.integer_opt("fail-alt")?;
-    if rate == 0.0 && fail_alt.is_none() {
-        return Ok(None);
-    }
-    let fault_seed = parsed.integer_or("fault-seed", default_seed)?;
-    let mut plan = FaultPlan::new(fault_seed).with_rate(rate);
-    if let Some(i) = fail_alt {
-        plan = plan.always_fail(i as usize);
-    }
-    Ok(Some(plan))
-}
-
-/// The capture options the command line asks for: the retry budget and
-/// any fault-injection schedule (seeded `default_fault_seed` unless
-/// `--fault-seed` is given).
-fn campaign_options_from(
-    parsed: &ParsedArgs,
-    default_fault_seed: u64,
-) -> Result<CampaignOptions, CliError> {
-    let retries = parsed
-        .integer_or("retries", 2)?
-        .min(u64::from(u32::MAX) - 1) as u32;
-    Ok(CampaignOptions {
-        max_attempts: retries + 1,
-        fault_plan: fault_plan_from(parsed, default_fault_seed)?,
-        ..CampaignOptions::default()
+    // Only a plan that injects faults reads its seed.
+    let faulty = fault_rate > 0.0 || parsed.get("fail-alt").is_some();
+    Ok(SweepRequest {
+        tenant: String::new(),
+        system: system.to_owned(),
+        pair: pair.to_owned(),
+        lo: parsed.frequency("lo")?,
+        hi: parsed.frequency("hi")?,
+        resolution,
+        bands: parsed.integer_or("bands", DEFAULT_SWEEP_BANDS)? as usize,
+        overlap: parsed.frequency_or("overlap", DEFAULT_OVERLAP_RESOLUTIONS * resolution)?,
+        f_alt1: parsed.frequency_or("falt", DEFAULT_F_ALT1_HZ)?,
+        f_delta: parsed.frequency_or("fdelta", DEFAULT_F_DELTA_HZ)?,
+        alternations: parsed.integer_or("alts", DEFAULT_ALTERNATIONS)? as usize,
+        averages: parsed.integer_or("avg", DEFAULT_AVERAGES)? as usize,
+        seed: parsed.integer_or("seed", DEFAULT_SEED)?,
+        fault_rate,
+        fault_seed: if faulty {
+            parsed.integer_opt("fault-seed")?
+        } else {
+            None
+        },
+        retries: retries_from(parsed.integer_or("retries", DEFAULT_RETRIES)?),
+        max_fft: None,
+        deadline_ms: None,
+        max_captures: None,
     })
 }
 
-/// Runs `config` with `pair` on the named system, honoring the seed,
-/// fault and retry options. The scene seed builds the system; the
-/// campaign itself runs under the seeds [`sweep_seeds`] derives from it.
-fn campaign_spectra(
-    parsed: &ParsedArgs,
-    pair: ActivityPair,
-    config: &CampaignConfig,
-) -> Result<CampaignSpectra, CliError> {
-    let seed = parsed.integer_or("seed", 42)?;
-    let name = parsed.required("system")?;
-    let make = system_factory(name)?;
-    let seeds = sweep_seeds(name, seed);
-    let options = campaign_options_from(parsed, seeds.fault_seed)?;
+/// Runs one campaign over the requested band with `pair`, honoring the
+/// request's retry and fault settings and `--fail-alt`. The scene seed
+/// builds the system; the campaign itself runs under the seeds
+/// [`sweep_seeds`] derives from it, as one band of a sweep does.
+fn campaign_spectra(parsed: &ParsedArgs, pair: ActivityPair) -> Result<CampaignSpectra, CliError> {
+    let request = request_from(parsed)?;
+    let config = CampaignConfig::builder()
+        .band(Hertz(request.lo), Hertz(request.hi))
+        .resolution(Hertz(request.resolution))
+        .alternation(
+            Hertz(request.f_alt1),
+            Hertz(request.f_delta),
+            request.alternations,
+        )
+        .averages(request.averages)
+        .build()?;
+    let seeds = sweep_seeds(&request.system, request.seed);
+    let mut fault_plan = request.fault_plan();
+    if let Some(i) = parsed.integer_opt("fail-alt")? {
+        let fault_seed = request.fault_seed.unwrap_or(seeds.fault_seed);
+        let plan = fault_plan.unwrap_or_else(|| FaultPlan::new(fault_seed));
+        fault_plan = Some(plan.always_fail(i as usize));
+    }
+    let make = system_factory(&request.system)?;
+    let options = CampaignOptions {
+        max_attempts: request.retries + 1,
+        fault_plan,
+        ..CampaignOptions::default()
+    };
+    let seed = request.seed;
     Ok(run_campaign_with_options(
-        config,
+        &config,
         pair,
         |_| make(seed),
         seeds.capture_seed,
@@ -354,13 +368,12 @@ fn campaign_spectra(
 }
 
 fn run_campaign(parsed: &ParsedArgs, pair: ActivityPair) -> Result<FaseReport, CliError> {
-    let config = campaign_from(parsed)?;
-    let spectra = campaign_spectra(parsed, pair, &config)?;
+    let spectra = campaign_spectra(parsed, pair)?;
     Ok(Fase::default().analyze(&spectra)?)
 }
 
 fn scan(parsed: &ParsedArgs) -> Result<String, CliError> {
-    let pair = pair_by_name(parsed.get("pair").unwrap_or("ldm-ldl1"))?;
+    let pair = pair_by_name(parsed.get("pair").unwrap_or(DEFAULT_PAIR))?;
     let report = run_campaign(parsed, pair)?;
     if let Some(path) = parsed.get("csv") {
         let mut text = String::from("carrier_hz,magnitude_dbm,sideband_dbm,evidence\n");
@@ -394,7 +407,7 @@ fn classify(parsed: &ParsedArgs) -> Result<String, CliError> {
 }
 
 fn probe(parsed: &ParsedArgs) -> Result<String, CliError> {
-    let seed = parsed.integer_or("seed", 42)?;
+    let seed = parsed.integer_or("seed", DEFAULT_SEED)?;
     let mut system = system_factory(parsed.required("system")?)?(seed);
     let carrier = Hertz(parsed.frequency("carrier")?);
     let falt = Hertz(parsed.frequency_or("falt", 5_000.0)?);
@@ -416,9 +429,8 @@ fn probe(parsed: &ParsedArgs) -> Result<String, CliError> {
 }
 
 fn leakage(parsed: &ParsedArgs) -> Result<String, CliError> {
-    let pair = pair_by_name(parsed.get("pair").unwrap_or("ldm-ldl1"))?;
-    let config = campaign_from(parsed)?;
-    let spectra = campaign_spectra(parsed, pair, &config)?;
+    let pair = pair_by_name(parsed.get("pair").unwrap_or(DEFAULT_PAIR))?;
+    let spectra = campaign_spectra(parsed, pair)?;
     let report = Fase::default().analyze(&spectra)?;
     let mut out = String::from("per-carrier leakage upper bounds:\n");
     for e in estimate_all(&spectra, &report, Hertz(5_000.0)) {
@@ -429,10 +441,9 @@ fn leakage(parsed: &ParsedArgs) -> Result<String, CliError> {
 
 fn attribute(parsed: &ParsedArgs) -> Result<String, CliError> {
     use fase_core::attribute_peak;
-    let pair = pair_by_name(parsed.get("pair").unwrap_or("ldm-ldl1"))?;
+    let pair = pair_by_name(parsed.get("pair").unwrap_or(DEFAULT_PAIR))?;
     let peak = Hertz(parsed.frequency("peak")?);
-    let config = campaign_from(parsed)?;
-    let spectra = campaign_spectra(parsed, pair, &config)?;
+    let spectra = campaign_spectra(parsed, pair)?;
     let ranked = attribute_peak(&spectra, peak);
     let mut out = format!(
         "attributions of the peak at {peak}:
@@ -474,47 +485,18 @@ fn shard_from(parsed: &ParsedArgs) -> Result<Option<fase_specan::Shard>, CliErro
 }
 
 fn sweep(parsed: &ParsedArgs) -> Result<String, CliError> {
-    use fase_specan::{run_sweep, SweepConfig, SweepOptions};
-    let pair = pair_by_name(parsed.get("pair").unwrap_or("ldm-ldl1"))?;
-    let seed = parsed.integer_or("seed", 42)?;
-    let name = parsed.required("system")?;
-    let make = system_factory(name)?;
-    let res = parsed.frequency_or("res", 100.0)?;
-    let config = SweepConfig {
-        lo: Hertz(parsed.frequency("lo")?),
-        hi: Hertz(parsed.frequency("hi")?),
-        resolution: Hertz(res),
-        bands: parsed.integer_or("bands", DEFAULT_SWEEP_BANDS)? as usize,
-        overlap: Hertz(parsed.frequency_or("overlap", 20.0 * res)?),
-        f_alt1: Hertz(parsed.frequency_or("falt", 43_300.0)?),
-        f_delta: Hertz(parsed.frequency_or("fdelta", 500.0)?),
-        alternations: parsed.integer_or("alts", 5)? as usize,
-        averages: parsed.integer_or("avg", 4)? as usize,
-    };
-    // The same seeds and cache identity a server request derives, so
-    // the two share a cache directory band for band.
-    let seeds = sweep_seeds(name, seed);
-    let mut options = SweepOptions {
-        campaign: campaign_options_from(parsed, seeds.fault_seed)?,
-        ..SweepOptions::default()
-    };
+    let request = request_from(parsed)?;
+    let mut options = fase_specan::SweepOptions::default();
     options.campaign.threads = parsed.integer_opt("threads")?.map(|n| n as usize);
     options.cache_dir = parsed.get("cache-dir").map(std::path::PathBuf::from);
     options.shard = shard_from(parsed)?;
-    let outcome = run_sweep(
-        &config,
-        &seeds.system_id,
-        pair,
-        |_| make(seed),
-        seeds.capture_seed,
-        &options,
-    )?;
+    let outcome = request.run(options)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "sweep {} .. {} in {} band(s):",
-        config.lo,
-        config.hi,
+        Hertz(request.lo),
+        Hertz(request.hi),
         outcome.bands.len()
     );
     for b in &outcome.bands {
@@ -693,6 +675,22 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
+    /// Held exclusively by the tests that turn the process-wide recorder
+    /// on and read it back, and shared by every test whose campaign
+    /// records into it: a capture of another test that lands in, or is
+    /// still open at the end of, an enabled window would corrupt its
+    /// snapshot (a `capture/synth` span without its `capture` parent).
+    static OBS_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+    /// Runs `cmd`, whose campaign records into the process-wide recorder,
+    /// while no test has that recorder on.
+    fn run_recorded(cmd: &str) -> Result<String, CliError> {
+        let _shared = OBS_LOCK
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        run(&argv(cmd))
+    }
+
     #[test]
     fn list_systems_names_all_presets() {
         let out = run(&argv("list-systems")).unwrap();
@@ -731,28 +729,26 @@ mod tests {
 
     #[test]
     fn scan_finds_the_dram_regulator() {
-        let out = run(&argv(
+        let out = run_recorded(
             "scan --system i7 --lo 250k --hi 400k --res 200 --falt 30k --fdelta 2k --alts 5 --avg 3",
-        ))
+        )
         .unwrap();
         assert!(out.contains("carrier 315"), "{out}");
     }
 
     #[test]
     fn probe_identifies_fm_regulator() {
-        let out = run(&argv(
-            "probe --system turion --carrier 280.87k --span 120k --seed 7",
-        ))
-        .unwrap();
+        let out =
+            run_recorded("probe --system turion --carrier 280.87k --span 120k --seed 7").unwrap();
         assert!(out.contains("Fm"), "{out}");
     }
 
     #[test]
     fn attribute_explains_a_sideband() {
         // The DRAM regulator's upper side-band at ~315.66 kHz + 30 kHz.
-        let out = run(&argv(
+        let out = run_recorded(
             "attribute --system i7 --peak 345.66k --lo 250k --hi 400k --res 200 --falt 30k --fdelta 2k --alts 5 --avg 3",
-        ))
+        )
         .unwrap();
         assert!(out.contains("h = +1"), "{out}");
         assert!(out.contains("315"), "{out}");
@@ -765,20 +761,16 @@ mod tests {
             "scan --system i7 --lo 300k --hi 330k --res 500 --falt 30k --fdelta 2k --alts 3 --avg 1 --csv {}",
             path.display()
         );
-        let _ = run(&argv(&cmd)).unwrap();
+        let _ = run_recorded(&cmd).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("carrier_hz,"), "{text}");
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Serializes the tests that toggle the process-wide recorder, so one
-    /// test's `reset`/`disable` cannot race another's enabled run.
-    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn metrics_out_exports_schema_valid_json() {
         let _guard = OBS_LOCK
-            .lock()
+            .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let path = std::env::temp_dir().join("fase_cli_metrics_test.json");
         let cmd = format!(
@@ -802,7 +794,7 @@ mod tests {
     #[test]
     fn report_appends_timing_tree() {
         let _guard = OBS_LOCK
-            .lock()
+            .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let out = run(&argv(
             "report --system i7 --lo 300k --hi 330k --res 500 --falt 30k --fdelta 2k --alts 3 --avg 1",
@@ -825,9 +817,9 @@ mod tests {
 
     #[test]
     fn scan_with_failed_alternation_reports_degraded_health() {
-        let out = run(&argv(
+        let out = run_recorded(
             "scan --system i7 --lo 250k --hi 400k --res 200 --falt 30k --fdelta 2k --alts 5 --avg 3 --fail-alt 2",
-        ))
+        )
         .unwrap();
         assert!(out.contains("carrier 315"), "{out}");
         assert!(out.contains("DEGRADED"), "{out}");
@@ -836,10 +828,10 @@ mod tests {
 
     #[test]
     fn scan_with_fault_rate_reports_impairments() {
-        let out = run(&argv(
+        let out = run_recorded(
             "scan --system i7 --lo 250k --hi 400k --res 200 --falt 30k --fdelta 2k --alts 5 --avg 3 \
              --fault-rate 0.05 --fault-seed 9 --retries 4",
-        ))
+        )
         .unwrap();
         assert!(out.contains("carrier 315"), "{out}");
         assert!(out.contains("capture health"), "{out}");
@@ -854,12 +846,12 @@ mod tests {
              --falt 30k --fdelta 2k --alts 5 --avg 3 --seed 11 --cache-dir {}",
             dir.display()
         );
-        let cold = run(&argv(&cmd)).unwrap();
+        let cold = run_recorded(&cmd).unwrap();
         assert!(cold.contains("band 0"), "{cold}");
         assert!(cold.contains("band 1"), "{cold}");
         assert!(cold.contains("cache: 0 hit(s), 2 miss(es)"), "{cold}");
         assert!(cold.contains("carrier 315"), "{cold}");
-        let warm = run(&argv(&cmd)).unwrap();
+        let warm = run_recorded(&cmd).unwrap();
         assert!(warm.contains("cache: 2 hit(s), 0 miss(es)"), "{warm}");
         // Same carriers, same evidence: only the provenance column moved.
         let tail = |s: &str| s.split("cache:").nth(1).map(str::to_owned);
@@ -889,7 +881,7 @@ mod tests {
         assert_eq!(served.status, 200, "{}", served.body);
         let misses = format!("\"cache_hits\":0,\"cache_misses\":{bands}");
         assert!(served.body.contains(&misses), "{}", served.body);
-        let out = run(&argv(&format!("sweep {cli} --cache-dir {}", dir.display()))).unwrap();
+        let out = run_recorded(&format!("sweep {cli} --cache-dir {}", dir.display())).unwrap();
         let hits = format!("cache: {bands} hit(s), 0 miss(es)");
         assert!(out.contains(&hits), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -926,6 +918,58 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_sweep_fails_alike_on_the_server_and_the_cli() {
+        // With no retries, seed 17's own fault schedule fails a capture of
+        // one of the two alternations, so the sweep cannot finish. A
+        // re-run under a perturbed fault seed would finish it, and cache
+        // it under that other schedule's key: neither side may do that.
+        use fase_serve::http::client_request;
+        use fase_serve::{ServeConfig, Server};
+        let dir = std::env::temp_dir().join(format!("fase_cli_no_rerun_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let served = client_request(
+            &server.addr().to_string(),
+            "POST",
+            "/v1/sweep",
+            r#"{"tenant":"t","system":"i7","lo":300000,"hi":330000,"res":500,"bands":1,
+                "falt":30000,"fdelta":2000,"alts":2,"avg":1,"seed":17,
+                "fault_rate":0.2,"retries":0,"deadline_ms":120000}"#,
+        )
+        .unwrap();
+        server.join();
+        assert_eq!(served.status, 500, "{}", served.body);
+        assert!(
+            served.body.contains("\"error\":\"capture-failed\""),
+            "{}",
+            served.body
+        );
+        let e = run_recorded(&format!(
+            "sweep --system i7 --lo 300k --hi 330k --res 500 --bands 1 --falt 30k --fdelta 2k \
+             --alts 2 --avg 1 --seed 17 --fault-rate 0.2 --retries 0 --cache-dir {}",
+            dir.display()
+        ))
+        .unwrap_err();
+        assert_eq!(e.exit_code(), 4, "{e}");
+        // The request's one band failed, so no key of its own holds an
+        // entry; any entry would belong to some other fault schedule.
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|entry| entry.file_name())
+            .filter(|name| name.to_string_lossy().ends_with(".entry"))
+            .collect();
+        assert!(entries.is_empty(), "{entries:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn sweep_rejects_bad_shard_and_unknown_options() {
         let e = run(&argv(
             "sweep --system i7 --lo 250k --hi 400k --bands 2 --shard 5",
@@ -942,6 +986,12 @@ mod tests {
             (
                 "sweep --system i7 --lo 250k --hi 400k --bands 2 --resume",
                 "unknown option --resume",
+            ),
+            // No request body can force an alternation to fail, so the
+            // sweep a request also runs does not read --fail-alt.
+            (
+                "sweep --system i7 --lo 250k --hi 400k --bands 2 --fail-alt 2",
+                "unknown option --fail-alt",
             ),
         ] {
             let e = run(&argv(cmd)).unwrap_err();

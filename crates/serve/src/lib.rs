@@ -16,9 +16,10 @@
 //!   band granularity through [`fase_specan::CancelToken`]; an expired
 //!   request returns the *partial* report it earned, marked degraded.
 //! * **Fault containment** — a capture fault or worker panic fails only
-//!   its own request (bounded retries with exponential backoff first,
-//!   cut short by a drain-deadline cancel); the pool and every other
-//!   tenant keep going ([`server`]).
+//!   its own request, after the runner's per-capture retries and with
+//!   no re-run of the sweep; the pool and every other tenant keep going
+//!   ([`server`]). A request runs through [`SweepRequest::run`], as
+//!   `fase-cli sweep` does, so both answer the same parameters alike.
 //! * **Graceful drain** — `POST /v1/drain` stops admission, finishes the
 //!   work already accepted under a drain deadline, and leaves every
 //!   finished band in the shared capture cache, so a restarted server

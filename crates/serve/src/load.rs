@@ -8,7 +8,7 @@
 //! what the robustness demo and the latency benchmark need.
 
 use crate::http::client_request;
-use crate::protocol::SweepRequest;
+use crate::protocol::{retries_from, SweepRequest, DEFAULT_PAIR, DEFAULT_RETRIES};
 use fase_core::{par::map_on, FaseError};
 use fase_dsp::rng::mix_seed;
 use fase_dsp::stats::percentile;
@@ -62,7 +62,7 @@ impl LoadSpec {
         SweepRequest {
             tenant: format!("tenant-{tenant}"),
             system: "i7".to_owned(),
-            pair: "ldm-ldl1".to_owned(),
+            pair: DEFAULT_PAIR.to_owned(),
             lo: 300_000.0,
             hi: 330_000.0,
             resolution: 500.0,
@@ -76,7 +76,7 @@ impl LoadSpec {
             seed: mix_seed(self.seed, ((tenant as u64) << 32) | index as u64) >> 11,
             fault_rate: self.fault_rate,
             fault_seed: None,
-            retries: 2,
+            retries: retries_from(DEFAULT_RETRIES),
             max_fft: Some(1 << 12),
             deadline_ms: self.deadline_ms,
             max_captures: self.max_captures,

@@ -1,4 +1,5 @@
-//! The service's JSON vocabulary: parsing sweep requests and building
+//! The service's JSON vocabulary and what a sweep request means:
+//! parsing requests, running them ([`SweepRequest::run`]), and building
 //! response bodies.
 //!
 //! Requests are parsed with the deterministic JSON reader from
@@ -6,27 +7,48 @@
 //! same escaping rules the rest of the workspace uses (stable key order,
 //! no floats beyond what the report itself prints).
 
+use fase_core::FaseError;
 use fase_dsp::Hertz;
 use fase_emsim::SimulatedSystem;
 use fase_obs::json::{parse, quote, Value};
-use fase_specan::{SweepConfig, SweepOutcome};
+use fase_specan::{run_sweep, FaultPlan, SweepConfig, SweepOptions, SweepOutcome, DEFAULT_MAX_FFT};
 use fase_sysmodel::ActivityPair;
 
 /// Longest tenant name accepted; longer names are rejected at parse
 /// time so queue keys and metric labels stay bounded.
 pub const MAX_TENANT_LEN: usize = 64;
 
-/// Bands a sweep shards its span into when neither a request body nor a
-/// `fase-cli sweep` command line sets `bands`: one default, so the two
-/// run the same sweep and share cache entries.
-pub const DEFAULT_SWEEP_BANDS: u64 = 2;
+// Sweep request defaults: a request body and a `fase-cli` command line
+// that leave a field unset both read it here, so they run one sweep.
 
-/// One tenant's sweep request, as decoded from `POST /v1/sweep`.
+/// Activity pair.
+pub const DEFAULT_PAIR: &str = "ldm-ldl1";
+/// Spectrum resolution, Hz.
+pub const DEFAULT_RESOLUTION_HZ: f64 = 100.0;
+/// Bands a sweep shards its span into.
+pub const DEFAULT_SWEEP_BANDS: u64 = 2;
+/// Seam overlap between adjacent bands, in multiples of the resolution.
+pub const DEFAULT_OVERLAP_RESOLUTIONS: f64 = 20.0;
+/// First alternation frequency, Hz.
+pub const DEFAULT_F_ALT1_HZ: f64 = 43_300.0;
+/// Alternation-frequency step, Hz.
+pub const DEFAULT_F_DELTA_HZ: f64 = 500.0;
+/// Alternation frequencies per band.
+pub const DEFAULT_ALTERNATIONS: u64 = 5;
+/// Captures power-averaged per spectrum.
+pub const DEFAULT_AVERAGES: u64 = 4;
+/// Scene seed.
+pub const DEFAULT_SEED: u64 = 42;
+/// Retries per failed capture inside the runner.
+pub const DEFAULT_RETRIES: u64 = 2;
+
+/// One tenant's sweep request, as decoded from `POST /v1/sweep` or built
+/// from a `fase-cli sweep` command line.
 ///
-/// The measurement fields mirror `fase-cli sweep` exactly, so a request
-/// served here and a sweep run from the command line over the same cache
-/// directory are the *same* sweep: identical cache keys, identical
-/// reports, byte for byte.
+/// Both run it through [`SweepRequest::run`], so a request served here
+/// and a sweep run from the command line over the same cache directory
+/// are the *same* sweep: identical cache keys, identical reports, byte
+/// for byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRequest {
     /// Tenant the request bills its queue slot to (required, non-empty).
@@ -168,24 +190,24 @@ impl SweepRequest {
         if !lo.is_finite() || !hi.is_finite() {
             return Err("fields 'lo' and 'hi' (Hz) are required".to_owned());
         }
-        let resolution = num_or(&root, "res", 100.0)?;
+        let resolution = num_or(&root, "res", DEFAULT_RESOLUTION_HZ)?;
         let request = SweepRequest {
             tenant,
             system: str_or(&root, "system", "i7")?,
-            pair: str_or(&root, "pair", "ldm-ldl1")?,
+            pair: str_or(&root, "pair", DEFAULT_PAIR)?,
             lo,
             hi,
             resolution,
             bands: uint_or(&root, "bands", DEFAULT_SWEEP_BANDS)? as usize,
-            overlap: num_or(&root, "overlap", 20.0 * resolution)?,
-            f_alt1: num_or(&root, "falt", 43_300.0)?,
-            f_delta: num_or(&root, "fdelta", 500.0)?,
-            alternations: uint_or(&root, "alts", 5)? as usize,
-            averages: uint_or(&root, "avg", 4)? as usize,
-            seed: uint_or(&root, "seed", 42)?,
+            overlap: num_or(&root, "overlap", DEFAULT_OVERLAP_RESOLUTIONS * resolution)?,
+            f_alt1: num_or(&root, "falt", DEFAULT_F_ALT1_HZ)?,
+            f_delta: num_or(&root, "fdelta", DEFAULT_F_DELTA_HZ)?,
+            alternations: uint_or(&root, "alts", DEFAULT_ALTERNATIONS)? as usize,
+            averages: uint_or(&root, "avg", DEFAULT_AVERAGES)? as usize,
+            seed: uint_or(&root, "seed", DEFAULT_SEED)?,
             fault_rate: num_or(&root, "fault_rate", 0.0)?,
             fault_seed: uint_opt(&root, "fault_seed")?,
-            retries: uint_or(&root, "retries", 2)?.min(u64::from(u32::MAX) - 1) as u32,
+            retries: retries_from(uint_or(&root, "retries", DEFAULT_RETRIES)?),
             max_fft: uint_opt(&root, "max_fft")?.map(|n| n as usize),
             deadline_ms: uint_opt(&root, "deadline_ms")?,
             max_captures: uint_opt(&root, "max_captures")?,
@@ -220,9 +242,29 @@ impl SweepRequest {
         Ok(())
     }
 
-    /// The sweep-scheduler configuration this request describes.
-    pub fn sweep_config(&self) -> SweepConfig {
-        SweepConfig {
+    /// Runs the sweep this request describes, once: the one place a
+    /// request becomes a [`run_sweep`] call, for `/v1/sweep` and
+    /// `fase-cli sweep` alike. The request fixes what is measured and
+    /// overwrites those fields of `options` (retry budget, FFT cap, fault
+    /// plan); `options` say only how the sweep executes (threads, cache
+    /// directory, shard, recorder, cancel token).
+    ///
+    /// # Errors
+    ///
+    /// [`FaseError::InvalidConfig`] for an unknown system or pair, and
+    /// whatever [`run_sweep`] returns.
+    pub fn run(&self, mut options: SweepOptions) -> Result<SweepOutcome, FaseError> {
+        let make = system_factory(&self.system).ok_or_else(|| {
+            FaseError::invalid_config(format!("unknown system '{}'", self.system))
+        })?;
+        let pair = pair_by_name(&self.pair)
+            .ok_or_else(|| FaseError::invalid_config(format!("unknown pair '{}'", self.pair)))?;
+        let seeds = sweep_seeds(&self.system, self.seed);
+        let campaign = &mut options.campaign;
+        campaign.max_attempts = self.retries.saturating_add(1);
+        campaign.max_fft = self.max_fft.unwrap_or(DEFAULT_MAX_FFT);
+        campaign.fault_plan = self.fault_plan();
+        let config = SweepConfig {
             lo: Hertz(self.lo),
             hi: Hertz(self.hi),
             resolution: Hertz(self.resolution),
@@ -232,7 +274,28 @@ impl SweepRequest {
             f_delta: Hertz(self.f_delta),
             alternations: self.alternations,
             averages: self.averages,
-        }
+        };
+        let seed = self.seed;
+        run_sweep(
+            &config,
+            &seeds.system_id,
+            pair,
+            |_| make(seed),
+            seeds.capture_seed,
+            &options,
+        )
+    }
+
+    /// The request's fault-injection schedule, `None` for a clean run:
+    /// `fault_rate` per fault class, seeded `fault_seed` or, when that is
+    /// absent, the default [`sweep_seeds`] derives from `seed`.
+    pub fn fault_plan(&self) -> Option<FaultPlan> {
+        (self.fault_rate > 0.0).then(|| {
+            let seed = self
+                .fault_seed
+                .unwrap_or_else(|| sweep_seeds(&self.system, self.seed).fault_seed);
+            FaultPlan::new(seed).with_rate(self.fault_rate)
+        })
     }
 
     /// Queue cost of the request: one unit per band, so fairness is
@@ -279,6 +342,12 @@ impl SweepRequest {
         out.push('}');
         out
     }
+}
+
+/// A requested retry count as the runner's budget type: counts beyond
+/// `u32::MAX − 1` saturate, so retries + 1 attempts always fit.
+pub fn retries_from(requested: u64) -> u32 {
+    requested.min(u64::from(u32::MAX) - 1) as u32
 }
 
 /// Maps a system preset name to its zero-capture constructor; `fase-cli`

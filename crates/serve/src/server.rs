@@ -24,32 +24,30 @@
 //! request, admits it into the [`DrrQueues`] (or answers `429` with
 //! `Retry-After`), and then *blocks on a rendezvous channel* until a
 //! worker delivers the response. Workers pull jobs in
-//! deficit-round-robin order, execute the sweep through
-//! [`fase_specan::run_sweep`] with the job's [`CancelToken`] threaded
-//! into the runner, and always reply — completed, degraded, structured
+//! deficit-round-robin order, run each request's sweep once through
+//! [`SweepRequest::run`] with the job's [`CancelToken`] threaded into
+//! the runner, and always reply — completed, degraded, structured
 //! error, or cancelled — so no handler waits past its deadline plus a
 //! bounded grace.
 //!
 //! ## Fault containment
 //!
-//! A failing capture surfaces as a typed error after the runner's own
-//! retry budget; the worker then retries the whole sweep a bounded
-//! number of times with exponential backoff (each attempt under a
-//! perturbed fault schedule — a deterministic model of "the environment
-//! glitched, try again"), cut short by a drain-deadline cancel. A panic
-//! anywhere inside the sweep is caught at the job boundary: the request
-//! gets a structured `500`, the worker thread and every other tenant
-//! keep going.
+//! A failing capture is retried inside the runner, on fresh RNG
+//! streams, up to the request's `retries`; a capture that exhausts that
+//! budget surfaces as a typed error and the request gets a structured
+//! `500`, exactly the failure `fase-cli sweep` reports for the same
+//! parameters. The server never re-runs a sweep. A panic anywhere
+//! inside the sweep is caught at the job boundary: the request gets a
+//! structured `500`, the worker thread and every other tenant keep
+//! going.
 
 use crate::http::{read_request, HttpError, Request, Response};
-use crate::protocol::{
-    cancelled_body, error_body, pair_by_name, sweep_body, sweep_seeds, system_factory, SweepRequest,
-};
+use crate::protocol::{cancelled_body, error_body, sweep_body, SweepRequest};
 use crate::queue::{AdmissionError, DrrQueues, QueueCaps};
 use fase_core::{par::panic_message, FaseError};
 use fase_obs::json::quote;
 use fase_obs::Recorder;
-use fase_specan::{CancelToken, FaultPlan, SweepOptions};
+use fase_specan::{CancelToken, SweepOptions};
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -69,10 +67,6 @@ const NO_DEADLINE_REPLY_MS: u64 = 600_000;
 
 /// Pause after a failed `accept`, so a persistent `EMFILE` cannot spin.
 const ACCEPT_ERROR_BACKOFF_MS: u64 = 20;
-
-/// Whole-sweep retry attempts after a capture/worker failure (the
-/// runner's own per-capture retries happen below this).
-const MAX_RETRIES: u32 = 2;
 
 /// Everything configurable about a server instance.
 #[derive(Debug, Clone)]
@@ -544,9 +538,11 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
     }
 }
 
-/// Executes one job start-to-finish: pre-cancel check, the retry loop,
-/// and the panic boundary. Always produces a response.
-fn execute_job(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
+/// Executes one job start-to-finish: pre-cancel check, then the
+/// request's sweep, run once on this server's threads, cache and
+/// recorder under the job's token inside the panic boundary. Always
+/// produces a response.
+fn execute_job(shared: &Shared, job: &QueuedJob) -> Response {
     let recorder = &shared.config.recorder;
     let tenant = &job.request.tenant;
     if let Some(cause) = job.token.cause() {
@@ -555,8 +551,44 @@ fn execute_job(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
         recorder.count_labeled("serve.degraded", tenant, 1);
         return Response::json(200, cancelled_body(tenant, cause));
     }
+    let mut options = SweepOptions::default();
+    options.campaign.threads = Some(shared.config.campaign_threads.max(1));
+    options.campaign.cancel = job.token.clone();
+    options.campaign.recorder = recorder.clone();
+    options.cache_dir = shared.config.cache_dir.clone();
     let started = fase_obs::monotonic_ns();
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_with_retries(shared, job)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| match job.request.run(options) {
+        Ok(outcome) => {
+            let counter = if outcome.report.is_degraded() || outcome.cancelled {
+                "serve.degraded"
+            } else {
+                "serve.completed"
+            };
+            (counter, Response::json(200, sweep_body(tenant, &outcome)))
+        }
+        // The scheduler degrades cancelled sweeps to partial reports;
+        // a raw Cancelled can only mean "nothing finished at all".
+        Err(FaseError::Cancelled(reason)) => (
+            "serve.degraded",
+            Response::json(200, cancelled_body(tenant, &reason)),
+        ),
+        Err(e) => {
+            let status = match e {
+                FaseError::Worker(_) | FaseError::CaptureFailed { .. } | FaseError::Cache(_) => 500,
+                _ => 400,
+            };
+            let body = error_body(error_kind(&e), &e.to_string(), None);
+            ("serve.failed", Response::json(status, body))
+        }
+    }));
+    let (counter, response) = outcome.unwrap_or_else(|payload| {
+        let msg = format!("sweep panicked: {}", panic_message(payload.as_ref()));
+        (
+            "serve.panics",
+            Response::json(500, error_body("worker-panic", &msg, None)),
+        )
+    });
+    recorder.count_labeled(counter, tenant, 1);
     let elapsed_ns = fase_obs::monotonic_ns().saturating_sub(started);
     recorder.observe_ns("serve.request_ns", elapsed_ns);
     // Feed the measured cost back into admission control so 429 retry
@@ -564,108 +596,7 @@ fn execute_job(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
     lock(&shared.state)
         .queues
         .observe_service_ms(elapsed_ns / 1_000_000);
-    match outcome {
-        Ok(response) => response,
-        Err(payload) => {
-            recorder.count_labeled("serve.panics", tenant, 1);
-            let msg = panic_message(payload.as_ref());
-            Response::json(
-                500,
-                error_body("worker-panic", &format!("sweep panicked: {msg}"), None),
-            )
-        }
-    }
-}
-
-/// The retry loop around one sweep: typed capture/worker failures are
-/// retried with exponential backoff under a perturbed fault schedule;
-/// everything else maps straight to a response.
-fn run_with_retries(shared: &Arc<Shared>, job: &QueuedJob) -> Response {
-    let recorder = &shared.config.recorder;
-    let request = &job.request;
-    let Some(make) = system_factory(&request.system) else {
-        return Response::json(400, error_body("bad-request", "unknown system", None));
-    };
-    let Some(pair) = pair_by_name(&request.pair) else {
-        return Response::json(400, error_body("bad-request", "unknown pair", None));
-    };
-    let config = request.sweep_config();
-    let seed = request.seed;
-    let seeds = sweep_seeds(&request.system, seed);
-
-    let mut attempt: u32 = 0;
-    loop {
-        let mut options = SweepOptions::default();
-        options.campaign.threads = Some(shared.config.campaign_threads.max(1));
-        options.campaign.max_attempts = request.retries.saturating_add(1);
-        options.campaign.cancel = job.token.clone();
-        options.campaign.recorder = recorder.clone();
-        if let Some(n) = request.max_fft {
-            options.campaign.max_fft = n;
-        }
-        if request.fault_rate > 0.0 {
-            // Attempt 0 uses the request's own schedule (so clean runs
-            // and cache keys are reproducible); later service-level
-            // attempts perturb it — the deterministic stand-in for "the
-            // environment glitched, capture again".
-            let base = request.fault_seed.unwrap_or(seeds.fault_seed);
-            let fault_seed = base.wrapping_add(u64::from(attempt));
-            options.campaign.fault_plan =
-                Some(FaultPlan::new(fault_seed).with_rate(request.fault_rate));
-        }
-        options.cache_dir = shared.config.cache_dir.clone();
-
-        match fase_specan::run_sweep(
-            &config,
-            &seeds.system_id,
-            pair,
-            |_| make(seed),
-            seeds.capture_seed,
-            &options,
-        ) {
-            Ok(outcome) => {
-                let degraded = outcome.report.is_degraded() || outcome.cancelled;
-                let key = if degraded {
-                    "serve.degraded"
-                } else {
-                    "serve.completed"
-                };
-                recorder.count_labeled(key, &request.tenant, 1);
-                return Response::json(200, sweep_body(&request.tenant, &outcome));
-            }
-            // The scheduler degrades cancelled sweeps to partial reports;
-            // a raw Cancelled can only mean "nothing finished at all".
-            Err(FaseError::Cancelled(reason)) => {
-                recorder.count_labeled("serve.degraded", &request.tenant, 1);
-                return Response::json(200, cancelled_body(&request.tenant, &reason));
-            }
-            Err(
-                e @ (FaseError::Worker(_) | FaseError::CaptureFailed { .. } | FaseError::Cache(_)),
-            ) => {
-                if attempt < MAX_RETRIES && !job.token.is_cancelled() {
-                    recorder.count_labeled("serve.retries", &request.tenant, 1);
-                    backoff(shared, attempt, &job.token);
-                    attempt += 1;
-                    continue;
-                }
-                recorder.count_labeled("serve.failed", &request.tenant, 1);
-                return Response::json(500, error_body(error_kind(&e), &e.to_string(), None));
-            }
-            Err(e) => {
-                recorder.count_labeled("serve.failed", &request.tenant, 1);
-                return Response::json(400, error_body(error_kind(&e), &e.to_string(), None));
-            }
-        }
-    }
-}
-
-/// Exponential backoff (50 ms doubling, capped at 800 ms), cut short
-/// when the drain watchdog cancels the token and notifies `wake`.
-fn backoff(shared: &Shared, attempt: u32, token: &CancelToken) {
-    let total = 50u64.saturating_mul(1 << attempt.min(4)).min(800);
-    drop(shared.block_while(Some(Duration::from_millis(total)), |_| {
-        !token.is_cancelled()
-    }));
+    response
 }
 
 /// Stable machine-readable label for each error variant.
@@ -789,74 +720,33 @@ mod tests {
         server.join();
     }
 
-    /// A server whose cache directory is a regular file, so every sweep
-    /// attempt fails with `FaseError::Cache` before capturing anything.
-    /// Returns the server and the file to remove afterwards.
-    fn broken_cache_server(tag: &str, drain_deadline_ms: u64) -> (Server, PathBuf) {
-        let file = std::env::temp_dir().join(format!(
-            "fase-serve-broken-cache-{tag}-{}",
-            std::process::id()
-        ));
+    #[test]
+    fn cache_failures_are_answered_500_after_one_sweep() {
+        // The cache directory is a regular file, so the sweep fails with
+        // `FaseError::Cache` before capturing anything.
+        let file =
+            std::env::temp_dir().join(format!("fase-serve-broken-cache-{}", std::process::id()));
         std::fs::write(&file, b"not a directory").unwrap();
         let server = Server::start(ServeConfig {
             workers: 1,
             cache_dir: Some(file.clone()),
-            drain_deadline_ms,
             ..ServeConfig::default()
         })
         .unwrap();
-        (server, file)
-    }
-
-    fn counter(server: &Server, name: &str) -> u64 {
+        let addr = server.addr().to_string();
+        let reply = client_request(
+            &addr,
+            "POST",
+            "/v1/sweep",
+            r#"{"tenant":"a","lo":250000,"hi":400000}"#,
+        )
+        .unwrap();
+        assert_eq!(reply.status, 500, "{}", reply.body);
+        assert!(reply.body.contains("\"error\":\"cache\""), "{}", reply.body);
         let snapshot = server.shared.config.recorder.snapshot();
-        snapshot.counters.get(name).copied().unwrap_or(0)
-    }
-
-    const SWEEP: &str = r#"{"tenant":"a","lo":250000,"hi":400000}"#;
-
-    #[test]
-    fn cache_failures_are_retried_then_answered_500() {
-        let (server, file) = broken_cache_server("retries", 10_000);
-        let addr = server.addr().to_string();
-        let reply = client_request(&addr, "POST", "/v1/sweep", SWEEP).unwrap();
-        assert_eq!(reply.status, 500, "{}", reply.body);
-        assert!(reply.body.contains("\"error\":\"cache\""), "{}", reply.body);
-        assert_eq!(counter(&server, "serve.retries.a"), u64::from(MAX_RETRIES));
-        assert_eq!(counter(&server, "serve.failed.a"), 1);
-        server.join();
-        let _ = std::fs::remove_file(file);
-    }
-
-    #[test]
-    fn drain_deadline_cuts_a_retry_backoff_short() {
-        // A zero drain deadline cancels the job as soon as the drain
-        // begins, inside the 50 ms backoff after the first retry; left
-        // alone, the job would retry again and back off another 100 ms.
-        let (server, file) = broken_cache_server("drain", 0);
-        let addr = server.addr().to_string();
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(client_request(&addr, "POST", "/v1/sweep", SWEEP));
-        });
-        // The first retry has been counted: the job is backing off.
-        let started = std::time::Instant::now();
-        while counter(&server, "serve.retries.a") == 0 {
-            assert!(
-                started.elapsed() < Duration::from_secs(10),
-                "the sweep never retried"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        server.drain();
-        let reply = rx
-            .recv_timeout(Duration::from_secs(2))
-            .expect("no reply within 2 s of the drain")
-            .unwrap();
-        assert_eq!(reply.status, 500, "{}", reply.body);
-        assert!(reply.body.contains("\"error\":\"cache\""), "{}", reply.body);
-        assert_eq!(counter(&server, "serve.retries.a"), 1, "backoff not cut");
-        assert_eq!(counter(&server, "serve.drain_cancels"), 1);
+        let sweeps = snapshot.spans.get("specan.sweep").map(|s| s.count);
+        assert_eq!(sweeps, Some(1), "the sweep must run exactly once");
+        assert_eq!(snapshot.counters.get("serve.failed.a"), Some(&1));
         server.join();
         let _ = std::fs::remove_file(file);
     }

@@ -13,6 +13,7 @@
 //! * containment — capture faults injected into one tenant's requests
 //!   do not break anyone (all answered, server healthy after).
 
+use fase_dsp::Hertz;
 use fase_serve::http::client_request;
 use fase_serve::{run_load, LoadSpec, QueueCaps, ServeConfig, ServePhase, Server, SweepRequest};
 use std::path::PathBuf;
@@ -70,8 +71,9 @@ fn four_tenant_faulty_load_is_answered_within_deadlines() {
     };
     let report = run_load(&spec).unwrap();
     assert_eq!(report.sent, 8);
-    // Faults are retried (runner-level and service-level); every request
-    // is answered, none errors out, none hangs past deadline + grace.
+    // Failed captures are retried inside the runner (the server never
+    // re-runs a sweep); every request is answered, none errors out, none
+    // hangs past deadline + grace.
     assert_eq!(report.errors, 0, "{report:?}");
     assert_eq!(
         report.answered() + report.rejected,
@@ -333,7 +335,17 @@ fn restarted_server_resumes_an_interrupted_sweep_byte_identically() {
     // Reference: the same sweep, uncached and never interrupted, run
     // directly through the scheduler. Byte-identical report JSON.
     let request = resume_request(None);
-    let config = request.sweep_config();
+    let config = fase_specan::SweepConfig {
+        lo: Hertz(request.lo),
+        hi: Hertz(request.hi),
+        resolution: Hertz(request.resolution),
+        bands: request.bands,
+        overlap: Hertz(request.overlap),
+        f_alt1: Hertz(request.f_alt1),
+        f_delta: Hertz(request.f_delta),
+        alternations: request.alternations,
+        averages: request.averages,
+    };
     let mut options = fase_specan::SweepOptions::default();
     options.campaign.threads = Some(1);
     options.campaign.max_attempts = request.retries + 1;

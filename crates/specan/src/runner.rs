@@ -16,7 +16,7 @@ use fase_emsim::{RenderCtx, SimulatedSystem};
 use fase_obs::Recorder;
 use fase_sysmodel::{ActivityPair, Alternation};
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -300,7 +300,7 @@ fn lock(landing: &Mutex<Landing>) -> MutexGuard<'_, Landing> {
 /// all start before the next band's. Task indices are those of each
 /// band's whole campaign, so running a subset of the alternations
 /// measures exactly what the full campaign measures for them. The caller
-/// reduces the bands in order with [`CapturePool::reduce`], each as soon
+/// reduces the bands in order with [`PoolHandle::reduce`], each as soon
 /// as its last capture lands, while the helpers capture later bands.
 #[derive(Debug)]
 pub(crate) struct CapturePool<'a> {
@@ -520,7 +520,7 @@ impl<'a> CapturePool<'a> {
     /// [`FaseError::Cancelled`] when the token fired before every capture
     /// of the band ran, [`FaseError::Worker`] when a panicked task left
     /// some unrun, and any averaging or stitching error.
-    pub(crate) fn reduce(&self, j: usize) -> Result<Reduced, FaseError> {
+    fn reduce(&self, j: usize) -> Result<Reduced, FaseError> {
         let results = {
             let landing = lock(&self.landing);
             let mut landing = self
@@ -606,13 +606,33 @@ impl<'a> CapturePool<'a> {
     }
 }
 
+/// The caller's hold on a running [`CapturePool`]: it reduces the
+/// pool's bands, and dropping it stops the pool (helpers claim no
+/// further task), whether its holder returns or unwinds from a panic.
+#[derive(Debug)]
+pub(crate) struct PoolHandle<'p, 'a>(&'p CapturePool<'a>);
+
+impl PoolHandle<'_, '_> {
+    /// [`CapturePool::reduce`] of the held pool.
+    pub(crate) fn reduce(&self, j: usize) -> Result<Reduced, FaseError> {
+        self.0.reduce(j)
+    }
+}
+
+impl Drop for PoolHandle<'_, '_> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Runs the capture tasks of `bands` on one work-stealing pool while
 /// `consume` reduces them on the calling thread, and returns what
 /// `consume` returns. Its `worker_threads(options.threads)` helpers
 /// capture; the calling thread never does, and runs `consume`'s analysis
 /// inline ([`fase_core::par`]). The factory runs once per alternation
 /// frequency per call, however many bands share it. Once `consume`
-/// returns, helpers claim no further task.
+/// drops its [`PoolHandle`] (at the latest when it returns or unwinds),
+/// helpers claim no further task.
 ///
 /// # Errors
 ///
@@ -623,7 +643,7 @@ pub(crate) fn run_pool<F, T>(
     pair: ActivityPair,
     factory: &F,
     options: &CampaignOptions,
-    consume: impl FnOnce(&CapturePool<'_>) -> T,
+    consume: impl FnOnce(PoolHandle<'_, '_>) -> T,
 ) -> Result<T, FaseError>
 where
     F: Fn(usize) -> SimulatedSystem + Sync,
@@ -632,12 +652,7 @@ where
     let out = scoped(
         pool.threads,
         || pool.work(pair, factory),
-        || {
-            // Panicking or not, once `consume` is done no capture is.
-            let out = catch_unwind(AssertUnwindSafe(|| consume(&pool)));
-            pool.stop.store(true, Ordering::Relaxed);
-            out.unwrap_or_else(|payload| resume_unwind(payload))
-        },
+        || consume(PoolHandle(&pool)),
     );
     let panic = lock(&pool.landing).panic.take();
     panic.map_or(Ok(out), |msg| Err(FaseError::worker(msg)))
@@ -1033,8 +1048,11 @@ mod tests {
     #[test]
     fn a_panicking_consumer_stops_the_pool() {
         // One helper, five alternation frequencies. The first build waits
-        // until the caller's panic drops `release`, so the helper is still
-        // on its first task when the pool must stop.
+        // until the consumer's panic drops `release`, so the helper is
+        // still on its first task when the pool must stop. Unwinding drops
+        // the consumer's locals in reverse order: the pool handle, which
+        // stops the pool, goes before `release`, so the helper sees the
+        // stop as soon as its first task ends, however it is scheduled.
         let config = small_config();
         let calls = AtomicUsize::new(0);
         let (release, gate) = std::sync::mpsc::channel::<()>();
@@ -1060,14 +1078,16 @@ mod tests {
                 ActivityPair::LdmLdl1,
                 &factory,
                 &options,
-                move |_| {
+                move |pool| {
                     let _release = release;
+                    let _pool = pool;
                     panic!("consumer failed")
                 },
             )
         }));
         assert!(panicked.is_err());
-        assert!(calls.into_inner() < config.alternation_count());
+        // At most the first build ran; a pool left running builds all five.
+        assert!(calls.into_inner() <= 1);
     }
 
     #[test]

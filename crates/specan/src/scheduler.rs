@@ -26,7 +26,7 @@
 //!   the full result.
 
 use crate::cache::{CacheKey, CaptureCache};
-use crate::runner::{run_pool, CampaignOptions, CapturePool, PoolBand};
+use crate::runner::{run_pool, CampaignOptions, PoolBand, PoolHandle};
 use crate::sweep::{plan_bands, SweepBand};
 use fase_core::par::par_map;
 use fase_core::{merge_band_reports, CampaignConfig, Fase, FaseError, FaseReport};
@@ -369,7 +369,7 @@ where
         })
         .collect();
 
-    let finish = |pool: &CapturePool<'_>| -> Result<Finished, FaseError> {
+    let finish = |pool: PoolHandle<'_, '_>| -> Result<Finished, FaseError> {
         let mut done = Finished::default();
         for (band, source) in bands.iter().zip(sources) {
             let skipped = BandOutcome {
